@@ -43,7 +43,6 @@ from .exact import (
     log_mgf_Z,
     mgf_Y,
     mgf_Z,
-    mz9_gap,
     tail_mass,
     truncation_sets,
     truncation_threshold,
@@ -69,7 +68,6 @@ from .monoid import (
     histogram,
     read_table_cache,
     write_table_cache,
-    write_table_csv,
 )
 from .rate import (
     RatePoint,

@@ -7,24 +7,29 @@ measures are inlined as atoms and Beurling systems as their norm list, so
     monoidldp --config reports/config-echo.json --out replay
 
 reproduces a run byte for byte. Only --out and --threads may accompany
---config; everything else must come from the echo.
+--config; everything else must come from the echo. Echoes no longer carry
+"seed"; older echoes that do still replay, to an echo without it.
 
 Exit codes: 0 PASS, 1 WARN, 2 FAILED or runtime error, 64 usage error,
 65 bad parameter or input file, 66 budget exceeded.
 
 Runtime-only knobs (--out, --threads, and count's --dump-cache) are excluded
 from the echo; reports are identical for any thread count.
+
+Each subcommand is one COMMAND_TABLE entry (help, handler, options) that
+drives the parser, the echo, the --config key check and dispatch. Handlers
+only compute; _emit writes the Report they return as CSV or JSON.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,10 +46,10 @@ from .errors import (
     SourceError,
 )
 from .exact import domination_report, expect_Y, expect_Z, tail_mass
-from .experiments import condition_sweep, ek_report, gap_sweep, ldp_scan
+from .experiments import LDPRow, condition_sweep, ek_report, gap_sweep, ldp_scan
 from .monoid import DEFAULT_BUDGET, enumerate_monoid, write_table_cache
 from .rate import rate_profile
-from .reportio import fmt, write_csv, write_json
+from .reportio import fmt, write_csv, write_echo, write_json
 from .systems import (
     Beurling,
     Integers,
@@ -54,11 +59,6 @@ from .systems import (
     density_fit,
     list_primes,
     mertens_sum,
-)
-
-COMMANDS = (
-    "primes", "count", "density", "mertens", "expect", "dominate",
-    "mgf-gap", "tail-mass", "rate", "ek", "ldp-scan", "sweep",
 )
 
 
@@ -116,7 +116,11 @@ def _rho_arg(text: str) -> dict:
         except OSError as e:
             raise SourceError(f"cannot read measure file {text}: {e}") from e
         measure = DiscreteMeasure.from_json(payload)
-    return {"atoms": [{"y": y, "w": w} for y, w in measure.atoms]}
+    return {"atoms": _atoms(measure)}
+
+
+def _atoms(measure: DiscreteMeasure) -> list[dict]:
+    return [{"y": y, "w": w} for y, w in measure.atoms]
 
 
 def _geom_points(start: float, stop: float, steps: int) -> list[float]:
@@ -131,12 +135,8 @@ def _geom_points(start: float, stop: float, steps: int) -> list[float]:
 def _grid_int_arg(text: str) -> list[int]:
     if text.startswith("geom:"):
         _, a, b, n = text.split(":")
-        points = [round(v) for v in _geom_points(int(a), int(b), int(n))]
-        out = []
-        for v in points:
-            if not out or v > out[-1]:
-                out.append(v)
-        return out
+        # the points ascend, so rounding can only repeat neighbours
+        return sorted({round(v) for v in _geom_points(int(a), int(b), int(n))})
     return [int(v) for v in text.split(",")]
 
 
@@ -147,25 +147,16 @@ def _grid_float_arg(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _intervals_arg(text: str) -> list[list]:
+def _intervals_arg(text: str) -> list[list[float]]:
     out = []
     for part in text.split(","):
         lo_s, hi_s = part.split(":")
-        out.append([_jsonf(float(lo_s)), _jsonf(float(hi_s))])
-    if not out:
-        raise ValueError("no intervals given")
+        out.append([float(lo_s), float(hi_s)])
     return out
 
 
 def _norms_arg(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
-
-
-def _jsonf(v: float) -> float | str:
-    """Floats for strict JSON: non-finite values become their token strings."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return fmt(v)
-    return v
 
 
 # argparse uses the type callable's __name__ in its error messages
@@ -181,8 +172,14 @@ for _fn, _label in (
 # rebuilding objects from a config dict (CLI parse and --config replay share
 # this path, so the echo reproduces runs exactly)
 
+def _kind(data: Any, what: str) -> Any:
+    if not isinstance(data, dict):
+        raise SourceError(f"{what} in config must be a JSON object, got {data!r}")
+    return data.get("kind")
+
+
 def _build_system(data: dict) -> PrimeSystem:
-    kind = data.get("kind")
+    kind = _kind(data, "system")
     if kind == "integers":
         return Integers()
     if kind == "poly":
@@ -197,7 +194,7 @@ def _build_system(data: dict) -> PrimeSystem:
 
 
 def _build_g(data: dict) -> AdditiveFunction:
-    kind = data.get("kind")
+    kind = _kind(data, "g")
     if kind == "omega":
         return Omega()
     if kind == "residue":
@@ -216,105 +213,79 @@ def _build_rho(data: dict) -> DiscreteMeasure:
     )
 
 
-def _cfg_get(cfg: dict, key: str) -> Any:
-    if key not in cfg:
-        raise SourceError(f"config is missing required key {key!r}")
-    return cfg[key]
+_BUILDERS = {"system": _build_system, "g": _build_g, "rho": _build_rho}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (cfg, out, threads) -> (exit_code, summary line)
+# subcommand handlers: (args, threads) -> Report, args being the config with
+# system, g and rho built; main prints the summary after "<command>: ".
 
-def _out_path(out: Path, cfg: dict, command: str) -> Path:
-    return out / f"{command}.{cfg['format']}"
+class Report(NamedTuple):
+    code: int
+    summary: str
+    header: Sequence[str]
+    rows: Iterable[Sequence[Any]]
+    body: dict  # the JSON report, less its "command" key
 
 
-def _run_primes(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    X = int(_cfg_get(cfg, "limit"))
+def _run_primes(a: dict, threads: int) -> Report:
+    system, X = a["system"], int(a["limit"])
     entries = list_primes(system, X)
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "primes"), ["norm", "label"],
-                  [(e.norm, e.label) for e in entries])
-    else:
-        write_json(_out_path(out, cfg, "primes"), {
-            "command": "primes", "system": system.key, "X": X,
-            "count": len(entries),
-            "primes": [{"norm": e.norm, "label": e.label} for e in entries],
-        })
-    return 0, f"primes: {len(entries)} primes of norm <= {X} in {system.key}"
+    return Report(
+        0, f"{len(entries)} primes of norm <= {X} in {system.key}",
+        ["norm", "label"], ((e.norm, e.label) for e in entries),
+        {"system": system.key, "X": X, "count": len(entries),
+         "primes": [{"norm": e.norm, "label": e.label} for e in entries]},
+    )
 
 
-def _run_count(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    g = _build_g(cfg["g"])
-    X = int(_cfg_get(cfg, "limit"))
+def _run_count(a: dict, threads: int) -> Report:
+    system, g, X = a["system"], a["g"], int(a["limit"])
     table = enumerate_monoid(system, X, g, budget=DEFAULT_BUDGET)
+    if a.get("dump_cache"):
+        write_table_cache(table, a["dump_cache"])
     mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "count"), ["norm", "omega", "gsum"], table.rows())
-    else:
-        write_json(_out_path(out, cfg, "count"), {
-            "command": "count", "system": system.key, "X": X, "g": g.key,
-            "count": table.count, "mean_omega": mean_omega,
-            "omega_histogram": [int(c) for c in np.bincount(table.omega)],
-        })
-    if cfg.get("dump_cache"):
-        write_table_cache(table, cfg["dump_cache"])
-    return 0, f"count: {table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}"
+    # rows stream straight off the table's arrays, one element at a time
+    rows = ((int(n), int(o), float(s))
+            for n, o, s in zip(table.norm, table.omega, table.gsum))
+    return Report(
+        0, f"{table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
+        ["norm", "omega", "gsum"], rows,
+        {"system": system.key, "X": X, "g": g.key,
+         "count": table.count, "mean_omega": mean_omega,
+         "omega_histogram": [int(c) for c in np.bincount(table.omega)]},
+    )
 
 
-def _run_density(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    grid = [int(v) for v in _cfg_get(cfg, "grid")]
-    fit = density_fit(system, grid)
-    rows = [
-        (X, c, fit.a_hat, fit.b_hat, fit.slope, r, fit.status)
-        for (X, c, (_, r)) in zip(fit.grid, fit.counts, fit.residuals)
-    ]
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "density"),
-                  ["X", "count", "a_hat", "b_hat", "slope", "residual", "status"], rows)
-    else:
-        write_json(_out_path(out, cfg, "density"), {
-            "command": "density", "system": system.key,
-            "grid": list(fit.grid), "counts": list(fit.counts),
-            "a_hat": fit.a_hat, "b_hat": fit.b_hat, "slope": fit.slope,
-            "residuals": [[x, r] for x, r in fit.residuals],
-            "status": fit.status, "unsupported": list(fit.unsupported),
-        })
-    summary = (f"density: status={fit.status} a_hat={fmt(fit.a_hat)} "
+def _run_density(a: dict, threads: int) -> Report:
+    fit = density_fit(a["system"], [int(v) for v in a["grid"]])
+    summary = (f"status={fit.status} a_hat={fmt(fit.a_hat)} "
                f"b_hat={fmt(fit.b_hat)} slope={fmt(fit.slope)}")
     if fit.unsupported:
         summary += f" unsupported={list(fit.unsupported)}"
-    return (2 if fit.status == "FAILED" else 0), summary
+    return Report(
+        2 if fit.status == "FAILED" else 0, summary,
+        ["X", "count", "a_hat", "b_hat", "slope", "residual", "status"],
+        [(X, c, fit.a_hat, fit.b_hat, fit.slope, r, fit.status)
+         for (X, c, (_, r)) in zip(fit.grid, fit.counts, fit.residuals)],
+        {"system": a["system"].key, **dataclasses.asdict(fit)},
+    )
 
 
-def _run_mertens(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    grid = [int(v) for v in _cfg_get(cfg, "grid")]
-    rows = [(X, *mertens_sum(system, X)) for X in grid]
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "mertens"), ["X", "sum", "deviation"], rows)
-    else:
-        write_json(_out_path(out, cfg, "mertens"), {
-            "command": "mertens", "system": system.key,
-            "rows": [[X, s, d] for X, s, d in rows],
-        })
+def _run_mertens(a: dict, threads: int) -> Report:
+    rows = [(X, *mertens_sum(a["system"], X)) for X in (int(v) for v in a["grid"])]
     X, s, d = rows[-1]
-    return 0, f"mertens: X={X} sum={fmt(s)} deviation={fmt(d)}"
+    return Report(0, f"X={X} sum={fmt(s)} deviation={fmt(d)}",
+                  ["X", "sum", "deviation"], rows,
+                  {"system": a["system"].key, "rows": rows})
 
 
-def _run_expect(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    X = int(_cfg_get(cfg, "limit"))
-    wanted = [int(n) for n in _cfg_get(cfg, "primes")]
+def _run_expect(a: dict, threads: int) -> Report:
+    system, X = a["system"], int(a["limit"])
     entries = list_primes(system, X)
     selected = []
-    for n in wanted:
-        match = next(
-            (e for e in entries if e.norm == n and e not in selected), None
-        )
+    for n in (int(n) for n in a["primes"]):
+        match = next((e for e in entries if e.norm == n and e not in selected), None)
         if match is None:
             raise ParameterError(f"no unused prime of norm {n} in {system.key} up to {X}")
         selected.append(match)
@@ -322,348 +293,204 @@ def _run_expect(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
     yc = expect_Y(selected)
     ratio = zc.value / yc.value
     labels = "*".join(e.label for e in selected)
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "expect"),
-                  ["X", "primes", "expect_Z", "expect_Y", "ratio"],
-                  [(X, labels, zc.value, yc.value, ratio)])
-    else:
-        write_json(_out_path(out, cfg, "expect"), {
-            "command": "expect", "system": system.key, "X": X,
-            "primes": [e.label for e in selected],
-            "expect_Z": fmt(zc.value), "expect_Z_float": zc.float_value,
-            "expect_Y": fmt(yc.value), "expect_Y_float": yc.float_value,
-            "ratio": fmt(ratio), "ratio_float": float(ratio),
-        })
-    return 0, (f"expect: Z={fmt(zc.value)} Y={fmt(yc.value)} ratio={fmt(ratio)} "
-               f"primes={labels}")
-
-
-def _run_dominate(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    X = int(_cfg_get(cfg, "limit"))
-    k_max = int(_cfg_get(cfg, "kmax"))
-    rep = domination_report(system, X, k_max)
-    labels = "*".join(e.label for e in rep.witness)
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "dominate"),
-                  ["X", "k_max", "M_observed", "witness"],
-                  [(rep.X, rep.k_max, rep.M_observed, labels)])
-    else:
-        write_json(_out_path(out, cfg, "dominate"), {
-            "command": "dominate", "system": system.key, "X": rep.X,
-            "k_max": rep.k_max, "M_observed": rep.M_observed,
-            "M_exact": fmt(rep.M_exact),
-            "witness": [e.label for e in rep.witness],
-            "tuples_examined": rep.tuples_examined,
-        })
-    return 0, (f"dominate: M_observed={fmt(rep.M_observed)} witness={labels} "
-               f"({rep.tuples_examined} tuples examined)")
-
-
-def _run_mgf_gap(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    g = _build_g(cfg["g"])
-    grid = [int(v) for v in _cfg_get(cfg, "grid")]
-    C = float(_cfg_get(cfg, "cap"))
-    theta = float(_cfg_get(cfg, "theta"))
-    rep = gap_sweep(system, g, grid, C, theta, threads=threads)
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "mgf-gap"),
-                  ["X", "C", "theta", "mgf_Z", "mgf_Y", "gap"],
-                  [(r.X, r.C, r.theta, r.mgf_Z, r.mgf_Y, r.gap) for r in rep.rows])
-    else:
-        write_json(_out_path(out, cfg, "mgf-gap"), {
-            "command": "mgf-gap", "system": system.key, "g": g.key,
-            "trend": rep.trend,
-            "rows": [{
-                "X": r.X, "C": r.C, "theta": r.theta, "k_X": r.k_X,
-                "B_size": r.B_size, "mgf_Z": r.mgf_Z, "mgf_Y": r.mgf_Y,
-                "gap": r.gap, "log_space": r.log_space,
-            } for r in rep.rows],
-        })
-    last = rep.rows[-1]
-    return (0 if rep.trend == "PASS" else 1), (
-        f"mgf-gap: trend={rep.trend} gap(X={last.X})={fmt(last.gap)}"
+    return Report(
+        0, f"Z={fmt(zc.value)} Y={fmt(yc.value)} ratio={fmt(ratio)} primes={labels}",
+        ["X", "primes", "expect_Z", "expect_Y", "ratio"],
+        [(X, labels, zc.value, yc.value, ratio)],
+        {"system": system.key, "X": X, "primes": [e.label for e in selected],
+         "expect_Z": zc.value, "expect_Z_float": zc.float_value,
+         "expect_Y": yc.value, "expect_Y_float": yc.float_value,
+         "ratio": ratio, "ratio_float": float(ratio)},
     )
 
 
-def _run_tail_mass(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    g = _build_g(cfg["g"])
-    X = int(_cfg_get(cfg, "limit"))
-    C = float(_cfg_get(cfg, "cap"))
-    theta = float(_cfg_get(cfg, "theta"))
-    tm = tail_mass(system, g, X, C, theta)
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "tail-mass"),
-                  ["X", "C", "theta", "tail_mass"], [(X, C, theta, tm)])
-    else:
-        write_json(_out_path(out, cfg, "tail-mass"), {
-            "command": "tail-mass", "system": system.key, "g": g.key,
-            "X": X, "C": C, "theta": theta, "tail_mass": tm,
-        })
-    return 0, f"tail-mass: X={X} C={fmt(C)} theta={fmt(theta)} tail={fmt(tm)}"
+def _run_dominate(a: dict, threads: int) -> Report:
+    rep = domination_report(a["system"], int(a["limit"]), int(a["kmax"]))
+    labels = "*".join(e.label for e in rep.witness)
+    return Report(
+        0, (f"M_observed={fmt(rep.M_observed)} witness={labels} "
+            f"({rep.tuples_examined} tuples examined)"),
+        ["X", "k_max", "M_observed", "witness"],
+        [(rep.X, rep.k_max, rep.M_observed, labels)],
+        {"system": a["system"].key, "X": rep.X, "k_max": rep.k_max,
+         "M_observed": rep.M_observed, "M_exact": rep.M_exact,
+         "witness": [e.label for e in rep.witness],
+         "tuples_examined": rep.tuples_examined},
+    )
 
 
-def _run_rate(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    rho = _build_rho(_cfg_get(cfg, "rho"))
-    grid = [float(v) for v in _cfg_get(cfg, "grid")]
-    prof = rate_profile(rho, grid, threads=threads)
-    rows = [
-        (x, I, math.nan if t is None else t, it, st)
-        for x, I, t, it, st in zip(
-            prof.x_grid, prof.I_values, prof.theta_stars,
-            prof.solver_iters, prof.statuses)
-    ]
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "rate"),
-                  ["x", "I", "theta_star", "iters", "status"], rows)
-    else:
-        write_json(_out_path(out, cfg, "rate"), {
-            "command": "rate",
-            "rho": [{"y": y, "w": w} for y, w in rho.atoms],
-            "rows": [{"x": x, "I": _jsonf(I), "theta_star": None if t is None else t,
-                      "iters": it, "status": st}
-                     for x, I, t, it, st in zip(
-                         prof.x_grid, prof.I_values, prof.theta_stars,
-                         prof.solver_iters, prof.statuses)],
-        })
-    bad = sum(1 for s in prof.statuses if s == "no-convergence")
-    n_conv = sum(1 for s in prof.statuses if s == "converged")
-    code = 1 if bad else 0
-    return code, f"rate: {len(rows)} points, {n_conv} converged, {bad} failed"
+def _run_mgf_gap(a: dict, threads: int) -> Report:
+    rep = gap_sweep(a["system"], a["g"], [int(v) for v in a["grid"]],
+                    float(a["cap"]), float(a["theta"]), threads=threads)
+    last = rep.rows[-1]
+    return Report(
+        0 if rep.trend == "PASS" else 1,
+        f"trend={rep.trend} gap(X={last.X})={fmt(last.gap)}",
+        ["X", "C", "theta", "mgf_Z", "mgf_Y", "gap"],
+        [(r.X, r.C, r.theta, r.mgf_Z, r.mgf_Y, r.gap) for r in rep.rows],
+        {"system": a["system"].key, "g": a["g"].key, **dataclasses.asdict(rep)},
+    )
 
 
-def _run_ek(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    X = int(_cfg_get(cfg, "limit"))
-    min_norm = int(_cfg_get(cfg, "min_norm"))
-    rep = ek_report(system, X, min_norm=min_norm)
-    fields = [
-        ("X", rep.X), ("samples", rep.samples), ("min_norm", rep.min_norm),
-        ("ks_sample_count", rep.ks_sample_count),
-        ("ks_distance", rep.ks_distance), ("ks_two_sided", rep.ks_two_sided),
-        ("mean_omega", rep.mean_omega), ("mertens_mean", rep.mertens_mean),
-        ("variance_omega", rep.variance_omega),
-    ]
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "ek"),
-                  [k for k, _ in fields], [[v for _, v in fields]])
-    else:
-        write_json(_out_path(out, cfg, "ek"),
-                   {"command": "ek", "system": system.key, **dict(fields)})
-    return 0, (f"ek: X={rep.X} ks_distance={fmt(rep.ks_distance)} "
-               f"ks_two_sided={fmt(rep.ks_two_sided)} mean_omega={fmt(rep.mean_omega)}")
+def _run_tail_mass(a: dict, threads: int) -> Report:
+    X, C, theta = int(a["limit"]), float(a["cap"]), float(a["theta"])
+    fields = {"X": X, "C": C, "theta": theta,
+              "tail_mass": tail_mass(a["system"], a["g"], X, C, theta)}
+    return Report(
+        0, f"X={X} C={fmt(C)} theta={fmt(theta)} tail={fmt(fields['tail_mass'])}",
+        list(fields), [list(fields.values())],
+        {"system": a["system"].key, "g": a["g"].key, **fields},
+    )
 
 
-def _run_ldp_scan(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    g = _build_g(cfg["g"])
-    rho = _build_rho(_cfg_get(cfg, "rho"))
-    grid = [int(v) for v in _cfg_get(cfg, "grid")]
-    intervals = [(float(lo), float(hi)) for lo, hi in _cfg_get(cfg, "intervals")]
-    rows = ldp_scan(system, g, grid, intervals, rho, threads=threads)
-    if cfg["format"] == "csv":
-        write_csv(
-            _out_path(out, cfg, "ldp-scan"),
-            ["X", "x_lo", "x_hi", "count", "total", "tail_prob",
-             "normalized", "rate_bound"],
-            [(r.X, r.x_lo, r.x_hi, r.count, r.total, r.tail_prob,
-              r.normalized, r.rate_bound) for r in rows],
-        )
-    else:
-        write_json(_out_path(out, cfg, "ldp-scan"), {
-            "command": "ldp-scan", "system": system.key, "g": g.key,
-            "rho": [{"y": y, "w": w} for y, w in rho.atoms],
-            "rows": [{
-                "X": r.X, "x_lo": _jsonf(r.x_lo), "x_hi": _jsonf(r.x_hi),
-                "count": r.count, "total": r.total, "tail_prob": fmt(r.tail_prob),
-                "normalized": _jsonf(r.normalized),
-                "rate_bound": _jsonf(r.rate_bound),
-            } for r in rows],
-        })
-    return 0, f"ldp-scan: {len(rows)} rows over {len(grid)} values of X"
+def _run_rate(a: dict, threads: int) -> Report:
+    prof = rate_profile(a["rho"], [float(v) for v in a["grid"]], threads=threads)
+    points = list(zip(prof.x_grid, prof.I_values, prof.theta_stars,
+                      prof.solver_iters, prof.statuses))
+    bad, n_conv = (prof.statuses.count(s) for s in ("no-convergence", "converged"))
+    return Report(
+        1 if bad else 0, f"{len(points)} points, {n_conv} converged, {bad} failed",
+        ["x", "I", "theta_star", "iters", "status"],
+        [(x, I, math.nan if t is None else t, it, st) for x, I, t, it, st in points],
+        {"rho": _atoms(a["rho"]),
+         "rows": [{"x": x, "I": I, "theta_star": t, "iters": it, "status": st}
+                  for x, I, t, it, st in points]},
+    )
 
 
-def _run_sweep(cfg: dict, out: Path, threads: int) -> tuple[int, str]:
-    system = _build_system(cfg["system"])
-    g = _build_g(cfg["g"])
-    rho = _build_rho(_cfg_get(cfg, "rho"))
-    grid = [int(v) for v in _cfg_get(cfg, "grid")]
-    theta_grid = [float(v) for v in _cfg_get(cfg, "theta_grid")]
-    rep = condition_sweep(system, g, rho, grid, theta_grid)
-    sections = [
-        ("density", rep.density["flag"]),
-        ("prime_count", rep.prime_count["flag"]),
-        ("mertens", rep.mertens["flag"]),
-        ("convergence", rep.convergence["flag"]),
-    ]
-    if cfg["format"] == "csv":
-        write_csv(_out_path(out, cfg, "sweep"), ["section", "flag"],
-                  sections + [("overall", rep.overall)])
-    else:
-        write_json(_out_path(out, cfg, "sweep"),
-                   {"command": "sweep", "system": system.key, "g": g.key,
-                    **rep.as_dict()})
-    code = {"PASS": 0, "WARN": 1}.get(rep.overall, 2)
+def _run_ek(a: dict, threads: int) -> Report:
+    rep = ek_report(a["system"], int(a["limit"]), min_norm=int(a["min_norm"]))
+    fields = dataclasses.asdict(rep)
+    return Report(
+        0, (f"X={rep.X} ks_distance={fmt(rep.ks_distance)} "
+            f"ks_two_sided={fmt(rep.ks_two_sided)} mean_omega={fmt(rep.mean_omega)}"),
+        list(fields), [list(fields.values())], {"system": a["system"].key, **fields},
+    )
+
+
+def _run_ldp_scan(a: dict, threads: int) -> Report:
+    grid = [int(v) for v in a["grid"]]
+    intervals = [(float(lo), float(hi)) for lo, hi in a["intervals"]]
+    rows = [dataclasses.asdict(r)
+            for r in ldp_scan(a["system"], a["g"], grid, intervals, a["rho"],
+                              threads=threads)]
+    return Report(
+        0, f"{len(rows)} rows over {len(grid)} values of X",
+        [f.name for f in dataclasses.fields(LDPRow)], [r.values() for r in rows],
+        {"system": a["system"].key, "g": a["g"].key, "rho": _atoms(a["rho"]),
+         "rows": rows},
+    )
+
+
+def _run_sweep(a: dict, threads: int) -> Report:
+    rep = condition_sweep(a["system"], a["g"], a["rho"], [int(v) for v in a["grid"]],
+                          [float(v) for v in a["theta_grid"]])
+    body = rep.as_dict()
+    sections = [(name, body[name]["flag"]) for name in body if name != "overall"]
     detail = " ".join(f"{name}={flag}" for name, flag in sections)
-    return code, f"sweep: overall={rep.overall} {detail}"
-
-
-_HANDLERS: dict[str, Callable[[dict, Path, int], tuple[int, str]]] = {
-    "primes": _run_primes,
-    "count": _run_count,
-    "density": _run_density,
-    "mertens": _run_mertens,
-    "expect": _run_expect,
-    "dominate": _run_dominate,
-    "mgf-gap": _run_mgf_gap,
-    "tail-mass": _run_tail_mass,
-    "rate": _run_rate,
-    "ek": _run_ek,
-    "ldp-scan": _run_ldp_scan,
-    "sweep": _run_sweep,
-}
+    return Report(
+        {"PASS": 0, "WARN": 1}.get(rep.overall, 2),
+        f"overall={rep.overall} {detail}",
+        ["section", "flag"], sections + [("overall", rep.overall)],
+        {"system": a["system"].key, "g": a["g"].key, **body},
+    )
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# the command table: an option is (key, type, default[, argparse extras]) for
+# flag --key, "_" as "-"; `options` are echoed and required on replay, `runtime` not.
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default="reports", help="output directory")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: CPU count); never changes output")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="reserved for randomized extensions; echoed, unused")
+class Command(NamedTuple):
+    help: str
+    run: Callable[[dict, int], Report]
+    options: tuple[tuple, ...]
+    runtime: tuple[tuple, ...] = ()
+
+
+_SYSTEM = ("system", _system_arg, "integers")
+_G = ("g", _g_arg, "omega")
+_RHO = ("rho", _rho_arg, "delta1")
+
+COMMAND_TABLE: dict[str, Command] = {
+    "primes": Command("list primes of the system up to a norm bound", _run_primes,
+                      (_SYSTEM, ("limit", int, 100))),
+    "count": Command(
+        "enumerate the monoid table (norm, omega, gsum)", _run_count,
+        (_SYSTEM, ("limit", int, 1000), _G),
+        runtime=(("dump_cache", str, None,
+                  {"metavar": "PATH", "help": "also write the binary table cache"}),)),
+    "density": Command("fit count(X) = a X + O(X^b) over a grid", _run_density,
+                       (_SYSTEM, ("grid", _grid_int_arg, "geom:100:100000:4"))),
+    "mertens": Command(
+        "partial sums of 1/N(p) minus log log X", _run_mertens,
+        (_SYSTEM, ("grid", _grid_int_arg, "geom:100:1000000:5")),
+        # a one-point --grid in disguise; the echo keeps only the grid
+        runtime=(("limit", int, None,
+                  {"help": "single cutoff, shorthand for --grid LIMIT"}),)),
+    "expect": Command(
+        "exact E[prod Z_p] vs E[prod Y_p] for chosen primes", _run_expect,
+        (_SYSTEM, ("limit", int, 100),
+         ("primes", _norms_arg, None, {
+             "required": True, "metavar": "N1,N2",
+             "help": "prime norms; the first unused entry of each norm is taken"}))),
+    "dominate": Command("max of expect_Z/expect_Y over distinct-prime tuples", _run_dominate,
+                        (_SYSTEM, ("limit", int, 100), ("kmax", int, 3))),
+    "mgf-gap": Command(
+        "B-side MGF difference over an X grid", _run_mgf_gap,
+        (_SYSTEM, _G, ("grid", _grid_int_arg, "geom:1000:1000000:4"),
+         ("cap", float, 5.0, {"help": "truncation cap C"}), ("theta", float, 1.0))),
+    "tail-mass": Command(
+        "rho_X tail integral of e^(theta y) - 1 over y > C", _run_tail_mass,
+        (_SYSTEM, _G, ("limit", int, 100), ("cap", float, 0.5), ("theta", float, 1.0))),
+    "rate": Command(
+        "Legendre transform I(x) over an x grid", _run_rate,
+        ((*_RHO, {"help": "delta1 or a JSON measure file"}),
+         ("grid", _grid_float_arg, "0,0.25,0.5,0.75,1,1.5,2,2.5,3"))),
+    "ek": Command("normalized omega statistic against the standard normal", _run_ek,
+                  (_SYSTEM, ("limit", int, 100000), ("min_norm", int, 3))),
+    "ldp-scan": Command(
+        "exact interval tail probabilities vs the rate bound", _run_ldp_scan,
+        (_SYSTEM, _G, _RHO, ("grid", _grid_int_arg, "geom:100:100000:4"),
+         ("intervals", _intervals_arg, "1.5:inf", {
+             "metavar": "LO:HI[,LO:HI...]", "help": "half-open [lo, hi); inf allowed"}))),
+    "sweep": Command(
+        "axiom diagnostics bundle with PASS/WARN/FAILED flags", _run_sweep,
+        (_SYSTEM, _G, _RHO, ("grid", _grid_int_arg, "geom:100:100000:4"),
+         ("theta_grid", _grid_float_arg, "0.5,1"))),
+}
+
+
+def _keys(command: Command) -> list[str]:
+    return [opt[0] for opt in command.options]
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monoidldp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name: str, helptext: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=helptext)
-        _add_common(sp)
-        return sp
-
-    sp = add("primes", "list primes of the system up to a norm bound")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--limit", type=int, default=100)
-
-    sp = add("count", "enumerate the monoid table (norm, omega, gsum)")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--limit", type=int, default=1000)
-    sp.add_argument("--g", type=_g_arg, default={"kind": "omega"})
-    sp.add_argument("--dump-cache", default=None, metavar="PATH",
-                    help="also write the binary table cache")
-
-    sp = add("density", "fit count(X) = a X + O(X^b) over a grid")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--grid", type=_grid_int_arg, default="geom:100:100000:4")
-
-    sp = add("mertens", "partial sums of 1/N(p) minus log log X")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--grid", type=_grid_int_arg, default="geom:100:1000000:5")
-    sp.add_argument("--limit", type=int, default=None,
-                    help="single cutoff, shorthand for --grid LIMIT")
-
-    sp = add("expect", "exact E[prod Z_p] vs E[prod Y_p] for chosen primes")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--limit", type=int, default=100)
-    sp.add_argument("--primes", type=_norms_arg, required=True, metavar="N1,N2",
-                    help="prime norms; the first unused entry of each norm is taken")
-
-    sp = add("dominate", "max of expect_Z/expect_Y over distinct-prime tuples")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--limit", type=int, default=100)
-    sp.add_argument("--kmax", type=int, default=3)
-
-    sp = add("mgf-gap", "B-side MGF difference over an X grid")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--g", type=_g_arg, default={"kind": "omega"})
-    sp.add_argument("--grid", type=_grid_int_arg, default="geom:1000:1000000:4")
-    sp.add_argument("--cap", type=float, default=5.0, help="truncation cap C")
-    sp.add_argument("--theta", type=float, default=1.0)
-
-    sp = add("tail-mass", "rho_X tail integral of e^(theta y) - 1 over y > C")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--g", type=_g_arg, default={"kind": "omega"})
-    sp.add_argument("--limit", type=int, default=100)
-    sp.add_argument("--cap", type=float, default=0.5)
-    sp.add_argument("--theta", type=float, default=1.0)
-
-    sp = add("rate", "Legendre transform I(x) over an x grid")
-    sp.add_argument("--rho", type=_rho_arg, default="delta1",
-                    help="delta1 or a JSON measure file")
-    sp.add_argument("--grid", type=_grid_float_arg,
-                    default="0,0.25,0.5,0.75,1,1.5,2,2.5,3")
-
-    sp = add("ek", "normalized omega statistic against the standard normal")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--limit", type=int, default=100000)
-    sp.add_argument("--min-norm", type=int, default=3)
-
-    sp = add("ldp-scan", "exact interval tail probabilities vs the rate bound")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--g", type=_g_arg, default={"kind": "omega"})
-    sp.add_argument("--rho", type=_rho_arg, default="delta1")
-    sp.add_argument("--grid", type=_grid_int_arg, default="geom:100:100000:4")
-    sp.add_argument("--intervals", type=_intervals_arg, default="1.5:inf",
-                    metavar="LO:HI[,LO:HI...]", help="half-open [lo, hi); inf allowed")
-
-    sp = add("sweep", "axiom diagnostics bundle with PASS/WARN/FAILED flags")
-    sp.add_argument("--system", type=_system_arg, default={"kind": "integers"})
-    sp.add_argument("--g", type=_g_arg, default={"kind": "omega"})
-    sp.add_argument("--rho", type=_rho_arg, default="delta1")
-    sp.add_argument("--grid", type=_grid_int_arg, default="geom:100:100000:4")
-    sp.add_argument("--theta-grid", type=_grid_float_arg, default="0.5,1")
-
+    for name, command in COMMAND_TABLE.items():
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument("--out", default="reports", help="output directory")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker threads (default: CPU count); never changes output")
+        for key, kind, default, *extra in command.options + command.runtime:
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, default=default,
+                            **(extra[0] if extra else {}))
     return parser
 
 
-_CFG_KEYS = {
-    "primes": ("system", "limit"),
-    "count": ("system", "limit", "g"),
-    "density": ("system", "grid"),
-    "mertens": ("system", "grid"),
-    "expect": ("system", "limit", "primes"),
-    "dominate": ("system", "limit", "kmax"),
-    "mgf-gap": ("system", "g", "grid", "cap", "theta"),
-    "tail-mass": ("system", "g", "limit", "cap", "theta"),
-    "rate": ("rho", "grid"),
-    "ek": ("system", "limit", "min_norm"),
-    "ldp-scan": ("system", "g", "rho", "grid", "intervals"),
-    "sweep": ("system", "g", "rho", "grid", "theta_grid"),
-}
-
-
-def _sanitize(value: Any) -> Any:
-    if isinstance(value, float):
-        return _jsonf(value)
-    if isinstance(value, list):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    return value
-
-
-def _cfg_from_namespace(ns: argparse.Namespace) -> dict:
-    cfg = {"command": ns.command, "format": ns.format, "seed": ns.seed}
-    for key in _CFG_KEYS[ns.command]:
-        cfg[key] = _sanitize(getattr(ns, key))
-    # --limit is a shorthand alias; the echoed config keeps only the grid.
-    if ns.command == "mertens" and getattr(ns, "limit", None) is not None:
-        if ns.limit < 3:
-            raise UsageError(f"--limit must be >= 3, got {ns.limit}")
-        cfg["grid"] = [ns.limit]
-    return cfg
-
-
-def _write_echo(out: Path, cfg: dict) -> None:
-    with open(out / "config-echo.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _cfg_from_namespace(ns: argparse.Namespace) -> tuple[dict, dict]:
+    """(echoed config, runtime-only extras) from a parsed command line."""
+    command = COMMAND_TABLE[ns.command]
+    cfg = {"command": ns.command, "format": ns.format}
+    cfg.update((key, getattr(ns, key)) for key in _keys(command))
+    runtime = {opt[0]: getattr(ns, opt[0]) for opt in command.runtime}
+    limit = runtime.pop("limit", None)
+    if limit is not None:
+        if limit < 3:
+            raise UsageError(f"--limit must be >= 3, got {limit}")
+        cfg["grid"] = [limit]
+    return cfg, runtime
 
 
 def _load_config(path: str) -> dict:
@@ -677,15 +504,27 @@ def _load_config(path: str) -> dict:
         raise SourceError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise SourceError(f"config {path} must hold a JSON object")
-    command = cfg.get("command")
-    if command not in _HANDLERS:
-        raise SourceError(f"config {path} names unknown command {command!r}")
+    command = COMMAND_TABLE.get(cfg.get("command"))
+    if command is None:
+        raise SourceError(f"config {path} names unknown command {cfg.get('command')!r}")
     if cfg.get("format") not in ("csv", "json"):
         raise SourceError(f"config {path} needs format csv or json")
-    for key in _CFG_KEYS[command]:
+    for key in _keys(command):
         if key not in cfg:
             raise SourceError(f"config {path} is missing key {key!r}")
-    return cfg
+    # only the keys a fresh run would echo; older echoes also carry "seed"
+    return {k: cfg[k] for k in ("command", "format", *_keys(command))}
+
+
+def _emit(out: Path, cfg: dict, report: Report) -> None:
+    """Write the report in the configured format, then cfg as the echo."""
+    name, ext = cfg["command"], cfg["format"]
+    path = out / f"{name}.{ext}"
+    if ext == "csv":
+        write_csv(path, report.header, report.rows)
+    else:
+        write_json(path, {"command": name, **report.body})
+    write_echo(out / "config-echo.json", cfg)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -697,23 +536,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.add_argument("--out", default="reports")
             parser.add_argument("--threads", type=int, default=None)
             ns = parser.parse_args(argv)
-            cfg = _load_config(ns.config)
-            run_cfg = dict(cfg)
+            cfg, runtime = _load_config(ns.config), {}
         else:
             ns = _build_parser().parse_args(argv)
-            cfg = _cfg_from_namespace(ns)
-            run_cfg = dict(cfg)
-            if getattr(ns, "dump_cache", None):
-                run_cfg["dump_cache"] = ns.dump_cache  # runtime-only, not echoed
+            cfg, runtime = _cfg_from_namespace(ns)
         threads = ns.threads if ns.threads is not None else (os.cpu_count() or 1)
         if threads < 1:
             raise UsageError(f"--threads must be >= 1, got {threads}")
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
-        code, summary = _HANDLERS[run_cfg["command"]](run_cfg, out, threads)
-        _write_echo(out, cfg)
-        print(summary)
-        return code
+        args = {k: _BUILDERS[k](v) if k in _BUILDERS else v for k, v in cfg.items()}
+        args.update(runtime)
+        report = COMMAND_TABLE[cfg["command"]].run(args, threads)
+        _emit(out, cfg, report)
+        print(f"{cfg['command']}: {report.summary}")
+        return report.code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
@@ -728,7 +565,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError) as e:
         print(f"error: malformed configuration value: {e}", file=sys.stderr)
         return 65
-    except (MonoidLdpError, OSError) as e:
+    # OverflowError: a moment that is truly +inf at this theta
+    except (MonoidLdpError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

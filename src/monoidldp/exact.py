@@ -177,9 +177,15 @@ def truncation_sets(
 
 def log_mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> float:
     """log E[exp(theta sum g(p) Y_p)] = sum log(1 + (e^(theta g(p)) - 1)/N(p))."""
-    return math.fsum(
-        math.log1p(math.expm1(theta * g.value(e)) / e.norm) for e in subset
-    )
+    return math.fsum(_log_bernoulli_mgf(theta * g.value(e), e.norm) for e in subset)
+
+
+def _log_bernoulli_mgf(t: float, N: int) -> float:
+    """log(1 + (e^t - 1)/N). e^t overflows past t = 709.78, so from t = 700 on
+    the term is t + log1p((N - 1) e^-t) - log N, the same value rewritten."""
+    if t < 700.0:
+        return math.log1p(math.expm1(t) / N)
+    return t + math.log1p((N - 1) * math.exp(-t)) - math.log(N)
 
 
 def mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> float:
@@ -273,18 +279,6 @@ def gap_components(
         ly = log_mgf_Y(ts.B, g, theta)
         lz = log_mgf_Z(system, X, ts.B, g, theta, budget=budget)
         return GapComponents(X, C, theta, ts.k_X, len(ts.B), lz, ly, abs(lz - ly), True)
-
-
-def mz9_gap(
-    system: PrimeSystem,
-    g: AdditiveFunction,
-    X: int,
-    C: float,
-    theta: float,
-    budget: Budget = DEFAULT_BUDGET,
-) -> float:
-    """|mgf_Z - mgf_Y| over the small-prime set B(X, C)."""
-    return gap_components(system, g, X, C, theta, budget=budget).gap
 
 
 def tail_mass(

@@ -23,7 +23,6 @@ import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,12 +44,6 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-class MonoidElement(NamedTuple):
-    norm: int
-    omega: int
-    gsum: float
-
-
 @dataclass(frozen=True)
 class MonoidTable:
     system: PrimeSystem
@@ -62,10 +55,6 @@ class MonoidTable:
     @property
     def count(self) -> int:
         return int(self.norm.size)
-
-    def rows(self) -> Iterator[MonoidElement]:
-        for n, o, s in zip(self.norm, self.omega, self.gsum):
-            yield MonoidElement(int(n), int(o), float(s))
 
 
 def enumerate_monoid(
@@ -230,13 +219,6 @@ def histogram(table: MonoidTable, statistic: str = "omega", width: float | None 
     uniq, cnt = np.unique(idx, return_counts=True)
     return Histogram(statistic, tuple(float(k * width) for k in uniq),
                      tuple(int(c) for c in cnt), table.count, width)
-
-
-def write_table_csv(table: MonoidTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("norm,omega,gsum\n")
-        for n, o, s in zip(table.norm, table.omega, table.gsum):
-            fh.write(f"{int(n)},{int(o)},{float(s):.12g}\n")
 
 
 def write_table_cache(table: MonoidTable, path: str | Path) -> None:

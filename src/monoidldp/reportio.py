@@ -37,28 +37,40 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
             writer.writerow([fmt(cell) for cell in row])
 
 
-def round12(obj: Any) -> Any:
-    """Rewrite floats to their 12-significant-digit reading, recursively.
+def round12(obj: Any, exact: bool = False) -> Any:
+    """Make obj strict-JSON ready, recursively.
 
-    Round-tripping through fmt() keeps JSON numerically identical to the
-    CSV view of the same report.
+    Fractions and non-finite floats become their fmt() strings. Finite
+    floats become their 12-significant-digit reading, which keeps JSON
+    numerically identical to the CSV view of the same report, or stay as
+    they are when exact is set.
     """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return fmt(obj)
-        return float(fmt(obj))
+        return obj if exact else float(fmt(obj))
     if isinstance(obj, Fraction):
         return fmt(obj)
     if isinstance(obj, dict):
-        return {k: round12(v) for k, v in obj.items()}
+        return {k: round12(v, exact) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round12(v) for v in obj]
+        return [round12(v, exact) for v in obj]
     return obj
 
 
 def write_json(path: Path, obj: Any) -> None:
+    _dump_json(path, round12(obj))
+
+
+def write_echo(path: Path, cfg: dict) -> None:
+    """The config echo: JSON like a report, but with floats kept exact so a
+    replay reads back the very values of the run."""
+    _dump_json(path, round12(cfg, exact=True))
+
+
+def _dump_json(path: Path, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(round12(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -98,6 +98,12 @@ def test_bad_configs_exit_65(tmp_path):
     }), encoding="utf-8")
     assert main(["--config", str(mangled), "--out", str(tmp_path / "o")]) == 65
 
+    # a system or g that is not a JSON object
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"command": "primes", "format": "csv",
+                                "system": "integers", "limit": 10}), encoding="utf-8")
+    assert main(["--config", str(flat), "--out", str(tmp_path / "o")]) == 65
+
 
 def test_budget_exit_66(tmp_path):
     assert main(["count", "--limit", "200000000000", "--out", str(tmp_path)]) == 66
@@ -159,15 +165,24 @@ def test_dump_cache_roundtrip(tmp_path):
 def test_config_echo_replay_is_byte_identical(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    assert main(["ek", "--limit", "1000", "--format", "json", "--seed", "7",
+    assert main(["ek", "--limit", "1000", "--format", "json",
                  "--out", str(first)]) == 0
-    echo = json.loads((first / "config-echo.json").read_text())
-    assert echo["seed"] == 7
     assert main(["--config", str(first / "config-echo.json"),
                  "--out", str(second)]) == 0
     assert (first / "ek.json").read_bytes() == (second / "ek.json").read_bytes()
     assert (first / "config-echo.json").read_bytes() == \
         (second / "config-echo.json").read_bytes()
+
+    # echoes written while --seed existed carry "seed": null and still replay
+    old_echo = tmp_path / "old-echo.json"
+    echo = json.loads((first / "config-echo.json").read_text())
+    old_echo.write_text(json.dumps({**echo, "seed": None}, indent=2, sort_keys=True),
+                        encoding="utf-8")
+    third = tmp_path / "third"
+    assert main(["--config", str(old_echo), "--out", str(third)]) == 0
+    assert (first / "ek.json").read_bytes() == (third / "ek.json").read_bytes()
+    assert (first / "config-echo.json").read_bytes() == \
+        (third / "config-echo.json").read_bytes()
 
 
 def test_config_replay_rejects_other_overrides(tmp_path):
@@ -194,3 +209,20 @@ def test_sweep_exit_reflects_overall_flag(tmp_path, capsys):
                  "--grid", "10,100,1000,10000", "--out", str(tmp_path)])
     assert code == 2
     assert "overall=FAILED" in capsys.readouterr().out
+
+
+def test_mgf_gap_past_exp_overflow_uses_log_space(tmp_path):
+    code = main(["mgf-gap", "--grid", "100,1000", "--theta", "800",
+                 "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    rows = json.loads((tmp_path / "mgf-gap.json").read_text())["rows"]
+    assert rows and all(r["log_space"] for r in rows)
+    assert all(math.isfinite(r["gap"]) for r in rows)
+
+
+@pytest.mark.parametrize("argv", [["tail-mass", "--theta", "800"],
+                                  ["sweep", "--theta-grid", "800"]],
+                         ids=["tail-mass", "sweep"])
+def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -22,7 +22,6 @@ from monoidldp.exact import (
     log_mgf_Y,
     mgf_Y,
     mgf_Z,
-    mz9_gap,
     tail_mass,
     truncation_sets,
     truncation_threshold,
@@ -191,8 +190,8 @@ def test_gap_components_frozen_row():
 
 
 def test_gap_vanishes_at_theta_zero():
-    assert mz9_gap(Integers(), Omega(), 100, 5.0, 0.0) == 0.0
-    assert mz9_gap(Beurling((2, 3)), Omega(), 100, 5.0, 0.0) == 0.0
+    assert gap_components(Integers(), Omega(), 100, 5.0, 0.0).gap == 0.0
+    assert gap_components(Beurling((2, 3)), Omega(), 100, 5.0, 0.0).gap == 0.0
 
 
 def test_mgf_overflow_switches_to_log_space():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidldp.additive import NormResidue, Omega
+from monoidldp.cli import main
 from monoidldp.errors import (
     BudgetExceeded,
     NonIntegerStatistic,
@@ -19,7 +20,6 @@ from monoidldp.monoid import (
     histogram,
     read_table_cache,
     write_table_cache,
-    write_table_csv,
 )
 from monoidldp.systems import Beurling, Integers, PolyOverFq, list_primes
 
@@ -159,10 +159,8 @@ def test_cache_rejects_corruption(tmp_path):
 
 
 def test_table_csv(tmp_path):
-    t = enumerate_monoid(Integers(), 6, Omega())
-    path = tmp_path / "table.csv"
-    write_table_csv(t, path)
-    lines = path.read_text().splitlines()
+    assert main(["count", "--limit", "6", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "count.csv").read_text().splitlines()
     assert lines[0] == "norm,omega,gsum"
     assert lines[1] == "1,0,0"
     assert lines[6] == "6,2,2"
