@@ -180,7 +180,26 @@ def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> EmpiricalMeasure:
 
 def exp_moment(measure: DiscreteMeasure, theta: float) -> float:
     """Integral of e^(theta*y) against the measure."""
-    return math.fsum(w * math.exp(theta * y) for y, w in measure.atoms)
+    try:
+        return math.fsum(w * math.exp(theta * y) for y, w in measure.atoms)
+    except OverflowError:
+        raise moment_overflow("exp_moment", theta, (y for y, _ in measure.atoms)) from None
+
+
+def moment_overflow(statistic: str, theta: float, ys) -> OverflowError:
+    """The error for a moment that is infinite in floating point at theta.
+
+    It names the first y among ys whose e^(theta*y) overflows, or says that
+    the sum of finite terms overflowed when no single term does.
+    """
+    for y in ys:
+        try:
+            math.exp(theta * y)
+        except OverflowError:
+            return OverflowError(
+                f"{statistic} is infinite at theta={theta!r}: "
+                f"e^(theta*y) overflows at y={y!r}")
+    return OverflowError(f"{statistic} is infinite at theta={theta!r}: the sum overflows")
 
 
 @dataclass(frozen=True)

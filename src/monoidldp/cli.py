@@ -70,6 +70,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2)
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a value such as "-1,0,0.5" or "-inf:1" for an option
+        # of its own; bind it to the option before it, as "--grid=-1,0,0.5"
+        # would, unless it is itself one of this parser's option strings
+        if args is not None:
+            actions, bound = self._option_string_actions, []
+            for arg in args:
+                prev = actions.get(bound[-1]) if bound else None
+                if (prev is not None and prev.nargs is None and arg.startswith("-")
+                        and arg not in actions):
+                    bound[-1] += "=" + arg
+                else:
+                    bound.append(arg)
+            args = bound
+        return super().parse_known_args(args, namespace)
+
 
 # ---------------------------------------------------------------------------
 # argument value parsing (syntax errors -> ValueError -> argparse -> 64;

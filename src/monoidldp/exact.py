@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .additive import AdditiveFunction
+from .additive import AdditiveFunction, moment_overflow
 from .errors import (
     BudgetExceeded,
     EmptySystem,
@@ -291,7 +291,11 @@ def tail_mass(
     if not entries:
         raise EmptySystem(f"no prime of norm <= {X}")
     den = math.fsum(1.0 / e.norm for e in entries)
-    num = math.fsum(
-        math.expm1(theta * g.value(e)) / e.norm for e in entries if g.value(e) > C
-    )
+    try:
+        num = math.fsum(
+            math.expm1(theta * g.value(e)) / e.norm for e in entries if g.value(e) > C
+        )
+    except OverflowError:
+        ys = (y for y in (g.value(e) for e in entries) if y > C)
+        raise moment_overflow("tail_mass", theta, ys) from None
     return num / den

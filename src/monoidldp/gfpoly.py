@@ -8,12 +8,20 @@ integer index of its d low coefficients in base q (the leading 1 is implicit)
 and has norm q^d.
 
 Irreducibles of degree n are found by sieving: every reducible monic P of
-degree n factors as f*h with f a minimal-degree irreducible factor, so
-deg f <= n/2, and marking f*h over all irreducible f and all monic h of the
-complementary degree covers exactly the reducibles. For q = 2 polynomials
-are bit masks and the products are carryless multiplies, done in bulk with
-numpy. The count of monic irreducibles of degree n is (1/n) sum_{d|n}
-mu(d) q^(n/d), which serves as an independent oracle.
+degree n factors as f*h with f a minimal-degree irreducible factor, so deg f
+<= n/2, and marking f*h over all irreducible f and all monic h of the
+complementary degree covers exactly the reducibles. The products are formed
+in bulk with numpy, never one pair at a time. For q != 2 the monic h of each
+degree are a uint8 digit matrix, the irreducible f are stacked beside them,
+and the low n digits of f*h come from a convolution through the field's add
+and mul tables; a Horner pass encodes them as indices. Blocks of at most
+_BLOCK_ROWS products bound the working arrays whatever the degree. For q = 2
+polynomials are bit masks and the products carryless multiplies on uint64,
+which beats the table lookups by far (degrees 1-18 on a 2-core VM: 0.012 s
+against 0.42 s for the table path), so that field keeps its own path. The
+count of monic irreducibles of degree n is (1/n) sum_{d|n} mu(d) q^(n/d),
+which serves as an independent oracle. poly_mul, monic_coeffs and encode_low
+are the scalar reference arithmetic the tests check the sieve against.
 """
 from __future__ import annotations
 
@@ -115,6 +123,10 @@ def poly_mul(gf: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# rows (products f*h) per bulk-sieve block; bounds the sieve's working arrays
+_BLOCK_ROWS = 1 << 18
+
+
 @functools.cache
 def irreducible_indices(q: int, n: int) -> tuple[int, ...]:
     """Sorted indices of all monic irreducibles of degree exactly n."""
@@ -122,21 +134,55 @@ def irreducible_indices(q: int, n: int) -> tuple[int, ...]:
         raise ParameterError(f"unsupported field order q={q}; supported: {SUPPORTED_Q}")
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
-    if q == 2:
-        return _irreducible_indices_gf2(n)
+    reducible = _reducible_gf2(n) if q == 2 else _reducible_bulk(q, n)
+    return tuple(np.flatnonzero(~reducible).tolist())
+
+
+def _monic_digits(q: int, degree: int, start: int, stop: int) -> np.ndarray:
+    """Digits of the monic polynomials with indices start..stop-1, one per column.
+
+    Row i holds the coefficients of t^i; row `degree` is the leading 1.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.ones((degree + 1, stop - start), dtype=np.uint8)
+    for i in range(degree):
+        idx, digits[i] = np.divmod(idx, q)
+    return digits
+
+
+def _reducible_bulk(q: int, n: int) -> np.ndarray:
+    # digits are uint8 field elements; x*q + y indexes the flattened tables
     gf = field(q)
-    reducible = bytearray(q**n)
+    add = np.array(gf.add, dtype=np.uint8).ravel()
+    mul = np.array(gf.mul, dtype=np.uint8).ravel()
+    reducible = np.zeros(q**n, dtype=bool)
     for a in range(1, n // 2 + 1):
         b = n - a
-        for fi in irreducible_indices(q, a):
-            f = monic_coeffs(q, a, fi)
-            for hi in range(q**b):
-                prod = poly_mul(gf, f, monic_coeffs(q, b, hi))
-                reducible[encode_low(q, prod[:n])] = 1
-    return tuple(i for i in range(q**n) if not reducible[i])
+        fi = irreducible_indices(q, a)
+        f = _monic_digits(q, a, 0, q**a)[:, fi]
+        hstep = min(q**b, _BLOCK_ROWS)
+        fstep = max(1, _BLOCK_ROWS // hstep)
+        for hstart in range(0, q**b, hstep):
+            h = _monic_digits(q, b, hstart, min(hstart + hstep, q**b))[:, None, :]
+            for fstart in range(0, len(fi), fstep):
+                fq = f[:, fstart:fstart + fstep, None] * np.uint8(q)
+                # low n digits of f*h; f_a = h_b = 1, so the product's top is 1
+                out = np.zeros((n, fq.shape[1], h.shape[2]), dtype=np.uint8)
+                out[: b + 1] = mul[fq[0] + h]
+                for i in range(1, a):
+                    win = out[i : i + b + 1]
+                    win[...] = add[win * np.uint8(q) + mul[fq[i] + h]]
+                win = out[a:]
+                win[...] = add[win * np.uint8(q) + h[:b]]
+                code = np.zeros(out.shape[1:], dtype=np.int64)
+                for i in range(n - 1, -1, -1):
+                    code *= q
+                    code += out[i]
+                reducible[code] = True
+    return reducible
 
 
-def _irreducible_indices_gf2(n: int) -> tuple[int, ...]:
+def _reducible_gf2(n: int) -> np.ndarray:
     # bit i of the mask is the coefficient of t^i; bulk carryless multiply
     top = np.uint64(1 << n)
     reducible = np.zeros(1 << n, dtype=bool)
@@ -153,23 +199,34 @@ def _irreducible_indices_gf2(n: int) -> tuple[int, ...]:
                 fbits >>= 1
                 shift += 1
             reducible[(acc ^ top).astype(np.int64)] = True
-    return tuple(int(i) for i in np.flatnonzero(~reducible))
+    return reducible
+
+
+def _term(c: int, i: int) -> str:
+    if i == 0:
+        return str(c)
+    head = "" if c == 1 else str(c)
+    return f"{head}t" if i == 1 else f"{head}t^{i}"
+
+
+def monic_labels(q: int, degree: int, indices) -> list[str]:
+    """monic_label of each index, all of one degree, from one term table."""
+    lead = _term(1, degree)
+    table = [(q**i, [_term(c, i) for c in range(q)]) for i in range(degree - 1, -1, -1)]
+    out = []
+    for index in indices:
+        terms = [lead]
+        for power, row in table:
+            c, index = divmod(index, power)
+            if c:
+                terms.append(row[c])
+        out.append("+".join(terms))
+    return out
 
 
 def monic_label(q: int, degree: int, index: int) -> str:
     """Human-readable form, e.g. "t^3+t+1" or "2t^2+t+2" for q=3."""
-    coeffs = monic_coeffs(q, degree, index)
-    terms = []
-    for i in range(degree, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            terms.append(f"{head}t" if i == 1 else f"{head}t^{i}")
-    return "+".join(terms)
+    return monic_labels(q, degree, (index,))[0]
 
 
 def _mobius(n: int) -> int:

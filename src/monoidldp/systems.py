@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateGrid, ParameterError, SourceError
-from .gfpoly import SUPPORTED_Q, irreducible_indices, monic_label
+from .gfpoly import SUPPORTED_Q, irreducible_indices, monic_labels
 
 
 class PrimeEntry(NamedTuple):
@@ -67,8 +67,8 @@ class PolyOverFq:
         out = []
         d, norm = 1, self.q
         while norm <= X:
-            for idx in irreducible_indices(self.q, d):
-                out.append(PrimeEntry(norm, monic_label(self.q, d, idx)))
+            labels = monic_labels(self.q, d, irreducible_indices(self.q, d))
+            out.extend(PrimeEntry(norm, label) for label in labels)
             d += 1
             norm *= self.q
         return out

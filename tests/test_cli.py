@@ -220,9 +220,38 @@ def test_mgf_gap_past_exp_overflow_uses_log_space(tmp_path):
     assert all(math.isfinite(r["gap"]) for r in rows)
 
 
-@pytest.mark.parametrize("argv", [["tail-mass", "--theta", "800"],
-                                  ["sweep", "--theta-grid", "800"]],
+@pytest.mark.parametrize("argv,statistic", [(["tail-mass", "--theta", "800"], "tail_mass"),
+                                            (["sweep", "--theta-grid", "800"], "exp_moment")],
                          ids=["tail-mass", "sweep"])
-def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv):
+def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv, statistic):
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # the message names the statistic, theta and the y whose e^(theta*y) overflowed
+    assert f"{statistic} is infinite at theta=800.0" in err
+    assert "e^(theta*y) overflows at y=1.0" in err
+
+
+def test_tail_mass_sum_overflow_names_the_sum(tmp_path, capsys):
+    # every term e^(709.7) / p is finite; their sum over p <= 100 is not
+    assert main(["tail-mass", "--theta", "709.7", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tail_mass is infinite at theta=709.7: the sum overflows")
+
+
+@pytest.mark.parametrize("option,value,argv", [
+    ("--grid", "-1,0,0.5", ["rate"]),
+    ("--intervals", "-inf:1,1:inf", ["ldp-scan", "--grid", "100,1000"]),
+], ids=["rate-grid", "ldp-scan-intervals"])
+def test_dash_value_binds_like_equals_spelling(tmp_path, option, value, argv):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(argv + [option, value, "--out", str(spaced)]) == 0
+    assert main(argv + [f"{option}={value}", "--out", str(joined)]) == 0
+    report = f"{argv[0]}.csv"
+    for name in (report, "config-echo.json"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+
+def test_option_string_is_not_taken_as_a_value(tmp_path):
+    assert main(["rate", "--grid", "--format", "json", "--out", str(tmp_path)]) == 64
+    assert main(["rate", "--grid", "-h"]) == 64

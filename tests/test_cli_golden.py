@@ -9,9 +9,10 @@ must still replay to the same report and echo.
 Input files are written into the working directory under fixed relative
 names, because a Beurling system's path is part of its key.
 
-Regenerate only for an intended, documented byte change:
+Regenerate only for an intended, documented byte change, or take the
+goldens of new cases by naming them:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]
 """
 import json
 import os
@@ -35,6 +36,13 @@ CASES = [
     ("primes-integers", ["primes", "--limit", "60"], BOTH),
     ("primes-poly3", ["primes", "--system", "poly:3", "--limit", "81"], BOTH),
     ("primes-quad", ["primes", "--system", "quad:-4", "--limit", "60"], BOTH),
+    # every field the bulk irreducible sieve serves, at degrees with a >= 2 splits
+    ("primes-poly3-deg6", ["primes", "--system", "poly:3", "--limit", "729"], BOTH),
+    ("primes-poly4", ["primes", "--system", "poly:4", "--limit", "256"], BOTH),
+    ("primes-poly5", ["primes", "--system", "poly:5", "--limit", "625"], BOTH),
+    ("primes-poly7", ["primes", "--system", "poly:7", "--limit", "343"], BOTH),
+    ("primes-poly8", ["primes", "--system", "poly:8", "--limit", "512"], BOTH),
+    ("primes-poly9", ["primes", "--system", "poly:9", "--limit", "729"], BOTH),
     ("count-integers", ["count", "--limit", "120"], BOTH),
     ("count-quad-residue", ["count", "--system", "quad:-4", "--limit", "120",
                             "--g", "residue:4:1:1:0.5"], BOTH),
@@ -128,15 +136,20 @@ def test_golden_echo_replays(workdir, name, argv, fmt):
     _check_against_golden(workdir / "replay", code, golden, argv[0], fmt)
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> None:
     import shutil
     import tempfile
 
+    unknown = set(names) - {name for name, _, _ in CASES}
+    if unknown:
+        raise SystemExit(f"unknown cases: {sorted(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for fname, text in FIXTURES.items():
             Path(fname).write_text(text, encoding="utf-8")
         for name, argv, fmt in RUNS:
+            if names and name not in names:
+                continue
             out = Path(f"{name}.{fmt}")
             code = _run(argv, fmt, out)
             (out / "exit-code").write_text(f"{code}\n", encoding="utf-8")
@@ -147,4 +160,4 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    sys.exit(_regenerate(sys.argv[1:]))

@@ -1,9 +1,12 @@
 """Finite-field tables and irreducible enumeration against brute-force oracles."""
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoidldp import gfpoly
 from monoidldp.errors import ParameterError
 from monoidldp.gfpoly import (
     SUPPORTED_Q,
@@ -12,6 +15,7 @@ from monoidldp.gfpoly import (
     irreducible_indices,
     monic_coeffs,
     monic_label,
+    monic_labels,
     necklace_count,
     poly_mul,
 )
@@ -67,6 +71,14 @@ def _poly_rem(gf, neg, num, den):
     return num[:dd]
 
 
+def _max_degree(q, bound):
+    """The largest n with q^n <= bound."""
+    n = 0
+    while q ** (n + 1) <= bound:
+        n += 1
+    return n
+
+
 def _is_irreducible_by_division(gf, neg, q, n, index):
     f = monic_coeffs(q, n, index)
     for d in range(1, n // 2 + 1):
@@ -77,11 +89,11 @@ def _is_irreducible_by_division(gf, neg, q, n, index):
     return True
 
 
-@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_irreducibles_match_long_division_oracle(q):
     gf = field(q)
     neg = _neg_table(gf)
-    for n in range(1, 7):
+    for n in range(1, _max_degree(q, 1024) + 1):
         oracle = tuple(
             i for i in range(q**n) if _is_irreducible_by_division(gf, neg, q, n, i)
         )
@@ -159,3 +171,60 @@ def test_irreducible_counts_against_necklace_all_q():
     for q in SUPPORTED_Q:
         for n in (1, 2, 3):
             assert len(irreducible_indices(q, n)) == necklace_count(q, n)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_irreducible_counts_match_necklace_up_to_6e5(q):
+    for n in range(1, _max_degree(q, 600_000) + 1):
+        assert len(irreducible_indices(q, n)) == necklace_count(q, n), (q, n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bulk_sieve_matches_gf2_bitmask_sieve(n):
+    # the two sieves share no arithmetic: uint8 table lookups vs carryless shifts
+    assert np.array_equal(gfpoly._reducible_bulk(2, n), gfpoly._reducible_gf2(n))
+
+
+@pytest.mark.parametrize("q,n", [(3, 7), (4, 5), (9, 4)])
+def test_bulk_sieve_is_independent_of_block_size(monkeypatch, q, n):
+    want = gfpoly._reducible_bulk(q, n)
+    # 7 rows: blocks split both the h range and the f stack, unaligned with q^b
+    monkeypatch.setattr(gfpoly, "_BLOCK_ROWS", 7)
+    assert np.array_equal(gfpoly._reducible_bulk(q, n), want)
+
+
+def test_bulk_sieve_memory_is_bounded():
+    irreducible_indices.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(irreducible_indices(3, 12)) == necklace_count(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def _label_from_coeffs(q, degree, index):
+    """Reference label: nonzero terms of monic_coeffs, highest degree first."""
+    coeffs = monic_coeffs(q, degree, index)
+    terms = []
+    for i in range(degree, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            head = "" if c == 1 else str(c)
+            terms.append(f"{head}t" if i == 1 else f"{head}t^{i}")
+    return "+".join(terms)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_monic_labels_match_monic_label(q):
+    cases = [(d, range(min(q**d, 500))) for d in range(0, 5)]
+    cases.append((5, irreducible_indices(q, 5)))
+    for d, idx in cases:
+        labels = monic_labels(q, d, idx)
+        assert labels == [monic_label(q, d, i) for i in idx]
+        assert labels == [_label_from_coeffs(q, d, i) for i in idx]
