@@ -63,7 +63,7 @@ from .monoid import (
     DEFAULT_BUDGET,
     Histogram,
     MonoidTable,
-    count_by_enumeration,
+    element_counter,
     enumerate_monoid,
     histogram,
     read_table_cache,

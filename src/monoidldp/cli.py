@@ -47,7 +47,7 @@ from .errors import (
 )
 from .exact import domination_report, expect_Y, expect_Z, tail_mass
 from .experiments import LDPRow, condition_sweep, ek_report, gap_sweep, ldp_scan
-from .monoid import DEFAULT_BUDGET, enumerate_monoid, write_table_cache
+from .monoid import enumerate_monoid, write_table_cache
 from .rate import rate_profile
 from .reportio import fmt, write_csv, write_echo, write_json
 from .systems import (
@@ -257,7 +257,7 @@ def _run_primes(a: dict, threads: int) -> Report:
 
 def _run_count(a: dict, threads: int) -> Report:
     system, g, X = a["system"], a["g"], int(a["limit"])
-    table = enumerate_monoid(system, X, g, budget=DEFAULT_BUDGET)
+    table = enumerate_monoid(system, X, g)
     if a.get("dump_cache"):
         write_table_cache(table, a["dump_cache"])
     mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
@@ -360,7 +360,7 @@ def _run_tail_mass(a: dict, threads: int) -> Report:
 
 
 def _run_rate(a: dict, threads: int) -> Report:
-    prof = rate_profile(a["rho"], [float(v) for v in a["grid"]], threads=threads)
+    prof = rate_profile(a["rho"], [float(v) for v in a["grid"]])
     points = list(zip(prof.x_grid, prof.I_values, prof.theta_stars,
                       prof.solver_iters, prof.statuses))
     bad, n_conv = (prof.statuses.count(s) for s in ("no-convergence", "converged"))

@@ -20,7 +20,7 @@ against the empirical measure rho_X.
 """
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +36,8 @@ from .errors import (
     ParameterError,
     PrimeNotInSystem,
 )
-from .monoid import DEFAULT_BUDGET, Budget, enumerate_monoid
-from .systems import PrimeEntry, PrimeSystem, count_elements, list_primes
+from .monoid import element_counter, enumerate_monoid
+from .systems import PrimeEntry, PrimeSystem, list_primes
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -52,17 +52,13 @@ class ExactExpectation:
         return float(self.value)
 
 
-@functools.lru_cache(maxsize=32)
-def _prime_index(system: PrimeSystem, X: int) -> frozenset[PrimeEntry]:
-    return frozenset(list_primes(system, X))
-
-
 def _check_membership(system: PrimeSystem, X: int, primes: Sequence[PrimeEntry]) -> None:
     if len(set(primes)) != len(primes):
         raise ParameterError("prime tuple entries must be distinct")
-    index = _prime_index(system, X)
+    entries = list_primes(system, X)  # sorted by (norm, label), as PrimeEntry orders
     for p in primes:
-        if p not in index:
+        i = bisect.bisect_left(entries, p)
+        if i == len(entries) or entries[i] != p:
             raise PrimeNotInSystem(f"{p!r} is not a prime of the system with norm <= {X}")
 
 
@@ -74,9 +70,8 @@ def expect_Z(system: PrimeSystem, X: int, primes: Sequence[PrimeEntry]) -> Exact
     product = math.prod(p.norm for p in primes)
     if product > X:
         return ExactExpectation(Fraction(0))
-    return ExactExpectation(
-        Fraction(count_elements(system, X // product), count_elements(system, X))
-    )
+    count = element_counter(system, X)
+    return ExactExpectation(Fraction(count(X // product), count(X)))
 
 
 def expect_Y(primes: Sequence[PrimeEntry]) -> ExactExpectation:
@@ -108,7 +103,8 @@ def domination_report(
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
     entries = list_primes(system, X)
-    cx = count_elements(system, X)
+    count = element_counter(system, X)
+    cx = count(X)
     best = Fraction(0)
     witness: tuple[PrimeEntry, ...] = ()
     examined = 0
@@ -127,7 +123,7 @@ def domination_report(
                 )
             tup = picked + (entries[i],)
             # ratio = expect_Z / expect_Y = count(X // p) * p / count(X)
-            ratio = Fraction(count_elements(system, X // p) * p, cx)
+            ratio = Fraction(count(X // p) * p, cx)
             if ratio > best:
                 best, witness = ratio, tup
             if len(tup) < k_max:
@@ -218,11 +214,10 @@ def mgf_Z(
     subset: Sequence[PrimeEntry],
     g: AdditiveFunction,
     theta: float,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> float:
     """Exact average of exp(theta * sum_{p in subset, p | m} g(p)) over the table."""
     _check_membership(system, X, subset)
-    table = enumerate_monoid(system, X, _RestrictedG(g, subset), budget=budget)
+    table = enumerate_monoid(system, X, _RestrictedG(g, subset))
     total = float(np.exp(theta * table.gsum).sum())
     return total / table.count
 
@@ -233,11 +228,10 @@ def log_mgf_Z(
     subset: Sequence[PrimeEntry],
     g: AdditiveFunction,
     theta: float,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> float:
     """Log-space mgf_Z via a stable log-sum-exp; for overflowing thetas."""
     _check_membership(system, X, subset)
-    table = enumerate_monoid(system, X, _RestrictedG(g, subset), budget=budget)
+    table = enumerate_monoid(system, X, _RestrictedG(g, subset))
     w = theta * table.gsum
     peak = float(w.max())
     return peak + math.log(float(np.exp(w - peak).sum())) - math.log(table.count)
@@ -262,7 +256,6 @@ def gap_components(
     X: int,
     C: float,
     theta: float,
-    budget: Budget = DEFAULT_BUDGET,
 ) -> GapComponents:
     """Both B-side MGFs and their absolute difference.
 
@@ -273,11 +266,11 @@ def gap_components(
     ts = truncation_sets(system, g, X, C)
     try:
         my = mgf_Y(ts.B, g, theta)
-        mz = mgf_Z(system, X, ts.B, g, theta, budget=budget)
+        mz = mgf_Z(system, X, ts.B, g, theta)
         return GapComponents(X, C, theta, ts.k_X, len(ts.B), mz, my, abs(mz - my), False)
     except MgfOverflow:
         ly = log_mgf_Y(ts.B, g, theta)
-        lz = log_mgf_Z(system, X, ts.B, g, theta, budget=budget)
+        lz = log_mgf_Z(system, X, ts.B, g, theta)
         return GapComponents(X, C, theta, ts.k_X, len(ts.B), lz, ly, abs(lz - ly), True)
 
 

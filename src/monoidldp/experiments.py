@@ -36,7 +36,7 @@ from scipy.special import ndtr
 from .additive import AdditiveFunction, DiscreteMeasure, Omega, exp_moment, rho_X
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, gap_components
-from .monoid import DEFAULT_BUDGET, Budget, enumerate_monoid
+from .monoid import enumerate_monoid
 from .rate import rate
 from .systems import PrimeSystem, density_fit, mertens_sum, prime_count_check
 
@@ -54,9 +54,7 @@ class EKReport:
     variance_omega: float
 
 
-def ek_report(
-    system: PrimeSystem, X: int, min_norm: int = 3, budget: Budget = DEFAULT_BUDGET
-) -> EKReport:
+def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     """Normality diagnostics for (omega(m) - log log N(m)) / sqrt(log log N(m)).
 
     The statistic is computed per element over norms >= min_norm (so the
@@ -67,7 +65,7 @@ def ek_report(
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
     if min_norm < 3:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
-    table = enumerate_monoid(system, X, Omega(), budget=budget)
+    table = enumerate_monoid(system, X, Omega())
     mask = table.norm >= min_norm
     n = int(np.count_nonzero(mask))
     if n == 0:
@@ -112,7 +110,6 @@ def ldp_scan(
     X_grid: Sequence[int],
     intervals: Sequence[tuple[float, float]],
     rho: DiscreteMeasure,
-    budget: Budget = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[LDPRow]:
     """Exact P[gsum / log log X in [lo, hi)] per X and interval.
@@ -132,7 +129,7 @@ def ldp_scan(
             raise ParameterError(f"ldp_scan needs X >= 3, got {X}")
 
     def scan(X: int) -> list[LDPRow]:
-        table = enumerate_monoid(system, X, g, budget=budget)
+        table = enumerate_monoid(system, X, g)
         ll = math.log(math.log(X))
         v = table.gsum / ll
         rows = []
@@ -144,11 +141,8 @@ def ldp_scan(
                                normalized, _rate_bound(rho, lo, hi)))
         return rows
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(scan, X_list))
-    else:
-        chunks = [scan(X) for X in X_list]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(scan, X_list))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -259,7 +253,6 @@ def gap_sweep(
     X_grid: Sequence[int],
     C: float,
     theta: float,
-    budget: Budget = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> GapReport:
     """mz9 gap and its components per X; strict decrease expected."""
@@ -268,12 +261,9 @@ def gap_sweep(
         raise ParameterError("X_grid must be strictly increasing")
 
     def row(X: int) -> GapComponents:
-        return gap_components(system, g, X, C, theta, budget=budget)
+        return gap_components(system, g, X, C, theta)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, X_list))
-    else:
-        rows = tuple(row(X) for X in X_list)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = tuple(pool.map(row, X_list))
     decreasing = all(b.gap < a.gap for a, b in zip(rows, rows[1:]))
     return GapReport(rows, "PASS" if decreasing else "WARN")

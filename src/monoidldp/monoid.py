@@ -6,12 +6,17 @@ primes dividing the element, and the strongly additive statistic sum g(p)
 over those primes. Factorizations are discarded; every downstream statistic
 depends only on these three numbers, and memory is the binding constraint.
 
-Two construction paths must agree wherever both apply. The general path is
-a depth-first recursion over primes sorted by norm: at prime index i with
-partial product (n, om, gs), exponent e >= 1 multiplies in N(p_i)^e while
-the product stays <= X and contributes (om+1, gs+g(p_i)) once, g being
-strongly additive. For the rational integers the table is instead built by
-a linear sieve over 1..X. Elements are sorted by (norm, omega, gsum).
+One recursion enumerates the elements of every system: a depth-first walk
+over primes sorted by norm. At prime index i with partial product
+(n, om, gs), exponent e >= 1 multiplies in N(p_i)^e while the product stays
+<= X and contributes (om+1, gs+g(p_i)) once, g being strongly additive. It
+appends to typed array columns, about 20 bytes per element, which NumPy
+then sorts by (norm, omega, gsum). For the rational integers the table can
+instead be built by a linear sieve over 1..X; the two paths agree.
+
+Element counts need no second recursion: count(y) for every y <= X is a
+prefix length of the sorted norm column (element_counter), except on the
+integers, where count(y) = y.
 
 Budgets keep desk-scale runs honest: X <= 1e7 on the recursive path, 1e8 on
 the integer sieve, at most 2e8 elements in memory. Partial products never
@@ -19,13 +24,15 @@ overflow: they are bounded by X, which the budget keeps below 2^63.
 """
 from __future__ import annotations
 
-import functools
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from .additive import Omega
 from .errors import BudgetExceeded, NonIntegerStatistic, ParameterError, SourceError
 from .systems import Integers, PrimeEntry, PrimeSystem, list_primes, primes_upto
 
@@ -113,9 +120,8 @@ def _recursive_table(
     entries = list_primes(system, X)
     norms = [e.norm for e in entries]
     gvals = [float(g.value(e)) for e in entries]
-    out_n: list[int] = [1]
-    out_o: list[int] = [0]
-    out_g: list[float] = [0.0]
+    # typecodes whose itemsizes match uint64, uint32 and float64
+    out_n, out_o, out_g = array("Q", [1]), array("I", [0]), array("d", [0.0])
     append_n, append_o, append_g = out_n.append, out_o.append, out_g.append
 
     def rec(i0: int, n: int, om: int, gs: float) -> None:
@@ -139,44 +145,28 @@ def _recursive_table(
                 m *= ni
 
     rec(0, 1, 0, 0.0)
-    norm = np.array(out_n, dtype=np.uint64)
-    omega = np.array(out_o, dtype=np.uint32)
-    gsum = np.array(out_g, dtype=np.float64)
+    norm = np.frombuffer(out_n, dtype=np.uint64)
+    omega = np.frombuffer(out_o, dtype=np.uint32)
+    gsum = np.frombuffer(out_g, dtype=np.float64)
     order = np.lexsort((gsum, omega, norm))
     return norm[order], omega[order], gsum[order]
 
 
-@functools.lru_cache(maxsize=65536)
-def count_by_enumeration(
-    system: PrimeSystem, X: int, budget: Budget = DEFAULT_BUDGET
-) -> int:
-    """Count monoid elements of norm <= X without materializing them."""
+def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
+    """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
+
+    The integers answer with the closed form y. Any other system is
+    enumerated once at X, under the default budget, and answers from the
+    sorted norm column, which stays in memory (8 bytes per element) while
+    the counter lives. Results for y > X are not counts.
+    """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
-    if X > budget.max_x_recursive:
-        raise BudgetExceeded(
-            f"counting at X={X} exceeds budget", predicted=X, cap=budget.max_x_recursive
-        )
-    norms = [e.norm for e in list_primes(system, X)]
-    cap = budget.max_elements
-    total = 0
-
-    def rec(i0: int, n: int) -> int:
-        nonlocal total
-        c = 1
-        total += 1
-        if total > cap:
-            raise BudgetExceeded(f"count exceeds {cap} elements", predicted=total, cap=cap)
-        for i in range(i0, len(norms)):
-            m = n * norms[i]
-            if m > X:
-                break
-            while m <= X:
-                c += rec(i + 1, m)
-                m *= norms[i]
-        return c
-
-    return rec(0, 1)
+    if isinstance(system, Integers):
+        return int
+    norm = enumerate_monoid(system, X, Omega()).norm
+    # a Python int would promote the whole uint64 column on every lookup
+    return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ rate x log x - x + 1. Measures with atoms of both signs are out of scope.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,9 +147,7 @@ class RateProfile:
     statuses: tuple[str, ...]
 
 
-def rate_profile(
-    rho: DiscreteMeasure, x_grid: Sequence[float], threads: int = 1
-) -> RateProfile:
+def rate_profile(rho: DiscreteMeasure, x_grid: Sequence[float]) -> RateProfile:
     """rate() over a sorted grid; per-point failures are recorded, not fatal."""
     xs = [float(x) for x in x_grid]
     if any(b < a for a, b in zip(xs, xs[1:])):
@@ -162,11 +159,7 @@ def rate_profile(
         except NoConvergence:
             return RatePoint(math.nan, None, _MAX_ITER, "no-convergence")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve, xs))
-    else:
-        points = [solve(x) for x in xs]
+    points = [solve(x) for x in xs]
     return RateProfile(
         rho,
         tuple(xs),

@@ -211,14 +211,15 @@ def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
 
 
 def count_elements(system: PrimeSystem, X: int) -> int:
-    """Number of monoid elements of norm <= X, identity included."""
-    if X < 1:
-        raise ParameterError(f"X must be >= 1, got {X}")
-    if isinstance(system, Integers):
-        return int(X)
-    from .monoid import count_by_enumeration
+    """Number of monoid elements of norm <= X, identity included.
 
-    return count_by_enumeration(system, X)
+    X itself on the integers; any other system is enumerated once at X. To
+    read counts at many thresholds, build one monoid.element_counter at the
+    largest instead.
+    """
+    from .monoid import element_counter
+
+    return element_counter(system, X)(X)
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,13 @@ class DensityFit:
 
 
 def density_fit(system: PrimeSystem, grid: Sequence[int]) -> DensityFit:
+    """Fit count(X) = a*X + O(X^b) over a strictly increasing grid.
+
+    The counts come from one enumeration at the largest supported threshold;
+    every supported threshold must be >= 1.
+    """
+    from .monoid import element_counter
+
     grid = [int(x) for x in grid]
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DegenerateGrid("density grid must be >= 4 strictly increasing thresholds")
@@ -258,7 +266,10 @@ def density_fit(system: PrimeSystem, grid: Sequence[int]) -> DensityFit:
                 f"got {len(supported)} (others are flagged unsupported)"
             )
         grid = supported
-    counts = [count_elements(system, x) for x in grid]
+    if grid[0] < 1:
+        raise ParameterError(f"X must be >= 1, got {grid[0]}")
+    count = element_counter(system, grid[-1])
+    counts = [count(x) for x in grid]
     a_hat = counts[-1] / grid[-1]
     residuals = [(x, c - a_hat * x) for x, c in zip(grid, counts)]
     if all(r == 0.0 for _, r in residuals):

@@ -70,6 +70,9 @@ def test_parameter_and_source_errors_exit_65(tmp_path):
     assert main(["ldp-scan", "--intervals", "2:1", "--grid", "100",
                  "--out", str(tmp_path)]) == 65
     assert main(["ek", "--limit", "10", "--out", str(tmp_path)]) == 65
+    for system in ("integers", "quad:-4"):
+        assert main(["density", "--system", system, "--grid", "0,1,2,3",
+                     "--out", str(tmp_path)]) == 65
 
 
 def test_bad_configs_exit_65(tmp_path):
@@ -107,6 +110,8 @@ def test_bad_configs_exit_65(tmp_path):
 
 def test_budget_exit_66(tmp_path):
     assert main(["count", "--limit", "200000000000", "--out", str(tmp_path)]) == 66
+    assert main(["density", "--system", "quad:-4", "--grid", "1000,10000,100000,20000000",
+                 "--out", str(tmp_path)]) == 66
 
 
 def test_help_exits_zero():

@@ -26,8 +26,15 @@ from monoidldp.exact import (
     truncation_sets,
     truncation_threshold,
 )
-from monoidldp.monoid import Budget
-from monoidldp.systems import Beurling, Integers, PolyOverFq, count_elements, list_primes
+from monoidldp.systems import (
+    Beurling,
+    Integers,
+    PolyOverFq,
+    PrimeEntry,
+    QuadraticField,
+    count_elements,
+    list_primes,
+)
 
 
 def _iprimes(X, *norms):
@@ -67,6 +74,10 @@ def test_expect_distinctness_and_membership():
     poly_t = list_primes(PolyOverFq(2), 4)[0]
     with pytest.raises(PrimeNotInSystem):
         expect_Z(Integers(), 10, [poly_t])
+    # norm 5 splits in Q(i) as (5,s1), (5,s2); the label decides membership
+    assert PrimeEntry(5, "(5,s2)") in list_primes(QuadraticField(-4), 10)
+    with pytest.raises(PrimeNotInSystem):
+        expect_Z(QuadraticField(-4), 10, [PrimeEntry(5, "(5,s3)")])
     with pytest.raises(ParameterError):
         expect_Z(Integers(), 0, [])
 
@@ -203,12 +214,6 @@ def test_mgf_overflow_switches_to_log_space():
     assert row.log_space is True
     assert math.isfinite(row.mgf_Z) and math.isfinite(row.mgf_Y)
     assert row.gap == abs(row.mgf_Z - row.mgf_Y)
-
-
-def test_mgf_z_budget_is_enforced():
-    B = _iprimes(100, 2, 3)
-    with pytest.raises(BudgetExceeded):
-        mgf_Z(Integers(), 100, B, Omega(), 1.0, budget=Budget(max_elements=5))
 
 
 def test_tail_mass():

@@ -1,5 +1,7 @@
 """Monoid enumeration: sieve vs recursion, brute-force oracle, cache format."""
 import math
+from array import array
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,15 +15,23 @@ from monoidldp.errors import (
     ParameterError,
     SourceError,
 )
+from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     Budget,
-    count_by_enumeration,
+    element_counter,
     enumerate_monoid,
     histogram,
     read_table_cache,
     write_table_cache,
 )
-from monoidldp.systems import Beurling, Integers, PolyOverFq, list_primes
+from monoidldp.systems import (
+    Beurling,
+    Integers,
+    PolyOverFq,
+    QuadraticField,
+    count_elements,
+    list_primes,
+)
 
 
 def test_integers_table_small():
@@ -91,9 +101,61 @@ def test_poly_table_small():
     assert sorted(t.omega.tolist()) == [0] + [1] * 9 + [2] * 5
 
 
-def test_count_by_enumeration_matches_table():
-    for sys_, X in ((Beurling((2, 3, 5)), 1000), (PolyOverFq(3), 3**6), (Integers(), 2000)):
-        assert count_by_enumeration(sys_, X) == enumerate_monoid(sys_, X, Omega()).count
+def test_recursion_columns_match_table_dtypes():
+    # _recursive_table appends to array.array columns and reads them with np.frombuffer
+    for code, dtype in (("Q", np.uint64), ("I", np.uint32), ("d", np.float64)):
+        assert array(code).itemsize == np.dtype(dtype).itemsize
+
+
+def _gaussian_lattice_count(X):
+    """Ideals of Z[i] of norm <= X: nonzero (a, b) with a^2 + b^2 <= X, up to units."""
+    r = math.isqrt(X)
+    points = sum(2 * math.isqrt(X - a * a) + 1 for a in range(-r, r + 1)) - 1
+    assert points % 4 == 0
+    return points // 4
+
+
+def test_quad_minus4_counts_match_gaussian_lattice():
+    count = element_counter(QuadraticField(-4), 300_000)
+    for X, expected in ((1, 1), (100, 79), (12345, 9699), (300_000, 235_610)):
+        assert _gaussian_lattice_count(X) == expected
+        assert count(X) == expected
+    assert all(count(y) == _gaussian_lattice_count(y) for y in range(1, 2001))
+    assert count_elements(QuadraticField(-4), 12345) == 9699
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_poly_counts_are_monic_polynomial_counts(q):
+    X = 5000
+    count = element_counter(PolyOverFq(q), X)
+    for y in range(1, X + 1):
+        assert count(y) == sum(q**d for d in range(14) if q**d <= y)
+
+
+def test_beurling_counts_match_smooth_numbers():
+    # elements of the monoid on norms (2, 3, 5) are the 5-smooth integers
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    count = element_counter(Beurling((2, 3, 5)), 1000)
+    assert [count(y) for y in range(1, 1001)] == list(accumulate(map(smooth, range(1, 1001))))
+
+
+@pytest.mark.parametrize("system", [
+    Integers(), PolyOverFq(2), PolyOverFq(3), QuadraticField(-4), QuadraticField(5),
+    QuadraticField(-3), Beurling((2, 3, 3, 5, 7, 7)),
+], ids=lambda s: s.key)
+def test_counter_matches_one_shot_counts(system):
+    X = 300
+    count = element_counter(system, X)
+    assert [count(y) for y in range(1, X + 1)] == [
+        count_elements(system, y) for y in range(1, X + 1)
+    ]
+    with pytest.raises(ParameterError):
+        element_counter(system, 0)
 
 
 def test_budget_errors():

@@ -118,7 +118,7 @@ def test_lambda_prime_is_slope():
         assert lambda_prime(rho, theta) == pytest.approx(fd, rel=1e-6)
 
 
-def test_rate_profile_statuses_and_threads():
+def test_rate_profile_statuses():
     rho = DELTA1
     grid = [-1.0, 0.0, 0.5, 1.0, 2.0]
     prof = rate_profile(rho, grid)
@@ -126,10 +126,6 @@ def test_rate_profile_statuses_and_threads():
                              "converged", "converged")
     assert prof.I_values[0] == math.inf
     assert prof.I_values[1] == 1.0
-    prof8 = rate_profile(rho, grid, threads=8)
-    assert prof8.I_values == prof.I_values
-    assert prof8.theta_stars == prof.theta_stars
-    assert prof8.statuses == prof.statuses
     with pytest.raises(ParameterError):
         rate_profile(rho, [1.0, 0.5])
 
