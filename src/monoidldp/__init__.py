@@ -91,6 +91,7 @@ from .systems import (
     count_elements,
     mertens_sum,
     prime_count_check,
+    prime_norms,
 )
 
 __version__ = "0.1.0"

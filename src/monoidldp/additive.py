@@ -10,6 +10,10 @@ supported on [0, inf)):
   NormResidue(m,R,..)  g(p) = value_in when N(p) mod m lands in R, else value_out
   TableLookup          explicit norm -> value map with a default
 
+Each rule gives g(p) one prime at a time (value) and for a whole array of
+norms at once (values); the two agree bit for bit. The integer sieve calls
+only values, so no Python runs per prime there.
+
 The empirical measure rho_X puts mass proportional to 1/N(p) on each value
 g(p) over norms <= X, normalized by the Mertens sum. Weights are accumulated
 as unreduced integer fractions and combined by divide-and-conquer so the
@@ -23,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptySystem, ParameterError
 from .systems import PrimeEntry, PrimeSystem, list_primes
 
@@ -35,6 +41,9 @@ class Omega:
 
     def value(self, entry: PrimeEntry) -> float:
         return 1.0
+
+    def values(self, norms: np.ndarray) -> np.ndarray:
+        return np.ones(len(norms))
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,10 @@ class NormResidue:
     def value(self, entry: PrimeEntry) -> float:
         return self.value_in if entry.norm % self.modulus in self.residues else self.value_out
 
+    def values(self, norms: np.ndarray) -> np.ndarray:
+        inside = np.isin(norms % self.modulus, sorted(self.residues))
+        return np.where(inside, float(self.value_in), float(self.value_out))
+
 
 @dataclass(frozen=True)
 class TableLookup:
@@ -70,6 +83,14 @@ class TableLookup:
             object.__setattr__(self, "table", tuple(sorted(self.table.items())))
         if self.default < 0 or any(v < 0 for _, v in self.table):
             raise ParameterError("prime values must be non-negative")
+        first: dict[int, float] = {}
+        for n, v in self.table:
+            first.setdefault(n, v)  # the first entry for a norm wins
+        # values() searches the keys a norm can equal: integers below 2^63
+        keys = sorted(n for n in first if n == int(n) < 2**63)
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_keys", np.array([int(n) for n in keys], dtype=np.int64))
+        object.__setattr__(self, "_vals", np.array([float(first[n]) for n in keys]))
 
     @property
     def key(self) -> str:
@@ -77,10 +98,15 @@ class TableLookup:
         return f"table:{body}:default={self.default:.12g}"
 
     def value(self, entry: PrimeEntry) -> float:
-        for n, v in self.table:
-            if n == entry.norm:
-                return v
-        return self.default
+        return self._first.get(entry.norm, self.default)
+
+    def values(self, norms: np.ndarray) -> np.ndarray:
+        out = np.full(len(norms), float(self.default))
+        if self._keys.size:
+            i = np.minimum(self._keys.searchsorted(norms), self._keys.size - 1)
+            hit = self._keys[i] == norms
+            out[hit] = self._vals[i[hit]]
+        return out
 
 
 AdditiveFunction = Omega | NormResidue | TableLookup

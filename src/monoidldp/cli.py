@@ -388,8 +388,7 @@ def _run_ldp_scan(a: dict, threads: int) -> Report:
     grid = [int(v) for v in a["grid"]]
     intervals = [(float(lo), float(hi)) for lo, hi in a["intervals"]]
     rows = [dataclasses.asdict(r)
-            for r in ldp_scan(a["system"], a["g"], grid, intervals, a["rho"],
-                              threads=threads)]
+            for r in ldp_scan(a["system"], a["g"], grid, intervals, a["rho"])]
     return Report(
         0, f"{len(rows)} rows over {len(grid)} values of X",
         [f.name for f in dataclasses.fields(LDPRow)], [r.values() for r in rows],

@@ -207,6 +207,12 @@ class _RestrictedG:
     def value(self, entry: PrimeEntry) -> float:
         return self._g.value(entry) if entry in self._members else 0.0
 
+    def values(self, norms: np.ndarray) -> np.ndarray:
+        # matched by norm: only the integer sieve calls this, and there a
+        # norm names exactly one prime
+        members = np.isin(norms, [e.norm for e in self._members])
+        return np.where(members, self._g.values(norms), 0.0)
+
 
 def mgf_Z(
     system: PrimeSystem,

@@ -110,7 +110,6 @@ def ldp_scan(
     X_grid: Sequence[int],
     intervals: Sequence[tuple[float, float]],
     rho: DiscreteMeasure,
-    threads: int = 1,
 ) -> list[LDPRow]:
     """Exact P[gsum / log log X in [lo, hi)] per X and interval.
 
@@ -119,6 +118,9 @@ def ldp_scan(
     reported next to -inf I over the interval; the doubly logarithmic speed
     keeps the two columns visibly apart at any reachable X, so no closeness
     is asserted.
+
+    The monoid is enumerated once, at the largest X. The sorted table at any
+    smaller X is a prefix of it, bit for bit, so each X reads a prefix.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -127,23 +129,21 @@ def ldp_scan(
     for X in X_list:
         if X < 3:
             raise ParameterError(f"ldp_scan needs X >= 3, got {X}")
-
-    def scan(X: int) -> list[LDPRow]:
-        table = enumerate_monoid(system, X, g)
+    if not X_list:
+        return []
+    table = enumerate_monoid(system, max(X_list), g)
+    bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
+    rows = []
+    for X in X_list:
+        total = int(table.norm.searchsorted(np.uint64(X), "right"))
         ll = math.log(math.log(X))
-        v = table.gsum / ll
-        rows = []
-        for lo, hi in intervals:
+        v = table.gsum[:total] / ll
+        for (lo, hi), bound in zip(intervals, bounds):
             count = int(np.count_nonzero((v >= lo) & (v < hi)))
-            tail = Fraction(count, table.count)
-            normalized = math.log(count / table.count) / ll if count else -math.inf
-            rows.append(LDPRow(X, lo, hi, count, table.count, tail,
-                               normalized, _rate_bound(rho, lo, hi)))
-        return rows
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(scan, X_list))
-    return [row for chunk in chunks for row in chunk]
+            tail = Fraction(count, total)
+            normalized = math.log(count / total) / ll if count else -math.inf
+            rows.append(LDPRow(X, lo, hi, count, total, tail, normalized, bound))
+    return rows
 
 
 def _rate_bound(rho: DiscreteMeasure, lo: float, hi: float) -> float:

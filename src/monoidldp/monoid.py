@@ -11,12 +11,21 @@ over primes sorted by norm. At prime index i with partial product
 (n, om, gs), exponent e >= 1 multiplies in N(p_i)^e while the product stays
 <= X and contributes (om+1, gs+g(p_i)) once, g being strongly additive. It
 appends to typed array columns, about 20 bytes per element, which NumPy
-then sorts by (norm, omega, gsum). For the rational integers the table can
-instead be built by a linear sieve over 1..X; the two paths agree.
+then sorts by (norm, omega, gsum).
 
-Element counts need no second recursion: count(y) for every y <= X is a
-prefix length of the sorted norm column (element_counter), except on the
-integers, where count(y) = y.
+For the rational integers the table is instead built by a sieve over 1..X,
+with g evaluated once as an array over the primes. Every n <= X has at most
+one prime factor above sqrt(X), and it is the largest. So the sieve makes
+one strided add per prime p <= sqrt(X), in ascending order, and then one
+vectorized add per cofactor m <= sqrt(X) for the large primes p <= X/m.
+Each gsum is thus summed in ascending prime order, as the recursion sums
+it, and the two paths agree bit for bit.
+
+The table at X' <= X is the prefix of the table at X, so one table serves
+every threshold up to X. Element counts need no second recursion: count(y)
+for every y <= X is a prefix length of the sorted norm column
+(element_counter, which sorts that column alone), except on the integers,
+where count(y) = y.
 
 Budgets keep desk-scale runs honest: X <= 1e7 on the recursive path, 1e8 on
 the integer sieve, at most 2e8 elements in memory. Partial products never
@@ -24,9 +33,11 @@ overflow: they are bounded by X, which the budget keeps below 2^63.
 """
 from __future__ import annotations
 
+import math
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +45,7 @@ import numpy as np
 
 from .additive import Omega
 from .errors import BudgetExceeded, NonIntegerStatistic, ParameterError, SourceError
-from .systems import Integers, PrimeEntry, PrimeSystem, list_primes, primes_upto
+from .systems import Integers, PrimeSystem, list_primes, primes_upto
 
 CACHE_MAGIC = b"MLDP0001"
 CACHE_VERSION = 1
@@ -72,6 +83,18 @@ def enumerate_monoid(
     budget: Budget = DEFAULT_BUDGET,
 ) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics."""
+    if _use_sieve(system, X, method, budget):
+        norm, omega, gsum = _sieve_table(X, g)
+    else:
+        columns = _recursive_table(system, X, g, budget.max_elements)
+        order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
+        norm, omega, gsum = (c[order] for c in columns)
+    return MonoidTable(system, X, norm, omega, gsum)
+
+
+def _use_sieve(system: PrimeSystem, X: int, method: str, budget: Budget) -> bool:
+    """Whether the sieve, not the recursion, builds the table; raises first
+    if the arguments are invalid or the table exceeds the budget."""
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
     if method not in ("auto", "sieve", "recursive"):
@@ -85,38 +108,51 @@ def enumerate_monoid(
                 f"sieve at X={X} exceeds budget", predicted=X,
                 cap=min(budget.max_x_sieve, budget.max_elements),
             )
-        norm, omega, gsum = _sieve_table(X, g)
-    else:
-        if X > budget.max_x_recursive:
-            raise BudgetExceeded(
-                f"recursive enumeration at X={X} exceeds budget",
-                predicted=X, cap=budget.max_x_recursive,
-            )
-        norm, omega, gsum = _recursive_table(system, X, g, budget.max_elements)
-    return MonoidTable(system, X, norm, omega, gsum)
+        return True
+    if X > budget.max_x_recursive:
+        raise BudgetExceeded(
+            f"recursive enumeration at X={X} exceeds budget",
+            predicted=X, cap=budget.max_x_recursive,
+        )
+    return False
 
 
 def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     omega = np.zeros(X + 1, dtype=np.uint32)
     gsum = np.zeros(X + 1, dtype=np.float64)
     primes = primes_upto(X)
-    gvals = [float(g.value(PrimeEntry(int(p), str(int(p))))) for p in primes]
-    for p in primes:
+    gvals = g.values(primes)
+    constant = gvals.size == 0 or bool(np.all(gvals == gvals[0]))
+    # primes up to sqrt(X), ascending: one strided add per prime
+    k = int(primes.searchsorted(math.isqrt(X), "right"))
+    for p, gp in zip(primes[:k].tolist(), gvals[:k].tolist()):
         omega[p::p] += 1
-    if gvals and all(v == gvals[0] for v in gvals):
-        if gvals[0] != 0.0:
-            np.multiply(omega, gvals[0], out=gsum)
-    else:
-        for p, gp in zip(primes, gvals):
-            if gp != 0.0:
-                gsum[p::p] += gp
+        if not constant and gp != 0.0:
+            gsum[p::p] += gp
+    # n <= X has at most one prime factor above sqrt(X), its largest, so it
+    # comes last and the ascending order of the sum holds. Its cofactor m is
+    # below sqrt(X); within one m the indices m * p are distinct.
+    large, g_large = primes[k:], gvals[k:]
+    if large.size:
+        for m in range(1, X // int(large[0]) + 1):
+            j = int(large.searchsorted(X // m, "right"))
+            idx = m * large[:j]
+            omega[idx] += 1
+            if not constant:
+                gsum[idx] += g_large[:j]
+    if constant and gvals.size and gvals[0] != 0.0:
+        # the sums g0 + g0 + ... in ascending order, as the other branch and
+        # the recursion add them; omega * g0 rounds differently for most g0
+        steps = [0.0, *accumulate([float(gvals[0])] * int(omega.max()))]
+        np.take(np.array(steps), omega, out=gsum)
     norm = np.arange(1, X + 1, dtype=np.uint64)
-    return norm, omega[1:].copy(), gsum[1:].copy()
+    return norm, omega[1:], gsum[1:]
 
 
 def _recursive_table(
     system: PrimeSystem, X: int, g, max_elements: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsorted (norm, omega, gsum) columns of every element of norm <= X."""
     entries = list_primes(system, X)
     norms = [e.norm for e in entries]
     gvals = [float(g.value(e)) for e in entries]
@@ -145,11 +181,8 @@ def _recursive_table(
                 m *= ni
 
     rec(0, 1, 0, 0.0)
-    norm = np.frombuffer(out_n, dtype=np.uint64)
-    omega = np.frombuffer(out_o, dtype=np.uint32)
-    gsum = np.frombuffer(out_g, dtype=np.float64)
-    order = np.lexsort((gsum, omega, norm))
-    return norm[order], omega[order], gsum[order]
+    return (np.frombuffer(out_n, dtype=np.uint64), np.frombuffer(out_o, dtype=np.uint32),
+            np.frombuffer(out_g, dtype=np.float64))
 
 
 def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
@@ -164,7 +197,9 @@ def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
         raise ParameterError(f"X must be >= 1, got {X}")
     if isinstance(system, Integers):
         return int
-    norm = enumerate_monoid(system, X, Omega()).norm
+    _use_sieve(system, X, "auto", DEFAULT_BUDGET)  # the budget checks; False here
+    # only the norm column is kept and sorted
+    norm = np.sort(_recursive_table(system, X, Omega(), DEFAULT_BUDGET.max_elements)[0])
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
 

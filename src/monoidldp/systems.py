@@ -299,16 +299,28 @@ def _is_power_of(x: int, q: int) -> bool:
     return x == 1
 
 
+def prime_norms(system: PrimeSystem, X: int) -> np.ndarray:
+    """Norms of the primes of norm <= X, with multiplicity, ascending.
+
+    On the integers this is the sieve's cached array, which callers must
+    not mutate; no PrimeEntry is built.
+    """
+    if isinstance(system, Integers):
+        return primes_upto(X)
+    return np.array([e.norm for e in list_primes(system, X)], dtype=np.int64)
+
+
 def prime_count_check(system: PrimeSystem, X: int) -> float:
     """pi_P(X) * log X / X; bounded over a grid when pi_P(X) = O(X/log X)."""
     if X < 3:
         raise ParameterError(f"prime_count_check needs X >= 3, got {X}")
-    return len(list_primes(system, X)) * math.log(X) / X
+    return len(prime_norms(system, X)) * math.log(X) / X
 
 
 def mertens_sum(system: PrimeSystem, X: int) -> tuple[float, float]:
     """(sum of 1/N(p) over norms <= X with multiplicity, sum - log log X)."""
     if X < 3:
         raise ParameterError(f"mertens_sum needs X >= 3, got {X}")
-    total = math.fsum(1.0 / e.norm for e in list_primes(system, X))
+    # fsum is correctly rounded, so its bits do not depend on the order
+    total = math.fsum((1.0 / prime_norms(system, X)).tolist())
     return total, total - math.log(math.log(X))

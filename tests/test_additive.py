@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +53,14 @@ def test_table_lookup_rule():
     vals = [g.value(e) for e in list_primes(Integers(), 11)]
     assert vals == [3.0, 1.0, 0.25, 1.0, 1.0]
     assert g.key == "table:2=3,5=0.25:default=1"
+
+
+def test_table_lookup_first_entry_wins():
+    # a tuple table may name a norm twice; the first entry is the one that counts
+    g = TableLookup(((7, 0.5), (3, 1.5), (7, 2.0), (3, 0.0)), default=0.25)
+    vals = [g.value(e) for e in list_primes(Integers(), 11)]
+    assert vals == [0.25, 1.5, 0.25, 0.5, 0.25]
+    assert g.values(np.array([2, 3, 5, 7, 11, 13])).tolist() == [0.25, 1.5, 0.25, 0.5, 0.25, 0.25]
 
 
 def test_table_lookup_accepts_mapping():

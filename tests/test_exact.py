@@ -15,6 +15,7 @@ from monoidldp.errors import (
     PrimeNotInSystem,
 )
 from monoidldp.exact import (
+    _RestrictedG,
     domination_report,
     expect_Y,
     expect_Z,
@@ -198,6 +199,17 @@ def test_gap_components_frozen_row():
     assert row.log_space is False
     assert row.mgf_Y == pytest.approx(3.9288291738042944, rel=1e-12)
     assert row.gap == pytest.approx(0.00620048856943, rel=1e-9)
+
+
+def test_integer_mgf_z_evaluates_restricted_g_as_an_array(monkeypatch):
+    g = NormResidue(4, frozenset({1}), 1.0, 0.25)
+    expected = gap_components(Integers(), g, 10**4, 5.0, 1.0)
+
+    def per_prime(self, entry):
+        raise AssertionError("the integer sieve evaluated g one prime at a time")
+
+    monkeypatch.setattr(_RestrictedG, "value", per_prime)
+    assert gap_components(Integers(), g, 10**4, 5.0, 1.0) == expected
 
 
 def test_gap_vanishes_at_theta_zero():

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from monoidldp.additive import DiscreteMeasure, Omega
+from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample, EmptySystem, ParameterError
 from monoidldp.experiments import condition_sweep, ek_report, gap_sweep, ldp_scan
 from monoidldp.rate import rate
-from monoidldp.systems import Beurling, Integers, list_primes
+from monoidldp.systems import Beurling, Integers, QuadraticField, list_primes
 
 DELTA1 = DiscreteMeasure.delta(1.0)
 
@@ -101,15 +101,22 @@ def test_ldp_scan_full_line_and_empty_cells():
     assert neg.rate_bound == -math.inf  # interval misses [0, inf) entirely
 
 
-def test_ldp_scan_validation_and_threads():
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+def test_ldp_scan_rows_equal_one_scan_per_x(system):
+    # one enumeration at the largest X serves every X of the grid
+    g = NormResidue(3, frozenset({2}), 0.1, 0.7)
+    intervals = [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, math.inf)]
+    grid = [1000, 30, 20_000, 3, 1000]
+    rows = ldp_scan(system, g, grid, intervals, DELTA1)
+    assert [r.X for r in rows] == [X for X in grid for _ in intervals]
+    assert rows == [r for X in grid for r in ldp_scan(system, g, [X], intervals, DELTA1)]
+
+
+def test_ldp_scan_validation():
     with pytest.raises(ParameterError):
         ldp_scan(Integers(), Omega(), [100], [(1.0, 1.0)], DELTA1)
     with pytest.raises(ParameterError):
         ldp_scan(Integers(), Omega(), [2], [(0.0, 1.0)], DELTA1)
-    intervals = [(0.0, 1.0), (1.0, math.inf)]
-    seq = ldp_scan(Integers(), Omega(), [100, 1000], intervals, DELTA1, threads=1)
-    par = ldp_scan(Integers(), Omega(), [100, 1000], intervals, DELTA1, threads=4)
-    assert seq == par
 
 
 def test_condition_sweep_integers_passes():

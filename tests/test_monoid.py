@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidldp.additive import NormResidue, Omega
+from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.cli import main
 from monoidldp.errors import (
     BudgetExceeded,
@@ -15,6 +15,7 @@ from monoidldp.errors import (
     ParameterError,
     SourceError,
 )
+from monoidldp.exact import _RestrictedG
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     Budget,
@@ -28,9 +29,11 @@ from monoidldp.systems import (
     Beurling,
     Integers,
     PolyOverFq,
+    PrimeEntry,
     QuadraticField,
     count_elements,
     list_primes,
+    primes_upto,
 )
 
 
@@ -69,13 +72,90 @@ def test_histogram_width_and_noninteger():
     assert h.as_dict()[0.5] == len([m for m in range(1, 31) if any(m % p == 0 for p in (5, 13, 17, 29))])
 
 
+def _restricted_to_two_primes():
+    members = [e for e in list_primes(Integers(), 100) if e.norm in (3, 97)]
+    return _RestrictedG(NormResidue(3, frozenset({2}), 0.1, 0.7), members)
+
+
+# every kind of g the integer sieve meets: constant and not, non-dyadic
+# values (so the summation order shows), a zero g and a restricted g
+SIEVE_GS = {
+    "omega": Omega(),
+    "residue-3-2": NormResidue(3, frozenset({2}), 0.1, 0.7),
+    "residue-int-values": NormResidue(4, frozenset({1}), 2, 1),
+    "table": TableLookup(((2, 0.3), (7, 1.1), (97, 0.0), (101, 2.5)), default=0.2),
+    "zero": NormResidue(4, frozenset({1}), 0.0, 0.0),
+    "restricted": _restricted_to_two_primes(),
+}
+
+
+def _assert_tables_equal(a, b):
+    assert np.array_equal(a.norm, b.norm)
+    assert np.array_equal(a.omega, b.omega)
+    assert np.array_equal(a.gsum, b.gsum)
+
+
 def test_sieve_matches_recursion():
-    for X in (100, 10**4):
-        a = enumerate_monoid(Integers(), X, Omega(), method="sieve")
-        b = enumerate_monoid(Integers(), X, Omega(), method="recursive")
-        assert np.array_equal(a.norm, b.norm)
-        assert np.array_equal(a.omega, b.omega)
-        assert np.array_equal(a.gsum, b.gsum)
+    # isqrt(X) crosses a prime at these X, so they move the sieve's split;
+    # at X = p(p + 2) (15, 35, 143) the prime p = isqrt(X) must count as small
+    for X in (1, 2, 3, 4, 8, 9, 10, 15, 24, 25, 26, 35, 48, 49, 50, 120, 121, 122, 143,
+              10**4 + 7):
+        for g in SIEVE_GS.values():
+            _assert_tables_equal(enumerate_monoid(Integers(), X, g, method="sieve"),
+                                 enumerate_monoid(Integers(), X, g, method="recursive"))
+
+
+def test_sieve_matches_recursion_for_constant_g():
+    # 0.1 added six times is not 6 * 0.1; 30030 is the first n with omega = 6
+    g = NormResidue(4, frozenset({1}), 0.1, 0.1)
+    a = enumerate_monoid(Integers(), 30030, g, method="sieve")
+    _assert_tables_equal(a, enumerate_monoid(Integers(), 30030, g, method="recursive"))
+    assert a.gsum[-1] == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 != 6 * 0.1
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+def test_table_at_smaller_x_is_a_prefix(system):
+    # ldp_scan reads every X of its grid off one table; g here is constant
+    # on the primes up to 40000 only, so on the integers the sieve takes its
+    # constant-g branch at X <= 30030 and its other branch at 50000
+    g = TableLookup(((40009, 0.7),), default=0.1)
+    big = enumerate_monoid(system, 50_000, g)
+    for X in (1, 30030, 40009):
+        small = enumerate_monoid(system, X, g)
+        total = small.count
+        assert np.array_equal(big.norm[:total], small.norm)
+        assert np.array_equal(big.omega[:total], small.omega)
+        assert np.array_equal(big.gsum[:total], small.gsum)
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_GS))
+def test_values_match_value(name):
+    g = SIEVE_GS[name]
+    primes = primes_upto(10**4)
+    got = g.values(primes)
+    assert got.dtype == np.float64
+    expected = np.array([float(g.value(PrimeEntry(p, str(p)))) for p in primes.tolist()])
+    assert np.array_equal(got, expected)
+    assert g.values(primes[:0]).shape == (0,)
+
+
+class _ArrayOnlyG:
+    """A g that can be evaluated only as an array."""
+
+    def __init__(self, g):
+        self._g = g
+
+    def value(self, entry):
+        raise AssertionError("the integer sieve evaluated g one prime at a time")
+
+    def values(self, norms):
+        return self._g.values(norms)
+
+
+def test_sieve_never_evaluates_g_per_prime():
+    for g in (SIEVE_GS["residue-3-2"], Omega()):
+        _assert_tables_equal(enumerate_monoid(Integers(), 10**5, _ArrayOnlyG(g)),
+                             enumerate_monoid(Integers(), 10**5, g))
 
 
 def test_sieve_matches_recursion_with_residue_g():

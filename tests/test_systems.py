@@ -1,6 +1,7 @@
 """Prime systems, counting axioms, and density fits against direct oracles."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from monoidldp.systems import (
     list_primes,
     mertens_sum,
     prime_count_check,
+    prime_norms,
     primes_upto,
 )
 
@@ -138,6 +140,20 @@ def test_mertens_examples():
     assert math.isclose(d100, s100 - math.log(math.log(100)), abs_tol=1e-12)
     with pytest.raises(ParameterError):
         mertens_sum(Integers(), 2)
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
+                                    Beurling((2, 3, 3, 7))], ids=lambda s: s.key)
+def test_prime_norms_and_mertens_sum_match_the_prime_list(system):
+    for X in (3, 100, 6561, 10**5):
+        entries = list_primes(system, X)
+        norms = prime_norms(system, X)
+        assert norms.dtype == np.int64
+        assert norms.tolist() == [e.norm for e in entries]
+        # the correctly rounded sum, whatever the order of the terms
+        total = math.fsum(1.0 / e.norm for e in reversed(entries))
+        assert mertens_sum(system, X) == (total, total - math.log(math.log(X)))
+        assert prime_count_check(system, X) == len(entries) * math.log(X) / X
 
 
 def test_prime_count_check():
