@@ -7,14 +7,15 @@ measures are inlined as atoms and Beurling systems as their norm list, so
     monoidldp --config reports/config-echo.json --out replay
 
 reproduces a run byte for byte. Only --out and --threads may accompany
---config; everything else must come from the echo. Echoes no longer carry
-"seed"; older echoes that do still replay, to an echo without it.
+--config; everything else must come from the echo. --threads is kept for
+old scripts and changes nothing (below 1 it is a usage error). Echoes no
+longer carry "seed"; older echoes that do still replay, to an echo without it.
 
 Exit codes: 0 PASS, 1 WARN, 2 FAILED or runtime error, 64 usage error,
 65 bad parameter or input file, 66 budget exceeded.
 
 Runtime-only knobs (--out, --threads, and count's --dump-cache) are excluded
-from the echo; reports are identical for any thread count.
+from the echo.
 
 Each subcommand is one COMMAND_TABLE entry (help, handler, options) that
 drives the parser, the echo, the --config key check and dispatch. Handlers
@@ -26,7 +27,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -233,7 +233,7 @@ _BUILDERS = {"system": _build_system, "g": _build_g, "rho": _build_rho}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (args, threads) -> Report, args being the config with
+# subcommand handlers: args -> Report, args being the config with
 # system, g and rho built; main prints the summary after "<command>: ".
 
 class Report(NamedTuple):
@@ -244,7 +244,7 @@ class Report(NamedTuple):
     body: dict  # the JSON report, less its "command" key
 
 
-def _run_primes(a: dict, threads: int) -> Report:
+def _run_primes(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
     entries = list_primes(system, X)
     return Report(
@@ -255,7 +255,7 @@ def _run_primes(a: dict, threads: int) -> Report:
     )
 
 
-def _run_count(a: dict, threads: int) -> Report:
+def _run_count(a: dict) -> Report:
     system, g, X = a["system"], a["g"], int(a["limit"])
     table = enumerate_monoid(system, X, g)
     if a.get("dump_cache"):
@@ -273,7 +273,7 @@ def _run_count(a: dict, threads: int) -> Report:
     )
 
 
-def _run_density(a: dict, threads: int) -> Report:
+def _run_density(a: dict) -> Report:
     fit = density_fit(a["system"], [int(v) for v in a["grid"]])
     summary = (f"status={fit.status} a_hat={fmt(fit.a_hat)} "
                f"b_hat={fmt(fit.b_hat)} slope={fmt(fit.slope)}")
@@ -288,15 +288,17 @@ def _run_density(a: dict, threads: int) -> Report:
     )
 
 
-def _run_mertens(a: dict, threads: int) -> Report:
+def _run_mertens(a: dict) -> Report:
     rows = [(X, *mertens_sum(a["system"], X)) for X in (int(v) for v in a["grid"])]
+    if not rows:
+        raise ParameterError("grid must be nonempty")
     X, s, d = rows[-1]
     return Report(0, f"X={X} sum={fmt(s)} deviation={fmt(d)}",
                   ["X", "sum", "deviation"], rows,
                   {"system": a["system"].key, "rows": rows})
 
 
-def _run_expect(a: dict, threads: int) -> Report:
+def _run_expect(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
     entries = list_primes(system, X)
     selected = []
@@ -320,7 +322,7 @@ def _run_expect(a: dict, threads: int) -> Report:
     )
 
 
-def _run_dominate(a: dict, threads: int) -> Report:
+def _run_dominate(a: dict) -> Report:
     rep = domination_report(a["system"], int(a["limit"]), int(a["kmax"]))
     labels = "*".join(e.label for e in rep.witness)
     return Report(
@@ -335,9 +337,9 @@ def _run_dominate(a: dict, threads: int) -> Report:
     )
 
 
-def _run_mgf_gap(a: dict, threads: int) -> Report:
+def _run_mgf_gap(a: dict) -> Report:
     rep = gap_sweep(a["system"], a["g"], [int(v) for v in a["grid"]],
-                    float(a["cap"]), float(a["theta"]), threads=threads)
+                    float(a["cap"]), float(a["theta"]))
     last = rep.rows[-1]
     return Report(
         0 if rep.trend == "PASS" else 1,
@@ -348,7 +350,7 @@ def _run_mgf_gap(a: dict, threads: int) -> Report:
     )
 
 
-def _run_tail_mass(a: dict, threads: int) -> Report:
+def _run_tail_mass(a: dict) -> Report:
     X, C, theta = int(a["limit"]), float(a["cap"]), float(a["theta"])
     fields = {"X": X, "C": C, "theta": theta,
               "tail_mass": tail_mass(a["system"], a["g"], X, C, theta)}
@@ -359,7 +361,7 @@ def _run_tail_mass(a: dict, threads: int) -> Report:
     )
 
 
-def _run_rate(a: dict, threads: int) -> Report:
+def _run_rate(a: dict) -> Report:
     prof = rate_profile(a["rho"], [float(v) for v in a["grid"]])
     points = list(zip(prof.x_grid, prof.I_values, prof.theta_stars,
                       prof.solver_iters, prof.statuses))
@@ -374,7 +376,7 @@ def _run_rate(a: dict, threads: int) -> Report:
     )
 
 
-def _run_ek(a: dict, threads: int) -> Report:
+def _run_ek(a: dict) -> Report:
     rep = ek_report(a["system"], int(a["limit"]), min_norm=int(a["min_norm"]))
     fields = dataclasses.asdict(rep)
     return Report(
@@ -384,7 +386,7 @@ def _run_ek(a: dict, threads: int) -> Report:
     )
 
 
-def _run_ldp_scan(a: dict, threads: int) -> Report:
+def _run_ldp_scan(a: dict) -> Report:
     grid = [int(v) for v in a["grid"]]
     intervals = [(float(lo), float(hi)) for lo, hi in a["intervals"]]
     rows = [dataclasses.asdict(r)
@@ -397,7 +399,7 @@ def _run_ldp_scan(a: dict, threads: int) -> Report:
     )
 
 
-def _run_sweep(a: dict, threads: int) -> Report:
+def _run_sweep(a: dict) -> Report:
     rep = condition_sweep(a["system"], a["g"], a["rho"], [int(v) for v in a["grid"]],
                           [float(v) for v in a["theta_grid"]])
     body = rep.as_dict()
@@ -417,7 +419,7 @@ def _run_sweep(a: dict, threads: int) -> Report:
 
 class Command(NamedTuple):
     help: str
-    run: Callable[[dict, int], Report]
+    run: Callable[[dict], Report]
     options: tuple[tuple, ...]
     runtime: tuple[tuple, ...] = ()
 
@@ -487,7 +489,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", default="reports", help="output directory")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CPU count); never changes output")
+                        help="accepted for compatibility; changes nothing")
         for key, kind, default, *extra in command.options + command.runtime:
             sp.add_argument("--" + key.replace("_", "-"), type=kind, default=default,
                             **(extra[0] if extra else {}))
@@ -555,14 +557,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             ns = _build_parser().parse_args(argv)
             cfg, runtime = _cfg_from_namespace(ns)
-        threads = ns.threads if ns.threads is not None else (os.cpu_count() or 1)
-        if threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {threads}")
+        if ns.threads is not None and ns.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {ns.threads}")
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         args = {k: _BUILDERS[k](v) if k in _BUILDERS else v for k, v in cfg.items()}
         args.update(runtime)
-        report = COMMAND_TABLE[cfg["command"]].run(args, threads)
+        report = COMMAND_TABLE[cfg["command"]].run(args)
         _emit(out, cfg, report)
         print(f"{cfg['command']}: {report.summary}")
         return report.code

@@ -17,6 +17,13 @@ primes with |g(p)| > C. Over B both moment generating functions are cheap
 to compute exactly, and their gap is the quantity that the coupling argument
 drives to zero as X grows; tail_mass is the corresponding T-side integral
 against the empirical measure rho_X.
+
+The Z-side MGF needs no table of elements. For S a set of primes of B with
+N(S) = prod N(p) <= X, d_S = count(floor(X / N(S))) elements are divisible
+by all of S, and c_S = sum over T containing S of (-1)^(|T| - |S|) d_T
+(superset Moebius inversion) counts, exactly, those whose primes from B are
+exactly S. So mgf_Z = sum_S c_S exp(theta g_S) / count(X), each term >= 0
+for either sign of theta: the finite Kubilius model (Elliott, 1979).
 """
 from __future__ import annotations
 
@@ -26,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .additive import AdditiveFunction, moment_overflow
 from .errors import (
     BudgetExceeded,
@@ -36,7 +41,7 @@ from .errors import (
     ParameterError,
     PrimeNotInSystem,
 )
-from .monoid import element_counter, enumerate_monoid
+from .monoid import element_counter
 from .systems import PrimeEntry, PrimeSystem, list_primes
 
 # product flagged as overflowing once it exceeds 1e300
@@ -197,50 +202,50 @@ def mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> fl
     return math.exp(lm)
 
 
-class _RestrictedG:
-    """g restricted to a prime subset; zero elsewhere."""
+def _support_counts(
+    system: PrimeSystem, X: int, subset: Sequence[PrimeEntry], g: AdditiveFunction
+) -> tuple[int, list[tuple[int, float]]]:
+    """count(X) and (c_S, g_S) per S with N(S) <= X (module docstring); g_S
+    adds g over S in the subset's ascending order, as a table's gsum would."""
+    count = element_counter(system, X)
+    sets = {0: (1, 0.0)}  # bitmask over subset indices -> (N(S), g_S)
+    for i, p in enumerate(subset):
+        gp = float(g.value(p))
+        for mask, (n, gs) in list(sets.items()):
+            if n * p.norm <= X:
+                sets[mask | 1 << i] = (n * p.norm, gp + gs)
+    # d_S = count(X // N(S)), then the superset Moebius transform in place
+    c = {mask: count(X // n) for mask, (n, _) in sets.items()}
+    for i in range(len(subset)):
+        bit = 1 << i
+        for mask in sets:
+            if mask & bit:
+                c[mask ^ bit] -= c[mask]
+    return count(X), [(c[mask], gs) for mask, (_, gs) in sets.items()]
 
-    def __init__(self, g: AdditiveFunction, subset: Sequence[PrimeEntry]):
-        self._g = g
-        self._members = frozenset(subset)
 
-    def value(self, entry: PrimeEntry) -> float:
-        return self._g.value(entry) if entry in self._members else 0.0
-
-    def values(self, norms: np.ndarray) -> np.ndarray:
-        # matched by norm: only the integer sieve calls this, and there a
-        # norm names exactly one prime
-        members = np.isin(norms, [e.norm for e in self._members])
-        return np.where(members, self._g.values(norms), 0.0)
-
-
-def mgf_Z(
-    system: PrimeSystem,
-    X: int,
-    subset: Sequence[PrimeEntry],
-    g: AdditiveFunction,
-    theta: float,
-) -> float:
-    """Exact average of exp(theta * sum_{p in subset, p | m} g(p)) over the table."""
+def mgf_Z(system: PrimeSystem, X: int, subset: Sequence[PrimeEntry],
+          g: AdditiveFunction, theta: float) -> float:
+    """Exact mean of exp(theta * sum_{p in subset, p | m} g(p)) over the
+    elements m of norm <= X; MgfOverflow if it overflows a double."""
     _check_membership(system, X, subset)
-    table = enumerate_monoid(system, X, _RestrictedG(g, subset))
-    total = float(np.exp(theta * table.gsum).sum())
-    return total / table.count
+    count, support = _support_counts(system, X, subset, g)
+    try:
+        return math.fsum(c * math.exp(theta * gs) for c, gs in support) / count
+    except OverflowError:
+        lm = log_mgf_Z(system, X, subset, g, theta)
+        raise MgfOverflow(f"mgf_Z overflows (log value {lm:.6g})", log_value=lm) from None
 
 
-def log_mgf_Z(
-    system: PrimeSystem,
-    X: int,
-    subset: Sequence[PrimeEntry],
-    g: AdditiveFunction,
-    theta: float,
-) -> float:
+def log_mgf_Z(system: PrimeSystem, X: int, subset: Sequence[PrimeEntry],
+              g: AdditiveFunction, theta: float) -> float:
     """Log-space mgf_Z via a stable log-sum-exp; for overflowing thetas."""
     _check_membership(system, X, subset)
-    table = enumerate_monoid(system, X, _RestrictedG(g, subset))
-    w = theta * table.gsum
-    peak = float(w.max())
-    return peak + math.log(float(np.exp(w - peak).sum())) - math.log(table.count)
+    count, support = _support_counts(system, X, subset, g)
+    w = [theta * gs for _, gs in support]
+    peak = max(w)
+    total = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))
+    return peak + math.log(total) - math.log(count)
 
 
 @dataclass(frozen=True)
@@ -290,11 +295,9 @@ def tail_mass(
     if not entries:
         raise EmptySystem(f"no prime of norm <= {X}")
     den = math.fsum(1.0 / e.norm for e in entries)
+    tail = [(y, e.norm) for y, e in ((g.value(e), e) for e in entries) if y > C]
     try:
-        num = math.fsum(
-            math.expm1(theta * g.value(e)) / e.norm for e in entries if g.value(e) > C
-        )
+        num = math.fsum(math.expm1(theta * y) / n for y, n in tail)
     except OverflowError:
-        ys = (y for y in (g.value(e) for e in entries) if y > C)
-        raise moment_overflow("tail_mass", theta, ys) from None
+        raise moment_overflow("tail_mass", theta, (y for y, _ in tail)) from None
     return num / den

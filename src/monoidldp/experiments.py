@@ -25,7 +25,6 @@ statistic is near 0.099 and is the quantity the regression baseline tracks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .additive import AdditiveFunction, DiscreteMeasure, Omega, exp_moment, rho_X
+from .additive import AdditiveFunction, DiscreteMeasure, Omega, check_convergence
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, gap_components
 from .monoid import enumerate_monoid
@@ -226,9 +225,9 @@ def condition_sweep(
     theta_list = [float(t) for t in theta_grid]
     conv_rows = []
     conv_flag = "PASS"
-    emps = {X: rho_X(system, g, X).base for X in X_list}
-    for theta in theta_list:
-        devs = [abs(exp_moment(emps[X], theta) - exp_moment(rho, theta)) for X in X_list]
+    conv = check_convergence(system, g, rho, theta_list, X_list)  # X-major
+    for j, theta in enumerate(theta_list):
+        devs = [r.deviation for r in conv[j::len(theta_list)]]
         ok = devs[-1] < devs[0] or devs[-1] < 1e-12
         if not ok:
             conv_flag = "WARN"
@@ -253,17 +252,13 @@ def gap_sweep(
     X_grid: Sequence[int],
     C: float,
     theta: float,
-    threads: int = 1,
 ) -> GapReport:
-    """mz9 gap and its components per X; strict decrease expected."""
+    """The B-side MGF gap and its components per X; strict decrease expected."""
     X_list = [int(X) for X in X_grid]
+    if not X_list:
+        raise ParameterError("X_grid must be nonempty")
     if any(b <= a for a, b in zip(X_list, X_list[1:])):
         raise ParameterError("X_grid must be strictly increasing")
-
-    def row(X: int) -> GapComponents:
-        return gap_components(system, g, X, C, theta)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = tuple(pool.map(row, X_list))
+    rows = tuple(gap_components(system, g, X, C, theta) for X in X_list)
     decreasing = all(b.gap < a.gap for a, b in zip(rows, rows[1:]))
     return GapReport(rows, "PASS" if decreasing else "WARN")

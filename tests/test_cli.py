@@ -107,6 +107,15 @@ def test_bad_configs_exit_65(tmp_path):
                                 "system": "integers", "limit": 10}), encoding="utf-8")
     assert main(["--config", str(flat), "--out", str(tmp_path / "o")]) == 65
 
+    # an empty grid, which no command line can give
+    for command, extra in (("mgf-gap", {"g": {"kind": "omega"}, "cap": 5.0, "theta": 1.0}),
+                           ("mertens", {})):
+        empty = tmp_path / f"empty-{command}.json"
+        empty.write_text(json.dumps({"command": command, "format": "csv",
+                                     "system": {"kind": "integers"}, "grid": [], **extra}),
+                         encoding="utf-8")
+        assert main(["--config", str(empty), "--out", str(tmp_path / "o")]) == 65
+
 
 def test_budget_exit_66(tmp_path):
     assert main(["count", "--limit", "200000000000", "--out", str(tmp_path)]) == 66

@@ -1,12 +1,15 @@
 """Exact Z/Y expectations, domination, truncation, and MGF gaps vs oracles."""
+import collections
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidldp.additive import NormResidue, Omega
+from monoidldp import monoid
+from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.errors import (
     BudgetExceeded,
     EmptySystem,
@@ -15,12 +18,13 @@ from monoidldp.errors import (
     PrimeNotInSystem,
 )
 from monoidldp.exact import (
-    _RestrictedG,
+    _support_counts,
     domination_report,
     expect_Y,
     expect_Z,
     gap_components,
     log_mgf_Y,
+    log_mgf_Z,
     mgf_Y,
     mgf_Z,
     tail_mass,
@@ -201,15 +205,76 @@ def test_gap_components_frozen_row():
     assert row.gap == pytest.approx(0.00620048856943, rel=1e-9)
 
 
-def test_integer_mgf_z_evaluates_restricted_g_as_an_array(monkeypatch):
-    g = NormResidue(4, frozenset({1}), 1.0, 0.25)
-    expected = gap_components(Integers(), g, 10**4, 5.0, 1.0)
+def _table_log_mgf_z(system, X, subset, g, theta):
+    """The table oracle: log of the mean of exp(theta * gsum) over every
+    element, g being kept on the subset's norms (a union of norm classes)
+    and zero elsewhere."""
+    restricted = TableLookup({e.norm: g.value(e) for e in subset})
+    w = theta * monoid.enumerate_monoid(system, X, restricted).gsum
+    peak = float(w.max())
+    return peak + math.log(float(np.exp(w - peak).sum())) - math.log(w.size)
 
-    def per_prime(self, entry):
-        raise AssertionError("the integer sieve evaluated g one prime at a time")
 
-    monkeypatch.setattr(_RestrictedG, "value", per_prime)
-    assert gap_components(Integers(), g, 10**4, 5.0, 1.0) == expected
+# (system, X, norm bound of the subset); every subset has a product of two
+# or more primes below X, and the Beurling system repeats norms
+MGF_SYSTEMS = [
+    (Integers(), 2000, 13),
+    (QuadraticField(-4), 2000, 13),
+    (QuadraticField(5), 2000, 20),
+    (PolyOverFq(2), 2**11, 16),
+    (PolyOverFq(3), 3**7, 9),
+    (PolyOverFq(7), 7**4, 7),
+    (Beurling((2, 2, 3, 5, 7, 7, 11)), 2000, 7),
+]
+MGF_CASES = [pytest.param(*case, id=case[0].key) for case in MGF_SYSTEMS]
+
+
+@pytest.mark.parametrize("system,X,bound", MGF_CASES)
+@pytest.mark.parametrize("C", [1.0, 5.0])
+def test_mgf_z_matches_table_oracle(system, X, bound, C):
+    g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
+    subset = [e for e in list_primes(system, X) if e.norm <= bound and g.value(e) <= C]
+    assert len(subset) >= 2
+    for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
+        want = _table_log_mgf_z(system, X, subset, g, theta)
+        assert math.isclose(mgf_Z(system, X, subset, g, theta), math.exp(want), rel_tol=1e-14)
+        got = log_mgf_Z(system, X, subset, g, theta)
+        assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-16)
+
+
+@pytest.mark.parametrize("system,X,bound", MGF_CASES)
+def test_support_counts_sum_to_count(system, X, bound):
+    subset = [e for e in list_primes(system, X) if e.norm <= bound]
+    total, support = _support_counts(system, X, subset, Omega())
+    assert total == count_elements(system, X)
+    assert sum(c for c, _ in support) == total
+    assert all(c >= 1 for c, _ in support)
+
+
+@pytest.mark.parametrize("X", [1, 2, 30, 97, 1000])
+def test_support_counts_match_trial_division(X):
+    subset = [e for e in list_primes(Integers(), X) if e.norm <= 47]
+    # g(p_i) = 2^i, so the float g_S spells the set S as a bitmask, exactly
+    g = TableLookup({e.norm: 2.0**i for i, e in enumerate(subset)})
+    total, support = _support_counts(Integers(), X, subset, g)
+    expected = collections.Counter(
+        sum(1 << i for i, e in enumerate(subset) if m % e.norm == 0) for m in range(1, X + 1))
+    assert total == X
+    assert {int(gs): c for c, gs in support} == expected
+    assert len(support) == len(expected)
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+def test_gap_components_builds_no_table(system, monkeypatch):
+    expected = gap_components(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("gap_components built a monoid table")
+
+    monkeypatch.setattr(monoid, "enumerate_monoid", no_table)
+    monkeypatch.setattr(monoid, "_sieve_table", no_table)
+    row = gap_components(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
+    assert row == expected and row.B_size >= 2
 
 
 def test_gap_vanishes_at_theta_zero():
@@ -226,6 +291,11 @@ def test_mgf_overflow_switches_to_log_space():
     assert row.log_space is True
     assert math.isfinite(row.mgf_Z) and math.isfinite(row.mgf_Y)
     assert row.gap == abs(row.mgf_Z - row.mgf_Y)
+    # e^(theta g_S) itself overflows on the Z side once g_S = 2
+    with pytest.raises(MgfOverflow) as err:
+        mgf_Z(Integers(), 100, B, Omega(), 400.0)
+    assert err.value.log_value == log_mgf_Z(Integers(), 100, B, Omega(), 400.0)
+    assert err.value.log_value > 709.78
 
 
 def test_tail_mass():

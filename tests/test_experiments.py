@@ -169,9 +169,8 @@ def test_gap_sweep_flat_at_theta_zero():
     assert rep.trend == "WARN"  # zero gaps cannot strictly decrease
 
 
-def test_gap_sweep_validation_and_threads():
+def test_gap_sweep_validation():
     with pytest.raises(ParameterError):
         gap_sweep(Integers(), Omega(), [100, 100], 5.0, 1.0)
-    seq = gap_sweep(Integers(), Omega(), [100, 1000, 10_000], 5.0, 1.0, threads=1)
-    par = gap_sweep(Integers(), Omega(), [100, 1000, 10_000], 5.0, 1.0, threads=4)
-    assert seq == par
+    with pytest.raises(ParameterError, match="nonempty"):
+        gap_sweep(Integers(), Omega(), [], 5.0, 1.0)

@@ -15,7 +15,6 @@ from monoidldp.errors import (
     ParameterError,
     SourceError,
 )
-from monoidldp.exact import _RestrictedG
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     Budget,
@@ -73,8 +72,9 @@ def test_histogram_width_and_noninteger():
 
 
 def _restricted_to_two_primes():
-    members = [e for e in list_primes(Integers(), 100) if e.norm in (3, 97)]
-    return _RestrictedG(NormResidue(3, frozenset({2}), 0.1, 0.7), members)
+    # a residue g kept on the norms 3 and 97 only, zero on every other prime
+    g = NormResidue(3, frozenset({2}), 0.1, 0.7)
+    return TableLookup({n: g.value(PrimeEntry(n, str(n))) for n in (3, 97)})
 
 
 # every kind of g the integer sieve meets: constant and not, non-dyadic
