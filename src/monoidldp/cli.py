@@ -261,9 +261,8 @@ def _run_count(a: dict) -> Report:
     if a.get("dump_cache"):
         write_table_cache(table, a["dump_cache"])
     mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
-    # rows stream straight off the table's arrays, one element at a time
-    rows = ((int(n), int(o), float(s))
-            for n, o, s in zip(table.norm, table.omega, table.gsum))
+    # rows stream off the columns as Python ints and floats, no NumPy scalars
+    rows = zip(table.norm.tolist(), table.omega.tolist(), table.gsum.tolist())
     return Report(
         0, f"{table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
         ["norm", "omega", "gsum"], rows,

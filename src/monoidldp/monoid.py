@@ -6,36 +6,43 @@ primes dividing the element, and the strongly additive statistic sum g(p)
 over those primes. Factorizations are discarded; every downstream statistic
 depends only on these three numbers, and memory is the binding constraint.
 
-One recursion enumerates the elements of every system: a depth-first walk
-over primes sorted by norm. At prime index i with partial product
-(n, om, gs), exponent e >= 1 multiplies in N(p_i)^e while the product stays
-<= X and contributes (om+1, gs+g(p_i)) once, g being strongly additive. It
-appends to typed array columns, about 20 bytes per element, which NumPy
-then sorts by (norm, omega, gsum).
+A frontier enumerates the elements one omega-level at a time, over the
+primes sorted by norm. Every element other than 1 is a parent times
+p_i^e, e >= 1, with i at or after the parent's next prime index, so level
+k + 1 is the children of level k. The (parent, prime) pairs of a level
+come from one searchsorted of X // n and are expanded in blocks of at most
+_BLOCK_PAIRS pairs, which bounds the temporaries; a short loop over
+exponents runs while n * p^e <= X. A child's gsum is g(p_i) + the parent's
+gsum, the float add of a depth-first walk, so gsum is summed in ascending
+prime order; g is read as one array over the prime norms. The levels fill
+two columns (norm, gsum) that grow by doubling, and omega is the level
+index: 20 bytes per element, which NumPy then sorts by (norm, omega,
+gsum). Each pair gives at least one child, so the element budget is
+checked against the pair count before a level is expanded and again after
+every block; it raises exactly when the element count exceeds the cap.
 
 For the rational integers the table is instead built by a sieve over 1..X,
 with g evaluated once as an array over the primes. Every n <= X has at most
 one prime factor above sqrt(X), and it is the largest. So the sieve makes
 one strided add per prime p <= sqrt(X), in ascending order, and then one
 vectorized add per cofactor m <= sqrt(X) for the large primes p <= X/m.
-Each gsum is thus summed in ascending prime order, as the recursion sums
+Each gsum is thus summed in ascending prime order, as the frontier sums
 it, and the two paths agree bit for bit.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
-every threshold up to X. Element counts need no second recursion: count(y)
-for every y <= X is a prefix length of the sorted norm column
-(element_counter, which sorts that column alone), except on the integers,
-where count(y) = y.
+every threshold up to X. Element counts need no second enumeration:
+count(y) for every y <= X is a prefix length of the sorted norm column
+(element_counter, whose frontier builds no omega or gsum and evaluates no
+g), except on the integers, where count(y) = y.
 
-Budgets keep desk-scale runs honest: X <= 1e7 on the recursive path, 1e8 on
-the integer sieve, at most 2e8 elements in memory. Partial products never
+Budgets keep desk-scale runs honest: X <= 1e7 on the frontier, 1e8 on the
+integer sieve, at most 2e8 elements in memory. Partial products never
 overflow: they are bounded by X, which the budget keeps below 2^63.
 """
 from __future__ import annotations
 
 import math
 import struct
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -43,13 +50,14 @@ from typing import Callable
 
 import numpy as np
 
-from .additive import Omega
 from .errors import BudgetExceeded, NonIntegerStatistic, ParameterError, SourceError
-from .systems import Integers, PrimeSystem, list_primes, primes_upto
+from .systems import Integers, PrimeSystem, prime_norms, primes_upto
 
 CACHE_MAGIC = b"MLDP0001"
 CACHE_VERSION = 1
 _RECORD_DTYPE = np.dtype([("norm", "<u8"), ("omega", "<u4"), ("gsum", "<f8")])
+# (parent, prime) pairs expanded at once; bounds the frontier's temporaries
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,14 +94,16 @@ def enumerate_monoid(
     if _use_sieve(system, X, method, budget):
         norm, omega, gsum = _sieve_table(X, g)
     else:
-        columns = _recursive_table(system, X, g, budget.max_elements)
+        columns = list(_frontier(system, X, g, budget.max_elements))
         order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
-        norm, omega, gsum = (c[order] for c in columns)
+        for k in range(3):  # one sorted copy alive at a time
+            columns[k] = columns[k][order]
+        norm, omega, gsum = columns
     return MonoidTable(system, X, norm, omega, gsum)
 
 
 def _use_sieve(system: PrimeSystem, X: int, method: str, budget: Budget) -> bool:
-    """Whether the sieve, not the recursion, builds the table; raises first
+    """Whether the sieve, not the frontier, builds the table; raises first
     if the arguments are invalid or the table exceeds the budget."""
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
@@ -142,64 +152,119 @@ def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 gsum[idx] += g_large[:j]
     if constant and gvals.size and gvals[0] != 0.0:
         # the sums g0 + g0 + ... in ascending order, as the other branch and
-        # the recursion add them; omega * g0 rounds differently for most g0
+        # the frontier add them; omega * g0 rounds differently for most g0
         steps = [0.0, *accumulate([float(gvals[0])] * int(omega.max()))]
         np.take(np.array(steps), omega, out=gsum)
     norm = np.arange(1, X + 1, dtype=np.uint64)
     return norm, omega[1:], gsum[1:]
 
 
-def _recursive_table(
+def _frontier(
     system: PrimeSystem, X: int, g, max_elements: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unsorted (norm, omega, gsum) columns of every element of norm <= X."""
-    entries = list_primes(system, X)
-    norms = [e.norm for e in entries]
-    gvals = [float(g.value(e)) for e in entries]
-    # typecodes whose itemsizes match uint64, uint32 and float64
-    out_n, out_o, out_g = array("Q", [1]), array("I", [0]), array("d", [0.0])
-    append_n, append_o, append_g = out_n.append, out_o.append, out_g.append
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Unsorted (norm, omega, gsum) columns of every element of norm <= X,
+    one omega-level at a time; g=None skips g and the gsum column."""
+    P = prime_norms(system, X)
+    G = None if g is None else g.values(P)
+    # the columns grow by doubling; levels are contiguous slices, level 0 is 1
+    cols = [np.empty(max(1024, 2 * P.size), dtype=np.int64)]
+    cols[0][0] = 1
+    if G is not None:
+        cols.append(np.empty(cols[0].size))
+        cols[1][0] = 0.0
+    # nxt: the index of the first prime each element of the level may take
+    nxt = np.zeros(1, dtype=np.intp)
+    start, stop = 0, 1  # the level: cols[k][start:stop]
+    sizes = [1]
+    while True:
+        # per parent, the primes p_i with i >= nxt and n * p_i <= X
+        count = P.searchsorted(X // cols[0][start:stop], "right")
+        count -= nxt
+        np.maximum(count, 0, out=count)
+        ends = np.cumsum(count)
+        total, pending = stop, int(ends[-1])  # pairs; each gives one child at least
+        if not pending:
+            break
+        _check_budget(total + pending, max_elements)
+        nxt_parts = []
+        a = int(ends.searchsorted(0, "right"))  # blocks start at a parent with pairs
+        while a < count.size:
+            base = int(ends[a - 1]) if a else 0
+            b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
+            children = _expand(P, G, X, [col[start + a:start + b] for col in cols],
+                               nxt[a:b], count[a:b])
+            nxt_parts.append(children.pop())
+            size = nxt_parts[-1].size
+            if total + size > cols[0].size:
+                cols = [_grow(col, total, total + size) for col in cols]
+            for col, child in zip(cols, children):
+                col[total:total + size] = child
+            total += size
+            pending -= int(ends[b - 1]) - base
+            _check_budget(total + pending, max_elements)
+            a = int(ends.searchsorted(ends[b - 1], "right"))
+        nxt = np.concatenate(nxt_parts)
+        start, stop = stop, total
+        sizes.append(stop - start)
+    norm = cols[0][:stop].view(np.uint64)
+    omega = np.repeat(np.arange(len(sizes), dtype=np.uint32), sizes)
+    return norm, omega, cols[1][:stop] if G is not None else None
 
-    def rec(i0: int, n: int, om: int, gs: float) -> None:
-        for i in range(i0, len(norms)):
-            ni = norms[i]
-            m = n * ni
-            if m > X:
-                break  # norms ascend, later primes only grow
-            gi = gvals[i] + gs
-            oi = om + 1
-            while m <= X:
-                if len(out_n) >= max_elements:
-                    raise BudgetExceeded(
-                        f"enumeration exceeds {max_elements} elements",
-                        predicted=len(out_n) + 1, cap=max_elements,
-                    )
-                append_n(m)
-                append_o(oi)
-                append_g(gi)
-                rec(i + 1, m, oi, gi)
-                m *= ni
 
-    rec(0, 1, 0, 0.0)
-    return (np.frombuffer(out_n, dtype=np.uint64), np.frombuffer(out_o, dtype=np.uint32),
-            np.frombuffer(out_g, dtype=np.float64))
+def _expand(P, G, X, parents, nxt, count) -> list[np.ndarray]:
+    """The children [norm, gsum, nxt] of a block of parents [norm, gsum]
+    (no gsum when G is None): n * p_i^e <= X, e >= 1, for the count[j]
+    primes i = nxt[j], nxt[j] + 1, ... of parent j."""
+    ends = np.cumsum(count)
+    i = np.repeat(nxt - (ends - count), count)
+    i += np.arange(i.size)
+    p = P[i]
+    cols = [np.repeat(parents[0], count) * p]
+    if G is not None:
+        # the float add of a depth-first walk: g(p_i) + the parent's gsum
+        cols.append(G[i] + np.repeat(parents[1], count))
+    cols.append(i + 1)
+    parts = []
+    while cols[0].size:  # every exponent shares omega, gsum and nxt
+        parts.append(cols)
+        more = cols[0] <= X // p
+        p = p[more]
+        cols = [col[more] for col in cols]
+        cols[0] *= p
+    return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _grow(col: np.ndarray, used: int, need: int) -> np.ndarray:
+    """A larger copy of col's first used entries, room for need at least."""
+    out = np.empty(max(need, 2 * col.size), dtype=col.dtype)
+    out[:used] = col[:used]
+    return out
+
+
+def _check_budget(at_least: int, max_elements: int) -> None:
+    """Raise when a lower bound on the element count exceeds the cap."""
+    if at_least > max_elements:
+        raise BudgetExceeded(
+            f"enumeration exceeds {max_elements} elements",
+            predicted=at_least, cap=max_elements,
+        )
 
 
 def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
     """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
 
     The integers answer with the closed form y. Any other system is
-    enumerated once at X, under the default budget, and answers from the
-    sorted norm column, which stays in memory (8 bytes per element) while
-    the counter lives. Results for y > X are not counts.
+    enumerated once at X, norms only and under the default budget, and
+    answers from the sorted norm column, which stays in memory (8 bytes per
+    element) while the counter lives. Results for y > X are not counts.
     """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
     if isinstance(system, Integers):
         return int
     _use_sieve(system, X, "auto", DEFAULT_BUDGET)  # the budget checks; False here
-    # only the norm column is kept and sorted
-    norm = np.sort(_recursive_table(system, X, Omega(), DEFAULT_BUDGET.max_elements)[0])
+    norm = _frontier(system, X, None, DEFAULT_BUDGET.max_elements)[0]
+    norm.sort()
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
 

@@ -16,6 +16,12 @@ from typing import Any, Iterable, Sequence
 
 def fmt(value: Any) -> str:
     """Canonical text form for one CSV cell."""
+    # exact types first: bool and NumPy scalars take the isinstance chain
+    kind = type(value)
+    if kind is int or kind is str:
+        return str(value)
+    if kind is float and math.isfinite(value):
+        return "%.12g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

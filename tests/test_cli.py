@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from monoidldp.additive import Omega
 from monoidldp.cli import main
 from monoidldp.monoid import enumerate_monoid, read_table_cache
+from monoidldp.reportio import fmt
 from monoidldp.systems import Integers
 
 
@@ -269,3 +271,16 @@ def test_dash_value_binds_like_equals_spelling(tmp_path, option, value, argv):
 def test_option_string_is_not_taken_as_a_value(tmp_path):
     assert main(["rate", "--grid", "--format", "json", "--out", str(tmp_path)]) == 64
     assert main(["rate", "--grid", "-h"]) == 64
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (-7, "-7"), (10**30, "1" + "0" * 30), ("abc", "abc"), (0.1, "0.1"),
+    (1e300, "1e+300"), (5e-324, "4.94065645841e-324"), (-0.0, "-0"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (True, "true"), (False, "false"), (Fraction(-1, 3), "-1/3"),
+    (np.int64(5), "5"), (np.uint32(7), "7"), (np.float64(0.1), "0.1"),
+    (np.float64(-math.inf), "-inf"), (np.bool_(True), "True"),
+])
+def test_fmt_cells(value, text):
+    # exact int, str and finite float take fmt's fast path; the rest do not
+    assert fmt(value) == text

@@ -1,12 +1,12 @@
-"""Monoid enumeration: sieve vs recursion, brute-force oracle, cache format."""
+"""Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle, cache format."""
 import math
-from array import array
 from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoidldp import monoid
 from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.cli import main
 from monoidldp.errors import (
@@ -158,6 +158,12 @@ def test_sieve_never_evaluates_g_per_prime():
                              enumerate_monoid(Integers(), 10**5, g))
 
 
+def test_frontier_never_evaluates_g_per_prime():
+    g = SIEVE_GS["residue-3-2"]
+    _assert_tables_equal(enumerate_monoid(QuadraticField(-4), 10**4, _ArrayOnlyG(g)),
+                         enumerate_monoid(QuadraticField(-4), 10**4, g))
+
+
 def test_sieve_matches_recursion_with_residue_g():
     g = NormResidue(4, frozenset({1, 3}), 1.0, 2.0)
     a = enumerate_monoid(Integers(), 5000, g, method="sieve")
@@ -181,10 +187,93 @@ def test_poly_table_small():
     assert sorted(t.omega.tolist()) == [0] + [1] * 9 + [2] * 5
 
 
-def test_recursion_columns_match_table_dtypes():
-    # _recursive_table appends to array.array columns and reads them with np.frombuffer
-    for code, dtype in (("Q", np.uint64), ("I", np.uint32), ("d", np.float64)):
-        assert array(code).itemsize == np.dtype(dtype).itemsize
+def test_table_column_dtypes():
+    for system, method in ((Integers(), "sieve"), (Integers(), "recursive"),
+                           (QuadraticField(-4), "auto")):
+        for X in (1, 1000):
+            t = enumerate_monoid(system, X, Omega(), method=method)
+            assert (t.norm.dtype, t.omega.dtype, t.gsum.dtype) == (
+                np.uint64, np.uint32, np.float64)
+
+
+def _reference_table(system, X, g):
+    """The depth-first recursion the frontier replaced, kept as its oracle:
+    lexsorted (norm, omega, gsum) columns, g evaluated one prime at a time."""
+    entries = list_primes(system, X)
+    norms = [e.norm for e in entries]
+    gvals = [float(g.value(e)) for e in entries]
+    rows = [(1, 0, 0.0)]
+
+    def rec(i0, n, om, gs):
+        for i in range(i0, len(norms)):
+            m = n * norms[i]
+            if m > X:
+                break
+            gi = gvals[i] + gs
+            while m <= X:
+                rows.append((m, om + 1, gi))
+                rec(i + 1, m, om + 1, gi)
+                m *= norms[i]
+
+    rec(0, 1, 0, 0.0)
+    norm, omega, gsum = (np.array(col, dtype=dtype)
+                         for col, dtype in zip(zip(*rows), (np.uint64, np.uint32, np.float64)))
+    order = np.lexsort((gsum, omega, norm))
+    return norm[order], omega[order], gsum[order]
+
+
+ORACLE_SYSTEMS = [
+    Integers(), QuadraticField(-4), QuadraticField(5), QuadraticField(-3), PolyOverFq(2),
+    PolyOverFq(3), Beurling((2, 3, 3, 5, 7, 7)),
+]
+
+
+@pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=lambda s: s.key)
+def test_frontier_matches_reference_recursion(system):
+    for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
+        for name in ("omega", "residue-3-2", "table", "zero"):
+            t = enumerate_monoid(system, X, SIEVE_GS[name], method="recursive")
+            for got, want in zip((t.norm, t.omega, t.gsum),
+                                 _reference_table(system, X, SIEVE_GS[name])):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (X, name)
+
+
+@pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(3)], ids=lambda s: s.key)
+def test_frontier_is_independent_of_block_size(monkeypatch, system):
+    X, g = 5000, SIEVE_GS["residue-3-2"]
+    want = enumerate_monoid(system, X, g)
+    count = element_counter(system, X)
+    want_counts = [count(y) for y in range(1, X + 1)]
+    # 1 pair: one parent per block; 7: blocks split parents' pair ranges unevenly
+    for block in (1, 7):
+        monkeypatch.setattr(monoid, "_BLOCK_PAIRS", block)
+        got = enumerate_monoid(system, X, g)
+        for a, b in ((got.norm, want.norm), (got.omega, want.omega), (got.gsum, want.gsum)):
+            assert a.tobytes() == b.tobytes()
+        count = element_counter(system, X)
+        assert [count(y) for y in range(1, X + 1)] == want_counts
+
+
+@pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))],
+                         ids=lambda s: s.key)
+def test_budget_boundary_is_exact(monkeypatch, system):
+    # an error exactly when the element count exceeds the cap, at every cap
+    X = 400
+    total = enumerate_monoid(system, X, Omega()).count
+    for cap in range(1, total + 2):
+        budget = Budget(max_elements=cap)
+        monkeypatch.setattr(monoid, "DEFAULT_BUDGET", budget)
+        if cap >= total:
+            assert enumerate_monoid(system, X, Omega(), budget=budget).count == total
+            assert element_counter(system, X)(X) == total
+            continue
+        for build in (lambda: enumerate_monoid(system, X, Omega(), budget=budget),
+                      lambda: element_counter(system, X)):
+            with pytest.raises(BudgetExceeded) as err:
+                build()
+            assert err.value.cap == cap
+            assert cap < err.value.predicted <= total
 
 
 def _gaussian_lattice_count(X):
@@ -332,6 +421,7 @@ def test_beurling_enumeration_against_brute_force(norms, X):
     sys_ = Beurling(tuple(norms))
     g = type("G", (), {
         "key": "test", "value": staticmethod(lambda e: float(e.norm % 3)),
+        "values": staticmethod(lambda norms: (norms % 3).astype(np.float64)),
     })()
     t = enumerate_monoid(sys_, X, g)
     got = sorted(
