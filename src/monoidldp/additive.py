@@ -10,9 +10,10 @@ supported on [0, inf)):
   NormResidue(m,R,..)  g(p) = value_in when N(p) mod m lands in R, else value_out
   TableLookup          explicit norm -> value map with a default
 
-Each rule gives g(p) one prime at a time (value) and for a whole array of
-norms at once (values); the two agree bit for bit. The integer sieve calls
-only values, so no Python runs per prime there.
+Each rule reads only a prime's norm, and g has one evaluation path:
+values(norms), a float64 array of g over an array of prime norms. The
+enumeration, rho_X, tail_mass and the B-side MGFs all call it once over
+prime_norms (or B's norms), so no Python runs per prime to evaluate g.
 
 The empirical measure rho_X puts mass proportional to 1/N(p) on each value
 g(p) over norms <= X, normalized by the Mertens sum. Weights are accumulated
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptySystem, ParameterError
-from .systems import PrimeEntry, PrimeSystem, list_primes
+from .systems import PrimeSystem, prime_norms
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,6 @@ class Omega:
     @property
     def key(self) -> str:
         return "omega"
-
-    def value(self, entry: PrimeEntry) -> float:
-        return 1.0
 
     def values(self, norms: np.ndarray) -> np.ndarray:
         return np.ones(len(norms))
@@ -65,9 +63,6 @@ class NormResidue:
         rs = ",".join(str(r) for r in sorted(self.residues))
         return f"residue:{self.modulus}:{rs}:{self.value_in:.12g}:{self.value_out:.12g}"
 
-    def value(self, entry: PrimeEntry) -> float:
-        return self.value_in if entry.norm % self.modulus in self.residues else self.value_out
-
     def values(self, norms: np.ndarray) -> np.ndarray:
         inside = np.isin(norms % self.modulus, sorted(self.residues))
         return np.where(inside, float(self.value_in), float(self.value_out))
@@ -88,7 +83,6 @@ class TableLookup:
             first.setdefault(n, v)  # the first entry for a norm wins
         # values() searches the keys a norm can equal: integers below 2^63
         keys = sorted(n for n in first if n == int(n) < 2**63)
-        object.__setattr__(self, "_first", first)
         object.__setattr__(self, "_keys", np.array([int(n) for n in keys], dtype=np.int64))
         object.__setattr__(self, "_vals", np.array([float(first[n]) for n in keys]))
 
@@ -96,9 +90,6 @@ class TableLookup:
     def key(self) -> str:
         body = ",".join(f"{n}={v:.12g}" for n, v in self.table)
         return f"table:{body}:default={self.default:.12g}"
-
-    def value(self, entry: PrimeEntry) -> float:
-        return self._first.get(entry.norm, self.default)
 
     def values(self, norms: np.ndarray) -> np.ndarray:
         out = np.full(len(norms), float(self.default))
@@ -185,12 +176,12 @@ def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> EmpiricalMeasure:
     primes attaining y, normalized by the full Mertens sum. Exact rational
     until the final float conversion.
     """
-    entries = list_primes(system, X)
-    if not entries:
+    norms = prime_norms(system, X)
+    if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
     groups: dict[float, list[tuple[int, int]]] = {}
-    for e in entries:
-        groups.setdefault(g.value(e), []).append((1, e.norm))
+    for y, n in zip(g.values(norms).tolist(), norms.tolist()):
+        groups.setdefault(y, []).append((1, n))
     group_sums = {y: _tree_sum(ps) for y, ps in groups.items()}
     tot_n, tot_d = _tree_sum(list(group_sums.values()))
     atoms = []

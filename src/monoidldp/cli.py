@@ -299,9 +299,11 @@ def _run_mertens(a: dict) -> Report:
 
 def _run_expect(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
-    entries = list_primes(system, X)
+    norms = [int(n) for n in a["primes"]]
+    # by prefix stability, the primes up to the largest norm asked suffice
+    entries = list_primes(system, min(X, max([1, *norms])))
     selected = []
-    for n in (int(n) for n in a["primes"]):
+    for n in norms:
         match = next((e for e in entries if e.norm == n and e not in selected), None)
         if match is None:
             raise ParameterError(f"no unused prime of norm {n} in {system.key} up to {X}")

@@ -28,7 +28,7 @@ class BudgetExceeded(MonoidLdpError):
         self.cap = cap
 
 
-class DegenerateGrid(MonoidLdpError):
+class DegenerateGrid(ParameterError):
     """Evaluation grid too small or not strictly increasing."""
 
 

@@ -11,12 +11,13 @@ are those of the form m * prod p_i with N(m) below the floored threshold.
 The Y-product expectation is 1 / prod N(p_i). Their ratio is bounded by a
 constant M, observed here by exhaustive tuple search.
 
-Truncation splits the primes of norm <= X at k_X = X^(1/(log log X)^2):
-B holds the small norms (N(p) <= k_X, |g(p)| <= C), A the large ones, T the
-primes with |g(p)| > C. Over B both moment generating functions are cheap
-to compute exactly, and their gap is the quantity that the coupling argument
-drives to zero as X grows; tail_mass is the corresponding T-side integral
-against the empirical measure rho_X.
+Truncation keeps one set of primes: B, those with N(p) <= k_X =
+X^(1/(log log X)^2) and |g(p)| <= C. Only B is built, as labelled entries
+from the primes up to k_X; the large primes and those with |g(p)| > C are
+never listed. Over B both moment generating functions are cheap to compute
+exactly, and their gap is the quantity that the coupling argument drives to
+zero as X grows; tail_mass is the integral over |g(p)| > C against the
+empirical measure rho_X, read from prime_norms and g.values.
 
 The Z-side MGF needs no table of elements. For S a set of primes of B with
 N(S) = prod N(p) <= X, d_S = count(floor(X / N(S))) elements are divisible
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .additive import AdditiveFunction, moment_overflow
 from .errors import (
     BudgetExceeded,
@@ -42,7 +45,7 @@ from .errors import (
     PrimeNotInSystem,
 )
 from .monoid import element_counter
-from .systems import PrimeEntry, PrimeSystem, list_primes
+from .systems import PrimeEntry, PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -60,7 +63,9 @@ class ExactExpectation:
 def _check_membership(system: PrimeSystem, X: int, primes: Sequence[PrimeEntry]) -> None:
     if len(set(primes)) != len(primes):
         raise ParameterError("prime tuple entries must be distinct")
-    entries = list_primes(system, X)  # sorted by (norm, label), as PrimeEntry orders
+    # by prefix stability, the primes up to the largest norm asked suffice
+    top = max([1, *(p.norm for p in primes)])
+    entries = list_primes(system, min(X, top))  # sorted as PrimeEntry orders
     for p in primes:
         i = bisect.bisect_left(entries, p)
         if i == len(entries) or entries[i] != p:
@@ -143,9 +148,7 @@ class TruncationSets:
     X: int
     C: float
     k_X: float
-    A: tuple[PrimeEntry, ...]
     B: tuple[PrimeEntry, ...]
-    T: tuple[PrimeEntry, ...]
 
 
 def truncation_threshold(X: int) -> float:
@@ -158,27 +161,28 @@ def truncation_threshold(X: int) -> float:
 def truncation_sets(
     system: PrimeSystem, g: AdditiveFunction, X: int, C: float
 ) -> TruncationSets:
-    """Classify primes of norm <= X into A (large), B (small), T (big |g|).
+    """B: the primes with N(p) <= k_X and |g(p)| <= C, in list_primes order.
 
     The boundary N(p) = k_X belongs to B, so the B-side MGF comparison
     includes the boundary prime; any fixed rule works, this one is pinned
-    for determinism.
+    for determinism. Norms are integers, so these are the primes up to
+    floor(k_X), a prefix of the primes up to X.
     """
     k_X = truncation_threshold(X)
-    A, B, T = [], [], []
-    for e in list_primes(system, X):
-        if abs(g.value(e)) > C:
-            T.append(e)
-        elif e.norm <= k_X:
-            B.append(e)
-        else:
-            A.append(e)
-    return TruncationSets(X, C, k_X, tuple(A), tuple(B), tuple(T))
+    entries = list_primes(system, math.floor(k_X))
+    big = (np.abs(_g_values(g, entries)) > C).tolist()
+    return TruncationSets(X, C, k_X, tuple(e for e, b in zip(entries, big) if not b))
+
+
+def _g_values(g: AdditiveFunction, subset: Sequence[PrimeEntry]) -> np.ndarray:
+    """g.values over the norms of the subset, in its order."""
+    return g.values(np.array([e.norm for e in subset], dtype=np.int64))
 
 
 def log_mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> float:
     """log E[exp(theta sum g(p) Y_p)] = sum log(1 + (e^(theta g(p)) - 1)/N(p))."""
-    return math.fsum(_log_bernoulli_mgf(theta * g.value(e), e.norm) for e in subset)
+    return math.fsum(_log_bernoulli_mgf(theta * y, e.norm)
+                     for y, e in zip(_g_values(g, subset).tolist(), subset))
 
 
 def _log_bernoulli_mgf(t: float, N: int) -> float:
@@ -209,8 +213,7 @@ def _support_counts(
     adds g over S in the subset's ascending order, as a table's gsum would."""
     count = element_counter(system, X)
     sets = {0: (1, 0.0)}  # bitmask over subset indices -> (N(S), g_S)
-    for i, p in enumerate(subset):
-        gp = float(g.value(p))
+    for i, (p, gp) in enumerate(zip(subset, _g_values(g, subset).tolist())):
         for mask, (n, gs) in list(sets.items()):
             if n * p.norm <= X:
                 sets[mask | 1 << i] = (n * p.norm, gp + gs)
@@ -291,11 +294,13 @@ def tail_mass(
     """Integral of (e^(theta y) - 1) over y > C against rho_X."""
     if theta < 0:
         raise ParameterError(f"tail_mass needs theta >= 0, got {theta}")
-    entries = list_primes(system, X)
-    if not entries:
+    norms = prime_norms(system, X)
+    if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")
-    den = math.fsum(1.0 / e.norm for e in entries)
-    tail = [(y, e.norm) for y, e in ((g.value(e), e) for e in entries) if y > C]
+    den = math.fsum((1.0 / norms).tolist())
+    vals = g.values(norms)
+    big = vals > C
+    tail = list(zip(vals[big].tolist(), norms[big].tolist()))
     try:
         num = math.fsum(math.expm1(theta * y) / n for y, n in tail)
     except OverflowError:

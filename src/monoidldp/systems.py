@@ -1,11 +1,20 @@
 """Prime systems: generators of prime norms satisfying the counting axioms.
 
 A prime system produces, for any threshold X, the complete finite multiset
-of primes of norm <= X, each a (norm, label) pair with norm >= 2. Labels are
-unique within a system; norms may repeat (distinct primes of equal norm are
-distinct generators of the monoid). Output is sorted by (norm, label) and is
-a pure function of (system, X), so prefixes are stable: restricting the list
-for X to norms <= X' reproduces the list for X'.
+of primes of norm <= X, each of norm >= 2. Norms may repeat (distinct primes
+of equal norm are distinct generators of the monoid). Every computation
+reads the primes as prime_norms(system, X): an int64 array, ascending, with
+multiplicity, built without labels. list_primes gives the same primes as
+(norm, label) pairs, labels unique within a system, sorted by (norm, label);
+only reports that print primes (primes, expect, the dominate witness) and
+truncation's small set B build them. Both are pure functions of (system, X),
+so prefixes are stable: restricting the primes for X to norms <= X'
+reproduces the primes for X'.
+
+Neither is cached. The one cache is primes_upto's, the rational primes up
+to X, which the integers and the quadratic fields both read; on a
+quadratic field the Kronecker symbol is computed for all those primes at
+once, in NumPy, not per prime.
 
 Four systems are provided:
 
@@ -45,8 +54,11 @@ class Integers:
     def key(self) -> str:
         return "integers"
 
+    def _norms(self, X: int) -> np.ndarray:
+        return primes_upto(X)
+
     def _entries(self, X: int) -> list[PrimeEntry]:
-        return [PrimeEntry(int(p), str(int(p))) for p in primes_upto(X)]
+        return [PrimeEntry(p, str(p)) for p in primes_upto(X).tolist()]
 
 
 @dataclass(frozen=True)
@@ -63,15 +75,22 @@ class PolyOverFq:
     def key(self) -> str:
         return f"poly:{self.q}"
 
-    def _entries(self, X: int) -> list[PrimeEntry]:
-        out = []
+    def _degrees(self, X: int):
+        """(degree, norm q^degree) for every degree with q^degree <= X."""
         d, norm = 1, self.q
         while norm <= X:
-            labels = monic_labels(self.q, d, irreducible_indices(self.q, d))
-            out.extend(PrimeEntry(norm, label) for label in labels)
+            yield d, norm
             d += 1
             norm *= self.q
-        return out
+
+    def _norms(self, X: int) -> np.ndarray:
+        parts = [np.full(len(irreducible_indices(self.q, d)), norm, dtype=np.int64)
+                 for d, norm in self._degrees(X)]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    def _entries(self, X: int) -> list[PrimeEntry]:
+        return [PrimeEntry(norm, label) for d, norm in self._degrees(X)
+                for label in monic_labels(self.q, d, irreducible_indices(self.q, d))]
 
 
 @dataclass(frozen=True)
@@ -88,11 +107,19 @@ class QuadraticField:
     def key(self) -> str:
         return f"quad:{self.D}"
 
+    def _norms(self, X: int) -> np.ndarray:
+        p = primes_upto(X)
+        chi = _kronecker(self.D, p)
+        split = p[chi == 1]
+        # an inert prime ideal (p) has norm p^2
+        inert = p[chi == -1]
+        inert = inert[: inert.searchsorted(math.isqrt(X), "right")]
+        return np.sort(np.concatenate([split, split, p[chi == 0], inert * inert]))
+
     def _entries(self, X: int) -> list[PrimeEntry]:
         out = []
-        for p in primes_upto(X):
-            p = int(p)
-            chi = kronecker_at_prime(self.D, p)
+        primes = primes_upto(X)
+        for p, chi in zip(primes.tolist(), _kronecker(self.D, primes).tolist()):
             if chi == 1:
                 out.append(PrimeEntry(p, f"({p},s1)"))
                 out.append(PrimeEntry(p, f"({p},s2)"))
@@ -141,6 +168,9 @@ class Beurling:
     @property
     def key(self) -> str:
         return f"beurling:{self.source}"
+
+    def _norms(self, X: int) -> np.ndarray:
+        return np.sort(np.array([n for n in self.norms if n <= X], dtype=np.int64))
 
     def _entries(self, X: int) -> list[PrimeEntry]:
         return [
@@ -200,7 +230,26 @@ def kronecker_at_prime(D: int, p: int) -> int:
     return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
 
 
-@functools.lru_cache(maxsize=64)
+def _kronecker(D: int, p: np.ndarray) -> np.ndarray:
+    """kronecker_at_prime(D, p) for an int64 array of rational primes.
+
+    Odd p use Euler's criterion, r^((p-1)/2) mod p by square-and-multiply
+    in int64; every product is below p^2, so this is exact while
+    p^2 < 2^63. p = 2 is left to kronecker_at_prime.
+    """
+    r = D % p
+    result = np.ones_like(p)
+    base, e = r, (p - 1) // 2
+    while e.any():
+        result = np.where(e & 1, result * base % p, result)
+        base = base * base % p
+        e >>= 1
+    chi = np.where(result == 1, 1, -1)
+    chi[r == 0] = 0
+    chi[p == 2] = kronecker_at_prime(D, 2)
+    return chi
+
+
 def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
     """All primes of the system with norm <= X, sorted by (norm, label)."""
     if X < 1:
@@ -300,14 +349,14 @@ def _is_power_of(x: int, q: int) -> bool:
 
 
 def prime_norms(system: PrimeSystem, X: int) -> np.ndarray:
-    """Norms of the primes of norm <= X, with multiplicity, ascending.
+    """Norms of the primes of norm <= X, int64, ascending, with multiplicity.
 
-    On the integers this is the sieve's cached array, which callers must
-    not mutate; no PrimeEntry is built.
+    No label is built. On the integers this is the sieve's cached array,
+    which callers must not mutate.
     """
-    if isinstance(system, Integers):
-        return primes_upto(X)
-    return np.array([e.norm for e in list_primes(system, X)], dtype=np.int64)
+    if X < 1:
+        raise ParameterError(f"X must be >= 1, got {X}")
+    return system._norms(X)
 
 
 def prime_count_check(system: PrimeSystem, X: int) -> float:

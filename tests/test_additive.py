@@ -16,19 +16,19 @@ from monoidldp.additive import (
     rho_X,
 )
 from monoidldp.errors import EmptySystem, ParameterError
-from monoidldp.systems import Beurling, Integers, PolyOverFq, list_primes
+from monoidldp.systems import Beurling, Integers, PolyOverFq, list_primes, prime_norms
 
 
 def test_omega_rule():
     g = Omega()
     assert g.key == "omega"
-    for e in list_primes(Integers(), 50):
-        assert g.value(e) == 1.0
+    assert g.values(prime_norms(Integers(), 50)).tolist() == [1.0] * 15
 
 
 def test_norm_residue_rule():
     g = NormResidue(4, frozenset({1}), 1.0, 0.0)
-    vals = {e.norm: g.value(e) for e in list_primes(Integers(), 30)}
+    norms = prime_norms(Integers(), 30)
+    vals = dict(zip(norms.tolist(), g.values(norms).tolist()))
     assert vals == {2: 0.0, 3: 0.0, 5: 1.0, 7: 0.0, 11: 0.0, 13: 1.0,
                     17: 1.0, 19: 0.0, 23: 0.0, 29: 1.0}
     assert g.key == "residue:4:1:1:0"
@@ -50,7 +50,7 @@ def test_norm_residue_validation():
 
 def test_table_lookup_rule():
     g = TableLookup(((2, 3.0), (5, 0.25)), default=1.0)
-    vals = [g.value(e) for e in list_primes(Integers(), 11)]
+    vals = g.values(prime_norms(Integers(), 11)).tolist()
     assert vals == [3.0, 1.0, 0.25, 1.0, 1.0]
     assert g.key == "table:2=3,5=0.25:default=1"
 
@@ -58,7 +58,7 @@ def test_table_lookup_rule():
 def test_table_lookup_first_entry_wins():
     # a tuple table may name a norm twice; the first entry is the one that counts
     g = TableLookup(((7, 0.5), (3, 1.5), (7, 2.0), (3, 0.0)), default=0.25)
-    vals = [g.value(e) for e in list_primes(Integers(), 11)]
+    vals = g.values(prime_norms(Integers(), 11)).tolist()
     assert vals == [0.25, 1.5, 0.25, 0.5, 0.25]
     assert g.values(np.array([2, 3, 5, 7, 11, 13])).tolist() == [0.25, 1.5, 0.25, 0.5, 0.25, 0.25]
 

@@ -75,6 +75,27 @@ def test_parameter_and_source_errors_exit_65(tmp_path):
     for system in ("integers", "quad:-4"):
         assert main(["density", "--system", system, "--grid", "0,1,2,3",
                      "--out", str(tmp_path)]) == 65
+    # degenerate grids: too few thresholds, or too few powers of q
+    assert main(["density", "--grid", "1,2,3", "--out", str(tmp_path)]) == 65
+    assert main(["sweep", "--grid", "3,4,5", "--out", str(tmp_path)]) == 65
+    assert main(["density", "--system", "poly:3", "--grid", "3,9,10,27,28",
+                 "--out", str(tmp_path)]) == 65
+
+
+def test_expect_looks_primes_up_by_norm(tmp_path, capsys):
+    # a norm above X has no prime, whatever the norms below it
+    assert main(["expect", "--system", "integers", "--limit", "10",
+                 "--primes", "2,13", "--out", str(tmp_path)]) == 65
+    assert ("error: no unused prime of norm 13 in integers up to 10"
+            in capsys.readouterr().err)
+    # a repeated split norm takes the next unused prime of that norm
+    assert main(["expect", "--system", "quad:-4", "--limit", "100",
+                 "--primes", "5,5", "--out", str(tmp_path)]) == 0
+    assert "primes=(5,s1)*(5,s2)" in capsys.readouterr().out
+    assert main(["expect", "--system", "quad:-4", "--limit", "100",
+                 "--primes", "5,5,5", "--out", str(tmp_path)]) == 65
+    assert ("error: no unused prime of norm 5 in quad:-4 up to 100"
+            in capsys.readouterr().err)
 
 
 def test_bad_configs_exit_65(tmp_path):

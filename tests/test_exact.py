@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidldp import monoid
-from monoidldp.additive import NormResidue, Omega, TableLookup
+from monoidldp import exact, monoid, systems
+from monoidldp.additive import NormResidue, Omega, TableLookup, rho_X
 from monoidldp.errors import (
     BudgetExceeded,
     EmptySystem,
@@ -40,6 +40,11 @@ from monoidldp.systems import (
     count_elements,
     list_primes,
 )
+
+
+def _g_at(g, e):
+    """g at the prime entry e."""
+    return float(g.values(np.array([e.norm]))[0])
 
 
 def _iprimes(X, *norms):
@@ -83,6 +88,9 @@ def test_expect_distinctness_and_membership():
     assert PrimeEntry(5, "(5,s2)") in list_primes(QuadraticField(-4), 10)
     with pytest.raises(PrimeNotInSystem):
         expect_Z(QuadraticField(-4), 10, [PrimeEntry(5, "(5,s3)")])
+    # a norm above X is not looked up past X
+    with pytest.raises(PrimeNotInSystem, match="norm <= 100"):
+        expect_Z(Integers(), 100, [PrimeEntry(101, "101")])
     with pytest.raises(ParameterError):
         expect_Z(Integers(), 0, [])
 
@@ -144,12 +152,38 @@ def test_truncation_threshold():
 def test_truncation_sets_split():
     ts = truncation_sets(Integers(), Omega(), 100, 5.0)
     assert [e.norm for e in ts.B] == [2, 3, 5, 7]
-    assert len(ts.A) == 21
-    assert ts.T == ()
-    # a cap below every prime value pushes everything into T
+    # a cap below every prime value leaves B empty
     ts_low = truncation_sets(Integers(), Omega(), 100, 0.5)
-    assert ts_low.A == ts_low.B == ()
-    assert len(ts_low.T) == 25
+    assert ts_low.B == ()
+
+
+@pytest.mark.parametrize("system,X,C", [
+    (Integers(), 10**4, 0.5),
+    (QuadraticField(-4), 10**5, 5.0),
+    (PolyOverFq(2), 2**12, 1.0),
+    (Beurling((2, 3, 3, 5, 7, 7, 11)), 100, 1.0),
+], ids=lambda v: getattr(v, "key", str(v)))
+def test_truncation_b_is_the_small_norms_of_the_full_list(system, X, C):
+    g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
+    ts = truncation_sets(system, g, X, C)
+    entries = list_primes(system, X)
+    assert ts.B == tuple(e for e in entries if e.norm <= ts.k_X and abs(_g_at(g, e)) <= C)
+    assert ts.B
+
+
+def test_gap_components_lists_primes_only_up_to_k_x(monkeypatch):
+    X, real = 10**5, systems.list_primes
+    calls = []
+
+    def spy(system, limit):
+        calls.append(limit)
+        return real(system, limit)
+
+    expected = gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0)
+    monkeypatch.setattr(exact, "list_primes", spy)
+    monkeypatch.setattr(systems, "list_primes", spy)
+    assert gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0) == expected
+    assert calls and max(calls) <= math.floor(truncation_threshold(X))
 
 
 def test_mgf_y_closed_form():
@@ -179,7 +213,7 @@ def test_mgf_z_against_elementwise_scan():
     assert got == pytest.approx(4.643404184909107, rel=1e-12)
 
     g = NormResidue(4, frozenset({1}), 1.0, 0.25)
-    vals = [(e.norm, g.value(e)) for e in B]
+    vals = [(e.norm, _g_at(g, e)) for e in B]
     assert mgf_Z(Integers(), 100, B, g, 0.7) == pytest.approx(
         _brute_mgf_z_integers(100, vals, 0.7), rel=1e-12)
 
@@ -209,7 +243,7 @@ def _table_log_mgf_z(system, X, subset, g, theta):
     """The table oracle: log of the mean of exp(theta * gsum) over every
     element, g being kept on the subset's norms (a union of norm classes)
     and zero elsewhere."""
-    restricted = TableLookup({e.norm: g.value(e) for e in subset})
+    restricted = TableLookup({e.norm: _g_at(g, e) for e in subset})
     w = theta * monoid.enumerate_monoid(system, X, restricted).gsum
     peak = float(w.max())
     return peak + math.log(float(np.exp(w - peak).sum())) - math.log(w.size)
@@ -233,7 +267,7 @@ MGF_CASES = [pytest.param(*case, id=case[0].key) for case in MGF_SYSTEMS]
 @pytest.mark.parametrize("C", [1.0, 5.0])
 def test_mgf_z_matches_table_oracle(system, X, bound, C):
     g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
-    subset = [e for e in list_primes(system, X) if e.norm <= bound and g.value(e) <= C]
+    subset = [e for e in list_primes(system, X) if e.norm <= bound and _g_at(g, e) <= C]
     assert len(subset) >= 2
     for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
         want = _table_log_mgf_z(system, X, subset, g, theta)
@@ -311,6 +345,17 @@ def test_tail_mass():
         tail_mass(Integers(), Omega(), 10, 0.5, -1.0)
     with pytest.raises(EmptySystem):
         tail_mass(Integers(), Omega(), 1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
+                                    Beurling((2, 3))], ids=lambda s: s.key)
+def test_rho_x_and_tail_mass_below_one_and_at_one(system):
+    for f in (lambda X: rho_X(system, Omega(), X),
+              lambda X: tail_mass(system, Omega(), X, 0.5, 1.0)):
+        with pytest.raises(ParameterError):
+            f(0)
+        with pytest.raises(EmptySystem):
+            f(1)
 
 
 @given(st.integers(20, 400), st.floats(0.0, 3.0, allow_nan=False))

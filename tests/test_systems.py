@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoidldp import gfpoly, systems
+from monoidldp.additive import NormResidue, rho_X
 from monoidldp.errors import DegenerateGrid, ParameterError, SourceError
+from monoidldp.exact import tail_mass
+from monoidldp.gfpoly import SUPPORTED_Q
+from monoidldp.monoid import element_counter, enumerate_monoid
 from monoidldp.systems import (
     Beurling,
     Integers,
     PolyOverFq,
     QuadraticField,
+    _is_fundamental_discriminant,
+    _kronecker,
     count_elements,
     density_fit,
     kronecker_at_prime,
@@ -205,6 +212,8 @@ def test_density_beurling_222_fails():
 
 
 def test_density_grid_validation():
+    # a degenerate grid is an unsupported parameter, exit 65 in the CLI
+    assert issubclass(DegenerateGrid, ParameterError)
     with pytest.raises(DegenerateGrid):
         density_fit(Integers(), [10, 100, 1000])
     with pytest.raises(DegenerateGrid):
@@ -230,3 +239,67 @@ def test_list_primes_sorted_and_immutable():
     entries = list_primes(Integers(), 100)
     assert list(entries) == sorted(entries)
     assert isinstance(entries, tuple)
+
+
+ALL_FUNDAMENTAL = [D for D in range(-100, 101) if _is_fundamental_discriminant(D)]
+
+
+def test_array_kronecker_matches_the_scalar_symbol():
+    assert len(ALL_FUNDAMENTAL) == 61 and set(FUNDAMENTAL) <= set(ALL_FUNDAMENTAL)
+    primes = primes_upto(10**5)
+    for D in ALL_FUNDAMENTAL:
+        chi = _kronecker(D, primes)
+        assert chi.tolist() == [kronecker_at_prime(D, p) for p in primes.tolist()], D
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
+                                    Beurling((2, 3))], ids=lambda s: s.key)
+@pytest.mark.parametrize("X", [0, -1])
+def test_prime_norms_rejects_x_below_one(system, X):
+    with pytest.raises(ParameterError):
+        prime_norms(system, X)
+    with pytest.raises(ParameterError):
+        list_primes(system, X)
+
+
+SMALL_XS = (1, 2, 3, 4, 9, 10, 25, 26, 1000, 54321)
+NORM_CASES = (
+    [(Integers(), SMALL_XS), (Beurling((2, 3, 3, 5, 7, 7)), SMALL_XS)]
+    + [(QuadraticField(D), SMALL_XS) for D in ALL_FUNDAMENTAL]
+    # around every power of q up to 6561, where a new degree starts
+    + [(PolyOverFq(q), [x for k in range(1, 14) if q**k <= 6561 for x in (q**k - 1, q**k)])
+       for q in SUPPORTED_Q]
+)
+
+
+@pytest.mark.parametrize("system,grid", NORM_CASES, ids=[s.key for s, _ in NORM_CASES])
+def test_prime_norms_match_list_primes(system, grid):
+    for X in grid:
+        norms = prime_norms(system, X)
+        assert norms.dtype == np.int64
+        assert norms.tolist() == [e.norm for e in list_primes(system, X)], X
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a prime label was built")
+
+
+@pytest.mark.parametrize("system,X", [(QuadraticField(-4), 20000), (PolyOverFq(3), 3**8)],
+                         ids=lambda v: getattr(v, "key", str(v)))
+def test_computation_builds_no_labels(system, X, monkeypatch):
+    from monoidldp import exact
+
+    g = NormResidue(4, frozenset({1}), 2.0, 0.5)
+
+    def run():
+        t = enumerate_monoid(system, X, g)
+        return (t.norm.tolist(), t.omega.tolist(), t.gsum.tolist(),
+                element_counter(system, X)(X // 3), rho_X(system, g, X),
+                tail_mass(system, g, X, 1.0, 1.0), mertens_sum(system, X))
+
+    expected = run()
+    for module in (systems, exact):
+        monkeypatch.setattr(module, "list_primes", _refuse)
+    for module in (systems, gfpoly):
+        monkeypatch.setattr(module, "monic_labels", _refuse)
+    assert run() == expected
