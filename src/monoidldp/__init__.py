@@ -59,8 +59,6 @@ from .experiments import (
 )
 from .gfpoly import irreducible_indices, monic_label, necklace_count
 from .monoid import (
-    Budget,
-    DEFAULT_BUDGET,
     Histogram,
     MonoidTable,
     element_counter,

@@ -49,6 +49,8 @@ from .systems import PrimeEntry, PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
+# the domination search's cap on tuples examined
+_MAX_TUPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,7 @@ class DominationReport:
     tuples_examined: int
 
 
-def domination_report(
-    system: PrimeSystem, X: int, k_max: int, max_tuples: int = 10_000_000
-) -> DominationReport:
+def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationReport:
     """Largest observed expect_Z / expect_Y over distinct-prime tuples.
 
     Only tuples with norm product <= X are enumerated; larger products give
@@ -126,10 +126,10 @@ def domination_report(
             if p > X:
                 break  # norms ascend
             examined += 1
-            if examined > max_tuples:
+            if examined > _MAX_TUPLES:
                 raise BudgetExceeded(
-                    f"domination search exceeds {max_tuples} tuples",
-                    predicted=examined, cap=max_tuples,
+                    f"domination search exceeds {_MAX_TUPLES} tuples",
+                    predicted=examined, cap=_MAX_TUPLES,
                 )
             tup = picked + (entries[i],)
             # ratio = expect_Z / expect_Y = count(X // p) * p / count(X)

@@ -206,7 +206,7 @@ def condition_sweep(
         "unsupported": list(fit.unsupported),
     }
 
-    ratios = [[X, prime_count_check(system, X)] for X in X_list if X >= 3]
+    ratios = [[X, prime_count_check(system, X)] for X in X_list]
     max_ratio = max(r for _, r in ratios)
     prime_count = {
         "flag": "PASS" if max_ratio <= 2.0 else "WARN",
@@ -214,8 +214,8 @@ def condition_sweep(
         "max_ratio": max_ratio,
     }
 
-    msums = [[X, *mertens_sum(system, X)] for X in X_list if X >= 3]
-    dev_step = abs(msums[-1][2] - msums[-2][2]) if len(msums) >= 2 else 0.0
+    msums = [[X, *mertens_sum(system, X)] for X in X_list]
+    dev_step = abs(msums[-1][2] - msums[-2][2])  # density_fit needs >= 4 thresholds
     mertens = {
         "flag": "PASS" if dev_step < 0.05 else "WARN",
         "rows": msums,

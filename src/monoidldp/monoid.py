@@ -35,9 +35,12 @@ count(y) for every y <= X is a prefix length of the sorted norm column
 (element_counter, whose frontier builds no omega or gsum and evaluates no
 g), except on the integers, where count(y) = y.
 
-Budgets keep desk-scale runs honest: X <= 1e7 on the frontier, 1e8 on the
-integer sieve, at most 2e8 elements in memory. Partial products never
-overflow: they are bounded by X, which the budget keeps below 2^63.
+The system picks the path, the sieve for the integers and the frontier for
+every other system, and three constants cap it: X <= 1e7 on the frontier,
+X <= 1e8 on the sieve (the prime layer's cap), at most 2e8 elements in
+memory. The X caps are checked before anything is allocated, the element
+cap before each level as above. Partial products never overflow: they are
+bounded by X, which the caps keep below 2^63.
 """
 from __future__ import annotations
 
@@ -51,23 +54,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExceeded, NonIntegerStatistic, ParameterError, SourceError
-from .systems import Integers, PrimeSystem, prime_norms, primes_upto
+from .systems import _MAX_X_SIEVE, Integers, PrimeSystem, prime_norms, primes_upto
 
 CACHE_MAGIC = b"MLDP0001"
 CACHE_VERSION = 1
 _RECORD_DTYPE = np.dtype([("norm", "<u8"), ("omega", "<u4"), ("gsum", "<f8")])
 # (parent, prime) pairs expanded at once; bounds the frontier's temporaries
 _BLOCK_PAIRS = 1 << 16
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_elements: int = 200_000_000
-    max_x_recursive: int = 10_000_000
-    max_x_sieve: int = 100_000_000
-
-
-DEFAULT_BUDGET = Budget()
+# desk-scale caps: elements in memory, and X on the frontier; the sieve's
+# X cap, _MAX_X_SIEVE, is the prime layer's
+_MAX_ELEMENTS = 200_000_000
+_MAX_X_FRONTIER = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,48 +80,29 @@ class MonoidTable:
         return int(self.norm.size)
 
 
-def enumerate_monoid(
-    system: PrimeSystem,
-    X: int,
-    g,
-    method: str = "auto",
-    budget: Budget = DEFAULT_BUDGET,
-) -> MonoidTable:
-    """Complete table of monoid elements of norm <= X with g-statistics."""
-    if _use_sieve(system, X, method, budget):
+def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
+    """Complete table of monoid elements of norm <= X with g-statistics:
+    sieved on the integers, built by the frontier on every other system."""
+    _check_x(system, X)
+    if isinstance(system, Integers):
         norm, omega, gsum = _sieve_table(X, g)
     else:
-        columns = list(_frontier(system, X, g, budget.max_elements))
-        order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
-        for k in range(3):  # one sorted copy alive at a time
-            columns[k] = columns[k][order]
-        norm, omega, gsum = columns
+        norm, omega, gsum = _frontier_table(system, X, g)
     return MonoidTable(system, X, norm, omega, gsum)
 
 
-def _use_sieve(system: PrimeSystem, X: int, method: str, budget: Budget) -> bool:
-    """Whether the sieve, not the frontier, builds the table; raises first
-    if the arguments are invalid or the table exceeds the budget."""
+def _check_x(system: PrimeSystem, X: int) -> None:
+    """Raise, before anything is allocated, if X is invalid or over the cap
+    of the path that enumerates the system. The sieve's table has X
+    elements, so the element cap bounds it too."""
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
-    if method not in ("auto", "sieve", "recursive"):
-        raise ParameterError(f"method must be auto|sieve|recursive, got {method!r}")
-    use_sieve = isinstance(system, Integers) if method == "auto" else method == "sieve"
-    if use_sieve and not isinstance(system, Integers):
-        raise ParameterError("the sieve path applies to the Integers system only")
-    if use_sieve:
-        if X > budget.max_x_sieve or X > budget.max_elements:
-            raise BudgetExceeded(
-                f"sieve at X={X} exceeds budget", predicted=X,
-                cap=min(budget.max_x_sieve, budget.max_elements),
-            )
-        return True
-    if X > budget.max_x_recursive:
-        raise BudgetExceeded(
-            f"recursive enumeration at X={X} exceeds budget",
-            predicted=X, cap=budget.max_x_recursive,
-        )
-    return False
+    if isinstance(system, Integers):
+        path, cap = "sieve", min(_MAX_X_SIEVE, _MAX_ELEMENTS)
+    else:
+        path, cap = "frontier", _MAX_X_FRONTIER
+    if X > cap:
+        raise BudgetExceeded(f"{path} at X={X} exceeds budget", predicted=X, cap=cap)
 
 
 def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,9 +137,16 @@ def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return norm, omega[1:], gsum[1:]
 
 
-def _frontier(
-    system: PrimeSystem, X: int, g, max_elements: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _frontier_table(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier's columns sorted by (norm, omega, gsum)."""
+    columns = list(_frontier(system, X, g))
+    order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
+    for k in range(3):  # one sorted copy alive at a time
+        columns[k] = columns[k][order]
+    return tuple(columns)
+
+
+def _frontier(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Unsorted (norm, omega, gsum) columns of every element of norm <= X,
     one omega-level at a time; g=None skips g and the gsum column."""
     P = prime_norms(system, X)
@@ -185,7 +170,7 @@ def _frontier(
         total, pending = stop, int(ends[-1])  # pairs; each gives one child at least
         if not pending:
             break
-        _check_budget(total + pending, max_elements)
+        _check_budget(total + pending)
         nxt_parts = []
         a = int(ends.searchsorted(0, "right"))  # blocks start at a parent with pairs
         while a < count.size:
@@ -201,7 +186,7 @@ def _frontier(
                 col[total:total + size] = child
             total += size
             pending -= int(ends[b - 1]) - base
-            _check_budget(total + pending, max_elements)
+            _check_budget(total + pending)
             a = int(ends.searchsorted(ends[b - 1], "right"))
         nxt = np.concatenate(nxt_parts)
         start, stop = stop, total
@@ -241,12 +226,12 @@ def _grow(col: np.ndarray, used: int, need: int) -> np.ndarray:
     return out
 
 
-def _check_budget(at_least: int, max_elements: int) -> None:
+def _check_budget(at_least: int) -> None:
     """Raise when a lower bound on the element count exceeds the cap."""
-    if at_least > max_elements:
+    if at_least > _MAX_ELEMENTS:
         raise BudgetExceeded(
-            f"enumeration exceeds {max_elements} elements",
-            predicted=at_least, cap=max_elements,
+            f"enumeration exceeds {_MAX_ELEMENTS} elements",
+            predicted=at_least, cap=_MAX_ELEMENTS,
         )
 
 
@@ -254,7 +239,7 @@ def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
     """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
 
     The integers answer with the closed form y. Any other system is
-    enumerated once at X, norms only and under the default budget, and
+    enumerated once at X by the frontier, norms only and under its caps, and
     answers from the sorted norm column, which stays in memory (8 bytes per
     element) while the counter lives. Results for y > X are not counts.
     """
@@ -262,8 +247,8 @@ def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
         raise ParameterError(f"X must be >= 1, got {X}")
     if isinstance(system, Integers):
         return int
-    _use_sieve(system, X, "auto", DEFAULT_BUDGET)  # the budget checks; False here
-    norm = _frontier(system, X, None, DEFAULT_BUDGET.max_elements)[0]
+    _check_x(system, X)
+    norm = _frontier(system, X, None)[0]
     norm.sort()
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))

@@ -9,7 +9,8 @@ multiplicity, built without labels. list_primes gives the same primes as
 only reports that print primes (primes, expect, the dominate witness) and
 truncation's small set B build them. Both are pure functions of (system, X),
 so prefixes are stable: restricting the primes for X to norms <= X'
-reproduces the primes for X'.
+reproduces the primes for X'. Both raise BudgetExceeded above X = 1e8, the
+ceiling of the integer sieve, on every system and before anything is built.
 
 Neither is cached. The one cache is primes_upto's, the rational primes up
 to X, which the integers and the quadratic fields both read; on a
@@ -19,7 +20,9 @@ once, in NumPy, not per prime.
 Four systems are provided:
 
   Integers        rational primes, norm p (Eratosthenes sieve)
-  PolyOverFq(q)   monic irreducibles over GF(q), norm q^deg, q in {2,..,9}
+  PolyOverFq(q)   monic irreducibles over GF(q), norm q^deg, q in {2,..,9};
+                  prime_norms counts them by the necklace formula, and
+                  only labels run the irreducible sieve
   QuadraticField  prime ideals of Q(sqrt(D)) for a fundamental discriminant
                   D, |D| <= 100, split per the Kronecker symbol (D/p)
   Beurling        an explicit norm sequence from a file or inline tuple
@@ -39,8 +42,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGrid, ParameterError, SourceError
-from .gfpoly import SUPPORTED_Q, irreducible_indices, monic_labels
+from .errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
+from .gfpoly import SUPPORTED_Q, irreducible_indices, monic_labels, necklace_count
+
+# the ceiling of primes_upto's sieve over 1..X, kept for every system: no
+# prime list, and no integer table, is built beyond it
+_MAX_X_SIEVE = 100_000_000
 
 
 class PrimeEntry(NamedTuple):
@@ -84,7 +91,7 @@ class PolyOverFq:
             norm *= self.q
 
     def _norms(self, X: int) -> np.ndarray:
-        parts = [np.full(len(irreducible_indices(self.q, d)), norm, dtype=np.int64)
+        parts = [np.full(necklace_count(self.q, d), norm, dtype=np.int64)
                  for d, norm in self._degrees(X)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
@@ -140,10 +147,6 @@ class Beurling:
         for n in self.norms:
             if not isinstance(n, int) or n < 2:
                 raise SourceError(f"Beurling norms must be integers >= 2, got {n!r}")
-
-    @classmethod
-    def from_norms(cls, norms: Sequence[int]) -> "Beurling":
-        return cls(tuple(int(n) for n in norms))
 
     @classmethod
     def from_file(cls, path: str) -> "Beurling":
@@ -252,8 +255,7 @@ def _kronecker(D: int, p: np.ndarray) -> np.ndarray:
 
 def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
     """All primes of the system with norm <= X, sorted by (norm, label)."""
-    if X < 1:
-        raise ParameterError(f"X must be >= 1, got {X}")
+    _check_prime_x(X)
     entries = system._entries(X)
     entries.sort(key=lambda e: (e.norm, e.label))
     return tuple(entries)
@@ -354,9 +356,17 @@ def prime_norms(system: PrimeSystem, X: int) -> np.ndarray:
     No label is built. On the integers this is the sieve's cached array,
     which callers must not mutate.
     """
+    _check_prime_x(X)
+    return system._norms(X)
+
+
+def _check_prime_x(X: int) -> None:
+    """Raise unless 1 <= X <= the sieve's cap; before any prime is listed."""
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
-    return system._norms(X)
+    if X > _MAX_X_SIEVE:
+        raise BudgetExceeded(f"primes up to X={X} exceed budget",
+                             predicted=X, cap=_MAX_X_SIEVE)
 
 
 def prime_count_check(system: PrimeSystem, X: int) -> float:

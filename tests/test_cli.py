@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monoidldp import systems
 from monoidldp.additive import Omega
 from monoidldp.cli import main
 from monoidldp.monoid import enumerate_monoid, read_table_cache
 from monoidldp.reportio import fmt
-from monoidldp.systems import Integers
+from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField
 
 
 def _read_csv(path):
@@ -144,6 +145,33 @@ def test_budget_exit_66(tmp_path):
     assert main(["count", "--limit", "200000000000", "--out", str(tmp_path)]) == 66
     assert main(["density", "--system", "quad:-4", "--grid", "1000,10000,100000,20000000",
                  "--out", str(tmp_path)]) == 66
+
+
+PRIME_READERS = [
+    ["mertens", "--grid", "1000000000000"],
+    ["tail-mass", "--limit", "1000000000000"],
+    ["dominate", "--limit", "1000000000000"],
+    ["primes", "--system", "poly:2", "--limit", "1000000000000"],
+    ["sweep", "--grid", "1000,10000,100000,1000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_READERS, ids=lambda argv: argv[0])
+def test_prime_readers_exit_66_above_the_sieve_cap(argv, tmp_path, monkeypatch, capsys):
+    # every builder of a prime list refuses an X above the cap, so a missing
+    # check fails here instead of allocating
+    def guarded(build):
+        def build_below_cap(*args):
+            assert args[-1] <= 10**8, f"primes built up to X={args[-1]}"
+            return build(*args)
+        return build_below_cap
+
+    monkeypatch.setattr(systems, "primes_upto", guarded(systems.primes_upto))
+    for cls in (Integers, PolyOverFq, QuadraticField, Beurling):
+        for name in ("_norms", "_entries"):
+            monkeypatch.setattr(cls, name, guarded(getattr(cls, name)))
+    assert main(argv + ["--out", str(tmp_path)]) == 66
+    assert "budget error:" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -133,11 +133,12 @@ def test_domination_poly_matches_brute_maximum():
     assert rep.witness == (entries[0],)
 
 
-def test_domination_validation_and_budget():
+def test_domination_validation_and_budget(monkeypatch):
     with pytest.raises(ParameterError):
         domination_report(Integers(), 100, 0)
+    monkeypatch.setattr(exact, "_MAX_TUPLES", 10)
     with pytest.raises(BudgetExceeded) as err:
-        domination_report(Integers(), 100, 3, max_tuples=10)
+        domination_report(Integers(), 100, 3)
     assert err.value.cap == 10
 
 

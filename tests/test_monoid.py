@@ -17,7 +17,8 @@ from monoidldp.errors import (
 )
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
-    Budget,
+    _frontier_table,
+    _sieve_table,
     element_counter,
     enumerate_monoid,
     histogram,
@@ -99,10 +100,14 @@ SIEVE_GS = {
 }
 
 
-def _assert_tables_equal(a, b):
-    assert np.array_equal(a.norm, b.norm)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.gsum, b.gsum)
+def _assert_paths_agree(X, g):
+    """The sieve's columns against the frontier's on the integers, bit for
+    bit; returns the sieve's."""
+    sieve = _sieve_table(X, g)
+    for a, b in zip(sieve, _frontier_table(Integers(), X, g)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    return sieve
 
 
 def test_sieve_matches_recursion():
@@ -111,16 +116,14 @@ def test_sieve_matches_recursion():
     for X in (1, 2, 3, 4, 8, 9, 10, 15, 24, 25, 26, 35, 48, 49, 50, 120, 121, 122, 143,
               10**4 + 7):
         for g in SIEVE_GS.values():
-            _assert_tables_equal(enumerate_monoid(Integers(), X, g, method="sieve"),
-                                 enumerate_monoid(Integers(), X, g, method="recursive"))
+            _assert_paths_agree(X, g)
 
 
 def test_sieve_matches_recursion_for_constant_g():
     # 0.1 added six times is not 6 * 0.1; 30030 is the first n with omega = 6
     g = NormResidue(4, frozenset({1}), 0.1, 0.1)
-    a = enumerate_monoid(Integers(), 30030, g, method="sieve")
-    _assert_tables_equal(a, enumerate_monoid(Integers(), 30030, g, method="recursive"))
-    assert a.gsum[-1] == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 != 6 * 0.1
+    gsum = _assert_paths_agree(30030, g)[2]
+    assert gsum[-1] == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 != 6 * 0.1
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
@@ -149,36 +152,8 @@ def test_values_match_value(name):
     assert g.values(primes[:0]).shape == (0,)
 
 
-class _ArrayOnlyG:
-    """A g that can be evaluated only as an array."""
-
-    def __init__(self, g):
-        self._g = g
-
-    def value(self, entry):
-        raise AssertionError("the integer sieve evaluated g one prime at a time")
-
-    def values(self, norms):
-        return self._g.values(norms)
-
-
-def test_sieve_never_evaluates_g_per_prime():
-    for g in (SIEVE_GS["residue-3-2"], Omega()):
-        _assert_tables_equal(enumerate_monoid(Integers(), 10**5, _ArrayOnlyG(g)),
-                             enumerate_monoid(Integers(), 10**5, g))
-
-
-def test_frontier_never_evaluates_g_per_prime():
-    g = SIEVE_GS["residue-3-2"]
-    _assert_tables_equal(enumerate_monoid(QuadraticField(-4), 10**4, _ArrayOnlyG(g)),
-                         enumerate_monoid(QuadraticField(-4), 10**4, g))
-
-
 def test_sieve_matches_recursion_with_residue_g():
-    g = NormResidue(4, frozenset({1, 3}), 1.0, 2.0)
-    a = enumerate_monoid(Integers(), 5000, g, method="sieve")
-    b = enumerate_monoid(Integers(), 5000, g, method="recursive")
-    assert np.array_equal(a.gsum, b.gsum)
+    _assert_paths_agree(5000, NormResidue(4, frozenset({1, 3}), 1.0, 2.0))
 
 
 def test_omega_total_identity():
@@ -198,12 +173,11 @@ def test_poly_table_small():
 
 
 def test_table_column_dtypes():
-    for system, method in ((Integers(), "sieve"), (Integers(), "recursive"),
-                           (QuadraticField(-4), "auto")):
+    for build in (lambda X: _sieve_table(X, Omega()),
+                  lambda X: _frontier_table(Integers(), X, Omega()),
+                  lambda X: _frontier_table(QuadraticField(-4), X, Omega())):
         for X in (1, 1000):
-            t = enumerate_monoid(system, X, Omega(), method=method)
-            assert (t.norm.dtype, t.omega.dtype, t.gsum.dtype) == (
-                np.uint64, np.uint32, np.float64)
+            assert [col.dtype for col in build(X)] == [np.uint64, np.uint32, np.float64]
 
 
 def _reference_table(system, X, g):
@@ -242,8 +216,7 @@ ORACLE_SYSTEMS = [
 def test_frontier_matches_reference_recursion(system):
     for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
         for name in ("omega", "residue-3-2", "table", "zero"):
-            t = enumerate_monoid(system, X, SIEVE_GS[name], method="recursive")
-            for got, want in zip((t.norm, t.omega, t.gsum),
+            for got, want in zip(_frontier_table(system, X, SIEVE_GS[name]),
                                  _reference_table(system, X, SIEVE_GS[name])):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (X, name)
@@ -272,13 +245,12 @@ def test_budget_boundary_is_exact(monkeypatch, system):
     X = 400
     total = enumerate_monoid(system, X, Omega()).count
     for cap in range(1, total + 2):
-        budget = Budget(max_elements=cap)
-        monkeypatch.setattr(monoid, "DEFAULT_BUDGET", budget)
+        monkeypatch.setattr(monoid, "_MAX_ELEMENTS", cap)
         if cap >= total:
-            assert enumerate_monoid(system, X, Omega(), budget=budget).count == total
+            assert enumerate_monoid(system, X, Omega()).count == total
             assert element_counter(system, X)(X) == total
             continue
-        for build in (lambda: enumerate_monoid(system, X, Omega(), budget=budget),
+        for build in (lambda: enumerate_monoid(system, X, Omega()),
                       lambda: element_counter(system, X)):
             with pytest.raises(BudgetExceeded) as err:
                 build()
@@ -337,34 +309,32 @@ def test_counter_matches_one_shot_counts(system):
         element_counter(system, 0)
 
 
-def test_budget_errors():
+def test_budget_errors(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(monoid, "_MAX_ELEMENTS", 10)
+        with pytest.raises(BudgetExceeded):
+            enumerate_monoid(Integers(), 10**4, Omega())
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_monoid(Beurling((2,)), 2**20, Omega())
+        assert err.value.cap == 10
+    # each X cap raises before anything is allocated, exactly above the cap
+    for system, cap in ((Integers(), "_MAX_X_SIEVE"), (QuadraticField(-4), "_MAX_X_FRONTIER")):
+        with monkeypatch.context() as m:
+            m.setattr(monoid, cap, 10**3)
+            assert enumerate_monoid(system, 10**3, Omega()).X == 10**3
+            with pytest.raises(BudgetExceeded) as err:
+                enumerate_monoid(system, 10**3 + 1, Omega())
+            assert (err.value.predicted, err.value.cap) == (10**3 + 1, 10**3)
+    monkeypatch.setattr(monoid, "_MAX_X_FRONTIER", 10**3)
     with pytest.raises(BudgetExceeded):
-        enumerate_monoid(Integers(), 10**4, Omega(), budget=Budget(max_elements=100))
-    with pytest.raises(BudgetExceeded):
-        enumerate_monoid(
-            Integers(), 10**6, Omega(), method="sieve",
-            budget=Budget(max_elements=10**9, max_x_sieve=10**5),
-        )
-    with pytest.raises(BudgetExceeded):
-        enumerate_monoid(
-            Integers(), 10**6, Omega(), method="recursive",
-            budget=Budget(max_x_recursive=10**5),
-        )
-    err = None
-    try:
-        enumerate_monoid(Beurling((2,)), 2**20, Omega(), budget=Budget(max_elements=10))
-    except BudgetExceeded as e:
-        err = e
-    assert err is not None and err.cap == 10
+        element_counter(QuadraticField(-4), 10**3 + 1)
+    assert element_counter(Integers(), 10**3 + 1)(10**3 + 1) == 10**3 + 1
 
 
-def test_method_validation():
-    with pytest.raises(ParameterError):
-        enumerate_monoid(Beurling((2, 3)), 10, Omega(), method="sieve")
-    with pytest.raises(ParameterError):
-        enumerate_monoid(Integers(), 10, Omega(), method="magic")
-    with pytest.raises(ParameterError):
-        enumerate_monoid(Integers(), 0, Omega())
+def test_x_validation():
+    for system in (Integers(), QuadraticField(-4), Beurling((2, 3))):
+        with pytest.raises(ParameterError):
+            enumerate_monoid(system, 0, Omega())
 
 
 def test_cache_roundtrip(tmp_path):
@@ -430,7 +400,7 @@ def test_beurling_enumeration_against_brute_force(norms, X):
     gvals = [float(n % 3) for n in norms]
     sys_ = Beurling(tuple(norms))
     g = type("G", (), {
-        "key": "test", "value": staticmethod(lambda e: float(e.norm % 3)),
+        "key": "test",
         "values": staticmethod(lambda norms: (norms % 3).astype(np.float64)),
     })()
     t = enumerate_monoid(sys_, X, g)

@@ -1,0 +1,27 @@
+"""Smoke tests of the scripts under scripts/, each run as its own process."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script,grid,lines", [
+    # two headings and one line per X under each
+    ("run_ek_ldp.py", "1000,10000", 6),
+    # one line per system: integers, poly:2, poly:3, quad:-4
+    ("run_condition_sweep.py", "100,1000,10000,100000", 4),
+])
+def test_script_runs(script, grid, lines):
+    done = _run(script, "--grid", grid)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == lines

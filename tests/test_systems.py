@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoidldp import gfpoly, systems
 from monoidldp.additive import NormResidue, rho_X
-from monoidldp.errors import DegenerateGrid, ParameterError, SourceError
+from monoidldp.errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
 from monoidldp.exact import tail_mass
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import element_counter, enumerate_monoid
@@ -260,6 +260,17 @@ def test_prime_norms_rejects_x_below_one(system, X):
         prime_norms(system, X)
     with pytest.raises(ParameterError):
         list_primes(system, X)
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
+                                    Beurling((2, 3))], ids=lambda s: s.key)
+def test_prime_layer_cap_is_exact(monkeypatch, system):
+    monkeypatch.setattr(systems, "_MAX_X_SIEVE", 100)
+    assert prime_norms(system, 100).tolist() == [e.norm for e in list_primes(system, 100)]
+    for read in (prime_norms, list_primes):
+        with pytest.raises(BudgetExceeded) as err:
+            read(system, 101)
+        assert (err.value.predicted, err.value.cap) == (101, 100)
 
 
 SMALL_XS = (1, 2, 3, 4, 9, 10, 25, 26, 1000, 54321)
