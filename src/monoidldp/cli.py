@@ -240,8 +240,13 @@ class Report(NamedTuple):
     code: int
     summary: str
     header: Sequence[str]
-    rows: Iterable[Sequence[Any]]
+    columns: Sequence[Sequence[Any]]  # the CSV body, one sequence per column
     body: dict  # the JSON report, less its "command" key
+
+
+def _by_column(rows: Iterable[Sequence[Any]]) -> list[tuple]:
+    """A few rows turned into columns; no rows give no columns."""
+    return list(zip(*rows))
 
 
 def _run_primes(a: dict) -> Report:
@@ -249,7 +254,7 @@ def _run_primes(a: dict) -> Report:
     entries = list_primes(system, X)
     return Report(
         0, f"{len(entries)} primes of norm <= {X} in {system.key}",
-        ["norm", "label"], ((e.norm, e.label) for e in entries),
+        ["norm", "label"], [[e.norm for e in entries], [e.label for e in entries]],
         {"system": system.key, "X": X, "count": len(entries),
          "primes": [{"norm": e.norm, "label": e.label} for e in entries]},
     )
@@ -261,11 +266,9 @@ def _run_count(a: dict) -> Report:
     if a.get("dump_cache"):
         write_table_cache(table, a["dump_cache"])
     mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
-    # rows stream off the columns as Python ints and floats, no NumPy scalars
-    rows = zip(table.norm.tolist(), table.omega.tolist(), table.gsum.tolist())
     return Report(
         0, f"{table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
-        ["norm", "omega", "gsum"], rows,
+        ["norm", "omega", "gsum"], [table.norm, table.omega, table.gsum],
         {"system": system.key, "X": X, "g": g.key,
          "count": table.count, "mean_omega": mean_omega,
          "omega_histogram": [int(c) for c in np.bincount(table.omega)]},
@@ -281,8 +284,8 @@ def _run_density(a: dict) -> Report:
     return Report(
         2 if fit.status == "FAILED" else 0, summary,
         ["X", "count", "a_hat", "b_hat", "slope", "residual", "status"],
-        [(X, c, fit.a_hat, fit.b_hat, fit.slope, r, fit.status)
-         for (X, c, (_, r)) in zip(fit.grid, fit.counts, fit.residuals)],
+        _by_column((X, c, fit.a_hat, fit.b_hat, fit.slope, r, fit.status)
+                   for (X, c, (_, r)) in zip(fit.grid, fit.counts, fit.residuals)),
         {"system": a["system"].key, **dataclasses.asdict(fit)},
     )
 
@@ -293,7 +296,7 @@ def _run_mertens(a: dict) -> Report:
         raise ParameterError("grid must be nonempty")
     X, s, d = rows[-1]
     return Report(0, f"X={X} sum={fmt(s)} deviation={fmt(d)}",
-                  ["X", "sum", "deviation"], rows,
+                  ["X", "sum", "deviation"], _by_column(rows),
                   {"system": a["system"].key, "rows": rows})
 
 
@@ -315,7 +318,7 @@ def _run_expect(a: dict) -> Report:
     return Report(
         0, f"Z={fmt(zc.value)} Y={fmt(yc.value)} ratio={fmt(ratio)} primes={labels}",
         ["X", "primes", "expect_Z", "expect_Y", "ratio"],
-        [(X, labels, zc.value, yc.value, ratio)],
+        _by_column([(X, labels, zc.value, yc.value, ratio)]),
         {"system": system.key, "X": X, "primes": [e.label for e in selected],
          "expect_Z": zc.value, "expect_Z_float": zc.float_value,
          "expect_Y": yc.value, "expect_Y_float": yc.float_value,
@@ -330,7 +333,7 @@ def _run_dominate(a: dict) -> Report:
         0, (f"M_observed={fmt(rep.M_observed)} witness={labels} "
             f"({rep.tuples_examined} tuples examined)"),
         ["X", "k_max", "M_observed", "witness"],
-        [(rep.X, rep.k_max, rep.M_observed, labels)],
+        _by_column([(rep.X, rep.k_max, rep.M_observed, labels)]),
         {"system": a["system"].key, "X": rep.X, "k_max": rep.k_max,
          "M_observed": rep.M_observed, "M_exact": rep.M_exact,
          "witness": [e.label for e in rep.witness],
@@ -346,7 +349,7 @@ def _run_mgf_gap(a: dict) -> Report:
         0 if rep.trend == "PASS" else 1,
         f"trend={rep.trend} gap(X={last.X})={fmt(last.gap)}",
         ["X", "C", "theta", "mgf_Z", "mgf_Y", "gap"],
-        [(r.X, r.C, r.theta, r.mgf_Z, r.mgf_Y, r.gap) for r in rep.rows],
+        _by_column((r.X, r.C, r.theta, r.mgf_Z, r.mgf_Y, r.gap) for r in rep.rows),
         {"system": a["system"].key, "g": a["g"].key, **dataclasses.asdict(rep)},
     )
 
@@ -357,7 +360,7 @@ def _run_tail_mass(a: dict) -> Report:
               "tail_mass": tail_mass(a["system"], a["g"], X, C, theta)}
     return Report(
         0, f"X={X} C={fmt(C)} theta={fmt(theta)} tail={fmt(fields['tail_mass'])}",
-        list(fields), [list(fields.values())],
+        list(fields), _by_column([fields.values()]),
         {"system": a["system"].key, "g": a["g"].key, **fields},
     )
 
@@ -370,7 +373,8 @@ def _run_rate(a: dict) -> Report:
     return Report(
         1 if bad else 0, f"{len(points)} points, {n_conv} converged, {bad} failed",
         ["x", "I", "theta_star", "iters", "status"],
-        [(x, I, math.nan if t is None else t, it, st) for x, I, t, it, st in points],
+        _by_column((x, I, math.nan if t is None else t, it, st)
+                   for x, I, t, it, st in points),
         {"rho": _atoms(a["rho"]),
          "rows": [{"x": x, "I": I, "theta_star": t, "iters": it, "status": st}
                   for x, I, t, it, st in points]},
@@ -383,7 +387,7 @@ def _run_ek(a: dict) -> Report:
     return Report(
         0, (f"X={rep.X} ks_distance={fmt(rep.ks_distance)} "
             f"ks_two_sided={fmt(rep.ks_two_sided)} mean_omega={fmt(rep.mean_omega)}"),
-        list(fields), [list(fields.values())], {"system": a["system"].key, **fields},
+        list(fields), _by_column([fields.values()]), {"system": a["system"].key, **fields},
     )
 
 
@@ -394,7 +398,7 @@ def _run_ldp_scan(a: dict) -> Report:
             for r in ldp_scan(a["system"], a["g"], grid, intervals, a["rho"])]
     return Report(
         0, f"{len(rows)} rows over {len(grid)} values of X",
-        [f.name for f in dataclasses.fields(LDPRow)], [r.values() for r in rows],
+        [f.name for f in dataclasses.fields(LDPRow)], _by_column(r.values() for r in rows),
         {"system": a["system"].key, "g": a["g"].key, "rho": _atoms(a["rho"]),
          "rows": rows},
     )
@@ -409,7 +413,7 @@ def _run_sweep(a: dict) -> Report:
     return Report(
         {"PASS": 0, "WARN": 1}.get(rep.overall, 2),
         f"overall={rep.overall} {detail}",
-        ["section", "flag"], sections + [("overall", rep.overall)],
+        ["section", "flag"], _by_column(sections + [("overall", rep.overall)]),
         {"system": a["system"].key, "g": a["g"].key, **body},
     )
 
@@ -539,7 +543,7 @@ def _emit(out: Path, cfg: dict, report: Report) -> None:
     name, ext = cfg["command"], cfg["format"]
     path = out / f"{name}.{ext}"
     if ext == "csv":
-        write_csv(path, report.header, report.rows)
+        write_csv(path, report.header, report.columns)
     else:
         write_json(path, {"command": name, **report.body})
     write_echo(out / "config-echo.json", cfg)

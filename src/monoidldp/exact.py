@@ -112,17 +112,17 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    entries = list_primes(system, X)
+    norms = prime_norms(system, X).tolist()
     count = element_counter(system, X)
     cx = count(X)
     best = Fraction(0)
-    witness: tuple[PrimeEntry, ...] = ()
+    witness: tuple[int, ...] = ()  # indices into norms
     examined = 0
 
-    def rec(i0: int, prod: int, picked: tuple[PrimeEntry, ...]) -> None:
+    def rec(i0: int, prod: int, picked: tuple[int, ...]) -> None:
         nonlocal best, witness, examined
-        for i in range(i0, len(entries)):
-            p = prod * entries[i].norm
+        for i in range(i0, len(norms)):
+            p = prod * norms[i]
             if p > X:
                 break  # norms ascend
             examined += 1
@@ -131,7 +131,7 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
                     f"domination search exceeds {_MAX_TUPLES} tuples",
                     predicted=examined, cap=_MAX_TUPLES,
                 )
-            tup = picked + (entries[i],)
+            tup = picked + (i,)
             # ratio = expect_Z / expect_Y = count(X // p) * p / count(X)
             ratio = Fraction(count(X // p) * p, cx)
             if ratio > best:
@@ -140,7 +140,11 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
                 rec(i + 1, p, tup)
 
     rec(0, 1, ())
-    return DominationReport(X, k_max, float(best), best, witness, examined)
+    # labels only for the witness: by prefix stability and the shared
+    # (norm, label) order, index i is the same prime in both lists
+    entries = list_primes(system, norms[witness[-1]]) if witness else ()
+    return DominationReport(X, k_max, float(best), best,
+                            tuple(entries[i] for i in witness), examined)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,51 @@ def test_domination_poly_matches_brute_maximum():
     assert rep.witness == (entries[0],)
 
 
+def _labelled_domination(system, X, k_max):
+    """The depth-first search over labelled entries that the report replaced."""
+    entries = list_primes(system, X)
+    cx = count_elements(system, X)
+    best, witness, examined = Fraction(0), (), 0
+
+    def rec(i0, prod, picked):
+        nonlocal best, witness, examined
+        for i in range(i0, len(entries)):
+            p = prod * entries[i].norm
+            if p > X:
+                break
+            examined += 1
+            tup = picked + (entries[i],)
+            ratio = Fraction(count_elements(system, X // p) * p, cx)
+            if ratio > best:
+                best, witness = ratio, tup
+            if len(tup) < k_max:
+                rec(i + 1, p, tup)
+
+    rec(0, 1, ())
+    return best, witness, examined
+
+
+@pytest.mark.parametrize("system,X,k_max", [
+    (Integers(), 1000, 3),
+    (QuadraticField(-4), 2000, 3),
+    (QuadraticField(-3), 500, 2),
+    (PolyOverFq(3), 3**6, 3),
+    (Beurling((2, 3, 3, 5, 7, 7, 11)), 200, 3),
+], ids=lambda v: getattr(v, "key", str(v)))
+def test_domination_searches_norms_and_labels_only_the_witness(system, X, k_max, monkeypatch):
+    expected = _labelled_domination(system, X, k_max)
+    real, limits = exact.list_primes, []
+
+    def spy(system_, limit):
+        limits.append(limit)
+        return real(system_, limit)
+
+    monkeypatch.setattr(exact, "list_primes", spy)
+    rep = domination_report(system, X, k_max)
+    assert (rep.M_exact, rep.witness, rep.tuples_examined) == expected
+    assert limits == [max(e.norm for e in rep.witness)]
+
+
 def test_domination_validation_and_budget(monkeypatch):
     with pytest.raises(ParameterError):
         domination_report(Integers(), 100, 0)
