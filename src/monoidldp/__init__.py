@@ -9,7 +9,6 @@ user-supplied Beurling norm sequences.
 from .additive import (
     ConvergenceRow,
     DiscreteMeasure,
-    EmpiricalMeasure,
     NormResidue,
     Omega,
     TableLookup,
@@ -25,14 +24,12 @@ from .errors import (
     MgfOverflow,
     MonoidLdpError,
     NoConvergence,
-    NonIntegerStatistic,
     ParameterError,
     PrimeNotInSystem,
     SourceError,
 )
 from .exact import (
     DominationReport,
-    ExactExpectation,
     GapComponents,
     TruncationSets,
     domination_report,
@@ -59,11 +56,9 @@ from .experiments import (
 )
 from .gfpoly import irreducible_indices, monic_label, necklace_count
 from .monoid import (
-    Histogram,
     MonoidTable,
     element_counter,
     enumerate_monoid,
-    histogram,
     read_table_cache,
     write_table_cache,
 )
@@ -86,7 +81,6 @@ from .systems import (
     density_fit,
     kronecker_at_prime,
     list_primes,
-    count_elements,
     mertens_sum,
     prime_count_check,
     prime_norms,

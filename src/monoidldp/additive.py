@@ -2,9 +2,9 @@
 
 A strongly additive g is determined by its values on primes: g of a product
 of prime powers is the sum of g(p) over the distinct primes p dividing it.
-Three rules are supported, all with finitely many distinct values and all
-non-negative (the large-deviation machinery downstream assumes a measure
-supported on [0, inf)):
+Three rules are supported, all with finitely many distinct values, all
+finite and all non-negative (the large-deviation machinery downstream
+assumes a measure supported on [0, inf)):
 
   Omega                g(p) = 1, the distinct-prime-divisor count
   NormResidue(m,R,..)  g(p) = value_in when N(p) mod m lands in R, else value_out
@@ -44,6 +44,12 @@ class Omega:
         return np.ones(len(norms))
 
 
+def _check_values(values) -> None:
+    # NaN fails both comparisons
+    if not all(0 <= v < math.inf for v in values):
+        raise ParameterError("prime values must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class NormResidue:
     modulus: int
@@ -55,8 +61,7 @@ class NormResidue:
         if self.modulus < 1:
             raise ParameterError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "residues", frozenset(int(r) % self.modulus for r in self.residues))
-        if self.value_in < 0 or self.value_out < 0:
-            raise ParameterError("prime values must be non-negative")
+        _check_values((self.value_in, self.value_out))
 
     @property
     def key(self) -> str:
@@ -76,8 +81,7 @@ class TableLookup:
     def __post_init__(self):
         if isinstance(self.table, Mapping):
             object.__setattr__(self, "table", tuple(sorted(self.table.items())))
-        if self.default < 0 or any(v < 0 for _, v in self.table):
-            raise ParameterError("prime values must be non-negative")
+        _check_values([self.default, *(v for _, v in self.table)])
         first: dict[int, float] = {}
         for n, v in self.table:
             first.setdefault(n, v)  # the first entry for a norm wins
@@ -105,11 +109,14 @@ AdditiveFunction = Omega | NormResidue | TableLookup
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite list of (atom, weight) pairs; weights positive, total mass 1."""
+    """Finite list of (atom, weight) pairs; atoms finite, weights finite and
+    positive, total mass 1."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(y) and math.isfinite(w) for y, w in self.atoms):
+            raise ParameterError("atoms and weights must be finite")
         ys = [y for y, _ in self.atoms]
         if sorted(ys) != ys or len(set(ys)) != len(ys):
             raise ParameterError("atoms must be sorted by value with no duplicates")
@@ -133,27 +140,14 @@ class DiscreteMeasure:
     def from_json(cls, text: str) -> "DiscreteMeasure":
         try:
             data = json.loads(text)
-            pairs = [(a["y"], a["w"]) for a in data["atoms"]]
-        except (json.JSONDecodeError, TypeError, KeyError) as e:
+            pairs = [(float(a["y"]), float(a["w"])) for a in data["atoms"]]
+        except (ValueError, TypeError, KeyError) as e:  # JSONDecodeError is a ValueError
             raise ParameterError(f"measure JSON must be {{\"atoms\": [{{\"y\":..,\"w\":..}}]}}: {e}") from e
         return cls.from_pairs(pairs)
-
-    def to_json(self) -> str:
-        return json.dumps({"atoms": [{"y": y, "w": w} for y, w in self.atoms]})
 
     @property
     def mean(self) -> float:
         return math.fsum(w * y for y, w in self.atoms)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    base: DiscreteMeasure
-    X: int
-    denominator: float
-    # per-atom exact weights as unreduced (num, den) pairs; Fraction would
-    # gcd-normalize ~1e6-bit integers at X = 10^6
-    weights_exact: tuple[tuple[int, int], ...]
 
 
 def _tree_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
@@ -169,7 +163,7 @@ def _tree_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return pairs[0]
 
 
-def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> EmpiricalMeasure:
+def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     """Empirical prime-value measure at threshold X.
 
     Atom at each distinct y = g(p), weighted by sum of 1/N(p) over the
@@ -184,15 +178,9 @@ def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> EmpiricalMeasure:
         groups.setdefault(y, []).append((1, n))
     group_sums = {y: _tree_sum(ps) for y, ps in groups.items()}
     tot_n, tot_d = _tree_sum(list(group_sums.values()))
-    atoms = []
-    weights_exact = []
-    for y in sorted(group_sums):
-        n, d = group_sums[y]
-        # correctly rounded big-int division; no gcd on huge denominators
-        atoms.append((y, (n * tot_d) / (d * tot_n)))
-        weights_exact.append((n * tot_d, d * tot_n))
-    denominator = tot_n / tot_d
-    return EmpiricalMeasure(DiscreteMeasure(tuple(atoms)), X, denominator, tuple(weights_exact))
+    # correctly rounded big-int division; no gcd on huge denominators
+    return DiscreteMeasure(tuple((y, (n * tot_d) / (d * tot_n))
+                                 for y, (n, d) in sorted(group_sums.items())))
 
 
 def exp_moment(measure: DiscreteMeasure, theta: float) -> float:
@@ -240,7 +228,7 @@ def check_convergence(
         raise ParameterError("theta and X grids must be nonempty")
     rows = []
     for X in X_grid:
-        emp = rho_X(system, g, X).base
+        emp = rho_X(system, g, X)
         for theta in theta_grid:
             a = exp_moment(emp, theta)
             b = exp_moment(rho, theta)

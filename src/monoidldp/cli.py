@@ -311,17 +311,17 @@ def _run_expect(a: dict) -> Report:
         if match is None:
             raise ParameterError(f"no unused prime of norm {n} in {system.key} up to {X}")
         selected.append(match)
-    zc = expect_Z(system, X, selected)
-    yc = expect_Y(selected)
-    ratio = zc.value / yc.value
+    z = expect_Z(system, X, [e.norm for e in selected])
+    y = expect_Y([e.norm for e in selected])
+    ratio = z / y
     labels = "*".join(e.label for e in selected)
     return Report(
-        0, f"Z={fmt(zc.value)} Y={fmt(yc.value)} ratio={fmt(ratio)} primes={labels}",
+        0, f"Z={fmt(z)} Y={fmt(y)} ratio={fmt(ratio)} primes={labels}",
         ["X", "primes", "expect_Z", "expect_Y", "ratio"],
-        _by_column([(X, labels, zc.value, yc.value, ratio)]),
+        _by_column([(X, labels, z, y, ratio)]),
         {"system": system.key, "X": X, "primes": [e.label for e in selected],
-         "expect_Z": zc.value, "expect_Z_float": zc.float_value,
-         "expect_Y": yc.value, "expect_Y_float": yc.float_value,
+         "expect_Z": z, "expect_Z_float": float(z),
+         "expect_Y": y, "expect_Y_float": float(y),
          "ratio": ratio, "ratio_float": float(ratio)},
     )
 
@@ -407,7 +407,7 @@ def _run_ldp_scan(a: dict) -> Report:
 def _run_sweep(a: dict) -> Report:
     rep = condition_sweep(a["system"], a["g"], a["rho"], [int(v) for v in a["grid"]],
                           [float(v) for v in a["theta_grid"]])
-    body = rep.as_dict()
+    body = dataclasses.asdict(rep)
     sections = [(name, body[name]["flag"]) for name in body if name != "overall"]
     detail = " ".join(f"{name}={flag}" for name, flag in sections)
     return Report(

@@ -41,11 +41,7 @@ class EmptySample(MonoidLdpError):
 
 
 class PrimeNotInSystem(MonoidLdpError):
-    """A prime entry does not belong to the system it was used with."""
-
-
-class NonIntegerStatistic(MonoidLdpError):
-    """Exact-integer binning requested for a non-integer statistic."""
+    """A norm names more primes than the system has of that norm up to X."""
 
 
 class NoConvergence(MonoidLdpError):

@@ -9,11 +9,13 @@ For distinct primes the expectation of a Z-product is exactly
 a ratio of element counts, because the elements divisible by all the p_i
 are those of the form m * prod p_i with N(m) below the floored threshold.
 The Y-product expectation is 1 / prod N(p_i). Their ratio is bounded by a
-constant M, observed here by exhaustive tuple search.
+constant M, observed here by exhaustive tuple search. Both read only the
+norms, so a prime tuple is passed as its norms; a norm repeated k times
+names k distinct primes of that norm.
 
 Truncation keeps one set of primes: B, those with N(p) <= k_X =
-X^(1/(log log X)^2) and |g(p)| <= C. Only B is built, as labelled entries
-from the primes up to k_X; the large primes and those with |g(p)| > C are
+X^(1/(log log X)^2) and |g(p)| <= C. Only B is built, as the norm array
+of the primes up to k_X; the large primes and those with |g(p)| > C are
 never listed. Over B both moment generating functions are cheap to compute
 exactly, and their gap is the quantity that the coupling argument drives to
 zero as X grows; tail_mass is the integral over |g(p)| > C against the
@@ -28,7 +30,6 @@ for either sign of theta: the finite Kubilius model (Elliott, 1979).
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,44 +54,34 @@ _LOG_OVERFLOW = 300.0 * math.log(10.0)
 _MAX_TUPLES = 10_000_000
 
 
-@dataclass(frozen=True)
-class ExactExpectation:
-    value: Fraction
-
-    @property
-    def float_value(self) -> float:
-        return float(self.value)
-
-
-def _check_membership(system: PrimeSystem, X: int, primes: Sequence[PrimeEntry]) -> None:
-    if len(set(primes)) != len(primes):
-        raise ParameterError("prime tuple entries must be distinct")
+def _check_norms(system: PrimeSystem, X: int, norms: Sequence[int]) -> None:
+    """Raise PrimeNotInSystem unless each norm appears at most as often as
+    the system has primes of that norm <= X."""
+    asked, times = np.unique(np.asarray(norms, dtype=np.int64), return_counts=True)
     # by prefix stability, the primes up to the largest norm asked suffice
-    top = max([1, *(p.norm for p in primes)])
-    entries = list_primes(system, min(X, top))  # sorted as PrimeEntry orders
-    for p in primes:
-        i = bisect.bisect_left(entries, p)
-        if i == len(entries) or entries[i] != p:
-            raise PrimeNotInSystem(f"{p!r} is not a prime of the system with norm <= {X}")
+    have = prime_norms(system, min(X, max([1, *asked.tolist()])))
+    held = have.searchsorted(asked, "right") - have.searchsorted(asked, "left")
+    for n, k, h in zip(asked.tolist(), times.tolist(), held.tolist()):
+        if k > h:
+            raise PrimeNotInSystem(
+                f"{k} prime(s) of norm {n} asked; the system has {h} with norm <= {X}")
 
 
-def expect_Z(system: PrimeSystem, X: int, primes: Sequence[PrimeEntry]) -> ExactExpectation:
+def expect_Z(system: PrimeSystem, X: int, norms: Sequence[int]) -> Fraction:
     """E[prod Z_p] over the uniform element of norm <= X, exact rational."""
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
-    _check_membership(system, X, primes)
-    product = math.prod(p.norm for p in primes)
+    _check_norms(system, X, norms)
+    product = math.prod(int(n) for n in norms)
     if product > X:
-        return ExactExpectation(Fraction(0))
+        return Fraction(0)
     count = element_counter(system, X)
-    return ExactExpectation(Fraction(count(X // product), count(X)))
+    return Fraction(count(X // product), count(X))
 
 
-def expect_Y(primes: Sequence[PrimeEntry]) -> ExactExpectation:
+def expect_Y(norms: Sequence[int]) -> Fraction:
     """E[prod Y_p] = 1 / prod N(p); exact rational."""
-    if len(set(primes)) != len(primes):
-        raise ParameterError("prime tuple entries must be distinct")
-    return ExactExpectation(Fraction(1, math.prod(p.norm for p in primes)))
+    return Fraction(1, math.prod(int(n) for n in norms))
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ class TruncationSets:
     X: int
     C: float
     k_X: float
-    B: tuple[PrimeEntry, ...]
+    B: np.ndarray  # int64 norms, ascending, with multiplicity
 
 
 def truncation_threshold(X: int) -> float:
@@ -165,7 +156,7 @@ def truncation_threshold(X: int) -> float:
 def truncation_sets(
     system: PrimeSystem, g: AdditiveFunction, X: int, C: float
 ) -> TruncationSets:
-    """B: the primes with N(p) <= k_X and |g(p)| <= C, in list_primes order.
+    """B: the norms of the primes with N(p) <= k_X and |g(p)| <= C.
 
     The boundary N(p) = k_X belongs to B, so the B-side MGF comparison
     includes the boundary prime; any fixed rule works, this one is pinned
@@ -173,20 +164,14 @@ def truncation_sets(
     floor(k_X), a prefix of the primes up to X.
     """
     k_X = truncation_threshold(X)
-    entries = list_primes(system, math.floor(k_X))
-    big = (np.abs(_g_values(g, entries)) > C).tolist()
-    return TruncationSets(X, C, k_X, tuple(e for e, b in zip(entries, big) if not b))
+    norms = prime_norms(system, math.floor(k_X))
+    return TruncationSets(X, C, k_X, norms[np.abs(g.values(norms)) <= C])
 
 
-def _g_values(g: AdditiveFunction, subset: Sequence[PrimeEntry]) -> np.ndarray:
-    """g.values over the norms of the subset, in its order."""
-    return g.values(np.array([e.norm for e in subset], dtype=np.int64))
-
-
-def log_mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> float:
+def log_mgf_Y(norms: np.ndarray, g: AdditiveFunction, theta: float) -> float:
     """log E[exp(theta sum g(p) Y_p)] = sum log(1 + (e^(theta g(p)) - 1)/N(p))."""
-    return math.fsum(_log_bernoulli_mgf(theta * y, e.norm)
-                     for y, e in zip(_g_values(g, subset).tolist(), subset))
+    return math.fsum(_log_bernoulli_mgf(theta * y, n)
+                     for y, n in zip(g.values(norms).tolist(), norms.tolist()))
 
 
 def _log_bernoulli_mgf(t: float, N: int) -> float:
@@ -197,33 +182,33 @@ def _log_bernoulli_mgf(t: float, N: int) -> float:
     return t + math.log1p((N - 1) * math.exp(-t)) - math.log(N)
 
 
-def mgf_Y(subset: Sequence[PrimeEntry], g: AdditiveFunction, theta: float) -> float:
-    """Product of (1 + (e^(theta g(p)) - 1)/N(p)) over the subset.
+def mgf_Y(norms: np.ndarray, g: AdditiveFunction, theta: float) -> float:
+    """Product of (1 + (e^(theta g(p)) - 1)/N(p)) over the primes of the norms.
 
     With g >= 0 the partial products are monotone in theta's sign, so the
     product overflows 1e300 only if the full log does; that case raises
     MgfOverflow carrying the log-space value.
     """
-    lm = log_mgf_Y(subset, g, theta)
+    lm = log_mgf_Y(norms, g, theta)
     if lm > _LOG_OVERFLOW:
         raise MgfOverflow(f"mgf_Y exceeds 1e300 (log value {lm:.6g})", log_value=lm)
     return math.exp(lm)
 
 
 def _support_counts(
-    system: PrimeSystem, X: int, subset: Sequence[PrimeEntry], g: AdditiveFunction
+    system: PrimeSystem, X: int, norms: np.ndarray, g: AdditiveFunction
 ) -> tuple[int, list[tuple[int, float]]]:
     """count(X) and (c_S, g_S) per S with N(S) <= X (module docstring); g_S
-    adds g over S in the subset's ascending order, as a table's gsum would."""
+    adds g over S in ascending norm order, as a table's gsum would."""
     count = element_counter(system, X)
-    sets = {0: (1, 0.0)}  # bitmask over subset indices -> (N(S), g_S)
-    for i, (p, gp) in enumerate(zip(subset, _g_values(g, subset).tolist())):
+    sets = {0: (1, 0.0)}  # bitmask over indices into norms -> (N(S), g_S)
+    for i, (p, gp) in enumerate(zip(norms.tolist(), g.values(norms).tolist())):
         for mask, (n, gs) in list(sets.items()):
-            if n * p.norm <= X:
-                sets[mask | 1 << i] = (n * p.norm, gp + gs)
+            if n * p <= X:
+                sets[mask | 1 << i] = (n * p, gp + gs)
     # d_S = count(X // N(S)), then the superset Moebius transform in place
     c = {mask: count(X // n) for mask, (n, _) in sets.items()}
-    for i in range(len(subset)):
+    for i in range(len(norms)):
         bit = 1 << i
         for mask in sets:
             if mask & bit:
@@ -231,24 +216,25 @@ def _support_counts(
     return count(X), [(c[mask], gs) for mask, (_, gs) in sets.items()]
 
 
-def mgf_Z(system: PrimeSystem, X: int, subset: Sequence[PrimeEntry],
+def mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
           g: AdditiveFunction, theta: float) -> float:
-    """Exact mean of exp(theta * sum_{p in subset, p | m} g(p)) over the
-    elements m of norm <= X; MgfOverflow if it overflows a double."""
-    _check_membership(system, X, subset)
-    count, support = _support_counts(system, X, subset, g)
+    """Exact mean of exp(theta * sum_{p in S, p | m} g(p)) over the elements
+    m of norm <= X, S being primes of the given norms; MgfOverflow if it
+    overflows a double."""
+    _check_norms(system, X, norms)
+    count, support = _support_counts(system, X, norms, g)
     try:
         return math.fsum(c * math.exp(theta * gs) for c, gs in support) / count
     except OverflowError:
-        lm = log_mgf_Z(system, X, subset, g, theta)
+        lm = log_mgf_Z(system, X, norms, g, theta)
         raise MgfOverflow(f"mgf_Z overflows (log value {lm:.6g})", log_value=lm) from None
 
 
-def log_mgf_Z(system: PrimeSystem, X: int, subset: Sequence[PrimeEntry],
+def log_mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
               g: AdditiveFunction, theta: float) -> float:
     """Log-space mgf_Z via a stable log-sum-exp; for overflowing thetas."""
-    _check_membership(system, X, subset)
-    count, support = _support_counts(system, X, subset, g)
+    _check_norms(system, X, norms)
+    count, support = _support_counts(system, X, norms, g)
     w = [theta * gs for _, gs in support]
     peak = max(w)
     total = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))

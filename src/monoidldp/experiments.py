@@ -172,15 +172,6 @@ class ConditionReport:
     mertens: dict
     convergence: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "density": self.density,
-            "prime_count": self.prime_count,
-            "mertens": self.mertens,
-            "convergence": self.convergence,
-        }
-
 
 def condition_sweep(
     system: PrimeSystem,

@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonIntegerStatistic, ParameterError, SourceError
+from .errors import BudgetExceeded, ParameterError, SourceError
 from .systems import _MAX_X_SIEVE, Integers, PrimeSystem, prime_norms, primes_upto
 
 CACHE_MAGIC = b"MLDP0001"
@@ -252,48 +252,6 @@ def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
     norm.sort()
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
-
-
-@dataclass(frozen=True)
-class Histogram:
-    statistic: str
-    bins: tuple[float, ...]
-    counts: tuple[int, ...]
-    total: int
-    width: float | None = None
-
-    def as_dict(self) -> dict[float, int]:
-        return dict(zip(self.bins, self.counts))
-
-
-def histogram(table: MonoidTable, statistic: str = "omega", width: float | None = None) -> Histogram:
-    """Bin counts of omega or gsum over the table; total mass = table.count.
-
-    width=None requests exact-integer bins, valid only when every value is
-    an integer.
-    """
-    if statistic == "omega":
-        values = table.omega.astype(np.float64)
-    elif statistic == "gsum":
-        values = table.gsum
-    else:
-        raise ParameterError(f"statistic must be omega or gsum, got {statistic!r}")
-    if width is None:
-        if not np.all(values == np.rint(values)):
-            raise NonIntegerStatistic(
-                f"exact-integer binning requested but {statistic} has non-integer values"
-            )
-        ints = values.astype(np.int64)
-        counts = np.bincount(ints)
-        bins = np.flatnonzero(counts)
-        return Histogram(statistic, tuple(float(b) for b in bins),
-                         tuple(int(counts[b]) for b in bins), table.count)
-    if width <= 0:
-        raise ParameterError(f"bin width must be positive, got {width}")
-    idx = np.floor(values / width).astype(np.int64)
-    uniq, cnt = np.unique(idx, return_counts=True)
-    return Histogram(statistic, tuple(float(k * width) for k in uniq),
-                     tuple(int(c) for c in cnt), table.count, width)
 
 
 def write_table_cache(table: MonoidTable, path: str | Path) -> None:

@@ -6,8 +6,8 @@ of equal norm are distinct generators of the monoid). Every computation
 reads the primes as prime_norms(system, X): an int64 array, ascending, with
 multiplicity, built without labels. list_primes gives the same primes as
 (norm, label) pairs, labels unique within a system, sorted by (norm, label);
-only reports that print primes (primes, expect, the dominate witness) and
-truncation's small set B build them. Both are pure functions of (system, X),
+only reports that print primes (primes, expect, the dominate witness)
+build them. Both are pure functions of (system, X),
 so prefixes are stable: restricting the primes for X to norms <= X'
 reproduces the primes for X'. Both raise BudgetExceeded above X = 1e8, the
 ceiling of the integer sieve, on every system and before anything is built.
@@ -259,18 +259,6 @@ def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
     entries = system._entries(X)
     entries.sort(key=lambda e: (e.norm, e.label))
     return tuple(entries)
-
-
-def count_elements(system: PrimeSystem, X: int) -> int:
-    """Number of monoid elements of norm <= X, identity included.
-
-    X itself on the integers; any other system is enumerated once at X. To
-    read counts at many thresholds, build one monoid.element_counter at the
-    largest instead.
-    """
-    from .monoid import element_counter
-
-    return element_counter(system, X)(X)
 
 
 @dataclass(frozen=True)

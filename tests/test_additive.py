@@ -1,4 +1,5 @@
 """Additive prime-value rules and the empirical measures they induce."""
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from monoidldp.additive import (
     rho_X,
 )
 from monoidldp.errors import EmptySystem, ParameterError
-from monoidldp.systems import Beurling, Integers, PolyOverFq, list_primes, prime_norms
+from monoidldp.systems import Beurling, Integers, PolyOverFq, prime_norms
 
 
 def test_omega_rule():
@@ -46,6 +47,11 @@ def test_norm_residue_validation():
         NormResidue(4, frozenset({1}), -1.0, 0.0)
     with pytest.raises(ParameterError):
         NormResidue(4, frozenset({1}), 1.0, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            NormResidue(4, frozenset({1}), bad, 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            NormResidue(4, frozenset({1}), 1.0, bad)
 
 
 def test_table_lookup_rule():
@@ -74,6 +80,11 @@ def test_table_lookup_validation():
         TableLookup(((2, -1.0),))
     with pytest.raises(ParameterError):
         TableLookup((), default=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            TableLookup(((2, bad),))
+        with pytest.raises(ParameterError, match="finite"):
+            TableLookup((), default=bad)
 
 
 def test_discrete_measure_validation():
@@ -85,6 +96,11 @@ def test_discrete_measure_validation():
         DiscreteMeasure(((0.0, 1.0), (1.0, 0.0)))  # zero weight
     with pytest.raises(ParameterError):
         DiscreteMeasure(((0.0, 0.5), (1.0, 0.4)))  # mass 0.9
+    # NaN fails every comparison, so only an explicit check stops it
+    for atoms in (((math.nan, 1.0),), ((0.0, math.nan),), ((math.inf, 1.0),),
+                  ((0.0, 0.5), (1.0, math.nan))):
+        with pytest.raises(ParameterError, match="finite"):
+            DiscreteMeasure(atoms)
 
 
 def test_delta_and_mean():
@@ -102,11 +118,13 @@ def test_from_pairs_merges_duplicates_and_sorts():
 
 def test_json_roundtrip():
     m = DiscreteMeasure(((0.0, 0.25), (0.5, 0.25), (2.0, 0.5)))
-    assert DiscreteMeasure.from_json(m.to_json()) == m
-    with pytest.raises(ParameterError):
-        DiscreteMeasure.from_json("{\"atoms\": 3}")
-    with pytest.raises(ParameterError):
-        DiscreteMeasure.from_json("not json")
+    text = json.dumps({"atoms": [{"y": y, "w": w} for y, w in m.atoms]})
+    assert DiscreteMeasure.from_json(text) == m
+    for bad in ('{"atoms": 3}', "not json", '{"atoms": [{"y": "a", "w": 1}]}',
+                '{"atoms": [{"y": null, "w": 1}]}', '{"atoms": [{"y": NaN, "w": 1}]}',
+                '{"atoms": [{"y": 0, "w": Infinity}]}'):
+        with pytest.raises(ParameterError):
+            DiscreteMeasure.from_json(bad)
 
 
 def test_exp_moment_examples():
@@ -117,23 +135,26 @@ def test_exp_moment_examples():
 
 
 def test_rho_x_integers_omega_is_point_mass():
-    emp = rho_X(Integers(), Omega(), 100)
-    assert emp.base.atoms == ((1.0, 1.0),)
-    assert emp.X == 100
-    # denominator is the Mertens sum over primes <= 100
-    assert emp.denominator == pytest.approx(
-        math.fsum(1 / e.norm for e in list_primes(Integers(), 100)), rel=1e-12)
+    assert rho_X(Integers(), Omega(), 100) == DiscreteMeasure(((1.0, 1.0),))
+
+
+def _exact_rho_weights(system, g, X):
+    """Each atom's weight of rho_X as a Fraction, summed prime by prime."""
+    norms = prime_norms(system, X)
+    groups = {}
+    for y, n in zip(g.values(norms).tolist(), norms.tolist()):
+        groups[y] = groups.get(y, 0) + Fraction(1, n)
+    total = sum(groups.values())
+    return {y: s / total for y, s in sorted(groups.items())}
 
 
 def test_rho_x_residue_exact_weights():
     # primes <= 10: residue class 1 mod 4 holds only 5, so the atom at 1
     # carries (1/5) / (1/2 + 1/3 + 1/5 + 1/7) = 42/247 of the mass
-    emp = rho_X(Integers(), NormResidue(4, frozenset({1}), 1.0, 0.0), 10)
-    fracs = [Fraction(n, d) for n, d in emp.weights_exact]
-    assert fracs == [Fraction(205, 247), Fraction(42, 247)]
-    assert [y for y, _ in emp.base.atoms] == [0.0, 1.0]
-    assert emp.base.atoms[0][1] == pytest.approx(205 / 247, rel=1e-15)
-    assert emp.base.atoms[1][1] == pytest.approx(42 / 247, rel=1e-15)
+    g = NormResidue(4, frozenset({1}), 1.0, 0.0)
+    assert _exact_rho_weights(Integers(), g, 10) == {0.0: Fraction(205, 247),
+                                                      1.0: Fraction(42, 247)}
+    assert rho_X(Integers(), g, 10).atoms == ((0.0, 205 / 247), (1.0, 42 / 247))
 
 
 def test_rho_x_empty_system():
@@ -149,8 +170,11 @@ def test_rho_x_empty_system():
     (Beurling((2, 3, 5, 7, 11)), 500),
 ])
 def test_rho_x_mass_is_exactly_one(system, X):
-    emp = rho_X(system, NormResidue(3, frozenset({1, 2}), 2.0, 0.25), X)
-    assert sum(Fraction(n, d) for n, d in emp.weights_exact) == 1
+    g = NormResidue(3, frozenset({1, 2}), 2.0, 0.25)
+    exact = _exact_rho_weights(system, g, X)
+    assert sum(exact.values()) == 1
+    # each weight is its exact value, correctly rounded
+    assert rho_X(system, g, X).atoms == tuple((y, float(w)) for y, w in exact.items())
 
 
 def test_check_convergence_zero_when_limit_matches():

@@ -83,6 +83,36 @@ def test_parameter_and_source_errors_exit_65(tmp_path):
                  "--out", str(tmp_path)]) == 65
 
 
+@pytest.mark.parametrize("atoms", [
+    '[{"y": NaN, "w": 1}]',  # once reported I(0) = 0 "converged", as for delta_0
+    '[{"y": 0, "w": NaN}]',  # a NaN weight passes a mass check by comparison
+    '[{"y": Infinity, "w": 1}]',
+    '[{"y": "a", "w": 1}]',  # a bad value in the file, not a usage error
+])
+def test_bad_measure_file_exits_65(tmp_path, capsys, atoms):
+    rho = tmp_path / "rho.json"
+    rho.write_text('{"atoms": ' + atoms + '}', encoding="utf-8")
+    assert main(["rate", "--rho", str(rho), "--out", str(tmp_path / "o")]) == 65
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("g", ["residue:4:1:nan:1", "residue:4:1:1:nan",
+                               "residue:4:1:inf:1"])
+def test_non_finite_prime_values_exit_65(tmp_path, capsys, g):
+    assert main(["count", "--g", g, "--limit", "20", "--out", str(tmp_path)]) == 65
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_values_exit_65(tmp_path):
+    assert main(["rate", "--format", "json", "--out", str(tmp_path / "a")]) == 0
+    cfg = json.loads((tmp_path / "a" / "config-echo.json").read_text(encoding="utf-8"))
+    cfg["rho"]["atoms"][0]["y"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(bad), "--out", str(tmp_path / "b")]) == 65
+
+
 def test_expect_looks_primes_up_by_norm(tmp_path, capsys):
     # a norm above X has no prime, whatever the norms below it
     assert main(["expect", "--system", "integers", "--limit", "10",

@@ -57,9 +57,16 @@ CASES = [
     ("expect-integers", ["expect", "--limit", "10", "--primes", "2,3"], BOTH),
     ("expect-quad", ["expect", "--system", "quad:-4", "--limit", "200",
                      "--primes", "2,5,5"], BOTH),
+    # repeated norms name distinct primes of equal norm
+    ("expect-beurling-repeated", ["expect", "--system", "beurling:norms.txt",
+                                  "--limit", "100", "--primes", "2,2,2"], BOTH),
     ("dominate", ["dominate", "--limit", "50", "--kmax", "2"], BOTH),
     ("mgf-gap", ["mgf-gap", "--grid", "100,1000"], BOTH),
     ("mgf-gap-log-space", ["mgf-gap", "--grid", "100,1000", "--theta", "300"], BOTH),
+    # B holds primes of equal norm (split primes, irreducibles of one degree)
+    ("mgf-gap-quad-residue", ["mgf-gap", "--system", "quad:-4",
+                              "--g", "residue:4:1:2:0.5", "--grid", "1000,100000"], BOTH),
+    ("mgf-gap-poly2", ["mgf-gap", "--system", "poly:2", "--grid", "1024,65536"], BOTH),
     ("tail-mass", ["tail-mass", "--limit", "100", "--g", "residue:4:1:2:0"], BOTH),
     ("rate-delta1", ["rate"], BOTH),
     ("rate-nonpositive-x", ["rate", "--grid=-1,0,0.5"], BOTH),

@@ -31,32 +31,36 @@ from monoidldp.exact import (
     truncation_sets,
     truncation_threshold,
 )
+from monoidldp.monoid import element_counter
 from monoidldp.systems import (
     Beurling,
     Integers,
     PolyOverFq,
-    PrimeEntry,
     QuadraticField,
-    count_elements,
     list_primes,
+    prime_norms,
 )
 
 
-def _g_at(g, e):
-    """g at the prime entry e."""
-    return float(g.values(np.array([e.norm]))[0])
+def _count(system, X):
+    """The number of elements of norm <= X."""
+    return element_counter(system, X)(X)
 
 
-def _iprimes(X, *norms):
-    by_norm = {e.norm: e for e in list_primes(Integers(), X)}
-    return [by_norm[n] for n in norms]
+def _g_at(g, n):
+    """g at a prime of norm n."""
+    return float(g.values(np.array([n]))[0])
+
+
+def _norms(*norms):
+    return np.array(norms, dtype=np.int64)
 
 
 def test_expect_z_examples():
-    assert expect_Z(Integers(), 10, _iprimes(10, 2, 3)).value == Fraction(1, 10)
-    assert expect_Z(Integers(), 100, _iprimes(100, 2, 3)).value == Fraction(4, 25)
-    assert expect_Z(Integers(), 10, _iprimes(10, 2, 7)).value == 0  # 14 > 10
-    assert expect_Z(Integers(), 10, _iprimes(10, 2)).float_value == 0.5
+    assert expect_Z(Integers(), 10, [2, 3]) == Fraction(1, 10)
+    assert expect_Z(Integers(), 100, [2, 3]) == Fraction(4, 25)
+    assert expect_Z(Integers(), 10, [2, 7]) == 0  # 14 > 10
+    assert float(expect_Z(Integers(), 10, _norms(2))) == 0.5
 
 
 @pytest.mark.parametrize("X", [10, 100, 1000])
@@ -64,35 +68,46 @@ def test_expect_z_examples():
 def test_expect_z_matches_divisibility_scan(X, norms):
     prod = math.prod(norms)
     hits = sum(1 for m in range(1, X + 1) if m % prod == 0)
-    assert expect_Z(Integers(), X, _iprimes(X, *norms)).value == Fraction(hits, X)
+    assert expect_Z(Integers(), X, list(norms)) == Fraction(hits, X)
 
 
 def test_expect_y():
-    assert expect_Y(_iprimes(10, 2, 3)).value == Fraction(1, 6)
-    assert expect_Y(_iprimes(100, 2, 3, 5)).value == Fraction(1, 30)
+    assert expect_Y([2, 3]) == Fraction(1, 6)
+    assert expect_Y(_norms(2, 3, 5)) == Fraction(1, 30)
+    assert expect_Y([]) == 1
 
 
 def test_expect_distinctness_and_membership():
-    p2, p3 = _iprimes(10, 2, 3)
-    with pytest.raises(ParameterError):
-        expect_Z(Integers(), 10, [p2, p2])
-    with pytest.raises(ParameterError):
-        expect_Y([p3, p3])
-    (p13,) = _iprimes(20, 13)
+    # the integers have one prime of norm 2, so [2, 2] names a second one
     with pytest.raises(PrimeNotInSystem):
-        expect_Z(Integers(), 10, [p13])
-    poly_t = list_primes(PolyOverFq(2), 4)[0]
+        expect_Z(Integers(), 10, [2, 2])
     with pytest.raises(PrimeNotInSystem):
-        expect_Z(Integers(), 10, [poly_t])
-    # norm 5 splits in Q(i) as (5,s1), (5,s2); the label decides membership
-    assert PrimeEntry(5, "(5,s2)") in list_primes(QuadraticField(-4), 10)
+        expect_Z(Integers(), 10, [13])
+    # 4 = N(t^2 + t + 1) is a norm of poly:2, not of the integers
     with pytest.raises(PrimeNotInSystem):
-        expect_Z(QuadraticField(-4), 10, [PrimeEntry(5, "(5,s3)")])
+        expect_Z(Integers(), 10, [4])
     # a norm above X is not looked up past X
     with pytest.raises(PrimeNotInSystem, match="norm <= 100"):
-        expect_Z(Integers(), 100, [PrimeEntry(101, "101")])
+        expect_Z(Integers(), 100, [101])
     with pytest.raises(ParameterError):
         expect_Z(Integers(), 0, [])
+    assert expect_Z(Integers(), 10, []) == 1
+
+
+@pytest.mark.parametrize("system,X,fits,too_many", [
+    # 5 splits in Q(i) into two primes of norm 5
+    (QuadraticField(-4), 100, [5, 5], [5, 5, 5]),
+    (Beurling((2, 2, 3)), 100, [2, 2], [2, 2, 2]),
+], ids=lambda v: getattr(v, "key", None))
+def test_expect_repeated_norms_are_a_multiset(system, X, fits, too_many):
+    product = math.prod(fits)
+    assert expect_Z(system, X, fits) == Fraction(
+        _count(system, X // product), _count(system, X))
+    with pytest.raises(PrimeNotInSystem, match=f"norm <= {X}"):
+        expect_Z(system, X, too_many)
+    # a prime of the system whose norm exceeds X is not counted
+    with pytest.raises(PrimeNotInSystem):
+        expect_Z(system, fits[0] - 1, fits[:1])
 
 
 def test_domination_integers_ratio_capped_at_one():
@@ -121,13 +136,13 @@ def test_domination_poly_matches_brute_maximum():
     system = PolyOverFq(2)
     X, k_max = 8, 3
     entries = list_primes(system, X)
-    cx = count_elements(system, X)
+    cx = _count(system, X)
     best = Fraction(0)
     for k in range(1, k_max + 1):
         for tup in itertools.combinations(entries, k):
             prod = math.prod(e.norm for e in tup)
             if prod <= X:
-                best = max(best, Fraction(count_elements(system, X // prod) * prod, cx))
+                best = max(best, Fraction(_count(system, X // prod) * prod, cx))
     rep = domination_report(system, X, k_max)
     assert rep.M_exact == best == Fraction(14, 15)
     assert rep.witness == (entries[0],)
@@ -136,7 +151,7 @@ def test_domination_poly_matches_brute_maximum():
 def _labelled_domination(system, X, k_max):
     """The depth-first search over labelled entries that the report replaced."""
     entries = list_primes(system, X)
-    cx = count_elements(system, X)
+    cx = _count(system, X)
     best, witness, examined = Fraction(0), (), 0
 
     def rec(i0, prod, picked):
@@ -147,7 +162,7 @@ def _labelled_domination(system, X, k_max):
                 break
             examined += 1
             tup = picked + (entries[i],)
-            ratio = Fraction(count_elements(system, X // p) * p, cx)
+            ratio = Fraction(_count(system, X // p) * p, cx)
             if ratio > best:
                 best, witness = ratio, tup
             if len(tup) < k_max:
@@ -197,10 +212,11 @@ def test_truncation_threshold():
 
 def test_truncation_sets_split():
     ts = truncation_sets(Integers(), Omega(), 100, 5.0)
-    assert [e.norm for e in ts.B] == [2, 3, 5, 7]
+    assert ts.B.dtype == np.int64
+    assert ts.B.tolist() == [2, 3, 5, 7]
     # a cap below every prime value leaves B empty
     ts_low = truncation_sets(Integers(), Omega(), 100, 0.5)
-    assert ts_low.B == ()
+    assert ts_low.B.tolist() == []
 
 
 @pytest.mark.parametrize("system,X,C", [
@@ -213,31 +229,29 @@ def test_truncation_b_is_the_small_norms_of_the_full_list(system, X, C):
     g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
     ts = truncation_sets(system, g, X, C)
     entries = list_primes(system, X)
-    assert ts.B == tuple(e for e in entries if e.norm <= ts.k_X and abs(_g_at(g, e)) <= C)
-    assert ts.B
+    assert ts.B.tolist() == [e.norm for e in entries
+                             if e.norm <= ts.k_X and abs(_g_at(g, e.norm)) <= C]
+    assert ts.B.size
 
 
-def test_gap_components_lists_primes_only_up_to_k_x(monkeypatch):
-    X, real = 10**5, systems.list_primes
-    calls = []
-
-    def spy(system, limit):
-        calls.append(limit)
-        return real(system, limit)
-
+def test_gap_components_lists_no_primes(monkeypatch):
+    X = 10**5
     expected = gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0)
-    monkeypatch.setattr(exact, "list_primes", spy)
-    monkeypatch.setattr(systems, "list_primes", spy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap_components listed labelled primes")
+
+    monkeypatch.setattr(exact, "list_primes", refuse)
+    monkeypatch.setattr(systems, "list_primes", refuse)
     assert gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0) == expected
-    assert calls and max(calls) <= math.floor(truncation_threshold(X))
 
 
 def test_mgf_y_closed_form():
-    B = _iprimes(10, 2, 3, 5, 7)
+    B = _norms(2, 3, 5, 7)
     expected = math.prod(1 + (math.e - 1) / p for p in (2, 3, 5, 7))
     assert mgf_Y(B, Omega(), 1.0) == pytest.approx(expected, rel=1e-14)
     assert mgf_Y(B, Omega(), 1.0) == pytest.approx(4.8932342847282495, rel=1e-12)
-    assert mgf_Y(_iprimes(10, 2, 3, 5), Omega(), 1.0) == pytest.approx(
+    assert mgf_Y(_norms(2, 3, 5), Omega(), 1.0) == pytest.approx(
         3.9288291738042944, rel=1e-12)
     assert mgf_Y(B, Omega(), 0.0) == 1.0
     assert log_mgf_Y(B, Omega(), 1.0) == pytest.approx(math.log(expected), rel=1e-14)
@@ -252,14 +266,14 @@ def _brute_mgf_z_integers(X, norm_vals, theta):
 
 
 def test_mgf_z_against_elementwise_scan():
-    B = _iprimes(100, 2, 3, 5, 7)
+    B = _norms(2, 3, 5, 7)
     got = mgf_Z(Integers(), 100, B, Omega(), 1.0)
     assert got == pytest.approx(_brute_mgf_z_integers(100, [(p, 1.0) for p in (2, 3, 5, 7)], 1.0),
                                 rel=1e-12)
     assert got == pytest.approx(4.643404184909107, rel=1e-12)
 
     g = NormResidue(4, frozenset({1}), 1.0, 0.25)
-    vals = [(e.norm, _g_at(g, e)) for e in B]
+    vals = [(n, _g_at(g, n)) for n in B.tolist()]
     assert mgf_Z(Integers(), 100, B, g, 0.7) == pytest.approx(
         _brute_mgf_z_integers(100, vals, 0.7), rel=1e-12)
 
@@ -267,12 +281,12 @@ def test_mgf_z_against_elementwise_scan():
 def test_mgf_z_against_subset_expansion():
     # E[e^(theta S)] = sum over subsets S of B of floor(X/prod) prod(e^(theta g)-1) / X
     X = 1000
-    B = _iprimes(X, 2, 3, 5)
+    B = _norms(2, 3, 5)
     theta = 1.0
     total = 0.0
     for k in range(len(B) + 1):
-        for sub in itertools.combinations(B, k):
-            prod = math.prod(e.norm for e in sub)
+        for sub in itertools.combinations(B.tolist(), k):
+            prod = math.prod(sub)
             total += (X // prod) * math.prod(math.expm1(theta) for _ in sub)
     assert mgf_Z(Integers(), X, B, Omega(), theta) == pytest.approx(total / X, rel=1e-12)
 
@@ -289,14 +303,14 @@ def _table_log_mgf_z(system, X, subset, g, theta):
     """The table oracle: log of the mean of exp(theta * gsum) over every
     element, g being kept on the subset's norms (a union of norm classes)
     and zero elsewhere."""
-    restricted = TableLookup({e.norm: _g_at(g, e) for e in subset})
+    restricted = TableLookup({n: _g_at(g, n) for n in subset.tolist()})
     w = theta * monoid.enumerate_monoid(system, X, restricted).gsum
     peak = float(w.max())
     return peak + math.log(float(np.exp(w - peak).sum())) - math.log(w.size)
 
 
 # (system, X, norm bound of the subset); every subset has a product of two
-# or more primes below X, and the Beurling system repeats norms
+# or more primes below X, and all but the integers repeat norms
 MGF_SYSTEMS = [
     (Integers(), 2000, 13),
     (QuadraticField(-4), 2000, 13),
@@ -313,7 +327,8 @@ MGF_CASES = [pytest.param(*case, id=case[0].key) for case in MGF_SYSTEMS]
 @pytest.mark.parametrize("C", [1.0, 5.0])
 def test_mgf_z_matches_table_oracle(system, X, bound, C):
     g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
-    subset = [e for e in list_primes(system, X) if e.norm <= bound and _g_at(g, e) <= C]
+    norms = prime_norms(system, bound)
+    subset = norms[g.values(norms) <= C]
     assert len(subset) >= 2
     for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
         want = _table_log_mgf_z(system, X, subset, g, theta)
@@ -324,21 +339,21 @@ def test_mgf_z_matches_table_oracle(system, X, bound, C):
 
 @pytest.mark.parametrize("system,X,bound", MGF_CASES)
 def test_support_counts_sum_to_count(system, X, bound):
-    subset = [e for e in list_primes(system, X) if e.norm <= bound]
+    subset = prime_norms(system, bound)
     total, support = _support_counts(system, X, subset, Omega())
-    assert total == count_elements(system, X)
+    assert total == _count(system, X)
     assert sum(c for c, _ in support) == total
     assert all(c >= 1 for c, _ in support)
 
 
 @pytest.mark.parametrize("X", [1, 2, 30, 97, 1000])
 def test_support_counts_match_trial_division(X):
-    subset = [e for e in list_primes(Integers(), X) if e.norm <= 47]
+    subset = prime_norms(Integers(), 47)
     # g(p_i) = 2^i, so the float g_S spells the set S as a bitmask, exactly
-    g = TableLookup({e.norm: 2.0**i for i, e in enumerate(subset)})
+    g = TableLookup({n: 2.0**i for i, n in enumerate(subset.tolist())})
     total, support = _support_counts(Integers(), X, subset, g)
     expected = collections.Counter(
-        sum(1 << i for i, e in enumerate(subset) if m % e.norm == 0) for m in range(1, X + 1))
+        sum(1 << i for i, n in enumerate(subset.tolist()) if m % n == 0) for m in range(1, X + 1))
     assert total == X
     assert {int(gs): c for c, gs in support} == expected
     assert len(support) == len(expected)
@@ -363,7 +378,7 @@ def test_gap_vanishes_at_theta_zero():
 
 
 def test_mgf_overflow_switches_to_log_space():
-    B = _iprimes(10, 2, 3, 5, 7)
+    B = _norms(2, 3, 5, 7)
     with pytest.raises(MgfOverflow) as err:
         mgf_Y(B, Omega(), 700.0)
     assert err.value.log_value > 690.0

@@ -1,4 +1,5 @@
 """Experiment drivers: EK normality, LDP tail scans, condition sweeps, gap trend."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -131,7 +132,7 @@ def test_condition_sweep_integers_passes():
     assert rep.convergence["flag"] == "PASS"
     for row in rep.convergence["rows"]:
         assert all(d == 0.0 for _, d in row["deviations"])
-    keys = set(rep.as_dict())
+    keys = set(dataclasses.asdict(rep))
     assert keys == {"overall", "density", "prime_count", "mertens", "convergence"}
 
 

@@ -11,7 +11,6 @@ from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.cli import main
 from monoidldp.errors import (
     BudgetExceeded,
-    NonIntegerStatistic,
     ParameterError,
     SourceError,
 )
@@ -21,7 +20,6 @@ from monoidldp.monoid import (
     _sieve_table,
     element_counter,
     enumerate_monoid,
-    histogram,
     read_table_cache,
     write_table_cache,
 )
@@ -30,7 +28,6 @@ from monoidldp.systems import (
     Integers,
     PolyOverFq,
     QuadraticField,
-    count_elements,
     list_primes,
     primes_upto,
 )
@@ -41,34 +38,14 @@ def test_integers_table_small():
     assert t.norm.tolist() == list(range(1, 11))
     assert t.omega.tolist() == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2]
     assert t.gsum.tolist() == [0.0, 1, 1, 1, 1, 2, 1, 1, 1, 2]
+    assert np.bincount(t.omega).tolist() == [1, 7, 2]
 
 
 def test_beurling_23_elements():
     t = enumerate_monoid(Beurling((2, 3)), 12, Omega())
     assert t.norm.tolist() == [1, 2, 3, 4, 6, 8, 9, 12]
     assert t.omega.tolist() == [0, 1, 1, 1, 2, 1, 1, 2]
-
-
-def test_histogram_examples():
-    t = enumerate_monoid(Integers(), 10, Omega())
-    h = histogram(t, "omega")
-    assert h.as_dict() == {0: 1, 1: 7, 2: 2}
-    assert h.total == 10
-
-    t23 = enumerate_monoid(Beurling((2, 3)), 12, Omega())
-    assert histogram(t23, "omega").as_dict() == {0: 1, 1: 5, 2: 2}
-
-
-def test_histogram_width_and_noninteger():
-    g = NormResidue(4, frozenset({1}), 0.5, 0.0)
-    t = enumerate_monoid(Integers(), 30, g)
-    with pytest.raises(NonIntegerStatistic):
-        histogram(t, "gsum")
-    h = histogram(t, "gsum", width=0.5)
-    assert h.width == 0.5
-    assert sum(h.counts) == 30
-    # 5, 13, 17, 29 contribute 0.5 each; 65 > 30 so no element reaches 1.0
-    assert h.as_dict()[0.5] == len([m for m in range(1, 31) if any(m % p == 0 for p in (5, 13, 17, 29))])
+    assert np.bincount(t.omega).tolist() == [1, 5, 2]
 
 
 def scalar_g(g, norm):
@@ -272,7 +249,7 @@ def test_quad_minus4_counts_match_gaussian_lattice():
         assert _gaussian_lattice_count(X) == expected
         assert count(X) == expected
     assert all(count(y) == _gaussian_lattice_count(y) for y in range(1, 2001))
-    assert count_elements(QuadraticField(-4), 12345) == 9699
+    assert element_counter(QuadraticField(-4), 12345)(12345) == 9699
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -303,7 +280,7 @@ def test_counter_matches_one_shot_counts(system):
     X = 300
     count = element_counter(system, X)
     assert [count(y) for y in range(1, X + 1)] == [
-        count_elements(system, y) for y in range(1, X + 1)
+        element_counter(system, y)(y) for y in range(1, X + 1)
     ]
     with pytest.raises(ParameterError):
         element_counter(system, 0)

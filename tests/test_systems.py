@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import gfpoly, systems
 from monoidldp.additive import NormResidue, rho_X
 from monoidldp.errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
-from monoidldp.exact import tail_mass
+from monoidldp.exact import expect_Z, gap_components, tail_mass
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import element_counter, enumerate_monoid
 from monoidldp.systems import (
@@ -18,7 +18,6 @@ from monoidldp.systems import (
     QuadraticField,
     _is_fundamental_discriminant,
     _kronecker,
-    count_elements,
     density_fit,
     kronecker_at_prime,
     list_primes,
@@ -170,11 +169,11 @@ def test_prime_count_check():
     assert math.isclose(v, 3 * math.log(10) / 10, rel_tol=1e-12)
 
 
-def test_count_elements_integers_and_poly():
-    assert count_elements(Integers(), 1000) == 1000
+def test_element_counter_integers_and_poly():
+    assert element_counter(Integers(), 1000)(1000) == 1000
     # monic polynomials of degree <= n over F_2, unit included
-    assert count_elements(PolyOverFq(2), 2**6) == 2**7 - 1
-    assert count_elements(Beurling(()), 100) == 1
+    assert element_counter(PolyOverFq(2), 2**6)(2**6) == 2**7 - 1
+    assert element_counter(Beurling(()), 100)(100) == 1
 
 
 def test_density_integers_exact():
@@ -306,7 +305,9 @@ def test_computation_builds_no_labels(system, X, monkeypatch):
         t = enumerate_monoid(system, X, g)
         return (t.norm.tolist(), t.omega.tolist(), t.gsum.tolist(),
                 element_counter(system, X)(X // 3), rho_X(system, g, X),
-                tail_mass(system, g, X, 1.0, 1.0), mertens_sum(system, X))
+                tail_mass(system, g, X, 1.0, 1.0), mertens_sum(system, X),
+                gap_components(system, g, X, 5.0, 1.0),
+                expect_Z(system, X, prime_norms(system, 5).tolist()))
 
     expected = run()
     for module in (systems, exact):
