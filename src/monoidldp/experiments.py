@@ -21,6 +21,12 @@ alongside as ks_two_sided; at X = 10^6 for the integers it sits near 0.27
 (the empirical statistic is right-skewed at any desk scale, so the two-sided
 distance is dominated by the left-of-center deficit), while the one-sided
 statistic is near 0.099 and is the quantity the regression baseline tracks.
+
+Both KS maxima are exact over every element, with no n-length array of Phi.
+Phi is a scalar port of Cephes' ndtr, bit-equal to the compiled C routine;
+the sorted sample is cut into blocks whose end points bound every value
+inside, and Phi is taken element by element only in the blocks that can
+hold a maximum (see _ks_maxima).
 """
 from __future__ import annotations
 
@@ -30,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .additive import AdditiveFunction, DiscreteMeasure, Omega, check_convergence
 from .errors import EmptySample, ParameterError
@@ -59,6 +64,8 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     The statistic is computed per element over norms >= min_norm (so the
     inner logarithm is positive); mean and variance of omega and the Mertens
     sum are reported over the full table for cross-checks.
+
+    Both KS maxima are exact over the sorted t (_ks_maxima).
     """
     if X < 16:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
@@ -71,13 +78,10 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
     t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
-    phi = ndtr(t)
-    steps = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = float(np.max(steps - phi))
-    d_minus = float(np.max(phi - (steps - 1.0 / n)))
+    d_plus, d_minus = _ks_maxima(t)
     omega_total = int(table.omega.sum(dtype=np.int64))
     mean_omega = omega_total / table.count
-    variance = float(np.var(table.omega.astype(np.float64)))
+    variance = float(np.var(table.omega))
     return EKReport(
         X=X,
         samples=table.count,
@@ -89,6 +93,116 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         mertens_mean=mertens_sum(system, X)[0],
         variance_omega=variance,
     )
+
+
+# Moshier's Cephes ndtr (Methods and Programs for Mathematical Functions,
+# 1989): its coefficients and its float operations, restricted to the paths
+# ndtr reaches, so the result is the C routine's, bit for bit. Cephes'
+# p1evl, the Horner loop with an implied leading 1.0, is _horner over a
+# table that starts with 1.0, since 1.0 * x + c is x + c exactly.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _horner(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| < 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 1/sqrt(2); 0.0 where exp(-x*x) would underflow."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if -x * x < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return (math.exp(-x * x) * _horner(x, p)) / _horner(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """Phi(a), the standard normal CDF, bit-equal to Cephes' ndtr."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+# Blocks of the sorted KS sample whose end points bound the whole block, and
+# the slack that covers Cephes' ~1e-15 departures from a monotone Phi.
+_KS_BLOCK = 256
+_KS_SLACK = 1e-9
+
+
+def _ks_maxima(t: np.ndarray) -> tuple[float, float]:
+    """(max_i (i+1)/n - Phi(t_i), max_i Phi(t_i) - ((i+1)/n - 1/n)) over sorted t.
+
+    Phi and the steps both rise along t, so a block [a, b] holds no value
+    above (b+1)/n - Phi(t_a), nor above Phi(t_b) - ((a+1)/n - 1/n). Phi is
+    taken at every block's two end points, which give lower bounds on both
+    maxima, and at every element only of the blocks whose upper bound comes
+    within the slack of them. Each candidate is the same float expression
+    as over the full arrays, so the maxima are the same bits.
+    """
+    n = len(t)
+    inv_n = 1.0 / n
+    block = _KS_BLOCK
+    firsts = range(0, n, block)
+    lasts = [min(a + block, n) - 1 for a in firsts]
+    phi_first = [_ndtr(x) for x in t[::block].tolist()]
+    phi_last = [_ndtr(x) for x in t[lasts].tolist()]
+    d_plus = d_minus = -math.inf
+    for i, p in (*zip(firsts, phi_first), *zip(lasts, phi_last)):
+        s = (i + 1) / n
+        d_plus = max(d_plus, s - p)
+        d_minus = max(d_minus, p - (s - inv_n))
+    for a, b, pa, pb in zip(firsts, lasts, phi_first, phi_last):
+        if ((b + 1) / n - pa < d_plus - _KS_SLACK
+                and pb - ((a + 1) / n - inv_n) < d_minus - _KS_SLACK):
+            continue
+        for i, x in enumerate(t[a + 1:b].tolist(), a + 1):
+            p = _ndtr(x)
+            s = (i + 1) / n
+            d_plus = max(d_plus, s - p)
+            d_minus = max(d_minus, p - (s - inv_n))
+    return d_plus, d_minus
 
 
 @dataclass(frozen=True)

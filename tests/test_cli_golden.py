@@ -72,6 +72,9 @@ CASES = [
     ("rate-nonpositive-x", ["rate", "--grid=-1,0,0.5"], BOTH),
     ("rate-file", ["rate", "--rho", "rho.json", "--grid", "geom:0.1:3:5"], BOTH),
     ("ek", ["ek", "--limit", "1000"], BOTH),
+    ("ek-integers-1e5", ["ek", "--limit", "100000"], BOTH),
+    ("ek-quad", ["ek", "--system", "quad:-4", "--limit", "100000"], BOTH),
+    ("ek-poly3", ["ek", "--system", "poly:3", "--limit", "6561"], BOTH),
     ("ldp-scan-infinite", ["ldp-scan", "--grid", "100,1000",
                            "--intervals=-inf:1,1:1.5,1.5:inf"], BOTH),
     ("ldp-scan-residue", ["ldp-scan", "--g", "residue:3:1:1:0", "--rho", "rho.json",

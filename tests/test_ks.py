@@ -1,0 +1,183 @@
+"""The scalar Phi and the block-bounded KS maxima behind `ek`, and an import
+path that loads no scipy.
+
+scipy is only the oracle here: the tests that need it skip without it, and
+the subprocess tests check that the package itself never imports it.
+"""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from monoidldp import experiments
+from monoidldp.additive import Omega
+from monoidldp.experiments import _ks_maxima, _ndtr
+from monoidldp.monoid import enumerate_monoid
+from monoidldp.systems import Integers, PolyOverFq, QuadraticField
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+EDGES = (1.0, 8.0 * math.sqrt(2.0))  # |t| where ndtr and erfc switch branches
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_cli_loads_no_scipy(tmp_path):
+    done = _python("import sys, monoidldp.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ek_without_scipy_matches_golden(tmp_path, fmt):
+    done = _python("import sys\n"
+                   "sys.modules['scipy'] = None\n"
+                   "from monoidldp.cli import main\n"
+                   f"sys.exit(main(['ek', '--limit', '1000', '--format', '{fmt}', '--out', 'out']))",
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    golden = GOLDEN / f"ek.{fmt}" / f"ek.{fmt}"
+    assert (tmp_path / "out" / f"ek.{fmt}").read_bytes() == golden.read_bytes()
+
+
+def _bands(half_width: float, points: int) -> np.ndarray:
+    """Dense values around +-1 and +-8 sqrt 2, and the few ulps at each edge."""
+    parts = []
+    for edge in EDGES:
+        for c in (edge, -edge):
+            parts.append(np.linspace(c - half_width, c + half_width, points))
+            ulps = [c]
+            for _ in range(64):
+                ulps = [np.nextafter(ulps[0], -np.inf), *ulps, np.nextafter(ulps[-1], np.inf)]
+            parts.append(np.array(ulps))
+    return np.concatenate(parts)
+
+
+def _phis(ts: np.ndarray) -> np.ndarray:
+    return np.array([_ndtr(t) for t in ts.tolist()])
+
+
+def _assert_bits_equal(got: np.ndarray, want: np.ndarray, ts: np.ndarray) -> None:
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    diff = got[keep].view(np.uint64) != want[keep].view(np.uint64)
+    assert not diff.any(), (ts[keep][diff][:5], got[keep][diff][:5], want[keep][diff][:5])
+
+
+def test_ndtr_bit_equal_to_scipy():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    rng = np.random.default_rng(20261018)
+    ts = np.concatenate([
+        rng.uniform(-40.0, 40.0, 200_000),
+        _bands(1e-3, 20_001),
+        np.linspace(-45.0, -38.0, 1001),  # erfc underflows to 0 (Cephes' MAXLOG guard)
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -37.5, -38.0, 5e-324, -5e-324,
+         1e-300, -1e-300, 1e300, -1e300],
+    ])
+    _assert_bits_equal(_phis(ts), ndtr(ts), ts)
+
+
+def test_ndtr_special_values():
+    assert _ndtr(-math.inf) == 0.0
+    assert _ndtr(math.inf) == 1.0
+    assert _ndtr(0.0) == _ndtr(-0.0) == 0.5
+    assert math.isnan(_ndtr(math.nan))
+    assert all(_ndtr(t) == 0.0 for t in (-38.0, -40.0, -1e300))  # no denormals
+
+
+def test_ndtr_falls_by_at_most_1e_15():
+    """The fact behind _KS_SLACK: Phi is monotone up to 1e-15 on a dense grid."""
+    ts = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 400_001), _bands(1e-4, 2001)]))
+    phi = _phis(ts)
+    assert float(np.max(phi[:-1] - phi[1:])) <= 1e-15
+    assert 1e-15 < experiments._KS_SLACK
+
+
+def _oracle(t: np.ndarray) -> tuple[float, float]:
+    """The KS maxima over full Phi and step arrays."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    n = len(t)
+    phi = ndtr(t)
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    return float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
+
+
+def _ek_t(system, X: int) -> np.ndarray:
+    table = enumerate_monoid(system, X, Omega())
+    mask = table.norm >= 3
+    ll = np.log(np.log(table.norm[mask].astype(np.float64)))
+    return np.sort((table.omega[mask] - ll) / np.sqrt(ll))
+
+
+def _assert_maxima_bit_equal(t: np.ndarray) -> None:
+    got, want = _ks_maxima(t), _oracle(t)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("system,X", [
+    (Integers(), 10**5), (Integers(), 10**6), (QuadraticField(-4), 10**5),
+    (PolyOverFq(2), 2**16),
+], ids=["integers-1e5", "integers-1e6", "quad-4-1e5", "poly2-2^16"])
+def test_ks_maxima_bit_equal_on_ek_tables(system, X):
+    _assert_maxima_bit_equal(_ek_t(system, X))
+
+
+def _adversarial() -> dict[str, np.ndarray]:
+    block = experiments._KS_BLOCK
+    rng = np.random.default_rng(7)
+    return {
+        "all-equal": np.full(1000, 0.3),
+        "tied-runs": np.repeat(np.sort(rng.normal(size=40)), rng.integers(1, 200, 40)),
+        "n=1": np.array([0.25]),
+        "block-1": np.sort(rng.normal(size=block - 1)),
+        "block+1": np.sort(rng.normal(size=block + 1)),
+        "3-blocks": np.sort(rng.normal(size=3 * block)),
+        "normal-sample": np.sort(rng.normal(size=20_000)),
+        "far-tails": np.sort(np.concatenate([rng.uniform(-50, -30, 300),
+                                             rng.uniform(30, 50, 300)])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_adversarial()))
+def test_ks_maxima_bit_equal_on_adversarial_arrays(name):
+    _assert_maxima_bit_equal(_adversarial()[name])
+
+
+@pytest.mark.parametrize("block", [1, 2, 10**9])
+@pytest.mark.parametrize("name", ["tied-runs", "n=1", "block+1", "3-blocks"])
+def test_ks_maxima_at_degenerate_block_sizes(monkeypatch, block, name):
+    """Blocks of 1 or 2 are all end points; one block longer than n is
+    evaluated everywhere. Each gives the oracle's bits."""
+    t = _adversarial()[name]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _ndtr(x)
+
+    monkeypatch.setattr(experiments, "_KS_BLOCK", block)
+    monkeypatch.setattr(experiments, "_ndtr", counted)
+    _assert_maxima_bit_equal(t)
+    n = len(t)
+    if block > n:
+        assert len(calls) == max(n, 2)  # both end points, then every inner element
+    else:
+        assert len(calls) == 2 * -(-n // block)  # end points only
+
+
+def test_variance_of_integer_omega_needs_no_float_copy():
+    """np.var over the integer omega column gives the bits of the float64 copy's."""
+    for system, X in [(Integers(), 10**3), (Integers(), 10**6), (Integers(), 3 * 10**6),
+                      (QuadraticField(-4), 10**6)]:
+        omega = enumerate_monoid(system, X, Omega()).omega
+        assert float(np.var(omega)).hex() == float(np.var(omega.astype(np.float64))).hex()
