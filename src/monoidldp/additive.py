@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptySystem, ParameterError
-from .systems import PrimeSystem, prime_norms
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,16 @@ def _tree_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return pairs[0]
 
 
-def rho_X(system: PrimeSystem, g: AdditiveFunction, X: int) -> DiscreteMeasure:
+def rho_X(norms: np.ndarray, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     """Empirical prime-value measure at threshold X.
 
     Atom at each distinct y = g(p), weighted by sum of 1/N(p) over the
     primes attaining y, normalized by the full Mertens sum. Exact rational
-    until the final float conversion.
+    until the final float conversion. norms: prime_norms at some X' >= X.
     """
-    norms = prime_norms(system, X)
+    if X < 1:
+        raise ParameterError(f"X must be >= 1, got {X}")
+    norms = norms[: norms.searchsorted(X, "right")]
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
     groups: dict[float, list[tuple[int, int]]] = {}
@@ -217,18 +218,19 @@ class ConvergenceRow:
 
 
 def check_convergence(
-    system: PrimeSystem,
+    norms: np.ndarray,
     g: AdditiveFunction,
     rho: DiscreteMeasure,
     theta_grid: Sequence[float],
     X_grid: Sequence[int],
 ) -> list[ConvergenceRow]:
-    """|exp_moment(rho_X) - exp_moment(rho)| per (X, theta) grid point."""
+    """|exp_moment(rho_X) - exp_moment(rho)| per (X, theta) grid point;
+    norms: prime_norms at the largest X or above."""
     if not theta_grid or not X_grid:
         raise ParameterError("theta and X grids must be nonempty")
     rows = []
     for X in X_grid:
-        emp = rho_X(system, g, X)
+        emp = rho_X(norms, g, X)
         for theta in theta_grid:
             a = exp_moment(emp, theta)
             b = exp_moment(rho, theta)

@@ -59,6 +59,7 @@ from .systems import (
     density_fit,
     list_primes,
     mertens_sum,
+    prime_norms,
 )
 
 
@@ -291,9 +292,14 @@ def _run_density(a: dict) -> Report:
 
 
 def _run_mertens(a: dict) -> Report:
-    rows = [(X, *mertens_sum(a["system"], X)) for X in (int(v) for v in a["grid"])]
-    if not rows:
+    grid = [int(v) for v in a["grid"]]
+    if not grid:
         raise ParameterError("grid must be nonempty")
+    # the whole grid is checked before the primes are built at its largest X
+    if min(grid) < 3:
+        raise ParameterError(f"mertens needs every X >= 3, got {min(grid)}")
+    norms = prime_norms(a["system"], max(grid))
+    rows = [(X, *mertens_sum(norms, X)) for X in grid]
     X, s, d = rows[-1]
     return Report(0, f"X={X} sum={fmt(s)} deviation={fmt(d)}",
                   ["X", "sum", "deviation"], _by_column(rows),

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,14 +99,15 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
 
     Only tuples with norm product <= X are enumerated; larger products give
     expect_Z = 0 and cannot attain the maximum. Ties keep the first witness
-    in depth-first (index-lexicographic) order.
+    in depth-first (index-lexicographic) order. Every ratio
+    count(X // N) * N / count(X) shares the denominator count(X), so the
+    search compares the integer numerators and builds one Fraction.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
     norms = prime_norms(system, X).tolist()
     count = element_counter(system, X)
-    cx = count(X)
-    best = Fraction(0)
+    best = 0  # the numerator of the largest ratio
     witness: tuple[int, ...] = ()  # indices into norms
     examined = 0
 
@@ -123,10 +124,10 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
                     predicted=examined, cap=_MAX_TUPLES,
                 )
             tup = picked + (i,)
-            # ratio = expect_Z / expect_Y = count(X // p) * p / count(X)
-            ratio = Fraction(count(X // p) * p, cx)
-            if ratio > best:
-                best, witness = ratio, tup
+            # expect_Z / expect_Y = count(X // p) * p / count(X)
+            num = count(X // p) * p
+            if num > best:
+                best, witness = num, tup
             if len(tup) < k_max:
                 rec(i + 1, p, tup)
 
@@ -134,7 +135,8 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     # labels only for the witness: by prefix stability and the shared
     # (norm, label) order, index i is the same prime in both lists
     entries = list_primes(system, norms[witness[-1]]) if witness else ()
-    return DominationReport(X, k_max, float(best), best,
+    M = Fraction(best, count(X))
+    return DominationReport(X, k_max, float(M), M,
                             tuple(entries[i] for i in witness), examined)
 
 
@@ -196,11 +198,11 @@ def mgf_Y(norms: np.ndarray, g: AdditiveFunction, theta: float) -> float:
 
 
 def _support_counts(
-    system: PrimeSystem, X: int, norms: np.ndarray, g: AdditiveFunction
+    count: Callable[[int], int], X: int, norms: np.ndarray, g: AdditiveFunction
 ) -> tuple[int, list[tuple[int, float]]]:
     """count(X) and (c_S, g_S) per S with N(S) <= X (module docstring); g_S
-    adds g over S in ascending norm order, as a table's gsum would."""
-    count = element_counter(system, X)
+    adds g over S in ascending norm order, as a table's gsum would. count
+    is an element_counter built at X or above."""
     sets = {0: (1, 0.0)}  # bitmask over indices into norms -> (N(S), g_S)
     for i, (p, gp) in enumerate(zip(norms.tolist(), g.values(norms).tolist())):
         for mask, (n, gs) in list(sets.items()):
@@ -216,29 +218,37 @@ def _support_counts(
     return count(X), [(c[mask], gs) for mask, (_, gs) in sets.items()]
 
 
+def _mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:
+    """sum of c_S exp(theta g_S) / total; MgfOverflow if it overflows a double."""
+    try:
+        return math.fsum(c * math.exp(theta * gs) for c, gs in support) / total
+    except OverflowError:
+        lm = _log_mean_exp(total, support, theta)
+        raise MgfOverflow(f"mgf_Z overflows (log value {lm:.6g})", log_value=lm) from None
+
+
+def _log_mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:
+    """The log of _mean_exp via a stable log-sum-exp."""
+    w = [theta * gs for _, gs in support]
+    peak = max(w)
+    s = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))
+    return peak + math.log(s) - math.log(total)
+
+
 def mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
           g: AdditiveFunction, theta: float) -> float:
     """Exact mean of exp(theta * sum_{p in S, p | m} g(p)) over the elements
     m of norm <= X, S being primes of the given norms; MgfOverflow if it
     overflows a double."""
     _check_norms(system, X, norms)
-    count, support = _support_counts(system, X, norms, g)
-    try:
-        return math.fsum(c * math.exp(theta * gs) for c, gs in support) / count
-    except OverflowError:
-        lm = log_mgf_Z(system, X, norms, g, theta)
-        raise MgfOverflow(f"mgf_Z overflows (log value {lm:.6g})", log_value=lm) from None
+    return _mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
 
 
 def log_mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
               g: AdditiveFunction, theta: float) -> float:
     """Log-space mgf_Z via a stable log-sum-exp; for overflowing thetas."""
     _check_norms(system, X, norms)
-    count, support = _support_counts(system, X, norms, g)
-    w = [theta * gs for _, gs in support]
-    peak = max(w)
-    total = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))
-    return peak + math.log(total) - math.log(count)
+    return _log_mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
 
 
 @dataclass(frozen=True)
@@ -268,14 +278,23 @@ def gap_components(
     the plain absolute difference.
     """
     ts = truncation_sets(system, g, X, C)
+    return _gap_row(ts, g, theta, element_counter(system, X))
+
+
+def _gap_row(ts: TruncationSets, g: AdditiveFunction, theta: float,
+             count: Callable[[int], int]) -> GapComponents:
+    """gap_components over B = ts.B, count being an element_counter built at
+    ts.X or above; B holds primes of the system by construction."""
+    total, support = _support_counts(count, ts.X, ts.B, g)
+    head = (ts.X, ts.C, theta, ts.k_X, len(ts.B))
     try:
         my = mgf_Y(ts.B, g, theta)
-        mz = mgf_Z(system, X, ts.B, g, theta)
-        return GapComponents(X, C, theta, ts.k_X, len(ts.B), mz, my, abs(mz - my), False)
+        mz = _mean_exp(total, support, theta)
+        return GapComponents(*head, mz, my, abs(mz - my), False)
     except MgfOverflow:
         ly = log_mgf_Y(ts.B, g, theta)
-        lz = log_mgf_Z(system, X, ts.B, g, theta)
-        return GapComponents(X, C, theta, ts.k_X, len(ts.B), lz, ly, abs(lz - ly), True)
+        lz = _log_mean_exp(total, support, theta)
+        return GapComponents(*head, lz, ly, abs(lz - ly), True)
 
 
 def tail_mass(

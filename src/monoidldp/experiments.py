@@ -39,10 +39,10 @@ import numpy as np
 
 from .additive import AdditiveFunction, DiscreteMeasure, Omega, check_convergence
 from .errors import EmptySample, ParameterError
-from .exact import GapComponents, gap_components
-from .monoid import enumerate_monoid
+from .exact import GapComponents, _gap_row, truncation_sets
+from .monoid import element_counter, enumerate_monoid
 from .rate import rate
-from .systems import PrimeSystem, density_fit, mertens_sum, prime_count_check
+from .systems import PrimeSystem, density_fit, mertens_sum, prime_count_check, prime_norms
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         ks_distance=d_plus,
         ks_two_sided=max(d_plus, d_minus),
         mean_omega=mean_omega,
-        mertens_mean=mertens_sum(system, X)[0],
+        mertens_mean=mertens_sum(table.primes, X)[0],
         variance_omega=variance,
     )
 
@@ -311,7 +311,8 @@ def condition_sweep(
         "unsupported": list(fit.unsupported),
     }
 
-    ratios = [[X, prime_count_check(system, X)] for X in X_list]
+    norms = prime_norms(system, max(X_list))
+    ratios = [[X, prime_count_check(norms, X)] for X in X_list]
     max_ratio = max(r for _, r in ratios)
     prime_count = {
         "flag": "PASS" if max_ratio <= 2.0 else "WARN",
@@ -319,7 +320,7 @@ def condition_sweep(
         "max_ratio": max_ratio,
     }
 
-    msums = [[X, *mertens_sum(system, X)] for X in X_list]
+    msums = [[X, *mertens_sum(norms, X)] for X in X_list]
     dev_step = abs(msums[-1][2] - msums[-2][2])  # density_fit needs >= 4 thresholds
     mertens = {
         "flag": "PASS" if dev_step < 0.05 else "WARN",
@@ -330,7 +331,7 @@ def condition_sweep(
     theta_list = [float(t) for t in theta_grid]
     conv_rows = []
     conv_flag = "PASS"
-    conv = check_convergence(system, g, rho, theta_list, X_list)  # X-major
+    conv = check_convergence(norms, g, rho, theta_list, X_list)  # X-major
     for j, theta in enumerate(theta_list):
         devs = [r.deviation for r in conv[j::len(theta_list)]]
         ok = devs[-1] < devs[0] or devs[-1] < 1e-12
@@ -358,12 +359,16 @@ def gap_sweep(
     C: float,
     theta: float,
 ) -> GapReport:
-    """The B-side MGF gap and its components per X; strict decrease expected."""
+    """The B-side MGF gap and its components per X; strict decrease expected.
+    Every row reads one element counter, built at the largest X."""
     X_list = [int(X) for X in X_grid]
     if not X_list:
         raise ParameterError("X_grid must be nonempty")
     if any(b <= a for a, b in zip(X_list, X_list[1:])):
         raise ParameterError("X_grid must be strictly increasing")
-    rows = tuple(gap_components(system, g, X, C, theta) for X in X_list)
+    # B for every X first: an X below 16 is refused before the count is built
+    sets = [truncation_sets(system, g, X, C) for X in X_list]
+    count = element_counter(system, X_list[-1])
+    rows = tuple(_gap_row(ts, g, theta, count) for ts in sets)
     decreasing = all(b.gap < a.gap for a, b in zip(rows, rows[1:]))
     return GapReport(rows, "PASS" if decreasing else "WARN")

@@ -30,10 +30,11 @@ Each gsum is thus summed in ascending prime order, as the frontier sums
 it, and the two paths agree bit for bit.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
-every threshold up to X. Element counts need no second enumeration:
-count(y) for every y <= X is a prefix length of the sorted norm column
-(element_counter, whose frontier builds no omega or gsum and evaluates no
-g), except on the integers, where count(y) = y.
+every threshold up to X, and it keeps the prime norms it was built from.
+Element counts need no second enumeration: count(y) for every y <= X is
+a prefix length of the sorted norm column (element_counter, whose
+frontier builds no omega or gsum and evaluates no g), except on the
+integers, where count(y) = y.
 
 The system picks the path, the sieve for the integers and the frontier for
 every other system, and three constants cap it: X <= 1e7 on the frontier,
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError, SourceError
-from .systems import _MAX_X_SIEVE, Integers, PrimeSystem, prime_norms, primes_upto
+from .systems import _MAX_X_SIEVE, Integers, PrimeSystem, prime_norms
 
 CACHE_MAGIC = b"MLDP0001"
 CACHE_VERSION = 1
@@ -74,6 +75,7 @@ class MonoidTable:
     norm: np.ndarray
     omega: np.ndarray
     gsum: np.ndarray
+    primes: np.ndarray  # the prime norms <= X it was built from
 
     @property
     def count(self) -> int:
@@ -84,11 +86,9 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics:
     sieved on the integers, built by the frontier on every other system."""
     _check_x(system, X)
-    if isinstance(system, Integers):
-        norm, omega, gsum = _sieve_table(X, g)
-    else:
-        norm, omega, gsum = _frontier_table(system, X, g)
-    return MonoidTable(system, X, norm, omega, gsum)
+    primes = prime_norms(system, X)
+    build = _sieve_table if isinstance(system, Integers) else _frontier_table
+    return MonoidTable(system, X, *build(primes, X, g), primes)
 
 
 def _check_x(system: PrimeSystem, X: int) -> None:
@@ -105,10 +105,10 @@ def _check_x(system: PrimeSystem, X: int) -> None:
         raise BudgetExceeded(f"{path} at X={X} exceeds budget", predicted=X, cap=cap)
 
 
-def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of 1..X from the rational primes <= X."""
     omega = np.zeros(X + 1, dtype=np.uint32)
     gsum = np.zeros(X + 1, dtype=np.float64)
-    primes = primes_upto(X)
     gvals = g.values(primes)
     constant = gvals.size == 0 or bool(np.all(gvals == gvals[0]))
     # primes up to sqrt(X), ascending: one strided add per prime
@@ -137,19 +137,19 @@ def _sieve_table(X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return norm, omega[1:], gsum[1:]
 
 
-def _frontier_table(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frontier_table(P: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frontier's columns sorted by (norm, omega, gsum)."""
-    columns = list(_frontier(system, X, g))
+    columns = list(_frontier(P, X, g))
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
     for k in range(3):  # one sorted copy alive at a time
         columns[k] = columns[k][order]
     return tuple(columns)
 
 
-def _frontier(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _frontier(P: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Unsorted (norm, omega, gsum) columns of every element of norm <= X,
-    one omega-level at a time; g=None skips g and the gsum column."""
-    P = prime_norms(system, X)
+    P being the prime norms <= X, one omega-level at a time; g=None skips g
+    and the gsum column."""
     G = None if g is None else g.values(P)
     # the columns grow by doubling; levels are contiguous slices, level 0 is 1
     cols = [np.empty(max(1024, 2 * P.size), dtype=np.int64)]
@@ -248,7 +248,7 @@ def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
     if isinstance(system, Integers):
         return int
     _check_x(system, X)
-    norm = _frontier(system, X, None)[0]
+    norm = _frontier(prime_norms(system, X), X, None)[0]
     norm.sort()
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))

@@ -12,10 +12,9 @@ so prefixes are stable: restricting the primes for X to norms <= X'
 reproduces the primes for X'. Both raise BudgetExceeded above X = 1e8, the
 ceiling of the integer sieve, on every system and before anything is built.
 
-Neither is cached. The one cache is primes_upto's, the rational primes up
-to X, which the integers and the quadratic fields both read; on a
-quadratic field the Kronecker symbol is computed for all those primes at
-once, in NumPy, not per prime.
+Nothing is cached, not even primes_upto, the rational primes up to X that
+the integers and the quadratic fields both read; on a quadratic field the
+Kronecker symbol is computed for all of them at once, in NumPy.
 
 Four systems are provided:
 
@@ -30,11 +29,12 @@ Four systems are provided:
 The module also carries the counting diagnostics used to probe the axioms
 at finite X: a linear-density fit for "count = aX + O(X^b)", the Chebyshev
 ratio pi_P(X) log X / X, and the Mertens sum of reciprocal norms whose
-deviation from log log X should stabilize.
+deviation from log log X should stabilize. The last two, like rho_X,
+take the prime norms as prime_norms gives them at some X' >= X and read
+their prefix up to X, so a grid needs one prime list, at its largest X.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -186,17 +186,22 @@ class Beurling:
 PrimeSystem = Integers | PolyOverFq | QuadraticField | Beurling
 
 
-@functools.lru_cache(maxsize=8)
 def primes_upto(X: int) -> np.ndarray:
-    """Rational primes <= X, ascending. Callers must not mutate the array."""
+    """Rational primes <= X, ascending, int64; a sieve over the odd numbers."""
     if X < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(X + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(X) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    # odd[i] stands for 2i + 1; the odd multiples of p from p^2 on are
+    # every p-th entry from index p^2 // 2
+    odd = np.ones((X + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(X) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2  # in the place of 1, which odd[0] stands for
+    return primes
 
 
 def _squarefree(m: int) -> bool:
@@ -341,8 +346,8 @@ def _is_power_of(x: int, q: int) -> bool:
 def prime_norms(system: PrimeSystem, X: int) -> np.ndarray:
     """Norms of the primes of norm <= X, int64, ascending, with multiplicity.
 
-    No label is built. On the integers this is the sieve's cached array,
-    which callers must not mutate.
+    No label is built. Each call builds the array anew; the norms up to
+    X' <= X are its prefix up to searchsorted(X').
     """
     _check_prime_x(X)
     return system._norms(X)
@@ -357,17 +362,17 @@ def _check_prime_x(X: int) -> None:
                              predicted=X, cap=_MAX_X_SIEVE)
 
 
-def prime_count_check(system: PrimeSystem, X: int) -> float:
+def prime_count_check(norms: np.ndarray, X: int) -> float:
     """pi_P(X) * log X / X; bounded over a grid when pi_P(X) = O(X/log X)."""
     if X < 3:
         raise ParameterError(f"prime_count_check needs X >= 3, got {X}")
-    return len(prime_norms(system, X)) * math.log(X) / X
+    return int(norms.searchsorted(X, "right")) * math.log(X) / X
 
 
-def mertens_sum(system: PrimeSystem, X: int) -> tuple[float, float]:
+def mertens_sum(norms: np.ndarray, X: int) -> tuple[float, float]:
     """(sum of 1/N(p) over norms <= X with multiplicity, sum - log log X)."""
     if X < 3:
         raise ParameterError(f"mertens_sum needs X >= 3, got {X}")
     # fsum is correctly rounded, so its bits do not depend on the order
-    total = math.fsum((1.0 / prime_norms(system, X)).tolist())
+    total = math.fsum((1.0 / norms[: norms.searchsorted(X, "right")]).tolist())
     return total, total - math.log(math.log(X))

@@ -87,14 +87,15 @@ def test_criterion_03_domination_constants():
 
 def test_criterion_04_mertens_sum_and_stability():
     t0 = time.perf_counter()
-    total, _ = mertens_sum(Integers(), 100)
+    total, _ = mertens_sum(prime_norms(Integers(), 100), 100)
     direct = sum(1 / p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                  41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
                                  89, 97))
     assert abs(total - direct) < 1e-12
     assert abs(total - 1.802817) < 1e-5
-    _, dev5 = mertens_sum(Integers(), 10**5)
-    _, dev6 = mertens_sum(Integers(), 10**6)
+    norms = prime_norms(Integers(), 10**6)
+    _, dev5 = mertens_sum(norms, 10**5)
+    _, dev6 = mertens_sum(norms, 10**6)
     step = abs(dev6 - dev5)
     assert step < 0.01
     elapsed = time.perf_counter() - t0

@@ -135,7 +135,7 @@ def test_exp_moment_examples():
 
 
 def test_rho_x_integers_omega_is_point_mass():
-    assert rho_X(Integers(), Omega(), 100) == DiscreteMeasure(((1.0, 1.0),))
+    assert rho_X(prime_norms(Integers(), 100), Omega(), 100) == DiscreteMeasure(((1.0, 1.0),))
 
 
 def _exact_rho_weights(system, g, X):
@@ -154,14 +154,14 @@ def test_rho_x_residue_exact_weights():
     g = NormResidue(4, frozenset({1}), 1.0, 0.0)
     assert _exact_rho_weights(Integers(), g, 10) == {0.0: Fraction(205, 247),
                                                       1.0: Fraction(42, 247)}
-    assert rho_X(Integers(), g, 10).atoms == ((0.0, 205 / 247), (1.0, 42 / 247))
+    assert rho_X(prime_norms(Integers(), 10), g, 10).atoms == ((0.0, 205 / 247), (1.0, 42 / 247))
 
 
 def test_rho_x_empty_system():
     with pytest.raises(EmptySystem):
-        rho_X(Integers(), Omega(), 1)
+        rho_X(prime_norms(Integers(), 1), Omega(), 1)
     with pytest.raises(EmptySystem):
-        rho_X(Beurling((100,)), Omega(), 50)
+        rho_X(prime_norms(Beurling((100,)), 50), Omega(), 50)
 
 
 @pytest.mark.parametrize("system,X", [
@@ -174,11 +174,11 @@ def test_rho_x_mass_is_exactly_one(system, X):
     exact = _exact_rho_weights(system, g, X)
     assert sum(exact.values()) == 1
     # each weight is its exact value, correctly rounded
-    assert rho_X(system, g, X).atoms == tuple((y, float(w)) for y, w in exact.items())
+    assert rho_X(prime_norms(system, X), g, X).atoms == tuple((y, float(w)) for y, w in exact.items())
 
 
 def test_check_convergence_zero_when_limit_matches():
-    rows = check_convergence(Integers(), Omega(), DiscreteMeasure.delta(),
+    rows = check_convergence(prime_norms(Integers(), 100), Omega(), DiscreteMeasure.delta(),
                              [0.5, 1.0], [10, 100])
     assert len(rows) == 4
     for r in rows:
@@ -188,9 +188,9 @@ def test_check_convergence_zero_when_limit_matches():
 
 def test_check_convergence_rejects_empty_grids():
     with pytest.raises(ParameterError):
-        check_convergence(Integers(), Omega(), DiscreteMeasure.delta(), [], [10])
+        check_convergence(prime_norms(Integers(), 10), Omega(), DiscreteMeasure.delta(), [], [10])
     with pytest.raises(ParameterError):
-        check_convergence(Integers(), Omega(), DiscreteMeasure.delta(), [1.0], [])
+        check_convergence(prime_norms(Integers(), 10), Omega(), DiscreteMeasure.delta(), [1.0], [])
 
 
 @given(st.lists(st.tuples(st.floats(0, 4, allow_nan=False),

@@ -1,4 +1,5 @@
 """End-to-end CLI checks: documented examples, exit codes, replay, formats."""
+import collections
 import csv
 import json
 import math
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from monoidldp import systems
+from monoidldp import monoid, systems
 from monoidldp.additive import Omega
 from monoidldp.cli import main
 from monoidldp.monoid import enumerate_monoid, read_table_cache
@@ -202,6 +203,53 @@ def test_prime_readers_exit_66_above_the_sieve_cap(argv, tmp_path, monkeypatch, 
             monkeypatch.setattr(cls, name, guarded(getattr(cls, name)))
     assert main(argv + ["--out", str(tmp_path)]) == 66
     assert "budget error:" in capsys.readouterr().err
+
+
+FAULTY_GRIDS = [
+    ["mertens", "--grid", "2,1000000000000"],
+    ["sweep", "--grid", "2,10,100,1000000000000"],
+    ["mgf-gap", "--system", "quad:-4", "--grid", "10,100000000"],
+]
+
+
+@pytest.mark.parametrize("argv", FAULTY_GRIDS, ids=lambda argv: argv[0])
+def test_a_bad_small_x_is_rejected_before_the_over_cap_x(argv, tmp_path):
+    # a grid is checked whole before anything is built at its largest X
+    assert main(argv + ["--out", str(tmp_path)]) == 65
+
+
+# (argv, its largest X, small B lists it may add, frontiers run): a command
+# builds its prime list and its element counter once, at its largest X
+BUILD_COUNTS = [
+    (["sweep", "--grid", "1000,10000,30000,100000"], 100_000, 0, 0),
+    (["mertens", "--grid", "1000,10000,100000,1000000,3000000"], 3_000_000, 0, 0),
+    (["ek", "--limit", "100000"], 100_000, 0, 0),
+    (["ek", "--system", "quad:-4", "--limit", "100000"], 100_000, 0, 1),
+    # one B list per X, up to floor(k_X) <= 7 here
+    (["mgf-gap", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], 300_000, 4, 1),
+]
+
+
+@pytest.mark.parametrize("argv,X,b_lists,frontiers", BUILD_COUNTS,
+                         ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else None)
+def test_each_command_builds_one_prime_list(argv, X, b_lists, frontiers, tmp_path,
+                                            monkeypatch):
+    built = collections.defaultdict(list)  # builder -> the X of each call
+
+    def counted(name, build):
+        def build_and_count(*args):
+            built[name].append(args[1])  # X follows self or the prime norms
+            return build(*args)
+        return build_and_count
+
+    for cls in (Integers, PolyOverFq, QuadraticField, Beurling):
+        monkeypatch.setattr(cls, "_norms", counted("_norms", cls._norms))
+    monkeypatch.setattr(monoid, "_frontier", counted("_frontier", monoid._frontier))
+    assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+    lists = sorted(built["_norms"])
+    assert lists[-1:] == [X] and len(lists) == 1 + b_lists
+    assert all(x <= 7 for x in lists[:-1])
+    assert built["_frontier"] == [X] * frontiers
 
 
 def test_help_exits_zero():

@@ -193,6 +193,34 @@ def test_domination_searches_norms_and_labels_only_the_witness(system, X, k_max,
     assert limits == [max(e.norm for e in rep.witness)]
 
 
+@pytest.mark.parametrize("system,X,k_max", [
+    (Integers(), 30, 3),
+    (Integers(), 210, 4),
+    (QuadraticField(-4), 300, 3),
+    # repeated norms give distinct primes equal ratios; at X = 27 three
+    # tuples share the maximum, so the tie rule picks the witness
+    (Beurling((2, 2, 3, 3, 3, 5, 7, 7)), 27, 3),
+    (Beurling((2, 2, 3, 3, 3, 5, 7, 7)), 150, 3),
+], ids=lambda v: getattr(v, "key", str(v)))
+def test_domination_matches_a_brute_force_fraction_maximum(system, X, k_max):
+    entries = list_primes(system, X)
+    cx = _count(system, X)
+    # every tuple of distinct primes with product <= X, index-lexicographic,
+    # which is the search's depth-first order
+    tuples = sorted(tup for k in range(1, k_max + 1)
+                    for tup in itertools.combinations(range(len(entries)), k)
+                    if math.prod(entries[i].norm for i in tup) <= X)
+    ratios = [Fraction(_count(system, X // prod) * prod, cx)
+              for prod in (math.prod(entries[i].norm for i in tup) for tup in tuples)]
+    best = max(ratios)
+    first = tuples[ratios.index(best)]
+    rep = domination_report(system, X, k_max)
+    assert rep.M_exact == best
+    assert rep.M_observed == float(best)
+    assert rep.witness == tuple(entries[i] for i in first)
+    assert rep.tuples_examined == len(tuples)
+
+
 def test_domination_validation_and_budget(monkeypatch):
     with pytest.raises(ParameterError):
         domination_report(Integers(), 100, 0)
@@ -340,7 +368,7 @@ def test_mgf_z_matches_table_oracle(system, X, bound, C):
 @pytest.mark.parametrize("system,X,bound", MGF_CASES)
 def test_support_counts_sum_to_count(system, X, bound):
     subset = prime_norms(system, bound)
-    total, support = _support_counts(system, X, subset, Omega())
+    total, support = _support_counts(element_counter(system, X), X, subset, Omega())
     assert total == _count(system, X)
     assert sum(c for c, _ in support) == total
     assert all(c >= 1 for c, _ in support)
@@ -351,7 +379,7 @@ def test_support_counts_match_trial_division(X):
     subset = prime_norms(Integers(), 47)
     # g(p_i) = 2^i, so the float g_S spells the set S as a bitmask, exactly
     g = TableLookup({n: 2.0**i for i, n in enumerate(subset.tolist())})
-    total, support = _support_counts(Integers(), X, subset, g)
+    total, support = _support_counts(element_counter(Integers(), X), X, subset, g)
     expected = collections.Counter(
         sum(1 << i for i, n in enumerate(subset.tolist()) if m % n == 0) for m in range(1, X + 1))
     assert total == X
@@ -411,7 +439,8 @@ def test_tail_mass():
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
                                     Beurling((2, 3))], ids=lambda s: s.key)
 def test_rho_x_and_tail_mass_below_one_and_at_one(system):
-    for f in (lambda X: rho_X(system, Omega(), X),
+    # rho_X reads the prefix up to X of a longer norm array
+    for f in (lambda X: rho_X(prime_norms(system, 100), Omega(), X),
               lambda X: tail_mass(system, Omega(), X, 0.5, 1.0)):
         with pytest.raises(ParameterError):
             f(0)

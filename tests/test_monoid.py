@@ -29,6 +29,7 @@ from monoidldp.systems import (
     PolyOverFq,
     QuadraticField,
     list_primes,
+    prime_norms,
     primes_upto,
 )
 
@@ -80,8 +81,8 @@ SIEVE_GS = {
 def _assert_paths_agree(X, g):
     """The sieve's columns against the frontier's on the integers, bit for
     bit; returns the sieve's."""
-    sieve = _sieve_table(X, g)
-    for a, b in zip(sieve, _frontier_table(Integers(), X, g)):
+    sieve = _sieve_table(primes_upto(X), X, g)
+    for a, b in zip(sieve, _frontier_table(primes_upto(X), X, g)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
     return sieve
@@ -150,9 +151,9 @@ def test_poly_table_small():
 
 
 def test_table_column_dtypes():
-    for build in (lambda X: _sieve_table(X, Omega()),
-                  lambda X: _frontier_table(Integers(), X, Omega()),
-                  lambda X: _frontier_table(QuadraticField(-4), X, Omega())):
+    for build in (lambda X: _sieve_table(primes_upto(X), X, Omega()),
+                  lambda X: _frontier_table(primes_upto(X), X, Omega()),
+                  lambda X: _frontier_table(prime_norms(QuadraticField(-4), X), X, Omega())):
         for X in (1, 1000):
             assert [col.dtype for col in build(X)] == [np.uint64, np.uint32, np.float64]
 
@@ -193,7 +194,7 @@ ORACLE_SYSTEMS = [
 def test_frontier_matches_reference_recursion(system):
     for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
         for name in ("omega", "residue-3-2", "table", "zero"):
-            for got, want in zip(_frontier_table(system, X, SIEVE_GS[name]),
+            for got, want in zip(_frontier_table(prime_norms(system, X), X, SIEVE_GS[name]),
                                  _reference_table(system, X, SIEVE_GS[name])):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (X, name)

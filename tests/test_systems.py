@@ -38,9 +38,18 @@ def test_integer_primes():
 
 def test_primes_upto_against_trial_division():
     def is_prime(n):
-        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
-    assert [int(p) for p in primes_upto(200)] == [n for n in range(2, 201) if is_prime(n)]
+    # every X from 0, and around the squares p^2 of the odd primes to 19,
+    # where the sieve's last crossing-out prime changes
+    squares = [p * p for p in (3, 5, 7, 11, 13, 17, 19)]
+    for X in sorted({*range(201), *(s + d for s in squares for d in (-1, 0, 1))}):
+        got = primes_upto(X)
+        assert got.dtype == np.int64
+        assert got.tolist() == [n for n in range(2, X + 1) if is_prime(n)], X
+    assert primes_upto(10**6).size == 78_498
+    assert primes_upto(3 * 10**6).size == 216_816
+    assert not hasattr(primes_upto, "cache_info")
 
 
 def test_poly_primes_gf2():
@@ -139,18 +148,19 @@ def test_beurling_file_parsing(tmp_path):
 
 
 def test_mertens_examples():
-    s10, _ = mertens_sum(Integers(), 10)
+    s10, _ = mertens_sum(prime_norms(Integers(), 10), 10)
     assert math.isclose(s10, 1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, rel_tol=0, abs_tol=1e-15)
-    s100, d100 = mertens_sum(Integers(), 100)
+    s100, d100 = mertens_sum(prime_norms(Integers(), 100), 100)
     assert math.isclose(s100, 1.802817201048871, abs_tol=1e-12)
     assert math.isclose(d100, s100 - math.log(math.log(100)), abs_tol=1e-12)
     with pytest.raises(ParameterError):
-        mertens_sum(Integers(), 2)
+        mertens_sum(prime_norms(Integers(), 2), 2)
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
                                     Beurling((2, 3, 3, 7))], ids=lambda s: s.key)
 def test_prime_norms_and_mertens_sum_match_the_prime_list(system):
+    longer = prime_norms(system, 2 * 10**5)
     for X in (3, 100, 6561, 10**5):
         entries = list_primes(system, X)
         norms = prime_norms(system, X)
@@ -158,14 +168,18 @@ def test_prime_norms_and_mertens_sum_match_the_prime_list(system):
         assert norms.tolist() == [e.norm for e in entries]
         # the correctly rounded sum, whatever the order of the terms
         total = math.fsum(1.0 / e.norm for e in reversed(entries))
-        assert mertens_sum(system, X) == (total, total - math.log(math.log(X)))
-        assert prime_count_check(system, X) == len(entries) * math.log(X) / X
+        assert mertens_sum(norms, X) == (total, total - math.log(math.log(X)))
+        assert prime_count_check(norms, X) == len(entries) * math.log(X) / X
+        # the same from the prefix of a longer array
+        assert mertens_sum(longer, X) == mertens_sum(norms, X)
+        assert prime_count_check(longer, X) == prime_count_check(norms, X)
 
 
 def test_prime_count_check():
     # pi(X) log X / X: 1.1043 at 1e5 per the prime counting function
-    assert math.isclose(prime_count_check(Integers(), 10**5), 9592 * math.log(10**5) / 10**5, rel_tol=1e-12)
-    v = prime_count_check(Beurling((2, 3, 5)), 10)
+    norms = prime_norms(Integers(), 10**5)
+    assert math.isclose(prime_count_check(norms, 10**5), 9592 * math.log(10**5) / 10**5, rel_tol=1e-12)
+    v = prime_count_check(prime_norms(Beurling((2, 3, 5)), 10), 10)
     assert math.isclose(v, 3 * math.log(10) / 10, rel_tol=1e-12)
 
 
@@ -304,8 +318,8 @@ def test_computation_builds_no_labels(system, X, monkeypatch):
     def run():
         t = enumerate_monoid(system, X, g)
         return (t.norm.tolist(), t.omega.tolist(), t.gsum.tolist(),
-                element_counter(system, X)(X // 3), rho_X(system, g, X),
-                tail_mass(system, g, X, 1.0, 1.0), mertens_sum(system, X),
+                element_counter(system, X)(X // 3), rho_X(prime_norms(system, X), g, X),
+                tail_mass(system, g, X, 1.0, 1.0), mertens_sum(prime_norms(system, X), X),
                 gap_components(system, g, X, 5.0, 1.0),
                 expect_Z(system, X, prime_norms(system, 5).tolist()))
 
