@@ -105,8 +105,9 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    norms = prime_norms(system, X).tolist()
-    count = element_counter(system, X)
+    primes = prime_norms(system, X)
+    norms = primes.tolist()
+    count = element_counter(system, X, primes)
     best = 0  # the numerator of the largest ratio
     witness: tuple[int, ...] = ()  # indices into norms
     examined = 0

@@ -37,12 +37,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .additive import AdditiveFunction, DiscreteMeasure, Omega, check_convergence
+from .additive import AdditiveFunction, DiscreteMeasure, check_convergence
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, _gap_row, truncation_sets
-from .monoid import element_counter, enumerate_monoid
+from .monoid import element_counter, gsum_column, omega_column
 from .rate import rate
-from .systems import PrimeSystem, density_fit, mertens_sum, prime_count_check, prime_norms
+from .systems import (
+    PrimeSystem,
+    _density_grid,
+    density_fit,
+    mertens_sum,
+    prime_count_check,
+    prime_norms,
+)
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,11 @@ class EKReport:
     variance_omega: float
 
 
+# rows of a column reduced at once; bounds the float64 temporaries of
+# ek_report and ldp_scan
+_BLOCK_ROWS = 1 << 16
+
+
 def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     """Normality diagnostics for (omega(m) - log log N(m)) / sqrt(log log N(m)).
 
@@ -65,32 +77,47 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     inner logarithm is positive); mean and variance of omega and the Mertens
     sum are reported over the full table for cross-checks.
 
-    Both KS maxima are exact over the sorted t (_ks_maxima).
+    Only the norm and omega columns are built (omega_column; on the
+    integers the norms are implicit and omega is a uint8 sieve). The
+    statistic is computed block by block into one float64 array, sorted in
+    place; both KS maxima are exact over it (_ks_maxima).
     """
     if X < 16:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
     if min_norm < 3:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
-    table = enumerate_monoid(system, X, Omega())
-    mask = table.norm >= min_norm
-    n = int(np.count_nonzero(mask))
-    if n == 0:
+    norm, omega, primes = omega_column(system, X)
+    count = omega.size
+    # the first row of norm >= min_norm; norm None stands for 1..X
+    first = min_norm - 1 if norm is None else int(norm.searchsorted(np.uint64(min_norm)))
+    if first >= count:
         raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
-    ll = np.log(np.log(table.norm[mask].astype(np.float64)))
-    t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
+    # the whole-column reductions come before t, so no temporary of theirs
+    # meets it
+    mertens_mean = mertens_sum(primes, X)[0]
+    mean_omega = int(omega.sum(dtype=np.int64)) / count
+    variance = float(np.var(omega))
+    t = np.empty(count - first)
+    for a in range(first, count, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, count)
+        ll = (np.arange(a + 1, b + 1, dtype=np.float64) if norm is None
+              else norm[a:b].astype(np.float64))
+        np.log(ll, out=ll)
+        np.log(ll, out=ll)
+        out = t[a - first:b - first]
+        np.subtract(omega[a:b], ll, out=out)
+        out /= np.sqrt(ll)
+    t.sort()
     d_plus, d_minus = _ks_maxima(t)
-    omega_total = int(table.omega.sum(dtype=np.int64))
-    mean_omega = omega_total / table.count
-    variance = float(np.var(table.omega))
     return EKReport(
         X=X,
-        samples=table.count,
+        samples=count,
         min_norm=min_norm,
-        ks_sample_count=n,
+        ks_sample_count=t.size,
         ks_distance=d_plus,
         ks_two_sided=max(d_plus, d_minus),
         mean_omega=mean_omega,
-        mertens_mean=mertens_sum(table.primes, X)[0],
+        mertens_mean=mertens_mean,
         variance_omega=variance,
     )
 
@@ -232,8 +259,9 @@ def ldp_scan(
     keeps the two columns visibly apart at any reachable X, so no closeness
     is asserted.
 
-    The monoid is enumerated once, at the largest X. The sorted table at any
-    smaller X is a prefix of it, bit for bit, so each X reads a prefix.
+    The gsum column is built once, at the largest X (gsum_column; on the
+    integers a sieve of gsum alone). The sorted column at any smaller X is
+    a prefix of it, bit for bit, so each X counts a prefix, block by block.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -244,15 +272,19 @@ def ldp_scan(
             raise ParameterError(f"ldp_scan needs X >= 3, got {X}")
     if not X_list:
         return []
-    table = enumerate_monoid(system, max(X_list), g)
+    norm, gsum = gsum_column(system, max(X_list), g)
     bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
     rows = []
     for X in X_list:
-        total = int(table.norm.searchsorted(np.uint64(X), "right"))
+        # norm None stands for 1..X
+        total = X if norm is None else int(norm.searchsorted(np.uint64(X), "right"))
         ll = math.log(math.log(X))
-        v = table.gsum[:total] / ll
-        for (lo, hi), bound in zip(intervals, bounds):
-            count = int(np.count_nonzero((v >= lo) & (v < hi)))
+        counts = [0] * len(intervals)
+        for a in range(0, total, _BLOCK_ROWS):
+            v = gsum[a:min(a + _BLOCK_ROWS, total)] / ll
+            for k, (lo, hi) in enumerate(intervals):
+                counts[k] += int(np.count_nonzero((v >= lo) & (v < hi)))
+        for (lo, hi), bound, count in zip(intervals, bounds, counts):
             tail = Fraction(count, total)
             normalized = math.log(count / total) / ll if count else -math.inf
             rows.append(LDPRow(X, lo, hi, count, total, tail, normalized, bound))
@@ -300,7 +332,9 @@ def condition_sweep(
     if min(X_list) < 3:
         raise ParameterError("condition_sweep needs every X >= 3")
 
-    fit = density_fit(system, X_list)
+    _density_grid(system, X_list)  # the whole grid, before any prime is built
+    norms = prime_norms(system, max(X_list))
+    fit = density_fit(system, X_list, norms)
     density = {
         "flag": "FAILED" if fit.status == "FAILED" else "PASS",
         "status": fit.status,
@@ -311,7 +345,6 @@ def condition_sweep(
         "unsupported": list(fit.unsupported),
     }
 
-    norms = prime_norms(system, max(X_list))
     ratios = [[X, prime_count_check(norms, X)] for X in X_list]
     max_ratio = max(r for _, r in ratios)
     prime_count = {

@@ -16,18 +16,28 @@ exponents runs while n * p^e <= X. A child's gsum is g(p_i) + the parent's
 gsum, the float add of a depth-first walk, so gsum is summed in ascending
 prime order; g is read as one array over the prime norms. The levels fill
 two columns (norm, gsum) that grow by doubling, and omega is the level
-index: 20 bytes per element, which NumPy then sorts by (norm, omega,
-gsum). Each pair gives at least one child, so the element budget is
-checked against the pair count before a level is expanded and again after
-every block; it raises exactly when the element count exceeds the cap.
+index, so the sorted table holds 20 bytes per element (12 without g).
+The doubling and the sort by (norm, omega, gsum) take more at their peak:
+~52 bytes per element traced on quad:-4 at 1e6, ~34 without g. Each pair
+gives at least one child, so the element budget is checked against the
+pair count before a level is expanded and again after every block; it
+raises exactly when the element count exceeds the cap.
 
-For the rational integers the table is instead built by a sieve over 1..X,
-with g evaluated once as an array over the primes. Every n <= X has at most
-one prime factor above sqrt(X), and it is the largest. So the sieve makes
-one strided add per prime p <= sqrt(X), in ascending order, and then one
-vectorized add per cofactor m <= sqrt(X) for the large primes p <= X/m.
-Each gsum is thus summed in ascending prime order, as the frontier sums
-it, and the two paths agree bit for bit.
+For the rational integers the columns are instead sieved over 1..X, one
+column at a time, with g evaluated once as an array over the primes.
+Every n <= X has at most one prime factor above sqrt(X), and it is the
+largest. So a sieve makes one strided add per prime p <= sqrt(X), in
+ascending order, and then one vectorized add per cofactor m <= sqrt(X)
+for the large primes p <= X/m. Each gsum is thus summed in ascending
+prime order, as the frontier sums it, and the two paths agree bit for
+bit. omega is sieved into uint8 (1 byte per element) and gsum into
+float64 (8); the norm column, 1..X, need not be stored at all.
+
+A caller that reads one column asks for that column alone: omega_column
+(ek_report) and gsum_column (ldp_scan) give it with its norms, None on
+the integers, where they are implicit. Only the full table (count, the
+cache dump) holds all three columns on the integers, 20 bytes per element
+with omega widened to uint32, as the frontier's.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X, and it keeps the prime norms it was built from.
@@ -91,6 +101,32 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     return MonoidTable(system, X, *build(primes, X, g), primes)
 
 
+def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(norm, omega, primes): the table's norm and omega columns at X and
+    the prime norms <= X, with no gsum and no g.
+
+    The integers sieve omega alone into uint8, and norm is None: the norms
+    are 1..X. Every other system runs the frontier without g, sorted by
+    (norm, omega); for Omega, gsum is a function of omega, so this is the
+    order of enumerate_monoid's table.
+    """
+    _check_x(system, X)
+    primes = prime_norms(system, X)
+    if isinstance(system, Integers):
+        return None, _omega_sieve(primes, X)[1:], primes
+    return (*_frontier_table(primes, X, None), primes)
+
+
+def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.ndarray]:
+    """(norm, gsum): the table's norm and gsum columns at X. The integers
+    sieve gsum alone, and norm is None: the norms are 1..X."""
+    if isinstance(system, Integers):
+        _check_x(system, X)
+        return None, _gsum_sieve(prime_norms(system, X), X, g)[1:]
+    table = enumerate_monoid(system, X, g)
+    return table.norm, table.gsum
+
+
 def _check_x(system: PrimeSystem, X: int) -> None:
     """Raise, before anything is allocated, if X is invalid or over the cap
     of the path that enumerates the system. The sieve's table has X
@@ -107,41 +143,65 @@ def _check_x(system: PrimeSystem, X: int) -> None:
 
 def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table of 1..X from the rational primes <= X."""
-    omega = np.zeros(X + 1, dtype=np.uint32)
+    omega = _omega_sieve(primes, X)
+    gsum = _gsum_sieve(primes, X, g, omega)
+    norm = np.arange(1, X + 1, dtype=np.uint64)
+    return norm, omega[1:].astype(np.uint32), gsum[1:]
+
+
+def _omega_sieve(primes: np.ndarray, X: int) -> np.ndarray:
+    """omega(n) at index n of a uint8 array over 0..X, from the rational
+    primes <= X. No n below 23# = 223,092,870, above the sieve's cap, has
+    more than 8 prime factors."""
+    omega = np.zeros(X + 1, dtype=np.uint8)
+    _sieve_add(omega, primes, X, None)
+    return omega
+
+
+def _gsum_sieve(primes: np.ndarray, X: int, g, omega: np.ndarray | None = None) -> np.ndarray:
+    """gsum(n) at index n of a float64 array over 0..X, summed in ascending
+    prime order. A g constant on the primes reads omega, the _omega_sieve
+    column, sieved here unless given."""
     gsum = np.zeros(X + 1, dtype=np.float64)
     gvals = g.values(primes)
-    constant = gvals.size == 0 or bool(np.all(gvals == gvals[0]))
+    if gvals.size and not np.all(gvals == gvals[0]):
+        _sieve_add(gsum, primes, X, gvals)
+    elif gvals.size and gvals[0] != 0.0:
+        if omega is None:
+            omega = _omega_sieve(primes, X)
+        # the sums g0 + g0 + ... in ascending order, as the other branch and
+        # the frontier add them; omega * g0 rounds differently for most g0
+        steps = accumulate([float(gvals[0])] * int(omega.max()))
+        for k, step in enumerate(steps, 1):  # no n-length index or buffer
+            gsum[omega == k] = step
+    return gsum
+
+
+def _sieve_add(col: np.ndarray, primes: np.ndarray, X: int, vals: np.ndarray | None) -> None:
+    """col[n] += vals[i] for every prime primes[i] dividing n <= X, in
+    ascending order of i; vals None adds 1 per prime."""
     # primes up to sqrt(X), ascending: one strided add per prime
     k = int(primes.searchsorted(math.isqrt(X), "right"))
-    for p, gp in zip(primes[:k].tolist(), gvals[:k].tolist()):
-        omega[p::p] += 1
-        if not constant and gp != 0.0:
-            gsum[p::p] += gp
+    small = [1] * k if vals is None else vals[:k].tolist()
+    for p, v in zip(primes[:k].tolist(), small):
+        if v != 0.0:
+            col[p::p] += v
     # n <= X has at most one prime factor above sqrt(X), its largest, so it
     # comes last and the ascending order of the sum holds. Its cofactor m is
     # below sqrt(X); within one m the indices m * p are distinct.
-    large, g_large = primes[k:], gvals[k:]
+    large = primes[k:]
     if large.size:
         for m in range(1, X // int(large[0]) + 1):
             j = int(large.searchsorted(X // m, "right"))
-            idx = m * large[:j]
-            omega[idx] += 1
-            if not constant:
-                gsum[idx] += g_large[:j]
-    if constant and gvals.size and gvals[0] != 0.0:
-        # the sums g0 + g0 + ... in ascending order, as the other branch and
-        # the frontier add them; omega * g0 rounds differently for most g0
-        steps = [0.0, *accumulate([float(gvals[0])] * int(omega.max()))]
-        np.take(np.array(steps), omega, out=gsum)
-    norm = np.arange(1, X + 1, dtype=np.uint64)
-    return norm, omega[1:], gsum[1:]
+            col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
 
 
-def _frontier_table(P: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frontier's columns sorted by (norm, omega, gsum)."""
-    columns = list(_frontier(P, X, g))
+def _frontier_table(P: np.ndarray, X: int, g) -> tuple[np.ndarray, ...]:
+    """The frontier's columns sorted by (norm, omega, gsum); g=None gives
+    (norm, omega) only, sorted by (norm, omega)."""
+    columns = [col for col in _frontier(P, X, g) if col is not None]
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
-    for k in range(3):  # one sorted copy alive at a time
+    for k in range(len(columns)):  # one sorted copy alive at a time
         columns[k] = columns[k][order]
     return tuple(columns)
 
@@ -235,20 +295,26 @@ def _check_budget(at_least: int) -> None:
         )
 
 
-def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
+def element_counter(
+    system: PrimeSystem, X: int, primes: np.ndarray | None = None
+) -> Callable[[int], int]:
     """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
 
     The integers answer with the closed form y. Any other system is
     enumerated once at X by the frontier, norms only and under its caps, and
     answers from the sorted norm column, which stays in memory (8 bytes per
     element) while the counter lives. Results for y > X are not counts.
+    primes, when given, are the caller's prime_norms(system, X') at some
+    X' >= X, read up to X instead of building the list again.
     """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
     if isinstance(system, Integers):
         return int
     _check_x(system, X)
-    norm = _frontier(prime_norms(system, X), X, None)[0]
+    if primes is None:
+        primes = prime_norms(system, X)
+    norm = _frontier(primes[: primes.searchsorted(X, "right")], X, None)[0]
     norm.sort()
     # a Python int would promote the whole uint64 column on every lookup
     return lambda y: int(norm.searchsorted(np.uint64(y), "right"))

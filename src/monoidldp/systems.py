@@ -287,32 +287,19 @@ class DensityFit:
     unsupported: tuple[int, ...] = dc_field(default_factory=tuple)
 
 
-def density_fit(system: PrimeSystem, grid: Sequence[int]) -> DensityFit:
+def density_fit(
+    system: PrimeSystem, grid: Sequence[int], primes: np.ndarray | None = None
+) -> DensityFit:
     """Fit count(X) = a*X + O(X^b) over a strictly increasing grid.
 
     The counts come from one enumeration at the largest supported threshold;
-    every supported threshold must be >= 1.
+    every supported threshold must be >= 1. primes, when given, are the
+    caller's prime_norms at the grid's largest X or above.
     """
     from .monoid import element_counter
 
-    grid = [int(x) for x in grid]
-    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DegenerateGrid("density grid must be >= 4 strictly increasing thresholds")
-    unsupported: tuple[int, ...] = ()
-    if isinstance(system, PolyOverFq):
-        # count(X) is a step function, constant between powers of q; the
-        # linear-density axiom only holds along X = q^n
-        supported = [x for x in grid if _is_power_of(x, system.q)]
-        unsupported = tuple(x for x in grid if x not in supported)
-        if len(supported) < 4:
-            raise DegenerateGrid(
-                f"need >= 4 thresholds that are powers of q={system.q}; "
-                f"got {len(supported)} (others are flagged unsupported)"
-            )
-        grid = supported
-    if grid[0] < 1:
-        raise ParameterError(f"X must be >= 1, got {grid[0]}")
-    count = element_counter(system, grid[-1])
+    grid, unsupported = _density_grid(system, grid)
+    count = element_counter(system, grid[-1], primes)
     counts = [count(x) for x in grid]
     a_hat = counts[-1] / grid[-1]
     residuals = [(x, c - a_hat * x) for x, c in zip(grid, counts)]
@@ -333,6 +320,29 @@ def density_fit(system: PrimeSystem, grid: Sequence[int]) -> DensityFit:
     b_hat = max(slope, 0.0)
     return DensityFit(tuple(grid), tuple(counts), a_hat, b_hat, slope,
                       tuple(residuals), status, unsupported)
+
+
+def _density_grid(system: PrimeSystem, grid: Sequence[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The grid's supported thresholds and the unsupported ones; raises
+    unless >= 4 strictly increasing thresholds >= 1 are supported."""
+    grid = [int(x) for x in grid]
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DegenerateGrid("density grid must be >= 4 strictly increasing thresholds")
+    unsupported: tuple[int, ...] = ()
+    if isinstance(system, PolyOverFq):
+        # count(X) is a step function, constant between powers of q; the
+        # linear-density axiom only holds along X = q^n
+        supported = [x for x in grid if _is_power_of(x, system.q)]
+        unsupported = tuple(x for x in grid if x not in supported)
+        if len(supported) < 4:
+            raise DegenerateGrid(
+                f"need >= 4 thresholds that are powers of q={system.q}; "
+                f"got {len(supported)} (others are flagged unsupported)"
+            )
+        grid = supported
+    if grid[0] < 1:
+        raise ParameterError(f"X must be >= 1, got {grid[0]}")
+    return grid, unsupported
 
 
 def _is_power_of(x: int, q: int) -> bool:

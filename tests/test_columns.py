@@ -1,0 +1,137 @@
+"""Columns on demand: ek_report and ldp_scan reduce one column in blocks.
+
+The oracle is the full-table computation the blocked code replaced: the
+(norm, omega, gsum) table of enumerate_monoid (the sieve's _sieve_table on
+the integers), reduced over whole columns at once.
+"""
+import dataclasses
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from monoidldp import experiments
+from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
+from monoidldp.experiments import EKReport, LDPRow, _ks_maxima, ek_report, ldp_scan
+from monoidldp.monoid import enumerate_monoid, gsum_column, omega_column
+from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, mertens_sum
+
+RESIDUE = NormResidue(4, frozenset({1}), 2, 0.5)
+INTERVALS = [(-math.inf, 0.5), (0.5, 1), (1, 1.5), (1.5, 2), (2, math.inf)]
+RHO = DiscreteMeasure.delta(1.0)
+
+
+def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
+    table = enumerate_monoid(system, X, Omega())
+    mask = table.norm >= min_norm
+    ll = np.log(np.log(table.norm[mask].astype(np.float64)))
+    t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
+    d_plus, d_minus = _ks_maxima(t)
+    return EKReport(
+        X=X, samples=table.count, min_norm=min_norm, ks_sample_count=t.size,
+        ks_distance=d_plus, ks_two_sided=max(d_plus, d_minus),
+        mean_omega=int(table.omega.sum(dtype=np.int64)) / table.count,
+        mertens_mean=mertens_sum(table.primes, X)[0],
+        variance_omega=float(np.var(table.omega)),
+    )
+
+
+def _ldp_oracle(system, g, X_grid, intervals, rho) -> list[LDPRow]:
+    table = enumerate_monoid(system, max(X_grid), g)
+    rows = []
+    for X in X_grid:
+        total = int(table.norm.searchsorted(np.uint64(X), "right"))
+        ll = math.log(math.log(X))
+        v = table.gsum[:total] / ll
+        for lo, hi in intervals:
+            count = int(np.count_nonzero((v >= lo) & (v < hi)))
+            normalized = math.log(count / total) / ll if count else -math.inf
+            rows.append(LDPRow(X, lo, hi, count, total, Fraction(count, total),
+                               normalized, experiments._rate_bound(rho, lo, hi)))
+    return rows
+
+
+def _hex(row) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(row).items()}
+
+
+# blocks of 1 and 3 rows at X = 1e6 would take a million Python iterations;
+# the other X cover both, 2^16 +- 1 across a block boundary
+CASES = [(X, block) for X in (16, 17, 1000, 2**16 - 1, 2**16 + 1, 10**6)
+         for block in (1, 3, 2**16, X + 1) if X < 10**6 or block > 3]
+# ldp_scan's Python loop runs ~1.5 X times with 1-row blocks, so near 2^16
+# only once: that loop is the same for a constant g, whose gsum the sieve
+# builds differently, and CASES holds Omega at every other block size
+LDP_CASES = [(X, block, g) for X, block in CASES for g in (RESIDUE, Omega())
+             if block > 1 or X < 2**16 - 1 or (X, g) == (2**16 + 1, RESIDUE)]
+
+
+@pytest.mark.parametrize("X,block", CASES)
+def test_blocked_ek_matches_the_full_table(monkeypatch, X, block):
+    want = _hex(_ek_oracle(Integers(), X))
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    assert _hex(ek_report(Integers(), X)) == want
+
+
+@pytest.mark.parametrize("X,block,g", LDP_CASES, ids=lambda v: getattr(v, "key", v))
+def test_blocked_ldp_scan_matches_the_full_table(monkeypatch, X, block, g):
+    grid = sorted({3, X // 7 + 3, X // 2 + 1, X})
+    want = [_hex(r) for r in _ldp_oracle(Integers(), g, grid, INTERVALS, RHO)]
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    assert [_hex(r) for r in ldp_scan(Integers(), g, grid, INTERVALS, RHO)] == want
+
+
+@pytest.mark.parametrize("system,X", [
+    (QuadraticField(-4), 1000), (QuadraticField(-4), 2**16 + 1), (QuadraticField(5), 5000),
+    (PolyOverFq(3), 3**8), (Beurling((2, 3, 3, 5)), 5000),
+], ids=lambda v: getattr(v, "key", v))
+@pytest.mark.parametrize("block", [3, 2**16])
+def test_blocked_reductions_on_the_frontier(monkeypatch, system, X, block):
+    want_ek = _hex(_ek_oracle(system, X, min_norm=5))
+    grid = [16, X // 3, X]
+    want_ldp = [_hex(r) for r in _ldp_oracle(system, RESIDUE, grid, INTERVALS, RHO)]
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    assert _hex(ek_report(system, X, min_norm=5)) == want_ek
+    assert [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)] == want_ldp
+
+
+@pytest.mark.parametrize("system", [
+    Integers(), QuadraticField(-4), QuadraticField(-3), PolyOverFq(2), Beurling((2, 3, 3, 5)),
+], ids=lambda s: s.key)
+def test_columns_are_the_tables_columns(system):
+    X = 3000
+    table = enumerate_monoid(system, X, RESIDUE)
+    norm, omega, primes = omega_column(system, X)
+    g_norm, gsum = gsum_column(system, X, RESIDUE)
+    if isinstance(system, Integers):
+        assert norm is None and g_norm is None
+        assert omega.dtype == np.uint8
+        norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
+    assert norm.tobytes() == g_norm.tobytes() == table.norm.tobytes()
+    assert np.array_equal(omega, table.omega)
+    assert gsum.tobytes() == table.gsum.tobytes()
+    assert primes.tobytes() == table.primes.tobytes()
+
+
+# tracemalloc sees NumPy's buffers; the full table took ~46 (ek) and ~21-31
+# (ldp_scan) bytes per element here
+PEAK_RUNS = {
+    "ek": lambda X: ek_report(Integers(), X),
+    "ldp-residue": lambda X: ldp_scan(Integers(), RESIDUE, [X // 10, X], INTERVALS, RHO),
+    "ldp-omega": lambda X: ldp_scan(Integers(), Omega(), [X], INTERVALS, RHO),
+}
+
+
+@pytest.mark.parametrize("name", list(PEAK_RUNS))
+def test_integer_reductions_take_at_most_12_bytes_per_element(name):
+    X = 10**6
+    tracemalloc.start()
+    try:
+        PEAK_RUNS[name](X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * X, f"{peak / X:.2f} bytes per element"
