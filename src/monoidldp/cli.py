@@ -24,6 +24,7 @@ only compute; _emit writes the Report they return as CSV or JSON.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import json
 import math
@@ -49,7 +50,7 @@ from .exact import domination_report, expect_Y, expect_Z, tail_mass
 from .experiments import LDPRow, condition_sweep, ek_report, gap_sweep, ldp_scan
 from .monoid import enumerate_monoid, write_table_cache
 from .rate import rate_profile
-from .reportio import fmt, write_csv, write_echo, write_json
+from .reportio import Records, fmt, write_csv, write_echo, write_json
 from .systems import (
     Beurling,
     Integers,
@@ -253,11 +254,14 @@ def _by_column(rows: Iterable[Sequence[Any]]) -> list[tuple]:
 def _run_primes(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
     entries = list_primes(system, X)
+    header = ["norm", "label"]
+    # one set of columns serves both formats
+    columns = [np.array([e.norm for e in entries], dtype=np.int64),
+               [e.label for e in entries]]
     return Report(
-        0, f"{len(entries)} primes of norm <= {X} in {system.key}",
-        ["norm", "label"], [[e.norm for e in entries], [e.label for e in entries]],
+        0, f"{len(entries)} primes of norm <= {X} in {system.key}", header, columns,
         {"system": system.key, "X": X, "count": len(entries),
-         "primes": [{"norm": e.norm, "label": e.label} for e in entries]},
+         "primes": Records(header, columns)},
     )
 
 
@@ -311,12 +315,16 @@ def _run_expect(a: dict) -> Report:
     norms = [int(n) for n in a["primes"]]
     # by prefix stability, the primes up to the largest norm asked suffice
     entries = list_primes(system, min(X, max([1, *norms])))
+    # entries are sorted by (norm, label): the first unused entry of norm n
+    # is the used[n]-th one from n's first
+    used: dict[int, int] = {}
     selected = []
     for n in norms:
-        match = next((e for e in entries if e.norm == n and e not in selected), None)
-        if match is None:
+        i = bisect.bisect_left(entries, n, key=lambda e: e.norm) + used.get(n, 0)
+        if i == len(entries) or entries[i].norm != n:
             raise ParameterError(f"no unused prime of norm {n} in {system.key} up to {X}")
-        selected.append(match)
+        used[n] = used.get(n, 0) + 1
+        selected.append(entries[i])
     z = expect_Z(system, X, [e.norm for e in selected])
     y = expect_Y([e.norm for e in selected])
     ratio = z / y
@@ -382,8 +390,9 @@ def _run_rate(a: dict) -> Report:
         _by_column((x, I, math.nan if t is None else t, it, st)
                    for x, I, t, it, st in points),
         {"rho": _atoms(a["rho"]),
-         "rows": [{"x": x, "I": I, "theta_star": t, "iters": it, "status": st}
-                  for x, I, t, it, st in points]},
+         "rows": Records(["x", "I", "theta_star", "iters", "status"],
+                         [prof.x_grid, prof.I_values, prof.theta_stars,
+                          prof.solver_iters, prof.statuses])},
     )
 
 

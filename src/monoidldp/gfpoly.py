@@ -209,19 +209,32 @@ def _term(c: int, i: int) -> str:
     return f"{head}t" if i == 1 else f"{head}t^{i}"
 
 
+def _terms_table(q: int, lo: int, hi: int) -> list[str]:
+    """The "+term" strings of the digits at powers lo..hi-1, high power first.
+
+    Entry j is for the coefficients whose index in base q is j, the digit of
+    t^lo lowest; a zero coefficient adds no term.
+    """
+    table = [""]
+    for i in range(lo, hi):
+        row = [""] + ["+" + _term(c, i) for c in range(1, q)]
+        table = [head + tail for head in row for tail in table]
+    return table
+
+
 def monic_labels(q: int, degree: int, indices) -> list[str]:
-    """monic_label of each index, all of one degree, from one term table."""
+    """monic_label of each index, all of one degree.
+
+    One np.divmod by q^(degree//2) splits each index into its high and low
+    halves; a label is the leading term, then the high half's string, then
+    the low half's, each looked up in a table of all q^k digit strings of
+    that half.
+    """
+    half = degree // 2
+    high, low = _terms_table(q, half, degree), _terms_table(q, 0, half)
     lead = _term(1, degree)
-    table = [(q**i, [_term(c, i) for c in range(q)]) for i in range(degree - 1, -1, -1)]
-    out = []
-    for index in indices:
-        terms = [lead]
-        for power, row in table:
-            c, index = divmod(index, power)
-            if c:
-                terms.append(row[c])
-        out.append("+".join(terms))
-    return out
+    hi, lo = np.divmod(np.asarray(indices, dtype=np.int64), q**half)
+    return [lead + high[h] + low[l] for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 def monic_label(q: int, degree: int, index: int) -> str:

@@ -16,19 +16,32 @@ holding ",", '"' or "\\n" is wrapped in double quotes with each inner '"'
 doubled (a lone "\\r" does not quote), and the empty cell of a one-column row
 is written as "". So the bytes are those that csv.writer(lineterminator="\\n")
 writes for fmt() of every cell.
+
+JSON reports are the bytes of json.dump(round12(obj), indent=2,
+sort_keys=True, allow_nan=False). A list of records (objects with the same
+keys), such as the primes of a primes report, is given by column as a
+Records value. write_json writes it in blocks of _BLOCK_ROWS rows too, each
+row through one %-template of the indented object, so no per-row dict is
+built and the texts held at once are one block's. Strings go through json's
+encode_basestring_ascii and every other cell by round12's rules, so the
+bytes are those json.dump writes for the rows as dicts.
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-# rows per CSV block: bounds the writer's memory, whatever the row count
+# rows per CSV or Records block: bounds the writer's memory, whatever the row count
 _BLOCK_ROWS = 1 << 16
+
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def fmt(value: Any) -> str:
@@ -58,16 +71,19 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column: Any, lo: int, hi: int) -> list[str]:
-    """The quoted fmt() texts of column[lo:hi]."""
-    chunk = column[lo:hi]
+def _texts(chunk: Any, text: Callable[[Any], str]) -> list[str]:
+    """text() of every cell of chunk; a NumPy column's distinct values once each."""
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "biuf":
         key = chunk.view(f"u{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         # tolist() gives the Python ints and floats that fmt() has always seen
-        texts = np.array([_quote(fmt(v)) for v in chunk[first].tolist()], dtype=object)
+        texts = np.array([text(v) for v in chunk[first].tolist()], dtype=object)
         return texts[inverse].tolist()
-    return [_quote(fmt(v)) for v in chunk]
+    return list(map(text, chunk))
+
+
+def _csv_text(value: Any) -> str:
+    return _quote(fmt(value))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -84,7 +100,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_line([[_quote(h)] for h in header]))
         for lo in range(0, n, _BLOCK_ROWS):
-            fh.write(_line([_cells(c, lo, lo + _BLOCK_ROWS) for c in columns]))
+            fh.write(_line([_texts(c[lo:lo + _BLOCK_ROWS], _csv_text) for c in columns]))
 
 
 def _line(cols: list[list[str]]) -> str:
@@ -125,19 +141,110 @@ def round12(obj: Any, exact: bool = False) -> Any:
     return obj
 
 
+class Records:
+    """A list of JSON objects given by column: row i is {key: column[i]}.
+
+    One column (NumPy array or list) per key, all of equal length; no keys
+    give the empty list. write_json writes it as round12 of the rows.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: Sequence[str], columns: Sequence[Sequence[Any]]):
+        self.keys, self.columns = tuple(keys), list(columns)
+        if len(self.columns) != len(self.keys) or len(set(self.keys)) != len(self.keys):
+            raise ValueError("Records need distinct keys and one column per key")
+        if any(len(c) != len(self) for c in self.columns):
+            raise ValueError("Records columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
 def write_json(path: Path, obj: Any) -> None:
-    _dump_json(path, round12(obj))
+    """Write obj as a JSON report; its dicts may hold Records at any depth."""
+    _dump_json(path, _json_chunks(obj, 0))
 
 
 def write_echo(path: Path, cfg: dict) -> None:
     """The config echo: JSON like a report, but with floats kept exact so a
     replay reads back the very values of the run."""
-    _dump_json(path, round12(cfg, exact=True))
+    _dump_json(path, _JSON.iterencode(round12(cfg, exact=True)))
 
 
-def _dump_json(path: Path, obj: Any) -> None:
-    # json.dump streams the encoder's chunks; json.dumps would hold them all
-    # and their join (+21 MB peak on a 300,000-prime report), for no speed
+def _dump_json(path: Path, chunks: Iterable[str]) -> None:
+    # the chunks are streamed; one joined string would hold the whole report
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.writelines(chunks)
         fh.write("\n")
+
+
+def _holds_records(obj: Any) -> bool:
+    return isinstance(obj, Records) or (
+        type(obj) is dict and any(_holds_records(v) for v in obj.values()))
+
+
+def _json_chunks(obj: Any, level: int) -> Iterator[str]:
+    """The text json.dump writes for round12(obj) as a value at this depth."""
+    if isinstance(obj, Records):
+        yield from _records_chunks(obj, level)
+    elif _holds_records(obj):
+        pad = "\n" + "  " * (level + 1)
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}{pad}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(obj[key], level + 1)
+            sep = ","
+        yield "\n" + "  " * level + "}"
+    else:
+        # the encoder's own chunks, each line break indented to this depth
+        pad = "\n" + "  " * level
+        for chunk in _JSON.iterencode(round12(obj)):
+            yield chunk.replace("\n", pad)
+
+
+def _records_chunks(records: Records, level: int) -> Iterator[str]:
+    n = len(records)
+    if n == 0:
+        yield "[]"
+        return
+    pad = "\n" + "  " * (level + 1)
+    order = sorted(range(len(records.keys)), key=records.keys.__getitem__)
+    fields = ",".join(
+        f"{pad}  {encode_basestring_ascii(records.keys[i]).replace('%', '%%')}: %s"
+        for i in order)
+    template = f"{pad}{{{fields}{pad}}}"
+    sep = "["
+    for lo in range(0, n, _BLOCK_ROWS):
+        texts = [_json_cells(records.columns[i][lo:lo + _BLOCK_ROWS], pad + "  ")
+                 for i in order]
+        # the block's row templates, joined, take its cells in row-major order
+        cells = tuple(chain.from_iterable(zip(*texts)))
+        del texts
+        yield sep
+        yield ",".join([template] * (len(cells) // len(order))) % cells
+        sep = ","
+    yield "\n" + "  " * level + "]"
+
+
+def _json_cells(chunk: Any, pad: str) -> list[str]:
+    """The JSON texts of round12() of each cell, a cell's line breaks
+    indented by pad."""
+    if not isinstance(chunk, np.ndarray):
+        try:
+            return list(map(encode_basestring_ascii, chunk))
+        except TypeError:  # not all cells are strings
+            pass
+    return _texts(chunk, lambda value: _json_cell(value, pad))
+
+
+def _json_cell(value: Any, pad: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(float(fmt(value)))
+    # bool, None, non-finite floats, Fraction, containers: as the encoder writes them
+    return "".join(_JSON.iterencode(round12(value))).replace("\n", pad)

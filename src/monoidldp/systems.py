@@ -96,8 +96,9 @@ class PolyOverFq:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _entries(self, X: int) -> list[PrimeEntry]:
+        # labels sorted per degree leave list_primes' sort one linear pass
         return [PrimeEntry(norm, label) for d, norm in self._degrees(X)
-                for label in monic_labels(self.q, d, irreducible_indices(self.q, d))]
+                for label in sorted(monic_labels(self.q, d, irreducible_indices(self.q, d)))]
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,7 @@ def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
     """All primes of the system with norm <= X, sorted by (norm, label)."""
     _check_prime_x(X)
     entries = system._entries(X)
-    entries.sort(key=lambda e: (e.norm, e.label))
+    entries.sort()  # a PrimeEntry's tuple order is (norm, label)
     return tuple(entries)
 
 

@@ -128,6 +128,34 @@ def test_expect_looks_primes_up_by_norm(tmp_path, capsys):
                  "--primes", "5,5,5", "--out", str(tmp_path)]) == 65
     assert ("error: no unused prime of norm 5 in quad:-4 up to 100"
             in capsys.readouterr().err)
+    # a norm between two primes has none
+    assert main(["expect", "--system", "integers", "--limit", "10",
+                 "--primes", "4", "--out", str(tmp_path)]) == 65
+    assert ("error: no unused prime of norm 4 in integers up to 10"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("system,norms", [
+    (PolyOverFq(3), [9, 3, 9, 27, 9, 3]),
+    (QuadraticField(-4), [5, 2, 9, 5, 13, 49, 13]),
+    (Integers(), [7, 2, 7]),
+])
+def test_expect_takes_the_first_unused_entry(tmp_path, capsys, system, norms):
+    # the linear rule: for each norm in turn, the first entry of that norm
+    # (in (norm, label) order) not taken yet
+    entries = systems.list_primes(system, max(norms))
+    selected = []
+    for n in norms:
+        match = next((e for e in entries if e.norm == n and e not in selected), None)
+        selected.append(match)
+    args = ["expect", "--system", system.key, "--limit", "100",
+            "--primes", ",".join(map(str, norms)), "--out", str(tmp_path)]
+    if None in selected:
+        assert main(args) == 65
+    else:
+        assert main(args) == 0
+        labels = "*".join(e.label for e in selected)
+        assert f"primes={labels}" in capsys.readouterr().out
 
 
 def test_bad_configs_exit_65(tmp_path):

@@ -228,3 +228,33 @@ def test_monic_labels_match_monic_label(q):
         labels = monic_labels(q, d, idx)
         assert labels == [monic_label(q, d, i) for i in idx]
         assert labels == [_label_from_coeffs(q, d, i) for i in idx]
+
+
+def _per_digit_labels(q, degree, indices):
+    """The per-digit monic_labels: one divmod per digit per label."""
+    lead = gfpoly._term(1, degree)
+    table = [(q**i, [gfpoly._term(c, i) for c in range(q)])
+             for i in range(degree - 1, -1, -1)]
+    out = []
+    for index in indices:
+        terms = [lead]
+        for power, row in table:
+            c, index = divmod(index, power)
+            if c:
+                terms.append(row[c])
+        out.append("+".join(terms))
+    return out
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_half_table_labels_match_per_digit_labels(q):
+    # every index of every degree with q^d <= 2^16, reducible ones too;
+    # degree 1 has an empty low half, and the last index has every digit q-1
+    degree = 1
+    while q**degree <= 1 << 16:
+        idx = range(q**degree)
+        assert monic_labels(q, degree, idx) == _per_digit_labels(q, degree, idx)
+        assert monic_labels(q, degree, [q**degree - 1]) == [
+            _label_from_coeffs(q, degree, q**degree - 1)]
+        degree += 1
+    assert monic_labels(q, 3, []) == []
