@@ -79,7 +79,6 @@ from .systems import (
     PrimeEntry,
     QuadraticField,
     density_fit,
-    kronecker_at_prime,
     list_primes,
     mertens_sum,
     prime_count_check,

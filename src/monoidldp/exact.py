@@ -8,6 +8,8 @@ For distinct primes the expectation of a Z-product is exactly
 
 a ratio of element counts, because the elements divisible by all the p_i
 are those of the form m * prod p_i with N(m) below the floored threshold.
+The counts come from monoid.element_counter, in closed form on every system
+but Beurling, so no element is enumerated here and X may reach 1e12 there.
 The Y-product expectation is 1 / prod N(p_i). Their ratio is bounded by a
 constant M, observed here by exhaustive tuple search. Both read only the
 norms, so a prime tuple is passed as its norms; a norm repeated k times

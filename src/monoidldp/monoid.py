@@ -41,23 +41,27 @@ with omega widened to uint32, as the frontier's.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X, and it keeps the prime norms it was built from.
-Element counts need no second enumeration: count(y) for every y <= X is
-a prefix length of the sorted norm column (element_counter, whose
-frontier builds no omega or gsum and evaluates no g), except on the
-integers, where count(y) = y.
+Element counts need no table. element_counter answers count(y) in closed
+form on every system but Beurling: y on the integers, the sum of q^d over
+q^d <= y on F_q[t], and on a quadratic field, whose elements are the
+ideals, sum_{d <= y} chi_D(d) floor(y/d) by the hyperbola method, in
+O(sqrt(y)) NumPy work. Only a Beurling counter enumerates, by the frontier
+with no omega, gsum or g, and answers from its sorted norm column.
 
 The system picks the path, the sieve for the integers and the frontier for
-every other system, and three constants cap it: X <= 1e7 on the frontier,
-X <= 1e8 on the sieve (the prime layer's cap), at most 2e8 elements in
-memory. The X caps are checked before anything is allocated, the element
-cap before each level as above. Partial products never overflow: they are
-bounded by X, which the caps keep below 2^63.
+every other system, and four constants cap it: X <= 1e7 on the frontier
+(tables, and Beurling counters), X <= 1e8 on the sieve (the prime layer's
+cap), at most 2e8 elements in memory, and X <= 1e12 for the closed-form
+counts, which hold no element. The X caps are checked before anything is
+allocated, the element cap before each level as above. Partial products
+never overflow: they are bounded by X, which the caps keep below 2^63.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable
@@ -65,7 +69,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError, SourceError
-from .systems import _MAX_X_SIEVE, Integers, PrimeSystem, prime_norms
+from .systems import (
+    _MAX_X_SIEVE,
+    Beurling,
+    Integers,
+    PolyOverFq,
+    PrimeSystem,
+    _kronecker_table,
+    prime_norms,
+)
 
 CACHE_MAGIC = b"MLDP0001"
 CACHE_VERSION = 1
@@ -76,6 +88,10 @@ _BLOCK_PAIRS = 1 << 16
 # X cap, _MAX_X_SIEVE, is the prime layer's
 _MAX_ELEMENTS = 200_000_000
 _MAX_X_FRONTIER = 10_000_000
+# X for the closed-form element counts, which hold no element: at 1e12 one
+# quad:D count takes ~10 ms and arrays of 1e6 entries, and every sum of
+# _quad_counter stays far inside int64
+_MAX_X_COUNT = 10**12
 
 
 @dataclass(frozen=True)
@@ -300,24 +316,75 @@ def element_counter(
 ) -> Callable[[int], int]:
     """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
 
-    The integers answer with the closed form y. Any other system is
-    enumerated once at X by the frontier, norms only and under its caps, and
-    answers from the sorted norm column, which stays in memory (8 bytes per
-    element) while the counter lives. Results for y > X are not counts.
-    primes, when given, are the caller's prime_norms(system, X') at some
-    X' >= X, read up to X instead of building the list again.
+    Every system but Beurling answers in closed form and holds no element:
+    the integers with y; poly:q with the sum of q^d over q^d <= y; quad:D,
+    whose elements are the ideals, with sum_{d <= y} chi_D(d) floor(y/d)
+    by the hyperbola method (_quad_counter). These take X up to
+    _MAX_X_COUNT. A Beurling system is enumerated once at X by the
+    frontier, norms only and under its caps, and answers from the sorted
+    norm column, which stays in memory (8 bytes per element) while the
+    counter lives; primes, when given, are the caller's
+    prime_norms(system, X') at some X' >= X, read up to X instead of
+    building the list again, and are read on Beurling systems only.
+    Results for y > X are not counts.
     """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
     if isinstance(system, Integers):
         return int
-    _check_x(system, X)
-    if primes is None:
-        primes = prime_norms(system, X)
-    norm = _frontier(primes[: primes.searchsorted(X, "right")], X, None)[0]
-    norm.sort()
-    # a Python int would promote the whole uint64 column on every lookup
-    return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
+    if isinstance(system, Beurling):
+        _check_x(system, X)
+        if primes is None:
+            primes = prime_norms(system, X)
+        norm = _frontier(primes[: primes.searchsorted(X, "right")], X, None)[0]
+        norm.sort()
+        # a Python int would promote the whole uint64 column on every lookup
+        return lambda y: int(norm.searchsorted(np.uint64(y), "right"))
+    if X > _MAX_X_COUNT:
+        raise BudgetExceeded(f"closed-form count at X={X} exceeds budget",
+                             predicted=X, cap=_MAX_X_COUNT)
+    if isinstance(system, PolyOverFq):
+        return partial(_poly_count, system.q)
+    return _quad_counter(system.D, X)
+
+
+def _poly_count(q: int, y: int) -> int:
+    """The monic polynomials over F_q of norm q^d <= y: sum of q^d."""
+    total, norm = 0, 1
+    while norm <= y:
+        total += norm
+        norm *= q
+    return total
+
+
+def _quad_counter(D: int, X: int) -> Callable[[int], int]:
+    """count(y) = sum_{d <= y} chi(d) floor(y/d) on quad:D, as the Dedekind
+    zeta function is zeta(s) L(s, chi_D), for every y <= X.
+
+    The hyperbola method with s = isqrt(y) gives it as
+    sum_{d <= s} chi(d) floor(y/d) + sum_{m <= s} S(floor(y/m)) - S(s) s,
+    S(n) being chi(1) + ... + chi(n), which is periodic mod |D| because chi
+    is non-principal. Each y takes two int64 reductions of length s, exact
+    while X <= _MAX_X_COUNT (the first sum is below y (1 + log s)). Answers
+    are kept by y: the callers ask for floor(X / N) over many N, which takes
+    at most 2 sqrt(X) values.
+    """
+    chi = _kronecker_table(D)
+    m = chi.size
+    S = np.cumsum(chi)  # S[r] = chi(1) + ... + chi(r), as chi(0) = 0
+    d = np.arange(1, math.isqrt(X) + 1, dtype=np.int64)
+    chi_d = chi[d % m]
+    known: dict[int, int] = {}
+
+    def count(y: int) -> int:
+        c = known.get(y)
+        if c is None:
+            s = math.isqrt(y)
+            q = y // d[:s]
+            c = known[y] = int(chi_d[:s] @ q) + int(S[q % m].sum()) - int(S[s % m]) * s
+        return c
+
+    return count
 
 
 def write_table_cache(table: MonoidTable, path: str | Path) -> None:

@@ -14,7 +14,9 @@ ceiling of the integer sieve, on every system and before anything is built.
 
 Nothing is cached, not even primes_upto, the rational primes up to X that
 the integers and the quadratic fields both read; on a quadratic field the
-Kronecker symbol is computed for all of them at once, in NumPy.
+Kronecker symbol is computed for all of them at once, in NumPy, by
+_kronecker, the one implementation of it. _kronecker_table extends it to
+the character chi_D mod |D| that the closed-form ideal counts read.
 
 Four systems are provided:
 
@@ -226,25 +228,13 @@ def _is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def kronecker_at_prime(D: int, p: int) -> int:
-    """Kronecker symbol (D/p) for a rational prime p."""
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 in (1, 7) else -1
-    r = D % p
-    if r == 0:
-        return 0
-    # Euler's criterion
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
-
-
 def _kronecker(D: int, p: np.ndarray) -> np.ndarray:
-    """kronecker_at_prime(D, p) for an int64 array of rational primes.
+    """The Kronecker symbol (D/p) for an int64 array of rational primes.
 
     Odd p use Euler's criterion, r^((p-1)/2) mod p by square-and-multiply
     in int64; every product is below p^2, so this is exact while
-    p^2 < 2^63. p = 2 is left to kronecker_at_prime.
+    p^2 < 2^63. (D/2) is 0 for even D, else 1 or -1 as D = +-1 or +-3
+    mod 8.
     """
     r = D % p
     result = np.ones_like(p)
@@ -255,7 +245,24 @@ def _kronecker(D: int, p: np.ndarray) -> np.ndarray:
         e >>= 1
     chi = np.where(result == 1, 1, -1)
     chi[r == 0] = 0
-    chi[p == 2] = kronecker_at_prime(D, 2)
+    if D % 2:
+        chi[p == 2] = 1 if D % 8 in (1, 7) else -1
+    return chi
+
+
+def _kronecker_table(D: int) -> np.ndarray:
+    """chi_D(n) for n = 0..|D| - 1, int64: the Kronecker symbol (D/n), a
+    character mod |D| for a fundamental discriminant D, extended
+    completely multiplicatively from _kronecker at the primes below |D|."""
+    m = abs(D)
+    chi = np.ones(m, dtype=np.int64)
+    chi[0] = 0  # gcd(|D|, D) > 1
+    primes = primes_upto(m - 1)
+    for p, c in zip(primes.tolist(), _kronecker(D, primes).tolist()):
+        pk = p
+        while pk < m:  # every power of p multiplies in c once more
+            chi[pk::pk] *= c
+            pk *= p
     return chi
 
 
@@ -293,9 +300,10 @@ def density_fit(
 ) -> DensityFit:
     """Fit count(X) = a*X + O(X^b) over a strictly increasing grid.
 
-    The counts come from one enumeration at the largest supported threshold;
-    every supported threshold must be >= 1. primes, when given, are the
-    caller's prime_norms at the grid's largest X or above.
+    The counts come from one element counter at the largest supported
+    threshold; every supported threshold must be >= 1. primes, when given,
+    are the caller's prime_norms at the grid's largest X or above; only a
+    Beurling counter reads them.
     """
     from .monoid import element_counter
 

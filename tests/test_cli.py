@@ -202,8 +202,49 @@ def test_bad_configs_exit_65(tmp_path):
 
 def test_budget_exit_66(tmp_path):
     assert main(["count", "--limit", "200000000000", "--out", str(tmp_path)]) == 66
-    assert main(["density", "--system", "quad:-4", "--grid", "1000,10000,100000,20000000",
+    assert main(["density", "--system", "quad:-4", "--grid", "1000,10000,100000,1000000000001",
                  "--out", str(tmp_path)]) == 66
+
+
+# (argv, a grid whose largest X is 1e12 or the largest power of q below it,
+# the same grid past 1e12): the closed-form element counts reach 1e12
+# without a prime list or a frontier, and refuse any X above it
+COUNT_CAP_RUNS = [
+    ("density", "quad:-4", "1000000,100000000,10000000000,1000000000000",
+     "1000000,100000000,10000000000,1000000000001"),
+    ("mgf-gap", "quad:-4", "1000000,100000000,10000000000,1000000000000",
+     "1000000,100000000,10000000000,1000000000001"),
+    # 2^40 is the first power of 2 past 1e12; density ignores any other X
+    ("density", "poly:2", "68719476736,137438953472,274877906944,549755813888",
+     "137438953472,274877906944,549755813888,1099511627776"),
+    ("mgf-gap", "poly:2", "1024,1048576,1073741824,549755813888",
+     "1024,1048576,1073741824,1000000000001"),
+]
+
+
+@pytest.mark.parametrize("command,system,at_cap,over_cap", COUNT_CAP_RUNS,
+                         ids=[f"{c} {s}" for c, s, _, _ in COUNT_CAP_RUNS])
+def test_closed_form_counts_reach_1e12(command, system, at_cap, over_cap, tmp_path, capsys):
+    argv = [command, "--system", system, "--format", "json"]
+    assert main(argv + ["--grid", at_cap, "--out", str(tmp_path / "at")]) in (0, 1)
+    report = json.loads((tmp_path / "at" / f"{command}.json").read_text())
+    grid = [int(x) for x in at_cap.split(",")]
+    if command == "density":
+        assert report["grid"] == grid and report["status"] == "OK"
+    else:
+        assert [row["X"] for row in report["rows"]] == grid
+    capsys.readouterr()
+    assert main(argv + ["--grid", over_cap, "--out", str(tmp_path / "over")]) == 66
+    assert "budget error:" in capsys.readouterr().err
+    assert not (tmp_path / "over" / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominate", "--system", "quad:-4", "--limit", "100000001"],
+    ["sweep", "--system", "quad:-4", "--grid", "1000,10000,100000,100000001"],
+], ids=lambda argv: argv[0])
+def test_quad_prime_list_readers_keep_the_sieve_cap(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 66
 
 
 PRIME_READERS = [
@@ -246,17 +287,19 @@ def test_a_bad_small_x_is_rejected_before_the_over_cap_x(argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 65
 
 
-# (argv, its largest X, small B lists it may add, frontiers run): a command
-# builds its prime list and its element counter once, at its largest X
+# (argv, the X of its one prime list or None for none, small B lists it may
+# add, frontiers run): a command builds at most one prime list and one element
+# counter, at its largest X; only Beurling counters run the frontier
 BUILD_COUNTS = [
     (["sweep", "--grid", "1000,10000,30000,100000"], 100_000, 0, 0),
     (["mertens", "--grid", "1000,10000,100000,1000000,3000000"], 3_000_000, 0, 0),
     (["ek", "--limit", "100000"], 100_000, 0, 0),
     (["ek", "--system", "quad:-4", "--limit", "100000"], 100_000, 0, 1),
-    (["dominate", "--system", "quad:-4", "--limit", "30000", "--kmax", "3"], 30_000, 0, 1),
-    (["sweep", "--system", "quad:-4", "--grid", "1000,10000,30000,100000"], 100_000, 0, 1),
-    # one B list per X, up to floor(k_X) <= 7 here
-    (["mgf-gap", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], 300_000, 4, 1),
+    (["dominate", "--system", "quad:-4", "--limit", "30000", "--kmax", "3"], 30_000, 0, 0),
+    (["sweep", "--system", "quad:-4", "--grid", "1000,10000,30000,100000"], 100_000, 0, 0),
+    # one B list per X, up to floor(k_X) <= 7 here, and no other
+    (["mgf-gap", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], None, 4, 0),
+    (["density", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], None, 0, 0),
 ]
 
 
@@ -276,9 +319,9 @@ def test_each_command_builds_one_prime_list(argv, X, b_lists, frontiers, tmp_pat
         monkeypatch.setattr(cls, "_norms", counted("_norms", cls._norms))
     monkeypatch.setattr(monoid, "_frontier", counted("_frontier", monoid._frontier))
     assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
-    lists = sorted(built["_norms"])
-    assert lists[-1:] == [X] and len(lists) == 1 + b_lists
-    assert all(x <= 7 for x in lists[:-1])
+    big = [x for x in built["_norms"] if x > 7]
+    assert big == ([] if X is None else [X])
+    assert len(built["_norms"]) - len(big) == b_lists
     assert built["_frontier"] == [X] * frontiers
 
 

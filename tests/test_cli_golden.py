@@ -67,6 +67,9 @@ CASES = [
     ("mgf-gap-quad-residue", ["mgf-gap", "--system", "quad:-4",
                               "--g", "residue:4:1:2:0.5", "--grid", "1000,100000"], BOTH),
     ("mgf-gap-poly2", ["mgf-gap", "--system", "poly:2", "--grid", "1024,65536"], BOTH),
+    # past the frontier's cap: the closed-form element counts reach 1e12
+    ("mgf-gap-quad-1e12", ["mgf-gap", "--system", "quad:-4", "--grid",
+                           "1000000,100000000,10000000000,1000000000000"], BOTH),
     ("tail-mass", ["tail-mass", "--limit", "100", "--g", "residue:4:1:2:0"], BOTH),
     ("rate-delta1", ["rate"], BOTH),
     ("rate-nonpositive-x", ["rate", "--grid=-1,0,0.5"], BOTH),

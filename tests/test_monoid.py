@@ -28,10 +28,13 @@ from monoidldp.systems import (
     Integers,
     PolyOverFq,
     QuadraticField,
+    _is_fundamental_discriminant,
     list_primes,
     prime_norms,
     primes_upto,
 )
+
+ALL_FUNDAMENTAL = [D for D in range(-100, 101) if _is_fundamental_discriminant(D)]
 
 
 def test_integers_table_small():
@@ -222,14 +225,17 @@ def test_budget_boundary_is_exact(monkeypatch, system):
     # an error exactly when the element count exceeds the cap, at every cap
     X = 400
     total = enumerate_monoid(system, X, Omega()).count
+    # only a Beurling counter enumerates; the others hold no element
+    builds = [lambda: enumerate_monoid(system, X, Omega())]
+    if isinstance(system, Beurling):
+        builds.append(lambda: element_counter(system, X))
     for cap in range(1, total + 2):
         monkeypatch.setattr(monoid, "_MAX_ELEMENTS", cap)
         if cap >= total:
             assert enumerate_monoid(system, X, Omega()).count == total
             assert element_counter(system, X)(X) == total
             continue
-        for build in (lambda: enumerate_monoid(system, X, Omega()),
-                      lambda: element_counter(system, X)):
+        for build in builds:
             with pytest.raises(BudgetExceeded) as err:
                 build()
             assert err.value.cap == cap
@@ -259,6 +265,71 @@ def test_poly_counts_are_monic_polynomial_counts(q):
     count = element_counter(PolyOverFq(q), X)
     for y in range(1, X + 1):
         assert count(y) == sum(q**d for d in range(14) if q**d <= y)
+
+
+def _frontier_counts(system, X, ys):
+    """count(y) by the frontier: the Beurling counter on the same prime norms."""
+    count = element_counter(Beurling(tuple(prime_norms(system, X).tolist())), X)
+    return [count(y) for y in ys]
+
+
+def _oracle_ys(X):
+    """Every y up to 3000, 50 log-spaced y and X."""
+    spaced = np.geomspace(1, X, 50).round().astype(int).tolist()
+    return sorted({*range(1, min(X, 3000) + 1), *spaced, X})
+
+
+def test_quad_closed_form_matches_the_frontier_for_every_discriminant():
+    assert len(ALL_FUNDAMENTAL) == 61
+    X, ys = 10**5, _oracle_ys(10**5)
+    for D in ALL_FUNDAMENTAL:
+        count = element_counter(QuadraticField(D), X)
+        assert [count(y) for y in ys] == _frontier_counts(QuadraticField(D), X, ys), D
+
+
+@pytest.mark.parametrize("D", [-4, -3, 5, 8, -23, 93])
+def test_quad_closed_form_matches_the_frontier_at_1e6(D):
+    X, ys = 10**6, _oracle_ys(10**6)
+    count = element_counter(QuadraticField(D), X)
+    assert [count(y) for y in ys] == _frontier_counts(QuadraticField(D), X, ys)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_poly_closed_form_matches_the_frontier(q):
+    powers = [1]
+    while powers[-1] * q <= 10**6:
+        powers.append(powers[-1] * q)
+    X = powers[-1]  # the largest q^n <= 1e6
+    ys = sorted({*_oracle_ys(X), *powers, *(n - 1 for n in powers[1:])})
+    count = element_counter(PolyOverFq(q), X)
+    assert [count(y) for y in ys] == _frontier_counts(PolyOverFq(q), X, ys)
+
+
+@pytest.mark.parametrize("D,limit", [
+    (-3, math.pi / (3 * math.sqrt(3))),
+    (-4, math.pi / 4),
+    (-23, 3 * math.pi / math.sqrt(23)),
+    (5, 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
+])
+def test_quad_density_tends_to_the_class_number_formula(D, limit):
+    # count(y) / y -> L(1, chi_D), which is 2 pi h / (w sqrt|D|) for D < 0
+    y = 10**12
+    assert abs(element_counter(QuadraticField(D), y)(y) / y - limit) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from([*map(QuadraticField, ALL_FUNDAMENTAL), PolyOverFq(2),
+                               PolyOverFq(9)]),
+       X=st.integers(1, 10**7), y=st.integers(1, 10**7),
+       asked=st.lists(st.integers(1, 10**7), max_size=4),
+       near=st.lists(st.integers(-3, 3), max_size=4))
+def test_closed_form_answers_do_not_depend_on_earlier_questions(system, X, y, asked, near):
+    # a counter that has answered other y, some of them next to y, answers
+    # each y as a fresh counter does
+    y = 1 + (y - 1) % X
+    ys = [1 + (v - 1) % X for v in asked] + [min(max(y + d, 1), X) for d in near] + [y]
+    warm = element_counter(system, X)
+    assert [warm(v) for v in ys] == [element_counter(system, X)(v) for v in ys]
 
 
 def test_beurling_counts_match_smooth_numbers():
@@ -303,9 +374,20 @@ def test_budget_errors(monkeypatch):
             with pytest.raises(BudgetExceeded) as err:
                 enumerate_monoid(system, 10**3 + 1, Omega())
             assert (err.value.predicted, err.value.cap) == (10**3 + 1, 10**3)
+    # the frontier's cap bounds the Beurling counter alone; the closed forms
+    # have their own, and the integers none
+    closed = (QuadraticField(-4), PolyOverFq(3))
     monkeypatch.setattr(monoid, "_MAX_X_FRONTIER", 10**3)
     with pytest.raises(BudgetExceeded):
-        element_counter(QuadraticField(-4), 10**3 + 1)
+        element_counter(Beurling((2, 3)), 10**3 + 1)
+    for system in closed:
+        assert element_counter(system, 10**3 + 1)(10**3) == element_counter(system, 10**3)(10**3)
+    monkeypatch.setattr(monoid, "_MAX_X_COUNT", 10**3)
+    for system in closed:
+        assert element_counter(system, 10**3)(10**3) > 0
+        with pytest.raises(BudgetExceeded) as err:
+            element_counter(system, 10**3 + 1)
+        assert (err.value.predicted, err.value.cap) == (10**3 + 1, 10**3)
     assert element_counter(Integers(), 10**3 + 1)(10**3 + 1) == 10**3 + 1
 
 

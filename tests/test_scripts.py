@@ -25,3 +25,11 @@ def test_script_runs(script, grid, lines):
     done = _run(script, "--grid", grid)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == lines
+
+
+def test_check_counts_agrees_at_1e4():
+    done = _run("check_counts.py", "--limit", "10000")
+    assert done.returncode == 0, done.stdout + done.stderr
+    # one line per system: 61 discriminants and 7 values of q
+    lines = done.stdout.splitlines()
+    assert len(lines) == 68 and all(line.endswith("agree") for line in lines)

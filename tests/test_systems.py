@@ -18,8 +18,8 @@ from monoidldp.systems import (
     QuadraticField,
     _is_fundamental_discriminant,
     _kronecker,
+    _kronecker_table,
     density_fit,
-    kronecker_at_prime,
     list_primes,
     mertens_sum,
     prime_count_check,
@@ -86,6 +86,35 @@ def test_quadratic_rejects_bad_discriminant():
     # these are fundamental
     for D in (-4, -8, -3, 5, 8, -7, 12, 13, 97):
         QuadraticField(D)
+
+
+def kronecker_at_prime(D, p):
+    """The scalar Kronecker symbol (D/p) for a rational prime p: the oracle
+    of the array symbol _kronecker."""
+    if p == 2:
+        if D % 2 == 0:
+            return 0
+        return 1 if D % 8 in (1, 7) else -1
+    r = D % p
+    if r == 0:
+        return 0
+    # Euler's criterion
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 FUNDAMENTAL = (-3, -4, -7, -8, -11, -15, -19, -20, 5, 8, 12, 13, 17, 21, 24, 97)
@@ -263,6 +292,18 @@ def test_array_kronecker_matches_the_scalar_symbol():
     for D in ALL_FUNDAMENTAL:
         chi = _kronecker(D, primes)
         assert chi.tolist() == [kronecker_at_prime(D, p) for p in primes.tolist()], D
+
+
+def test_kronecker_table_matches_the_jacobi_symbol():
+    # (D/n) = (D/2)^k (D/n') for n = 2^k n' with n' odd, (D/n') a Jacobi symbol
+    for D in ALL_FUNDAMENTAL:
+        want = [0]
+        for n in range(1, abs(D)):
+            k = (n & -n).bit_length() - 1
+            want.append(kronecker_at_prime(D, 2) ** k * _jacobi(D, n >> k))
+        table = _kronecker_table(D)
+        assert table.dtype == np.int64 and table.tolist() == want, D
+        assert table.sum() == 0  # non-principal: a period sums to 0
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
