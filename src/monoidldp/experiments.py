@@ -23,9 +23,9 @@ distance is dominated by the left-of-center deficit), while the one-sided
 statistic is near 0.099 and is the quantity the regression baseline tracks.
 
 Both KS maxima are exact over every element, with no n-length array of Phi.
-Phi is a scalar port of Cephes' ndtr, bit-equal to the compiled C routine;
-the sorted sample is cut into blocks whose end points bound every value
-inside, and Phi is taken element by element only in the blocks that can
+Phi is Cephes' ndtr on arrays, bit-equal to the compiled C routine; the
+sorted sample is cut into blocks whose end points bound every value inside,
+and Phi is taken at the end points and then only inside the blocks that can
 hold a maximum (see _ks_maxima).
 """
 from __future__ import annotations
@@ -77,10 +77,10 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     inner logarithm is positive); mean and variance of omega and the Mertens
     sum are reported over the full table for cross-checks.
 
-    Only the norm and omega columns are built (omega_column; on the
-    integers the norms are implicit and omega is a uint8 sieve). The
-    statistic is computed block by block into one float64 array, sorted in
-    place; both KS maxima are exact over it (_ks_maxima).
+    Only the norm and omega columns are built, rows in any order
+    (omega_column; on the integers the norms are implicit). Mean and
+    variance come exactly from the omega histogram and the statistic is
+    sorted, so no field depends on the row order (_ks_maxima).
     """
     if X < 16:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
@@ -88,26 +88,16 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
     norm, omega, primes = omega_column(system, X)
     count = omega.size
-    # the first row of norm >= min_norm; norm None stands for 1..X
-    first = min_norm - 1 if norm is None else int(norm.searchsorted(np.uint64(min_norm)))
-    if first >= count:
-        raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
     # the whole-column reductions come before t, so no temporary of theirs
-    # meets it
+    # meets it; omega < 64 (norms >= 2), and no intp copy of omega is made
     mertens_mean = mertens_sum(primes, X)[0]
-    mean_omega = int(omega.sum(dtype=np.int64)) / count
-    variance = float(np.var(omega))
-    t = np.empty(count - first)
-    for a in range(first, count, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, count)
-        ll = (np.arange(a + 1, b + 1, dtype=np.float64) if norm is None
-              else norm[a:b].astype(np.float64))
-        np.log(ll, out=ll)
-        np.log(ll, out=ll)
-        out = t[a - first:b - first]
-        np.subtract(omega[a:b], ll, out=out)
-        out /= np.sqrt(ll)
-    t.sort()
+    hist = sum(np.bincount(omega[a:a + _BLOCK_ROWS], minlength=64)
+               for a in range(0, count, _BLOCK_ROWS))
+    k = np.arange(hist.size)
+    s1, s2 = int(hist @ k), int(hist @ (k * k))
+    t = _ek_sample(norm, omega, min_norm)
+    if not t.size:
+        raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
     d_plus, d_minus = _ks_maxima(t)
     return EKReport(
         X=X,
@@ -116,10 +106,34 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         ks_sample_count=t.size,
         ks_distance=d_plus,
         ks_two_sided=max(d_plus, d_minus),
-        mean_omega=mean_omega,
+        mean_omega=s1 / count,
         mertens_mean=mertens_mean,
-        variance_omega=variance,
+        # the population variance, correctly rounded
+        variance_omega=float(Fraction(count * s2 - s1 * s1, count * count)),
     )
+
+
+def _ek_sample(norm: np.ndarray | None, omega: np.ndarray, min_norm: int) -> np.ndarray:
+    """The sorted statistic over the rows of norm >= min_norm, computed
+    block by block into one float64 array; norm None stands for 1..X."""
+    t = np.empty(omega.size)  # the kept rows fill a prefix
+    size = 0
+    for a in range(0, omega.size, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, omega.size)
+        if norm is None:  # rows a..b-1 have norms a+1..b
+            a = min(max(a, min_norm - 1), b)
+            o, ll = omega[a:b], np.arange(a + 1, b + 1, dtype=np.float64)
+        else:
+            keep = norm[a:b] >= np.uint64(min_norm)
+            o, ll = omega[a:b][keep], norm[a:b][keep].astype(np.float64)
+        np.log(np.log(ll, out=ll), out=ll)
+        out = t[size:size + ll.size]
+        np.subtract(o, ll, out=out)
+        out /= np.sqrt(ll)
+        size += ll.size
+    t = t[:size]
+    t.sort()
+    return t
 
 
 # Moshier's Cephes ndtr (Methods and Programs for Mathematical Functions,
@@ -157,39 +171,48 @@ _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = 7.07106781186547524401e-1
 
 
-def _horner(x: float, coef: tuple) -> float:
-    ans = coef[0]
+def _horner(x: np.ndarray, coef: tuple) -> np.ndarray:
+    ans = np.full_like(x, coef[0])
     for c in coef[1:]:
-        ans = ans * x + c
+        ans = ans * x + c  # two ufuncs round twice, as C does: no fused multiply-add
     return ans
 
 
-def _erf(x: float) -> float:
-    """erf(x) for |x| < 1."""
-    if x < 0.0:
-        return -_erf(-x)
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| < 1. Cephes takes erf(-x) as -erf(x); the rounding
+    is symmetric in sign, so x < 0 gets the same bits without the flip."""
     z = x * x
     return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
 
 
-def _erfc(x: float) -> float:
-    """erfc(x) for x >= 1/sqrt(2); 0.0 where exp(-x*x) would underflow."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if -x * x < -_MAXLOG:
-        return 0.0
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return (math.exp(-x * x) * _horner(x, p)) / _horner(x, q)
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Phi(a), the standard normal CDF, elementwise, bit-equal to Cephes' ndtr.
 
-
-def _ndtr(a: float) -> float:
-    """Phi(a), the standard normal CDF, bit-equal to Cephes' ndtr."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    Each branch takes the elements on which ndtr's test holds and leaves
+    the rest to the next, so NaN and +-inf go where the C code sends them.
+    exp is math.exp, the C library's, taken over the erfc branch only.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = a * _SQRT1_2
+        z = np.abs(x)
+        out = np.empty_like(x)
+        near = z < _SQRT1_2
+        out[near] = 0.5 + 0.5 * _erf(x[near])
+        far = np.flatnonzero(~near)
+        zf = z[far]
+        y = np.zeros_like(zf)  # erfc(z), 0 where exp(-z*z) would underflow
+        mid = zf < 1.0
+        y[mid] = 1.0 - _erf(zf[mid])
+        i = np.flatnonzero(~mid)
+        i = i[~(-zf[i] * zf[i] < -_MAXLOG)]
+        zi = zf[i]
+        e = np.fromiter(map(math.exp, (-zi * zi).tolist()), np.float64, zi.size)
+        small = zi < 8.0
+        for sel, p, q in ((small, _ERFC_P, _ERFC_Q), (~small, _ERFC_R, _ERFC_S)):
+            y[i[sel]] = e[sel] * _horner(zi[sel], p) / _horner(zi[sel], q)
+        y *= 0.5
+        out[far] = np.where(x[far] > 0, 1.0 - y, y)
+    return out
 
 
 # Blocks of the sorted KS sample whose end points bound the whole block, and
@@ -202,34 +225,35 @@ def _ks_maxima(t: np.ndarray) -> tuple[float, float]:
     """(max_i (i+1)/n - Phi(t_i), max_i Phi(t_i) - ((i+1)/n - 1/n)) over sorted t.
 
     Phi and the steps both rise along t, so a block [a, b] holds no value
-    above (b+1)/n - Phi(t_a), nor above Phi(t_b) - ((a+1)/n - 1/n). Phi is
-    taken at every block's two end points, which give lower bounds on both
-    maxima, and at every element only of the blocks whose upper bound comes
+    above (b+1)/n - Phi(t_a), nor above Phi(t_b) - ((a+1)/n - 1/n). One
+    Phi call takes every block's end points, lower bounds on both maxima,
+    and one more the inner points of the blocks whose upper bound comes
     within the slack of them. Each candidate is the same float expression
     as over the full arrays, so the maxima are the same bits.
     """
     n = len(t)
-    inv_n = 1.0 / n
-    block = _KS_BLOCK
-    firsts = range(0, n, block)
-    lasts = [min(a + block, n) - 1 for a in firsts]
-    phi_first = [_ndtr(x) for x in t[::block].tolist()]
-    phi_last = [_ndtr(x) for x in t[lasts].tolist()]
-    d_plus = d_minus = -math.inf
-    for i, p in (*zip(firsts, phi_first), *zip(lasts, phi_last)):
-        s = (i + 1) / n
-        d_plus = max(d_plus, s - p)
-        d_minus = max(d_minus, p - (s - inv_n))
-    for a, b, pa, pb in zip(firsts, lasts, phi_first, phi_last):
-        if ((b + 1) / n - pa < d_plus - _KS_SLACK
-                and pb - ((a + 1) / n - inv_n) < d_minus - _KS_SLACK):
-            continue
-        for i, x in enumerate(t[a + 1:b].tolist(), a + 1):
-            p = _ndtr(x)
-            s = (i + 1) / n
-            d_plus = max(d_plus, s - p)
-            d_minus = max(d_minus, p - (s - inv_n))
+    firsts = np.arange(0, n, _KS_BLOCK)
+    lasts = np.minimum(firsts + _KS_BLOCK, n) - 1
+    ends = np.concatenate([firsts, lasts])
+    phi = _ndtr(t[ends])
+    d_plus, d_minus = _step_maxima(ends, phi, n)
+    pa, pb = phi[:firsts.size], phi[firsts.size:]
+    skip = (((lasts + 1) / n - pa < d_plus - _KS_SLACK)
+            & (pb - ((firsts + 1) / n - 1.0 / n) < d_minus - _KS_SLACK))
+    starts = firsts[~skip] + 1
+    sizes = np.maximum(lasts[~skip] - starts, 0)
+    if sizes.sum():
+        inner = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        inner += np.arange(inner.size)
+        p, m = _step_maxima(inner, _ndtr(t[inner]), n)
+        d_plus, d_minus = max(d_plus, p), max(d_minus, m)
     return d_plus, d_minus
+
+
+def _step_maxima(i: np.ndarray, phi: np.ndarray, n: int) -> tuple[float, float]:
+    """The two KS maxima over the rows i with Phi values phi."""
+    s = (i + 1) / n
+    return float(np.max(s - phi)), float(np.max(phi - (s - 1.0 / n)))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ prime order; g is read as one array over the prime norms. The levels fill
 two columns (norm, gsum) that grow by doubling, and omega is the level
 index, so the sorted table holds 20 bytes per element (12 without g).
 The doubling and the sort by (norm, omega, gsum) take more at their peak:
-~52 bytes per element traced on quad:-4 at 1e6, ~34 without g. Each pair
-gives at least one child, so the element budget is checked against the
-pair count before a level is expanded and again after every block; it
-raises exactly when the element count exceeds the cap.
+~52 bytes per element traced on quad:-4 at 1e6, ~32 unsorted without g
+(the doubling alone). Each pair gives at least one child, so the element
+budget is checked against the pair count before a level is expanded and
+again after every block; it raises exactly when the element count exceeds
+the cap.
 
 For the rational integers the columns are instead sieved over 1..X, one
 column at a time, with g evaluated once as an array over the primes.
@@ -33,11 +34,12 @@ prime order, as the frontier sums it, and the two paths agree bit for
 bit. omega is sieved into uint8 (1 byte per element) and gsum into
 float64 (8); the norm column, 1..X, need not be stored at all.
 
-A caller that reads one column asks for that column alone: omega_column
-(ek_report) and gsum_column (ldp_scan) give it with its norms, None on
-the integers, where they are implicit. Only the full table (count, the
-cache dump) holds all three columns on the integers, 20 bytes per element
-with omega widened to uint32, as the frontier's.
+A caller that reads one column asks for that column alone, with its
+norms, None on the integers, where they are implicit: omega_column for
+ek_report, which reduces rows in any order, so the frontier's stay in
+level order, and gsum_column for ldp_scan, which reads sorted prefixes.
+Only the full table (count, the cache dump) holds all three columns on
+the integers, 20 bytes per element with omega widened to uint32.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X, and it keeps the prime norms it was built from.
@@ -118,19 +120,18 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
 
 
 def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(norm, omega, primes): the table's norm and omega columns at X and
-    the prime norms <= X, with no gsum and no g.
+    """(norm, omega, primes): the (norm, omega) rows of the table at X, as
+    a multiset, and the prime norms <= X, with no gsum and no g.
 
     The integers sieve omega alone into uint8, and norm is None: the norms
-    are 1..X. Every other system runs the frontier without g, sorted by
-    (norm, omega); for Omega, gsum is a function of omega, so this is the
-    order of enumerate_monoid's table.
+    are 1..X. Every other system returns the frontier's columns without g
+    as they come, in level order (omega ascending), unsorted by norm.
     """
     _check_x(system, X)
     primes = prime_norms(system, X)
     if isinstance(system, Integers):
         return None, _omega_sieve(primes, X)[1:], primes
-    return (*_frontier_table(primes, X, None), primes)
+    return (*_frontier(primes, X, None)[:2], primes)
 
 
 def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.ndarray]:
@@ -213,9 +214,8 @@ def _sieve_add(col: np.ndarray, primes: np.ndarray, X: int, vals: np.ndarray | N
 
 
 def _frontier_table(P: np.ndarray, X: int, g) -> tuple[np.ndarray, ...]:
-    """The frontier's columns sorted by (norm, omega, gsum); g=None gives
-    (norm, omega) only, sorted by (norm, omega)."""
-    columns = [col for col in _frontier(P, X, g) if col is not None]
+    """The frontier's columns sorted by (norm, omega, gsum)."""
+    columns = list(_frontier(P, X, g))
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
     for k in range(len(columns)):  # one sorted copy alive at a time
         columns[k] = columns[k][order]

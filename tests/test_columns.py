@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoidldp import experiments
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
+from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ks_maxima, ek_report, ldp_scan
 from monoidldp.monoid import enumerate_monoid, gsum_column, omega_column
 from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, mertens_sum
@@ -29,12 +31,14 @@ def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
     t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
     d_plus, d_minus = _ks_maxima(t)
+    omega = table.omega.astype(np.int64)
+    n, s1, s2 = table.count, int(omega.sum()), int((omega * omega).sum())
     return EKReport(
         X=X, samples=table.count, min_norm=min_norm, ks_sample_count=t.size,
         ks_distance=d_plus, ks_two_sided=max(d_plus, d_minus),
         mean_omega=int(table.omega.sum(dtype=np.int64)) / table.count,
         mertens_mean=mertens_sum(table.primes, X)[0],
-        variance_omega=float(np.var(table.omega)),
+        variance_omega=float(Fraction(n * s2 - s1 * s1, n * n)),
     )
 
 
@@ -110,10 +114,52 @@ def test_columns_are_the_tables_columns(system):
         assert norm is None and g_norm is None
         assert omega.dtype == np.uint8
         norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
+    else:  # the same (norm, omega) rows, in level order
+        order = np.lexsort((omega, norm))
+        norm, omega = norm[order], omega[order]
     assert norm.tobytes() == g_norm.tobytes() == table.norm.tobytes()
     assert np.array_equal(omega, table.omega)
     assert gsum.tobytes() == table.gsum.tobytes()
     assert primes.tobytes() == table.primes.tobytes()
+
+
+FRONTIER_EK = [(QuadraticField(-3), 5000), (QuadraticField(5), 5000), (PolyOverFq(3), 3**8),
+               (Beurling((2, 3, 3, 5)), 5000)]
+
+
+@pytest.mark.parametrize("system,X", FRONTIER_EK, ids=lambda v: getattr(v, "key", v))
+@pytest.mark.parametrize("min_norm,block", [(3, 2**16), (101, 7)])
+def test_ek_matches_the_sorted_table(monkeypatch, system, X, min_norm, block):
+    """Rows of norm < min_norm lie scattered through the level-ordered
+    columns, so with 7-row blocks most blocks keep only some rows."""
+    want = _hex(_ek_oracle(system, X, min_norm))
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    assert _hex(ek_report(system, X, min_norm)) == want
+
+
+@pytest.mark.parametrize("system,X", FRONTIER_EK, ids=lambda v: getattr(v, "key", v))
+def test_ek_above_every_norm_is_an_empty_sample(monkeypatch, system, X):
+    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 7)
+    with pytest.raises(EmptySample):
+        ek_report(system, X, min_norm=X + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system_X=st.sampled_from(FRONTIER_EK), min_norm=st.integers(3, 400),
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([5, 64, 2**16]))
+def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
+    system, X = system_X
+    want = _hex(ek_report(system, X, min_norm))
+
+    def shuffled(system, X):
+        norm, omega, primes = omega_column(system, X)
+        order = np.random.default_rng(seed).permutation(omega.size)
+        return norm[order], omega[order], primes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "omega_column", shuffled)
+        mp.setattr(experiments, "_BLOCK_ROWS", block)
+        assert _hex(ek_report(system, X, min_norm)) == want
 
 
 # tracemalloc sees NumPy's buffers; the full table took ~46 (ek) and ~21-31

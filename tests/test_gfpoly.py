@@ -9,16 +9,38 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import gfpoly
 from monoidldp.errors import ParameterError
 from monoidldp.gfpoly import (
+    GF,
     SUPPORTED_Q,
-    encode_low,
     field,
     irreducible_indices,
-    monic_coeffs,
     monic_label,
     monic_labels,
     necklace_count,
-    poly_mul,
 )
+
+
+# The scalar reference arithmetic the sieve is checked against.
+def monic_coeffs(q: int, degree: int, index: int) -> tuple[int, ...]:
+    """Low-to-high coefficients of the monic polynomial with this index."""
+    low = [(index // q**i) % q for i in range(degree)]
+    return tuple(low) + (1,)
+
+
+def encode_low(q: int, low: tuple[int, ...]) -> int:
+    return sum(c * q**i for i, c in enumerate(low))
+
+
+def poly_mul(gf: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficient convolution over GF(q); inputs low-to-high."""
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = gf.add, gf.mul
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add[out[i + j]][row[bj]]
+    return tuple(out)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)

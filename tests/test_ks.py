@@ -1,13 +1,15 @@
-"""The scalar Phi and the block-bounded KS maxima behind `ek`, and an import
+"""The array Phi and the block-bounded KS maxima behind `ek`, and an import
 path that loads no scipy.
 
-scipy is only the oracle here: the tests that need it skip without it, and
-the subprocess tests check that the package itself never imports it.
+The oracles are a scalar port of Cephes' ndtr, kept here, and scipy: the
+tests that need scipy skip without it, and the subprocess tests check that
+the package itself never imports it.
 """
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,63 @@ import pytest
 
 from monoidldp import experiments
 from monoidldp.additive import Omega
-from monoidldp.experiments import _ks_maxima, _ndtr
+from monoidldp.experiments import (
+    _ERF_T,
+    _ERF_U,
+    _ERFC_P,
+    _ERFC_Q,
+    _ERFC_R,
+    _ERFC_S,
+    _MAXLOG,
+    _SQRT1_2,
+    _ks_maxima,
+    ek_report,
+)
 from monoidldp.monoid import enumerate_monoid
-from monoidldp.systems import Integers, PolyOverFq, QuadraticField
+from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 EDGES = (1.0, 8.0 * math.sqrt(2.0))  # |t| where ndtr and erfc switch branches
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -37.5, -38.0, 5e-324, -5e-324,
+           1e-300, -1e-300, 1e300, -1e300]
+
+
+# The scalar oracle: Cephes' ndtr one float at a time, in Python floats,
+# whose every operation rounds once, as the C code's does.
+def _horner(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| < 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 1/sqrt(2); 0.0 where exp(-x*x) would underflow."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if -x * x < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return (math.exp(-x * x) * _horner(x, p)) / _horner(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """Phi(a), the standard normal CDF, bit-equal to Cephes' ndtr."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 def _python(code: str, cwd) -> subprocess.CompletedProcess:
@@ -85,6 +137,29 @@ def test_ndtr_bit_equal_to_scipy():
          1e-300, -1e-300, 1e300, -1e300],
     ])
     _assert_bits_equal(_phis(ts), ndtr(ts), ts)
+
+
+def _array_inputs() -> np.ndarray:
+    rng = np.random.default_rng(20261019)
+    return np.concatenate([
+        rng.uniform(-40.0, 40.0, 50_000),
+        _bands(1e-3, 20_001),
+        np.linspace(-45.0, -38.0, 1001),  # erfc underflows to 0
+        SPECIAL,
+    ])
+
+
+def test_array_ndtr_bit_equal_to_scalar_port():
+    """The vectorized Phi against the scalar oracle: no scipy needed."""
+    ts = _array_inputs()
+    _assert_bits_equal(experiments._ndtr(ts), _phis(ts), ts)
+    assert experiments._ndtr(np.empty(0)).shape == (0,)
+
+
+def test_array_ndtr_bit_equal_to_scipy():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    ts = _array_inputs()
+    _assert_bits_equal(experiments._ndtr(ts), ndtr(ts), ts)
 
 
 def test_ndtr_special_values():
@@ -160,24 +235,32 @@ def test_ks_maxima_at_degenerate_block_sizes(monkeypatch, block, name):
     evaluated everywhere. Each gives the oracle's bits."""
     t = _adversarial()[name]
     calls = []
+    phi = experiments._ndtr
 
     def counted(x):
-        calls.append(x)
-        return _ndtr(x)
+        calls.append(len(x))
+        return phi(x)
 
     monkeypatch.setattr(experiments, "_KS_BLOCK", block)
     monkeypatch.setattr(experiments, "_ndtr", counted)
     _assert_maxima_bit_equal(t)
     n = len(t)
     if block > n:
-        assert len(calls) == max(n, 2)  # both end points, then every inner element
+        assert sum(calls) == max(n, 2)  # both end points, then every inner element
     else:
-        assert len(calls) == 2 * -(-n // block)  # end points only
+        assert sum(calls) == 2 * -(-n // block)  # end points only
 
 
-def test_variance_of_integer_omega_needs_no_float_copy():
-    """np.var over the integer omega column gives the bits of the float64 copy's."""
-    for system, X in [(Integers(), 10**3), (Integers(), 10**6), (Integers(), 3 * 10**6),
-                      (QuadraticField(-4), 10**6)]:
-        omega = enumerate_monoid(system, X, Omega()).omega
-        assert float(np.var(omega)).hex() == float(np.var(omega.astype(np.float64))).hex()
+@pytest.mark.parametrize("system,X", [
+    (Integers(), 10**3), (Integers(), 10**6), (QuadraticField(-4), 10**5),
+    (PolyOverFq(3), 3**9), (Beurling((2, 3, 3, 5)), 5000),
+], ids=lambda v: getattr(v, "key", v))
+def test_variance_omega_is_the_exact_variance_correctly_rounded(system, X):
+    omega = enumerate_monoid(system, X, Omega()).omega.astype(np.int64)
+    n, s1, s2 = omega.size, int(omega.sum()), int((omega * omega).sum())
+    exact = Fraction(n * s2 - s1 * s1, n * n)
+    got = ek_report(system, X).variance_omega
+    # no float lies closer to the exact value than the one reported
+    err = abs(Fraction(got) - exact)
+    for other in (np.nextafter(got, -np.inf), np.nextafter(got, np.inf)):
+        assert err <= abs(Fraction(float(other)) - exact)
