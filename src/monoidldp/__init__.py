@@ -54,12 +54,11 @@ from .experiments import (
     gap_sweep,
     ldp_scan,
 )
-from .gfpoly import irreducible_indices, monic_label, necklace_count
+from .gfpoly import irreducible_indices, necklace_count
 from .monoid import (
     MonoidTable,
     element_counter,
     enumerate_monoid,
-    read_table_cache,
     write_table_cache,
 )
 from .rate import (

@@ -199,7 +199,8 @@ def _terms_table(q: int, lo: int, hi: int) -> list[str]:
 
 
 def monic_labels(q: int, degree: int, indices) -> list[str]:
-    """monic_label of each index, all of one degree.
+    """The human-readable form of the monic polynomial of each index, all of
+    one degree: e.g. "t^3+t+1", or "2t^2+t+2" for q=3.
 
     One np.divmod by q^(degree//2) splits each index into its high and low
     halves; a label is the leading term, then the high half's string, then
@@ -211,11 +212,6 @@ def monic_labels(q: int, degree: int, indices) -> list[str]:
     lead = _term(1, degree)
     hi, lo = np.divmod(np.asarray(indices, dtype=np.int64), q**half)
     return [lead + high[h] + low[l] for h, l in zip(hi.tolist(), lo.tolist())]
-
-
-def monic_label(q: int, degree: int, index: int) -> str:
-    """Human-readable form, e.g. "t^3+t+1" or "2t^2+t+2" for q=3."""
-    return monic_labels(q, degree, (index,))[0]
 
 
 def _mobius(n: int) -> int:

@@ -70,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParameterError, SourceError
+from .errors import BudgetExceeded, ParameterError
 from .systems import (
     _MAX_X_SIEVE,
     Beurling,
@@ -398,18 +398,3 @@ def write_table_cache(table: MonoidTable, path: str | Path) -> None:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<II", CACHE_VERSION, table.count))
         fh.write(records.tobytes())
-
-
-def read_table_cache(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back (norm, omega, gsum) arrays; validates header and length."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:8] != CACHE_MAGIC:
-        raise SourceError(f"{path}: not a monoid table cache (bad magic)")
-    version, count = struct.unpack("<II", blob[8:16])
-    if version != CACHE_VERSION:
-        raise SourceError(f"{path}: unsupported cache version {version}")
-    body = blob[16:]
-    if len(body) != count * _RECORD_DTYPE.itemsize:
-        raise SourceError(f"{path}: truncated cache ({len(body)} bytes for {count} records)")
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    return (records["norm"].copy(), records["omega"].copy(), records["gsum"].copy())

@@ -4,18 +4,24 @@ All floating output goes through fmt() so files are byte-stable across runs
 and thread counts. JSON cannot carry inf/nan literals under strict parsing,
 so non-finite floats are emitted as the strings "inf", "-inf", "nan".
 
-CSV is written column by column. write_csv takes one sequence per column
-and walks the rows in blocks of _BLOCK_ROWS, so the texts it holds at once
-are one block's, whatever the row count. Within a block each NumPy column is
-reduced to its distinct values with np.unique; float columns are keyed on
-their bit pattern, because np.unique merges -0.0 with 0.0 and fmt() does
-not. Only the distinct values go through fmt() and the quoting rule, and
-their texts are gathered back by the inverse index. Lists are formatted cell
-by cell. The quoting rule is csv's QUOTE_MINIMAL with "\\n" line ends: a cell
+CSV is written column by column, as bytes. write_csv takes one sequence per
+column and walks the rows in blocks of _BLOCK_ROWS, so the bytes it holds at
+once are one block's, whatever the row count. Within a block each column
+becomes a uint8 matrix, one row per cell, with a mask of the bytes each cell
+keeps. Integer arrays get their decimal digits in NumPy (uint32 arithmetic
+when the largest magnitude is below 2^32), with the sign from a mask. Float
+and bool arrays are reduced to their distinct values with np.unique; floats
+are keyed on their bit pattern, because np.unique merges -0.0 with 0.0 and
+fmt() does not. Only the distinct values go through fmt() and the quoting
+rule, and their bytes are gathered back by the inverse index. Lists are
+formatted cell by cell. The cells and their separators fill one
+(rows x width) matrix, as wide as the block's widest cells, whose kept
+bytes, row by row, are the block's lines.
+The quoting rule is csv's QUOTE_MINIMAL with "\\n" line ends: a cell
 holding ",", '"' or "\\n" is wrapped in double quotes with each inner '"'
 doubled (a lone "\\r" does not quote), and the empty cell of a one-column row
-is written as "". So the bytes are those that csv.writer(lineterminator="\\n")
-writes for fmt() of every cell.
+is written as "". So the bytes are the UTF-8 of what
+csv.writer(lineterminator="\\n") writes for fmt() of every cell.
 
 JSON reports are the bytes of json.dump(round12(obj), indent=2,
 sort_keys=True, allow_nan=False). A list of records (objects with the same
@@ -71,19 +77,22 @@ def _quote(text: str) -> str:
     return text
 
 
+def _distinct(chunk: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of a NumPy column and the inverse index that
+    gathers them back; the values are the Python ints, floats and bools
+    that fmt() has always seen. Floats are keyed on their bit pattern,
+    because np.unique merges -0.0 with 0.0 and fmt() does not."""
+    key = chunk.view(f"u{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
+    distinct, inverse = np.unique(key, return_inverse=True)
+    return distinct.view(chunk.dtype).tolist(), inverse
+
+
 def _texts(chunk: Any, text: Callable[[Any], str]) -> list[str]:
     """text() of every cell of chunk; a NumPy column's distinct values once each."""
     if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "biuf":
-        key = chunk.view(f"u{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        # tolist() gives the Python ints and floats that fmt() has always seen
-        texts = np.array([text(v) for v in chunk[first].tolist()], dtype=object)
-        return texts[inverse].tolist()
+        values, inverse = _distinct(chunk)
+        return np.array([text(v) for v in values], dtype=object)[inverse].tolist()
     return list(map(text, chunk))
-
-
-def _csv_text(value: Any) -> str:
-    return _quote(fmt(value))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -97,17 +106,97 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_line([[_quote(h)] for h in header]))
+    with open(path, "wb") as fh:
+        fh.write(_csv_lines([[h] for h in header]))
         for lo in range(0, n, _BLOCK_ROWS):
-            fh.write(_line([_texts(c[lo:lo + _BLOCK_ROWS], _csv_text) for c in columns]))
+            fh.write(_csv_lines([c[lo:lo + _BLOCK_ROWS] for c in columns]))
 
 
-def _line(cols: list[list[str]]) -> str:
-    """Rows of texts, one list per column, joined as CSV lines."""
-    if len(cols) == 1:  # csv quotes a record that is one empty field
-        cols = [[t or '""' for t in cols[0]]]
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+def _csv_lines(chunks: list[Sequence[Any]]) -> np.ndarray:
+    """The bytes of the CSV lines of a block of rows, given as one chunk
+    per column, as a uint8 array.
+
+    Each column's cells form a uint8 matrix with a mask of the bytes each
+    cell keeps; the columns and their separators are laid side by side in
+    one (rows x width) matrix, whose kept bytes, read row by row, are the
+    lines. No chunks give one empty line.
+    """
+    n = len(chunks[0]) if chunks else 1
+    cells = [_cells(c, len(chunks) == 1) for c in chunks]
+    # every cell is followed by its separator: "," or, after the last, "\n"
+    out = np.empty((n, sum(c.shape[1] + 1 for c, _ in cells) or 1), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    at = 0
+    for c, k in cells:
+        end = at + c.shape[1]
+        out[:, at:end] = c
+        keep[:, at:end] = k
+        out[:, end] = ord(",")
+        at = end + 1
+    out[:, -1] = ord("\n")
+    return out[keep]  # written as a buffer: no bytes copy
+
+
+def _cells(chunk: Sequence[Any], lone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV cells of one column chunk: a uint8 matrix, a row per cell,
+    and the mask of the bytes each row keeps. lone marks the only column
+    of a file, whose empty cells are written as '""'."""
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
+        return _int_cells(chunk)
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "bf":
+        values, inverse = _distinct(chunk)
+        cells, keep = _text_cells(list(map(fmt, values)), lone)
+        return cells[inverse], keep[inverse]
+    return _text_cells(list(map(fmt, chunk)), lone)
+
+
+def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal texts of a non-empty integer array, right-aligned."""
+    neg = values < 0
+    sign = int(neg.any())
+    mag = values.astype(np.uint64, copy=False)  # a copy when values are signed
+    if sign:
+        np.negative(mag, out=mag, where=neg)  # |v| mod 2^64, so -2^63 is 2^63
+    top = int(mag.max())
+    mag = mag.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
+    width = sign + len(str(top))
+    length = 1 + np.searchsorted(10 ** np.arange(1, width - sign, dtype=mag.dtype), mag, "right")
+    # one row per digit place, so that each place is one contiguous store
+    cells = np.empty((width, len(values)), dtype=np.uint8)
+    for k in range(width - 1, sign - 1, -1):
+        rest = mag // 10  # np.divmod is far slower than // by a constant
+        cells[k] = mag - rest * 10
+        mag = rest
+    cells += ord("0")
+    if sign:
+        length += neg
+        cells[width - length[neg], neg] = ord("-")
+    return cells.T, _kept(width, length, right=True)
+
+
+def _text_cells(texts: list[str], lone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of texts, each as the quoting rule writes it,
+    left-aligned."""
+    joined = "".join(texts)
+    if "," in joined or '"' in joined or "\n" in joined:
+        texts = list(map(_quote, texts))
+    if lone:  # csv quotes a record that is one empty field
+        texts = [t or '""' for t in texts]
+    if not joined.isascii():  # quoting adds only ASCII
+        texts = [t.encode() for t in texts]
+    # NumPy pads each text with zero bytes and encodes a str as ASCII; the
+    # lengths come from the texts, so a text's own trailing zero bytes stay
+    cells = np.array(texts, dtype="S")
+    length = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    width = cells.itemsize
+    return cells.view(np.uint8).reshape(len(texts), width), _kept(width, length, right=False)
+
+
+def _kept(width: int, length: np.ndarray, right: bool) -> np.ndarray:
+    """The masks of cells of this width that keep length bytes each, at
+    their right end or their left."""
+    table = np.arange(width) < np.arange(width + 1)[:, None]  # row i: the first i bytes
+    return (table[:, ::-1] if right else table).take(length, axis=0)
 
 
 def round12(obj: Any, exact: bool = False) -> Any:

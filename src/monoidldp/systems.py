@@ -13,10 +13,11 @@ reproduces the primes for X'. Both raise BudgetExceeded above X = 1e8, the
 ceiling of the integer sieve, on every system and before anything is built.
 
 Nothing is cached, not even primes_upto, the rational primes up to X that
-the integers and the quadratic fields both read; on a quadratic field the
-Kronecker symbol is computed for all of them at once, in NumPy, by
-_kronecker, the one implementation of it. _kronecker_table extends it to
-the character chi_D mod |D| that the closed-form ideal counts read.
+the integers and the quadratic fields both read. On a quadratic field the
+Kronecker symbol (D/p) is chi_D(p), and chi_D is a character mod |D|: each
+prime's symbol is read from _kronecker_table(D) at p mod |D|, the table the
+closed-form ideal counts read too. _kronecker, the one implementation of the
+symbol, builds that table from the primes below |D|.
 
 Four systems are provided:
 
@@ -117,9 +118,14 @@ class QuadraticField:
     def key(self) -> str:
         return f"quad:{self.D}"
 
+    def _chi(self, p: np.ndarray) -> np.ndarray:
+        """The Kronecker symbol (D/p) at rational primes p, read from the
+        table of chi_D, a character mod |D|."""
+        return _kronecker_table(self.D)[p % abs(self.D)]
+
     def _norms(self, X: int) -> np.ndarray:
         p = primes_upto(X)
-        chi = _kronecker(self.D, p)
+        chi = self._chi(p)
         split = p[chi == 1]
         # an inert prime ideal (p) has norm p^2
         inert = p[chi == -1]
@@ -129,7 +135,7 @@ class QuadraticField:
     def _entries(self, X: int) -> list[PrimeEntry]:
         out = []
         primes = primes_upto(X)
-        for p, chi in zip(primes.tolist(), _kronecker(self.D, primes).tolist()):
+        for p, chi in zip(primes.tolist(), self._chi(primes).tolist()):
             if chi == 1:
                 out.append(PrimeEntry(p, f"({p},s1)"))
                 out.append(PrimeEntry(p, f"({p},s2)"))

@@ -13,7 +13,6 @@ from monoidldp.gfpoly import (
     SUPPORTED_Q,
     field,
     irreducible_indices,
-    monic_label,
     monic_labels,
     necklace_count,
 )
@@ -28,6 +27,11 @@ def monic_coeffs(q: int, degree: int, index: int) -> tuple[int, ...]:
 
 def encode_low(q: int, low: tuple[int, ...]) -> int:
     return sum(c * q**i for i, c in enumerate(low))
+
+
+def monic_label(q: int, degree: int, index: int) -> str:
+    """The label of one index: monic_labels' single-index case."""
+    return monic_labels(q, degree, (index,))[0]
 
 
 def poly_mul(gf: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

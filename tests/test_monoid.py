@@ -1,6 +1,8 @@
 """Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle, cache format."""
 import math
+import struct
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from monoidldp.monoid import (
     _sieve_table,
     element_counter,
     enumerate_monoid,
-    read_table_cache,
     write_table_cache,
 )
 from monoidldp.systems import (
@@ -395,6 +396,22 @@ def test_x_validation():
     for system in (Integers(), QuadraticField(-4), Beurling((2, 3))):
         with pytest.raises(ParameterError):
             enumerate_monoid(system, 0, Omega())
+
+
+def read_table_cache(path):
+    """Read back the (norm, omega, gsum) arrays of write_table_cache;
+    validates header and length."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 16 or blob[:8] != monoid.CACHE_MAGIC:
+        raise SourceError(f"{path}: not a monoid table cache (bad magic)")
+    version, count = struct.unpack("<II", blob[8:16])
+    if version != monoid.CACHE_VERSION:
+        raise SourceError(f"{path}: unsupported cache version {version}")
+    body = blob[16:]
+    if len(body) != count * monoid._RECORD_DTYPE.itemsize:
+        raise SourceError(f"{path}: truncated cache ({len(body)} bytes for {count} records)")
+    records = np.frombuffer(body, dtype=monoid._RECORD_DTYPE)
+    return records["norm"].copy(), records["omega"].copy(), records["gsum"].copy()
 
 
 def test_cache_roundtrip(tmp_path):

@@ -46,9 +46,16 @@ _CELLS = st.one_of(
 _ARRAYS = {
     np.int64: st.integers(-2**63, 2**63 - 1),
     np.uint64: st.integers(0, 2**64 - 1),
-    np.uint32: st.integers(0, 3),
+    np.uint32: st.integers(0, 2**32 - 1),
+    np.int32: st.integers(-2**31, 2**31 - 1),
+    np.int8: st.integers(-2**7, 2**7 - 1),
+    np.uint8: st.integers(0, 2**8 - 1),
+    np.bool_: st.booleans(),
     np.float64: _FLOATS,
 }
+
+# the digit counts' edges, and the magnitudes where the digits leave uint32
+_DIGIT_EDGES = [0, 9, 10, 99, 100, 10**18, 2**32 - 1, 2**32, 2**63 - 1]
 
 
 def _column(kind, n):
@@ -73,6 +80,11 @@ def _tables(draw):
                              [True, Fraction(1, 3), 10**40, "(2,r)", "", 'a"b\r\n']]))
 @example(table=([""], [["", "x", ""]]))
 @example(table=(["a,b", "c"], [np.zeros(0), []]))
+@example(table=(["i", "u"], [np.array([*_DIGIT_EDGES, -2**63], dtype=np.int64),
+                             np.array([*_DIGIT_EDGES, 2**64 - 1], dtype=np.uint64)]))
+@example(table=(["i", "u"], [np.array([-(2**32 - 1), -10, -9, -1, 0, 9, 10], dtype=np.int64),
+                             np.array([0, 9, 10, 99, 100, 2**32 - 1, 2**32], dtype=np.uint64)]))
+@example(table=([""], [[""] * 20]))
 def test_write_csv_matches_csv_writer(tmp_path_factory, block, table):
     header, columns = table
     tmp_path = tmp_path_factory.getbasetemp()
@@ -184,10 +196,9 @@ def _json_column(kind, n):
 def _records(draw):
     n = draw(st.integers(0, 30))
     keys = draw(st.lists(_KEYS, max_size=4, unique=True))
-    kinds = draw(st.lists(st.sampled_from([*_ARRAYS, np.bool_, list]),
+    kinds = draw(st.lists(st.sampled_from([*_ARRAYS, list]),
                           min_size=len(keys), max_size=len(keys)))
-    columns = [draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
-               if kind is np.bool_ else draw(_json_column(kind, n)) for kind in kinds]
+    columns = [draw(_json_column(kind, n)) for kind in kinds]
     return Records(keys, columns)
 
 

@@ -306,6 +306,33 @@ def test_kronecker_table_matches_the_jacobi_symbol():
         assert table.sum() == 0  # non-principal: a period sums to 0
 
 
+def test_kronecker_table_at_primes_matches_the_array_symbol():
+    primes = primes_upto(10**5)
+    for D in ALL_FUNDAMENTAL:
+        chi = _kronecker_table(D)[primes % abs(D)]
+        assert np.array_equal(chi, _kronecker(D, primes)), D
+
+
+def _quad_norms_by_euler(D, X):
+    """The prime ideal norms of quad:D up to X with (D/p) from _kronecker,
+    Euler's criterion at every rational prime: a second path to prime_norms,
+    which reads chi_D from its table mod |D|."""
+    p = primes_upto(X)
+    chi = _kronecker(D, p)
+    split = p[chi == 1]
+    inert = p[chi == -1]
+    inert = inert[: inert.searchsorted(math.isqrt(X), "right")]
+    return np.sort(np.concatenate([split, split, p[chi == 0], inert * inert]))
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 10**5])
+def test_quad_prime_norms_match_euler_criterion(X):
+    for D in ALL_FUNDAMENTAL:
+        norms = prime_norms(QuadraticField(D), X)
+        assert norms.dtype == np.int64, D
+        assert np.array_equal(norms, _quad_norms_by_euler(D, X)), D
+
+
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
                                     Beurling((2, 3))], ids=lambda s: s.key)
 @pytest.mark.parametrize("X", [0, -1])
