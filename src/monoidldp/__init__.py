@@ -75,7 +75,6 @@ from .systems import (
     DensityFit,
     Integers,
     PolyOverFq,
-    PrimeEntry,
     QuadraticField,
     density_fit,
     list_primes,

@@ -24,7 +24,6 @@ only compute; _emit writes the Report they return as CSV or JSON.
 from __future__ import annotations
 
 import argparse
-import bisect
 import dataclasses
 import json
 import math
@@ -253,14 +252,13 @@ def _by_column(rows: Iterable[Sequence[Any]]) -> list[tuple]:
 
 def _run_primes(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
-    entries = list_primes(system, X)
+    norms, labels = list_primes(system, X)
     header = ["norm", "label"]
     # one set of columns serves both formats
-    columns = [np.array([e.norm for e in entries], dtype=np.int64),
-               [e.label for e in entries]]
+    columns = [norms, labels]
     return Report(
-        0, f"{len(entries)} primes of norm <= {X} in {system.key}", header, columns,
-        {"system": system.key, "X": X, "count": len(entries),
+        0, f"{len(labels)} primes of norm <= {X} in {system.key}", header, columns,
+        {"system": system.key, "X": X, "count": len(labels),
          "primes": Records(header, columns)},
     )
 
@@ -314,26 +312,27 @@ def _run_expect(a: dict) -> Report:
     system, X = a["system"], int(a["limit"])
     norms = [int(n) for n in a["primes"]]
     # by prefix stability, the primes up to the largest norm asked suffice
-    entries = list_primes(system, min(X, max([1, *norms])))
-    # entries are sorted by (norm, label): the first unused entry of norm n
-    # is the used[n]-th one from n's first
+    primes, names = list_primes(system, min(X, max([1, *norms])))
+    # the columns are in (norm, label) order: the first unused prime of
+    # norm n is the used[n]-th one from n's first
     used: dict[int, int] = {}
-    selected = []
+    chosen = []
     for n in norms:
-        i = bisect.bisect_left(entries, n, key=lambda e: e.norm) + used.get(n, 0)
-        if i == len(entries) or entries[i].norm != n:
+        i = int(primes.searchsorted(n)) + used.get(n, 0)
+        if i == len(primes) or primes[i] != n:
             raise ParameterError(f"no unused prime of norm {n} in {system.key} up to {X}")
         used[n] = used.get(n, 0) + 1
-        selected.append(entries[i])
-    z = expect_Z(system, X, [e.norm for e in selected])
-    y = expect_Y([e.norm for e in selected])
+        chosen.append(names[i])
+    # the membership check reads the same norm column
+    z = expect_Z(system, X, norms, primes)
+    y = expect_Y(norms)
     ratio = z / y
-    labels = "*".join(e.label for e in selected)
+    labels = "*".join(chosen)
     return Report(
         0, f"Z={fmt(z)} Y={fmt(y)} ratio={fmt(ratio)} primes={labels}",
         ["X", "primes", "expect_Z", "expect_Y", "ratio"],
         _by_column([(X, labels, z, y, ratio)]),
-        {"system": system.key, "X": X, "primes": [e.label for e in selected],
+        {"system": system.key, "X": X, "primes": chosen,
          "expect_Z": z, "expect_Z_float": float(z),
          "expect_Y": y, "expect_Y_float": float(y),
          "ratio": ratio, "ratio_float": float(ratio)},
@@ -342,7 +341,7 @@ def _run_expect(a: dict) -> Report:
 
 def _run_dominate(a: dict) -> Report:
     rep = domination_report(a["system"], int(a["limit"]), int(a["kmax"]))
-    labels = "*".join(e.label for e in rep.witness)
+    labels = "*".join(rep.witness)
     return Report(
         0, (f"M_observed={fmt(rep.M_observed)} witness={labels} "
             f"({rep.tuples_examined} tuples examined)"),
@@ -350,7 +349,7 @@ def _run_dominate(a: dict) -> Report:
         _by_column([(rep.X, rep.k_max, rep.M_observed, labels)]),
         {"system": a["system"].key, "X": rep.X, "k_max": rep.k_max,
          "M_observed": rep.M_observed, "M_exact": rep.M_exact,
-         "witness": [e.label for e in rep.witness],
+         "witness": list(rep.witness),
          "tuples_examined": rep.tuples_examined},
     )
 

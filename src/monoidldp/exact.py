@@ -48,7 +48,7 @@ from .errors import (
     PrimeNotInSystem,
 )
 from .monoid import element_counter
-from .systems import PrimeEntry, PrimeSystem, list_primes, prime_norms
+from .systems import PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -56,12 +56,19 @@ _LOG_OVERFLOW = 300.0 * math.log(10.0)
 _MAX_TUPLES = 10_000_000
 
 
-def _check_norms(system: PrimeSystem, X: int, norms: Sequence[int]) -> None:
+def _check_norms(system: PrimeSystem, X: int, norms: Sequence[int],
+                 primes: np.ndarray | None = None) -> None:
     """Raise PrimeNotInSystem unless each norm appears at most as often as
-    the system has primes of that norm <= X."""
+    the system has primes of that norm <= X.
+
+    primes, when given, are the caller's prime_norms up to at least the
+    smaller of X and the largest norm asked; else they are built here.
+    """
     asked, times = np.unique(np.asarray(norms, dtype=np.int64), return_counts=True)
-    # by prefix stability, the primes up to the largest norm asked suffice
-    have = prime_norms(system, min(X, max([1, *asked.tolist()])))
+    if primes is None:
+        # by prefix stability, the primes up to the largest norm asked suffice
+        primes = prime_norms(system, min(X, max([1, *asked.tolist()])))
+    have = primes[: primes.searchsorted(X, "right")]
     held = have.searchsorted(asked, "right") - have.searchsorted(asked, "left")
     for n, k, h in zip(asked.tolist(), times.tolist(), held.tolist()):
         if k > h:
@@ -69,11 +76,17 @@ def _check_norms(system: PrimeSystem, X: int, norms: Sequence[int]) -> None:
                 f"{k} prime(s) of norm {n} asked; the system has {h} with norm <= {X}")
 
 
-def expect_Z(system: PrimeSystem, X: int, norms: Sequence[int]) -> Fraction:
-    """E[prod Z_p] over the uniform element of norm <= X, exact rational."""
+def expect_Z(system: PrimeSystem, X: int, norms: Sequence[int],
+             primes: np.ndarray | None = None) -> Fraction:
+    """E[prod Z_p] over the uniform element of norm <= X, exact rational.
+
+    primes, when given, are the caller's prime_norms up to at least the
+    smaller of X and the largest norm asked; the membership check reads
+    them instead of building its own.
+    """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
-    _check_norms(system, X, norms)
+    _check_norms(system, X, norms, primes)
     product = math.prod(int(n) for n in norms)
     if product > X:
         return Fraction(0)
@@ -92,7 +105,8 @@ class DominationReport:
     k_max: int
     M_observed: float
     M_exact: Fraction
-    witness: tuple[PrimeEntry, ...]
+    witness: tuple[str, ...]  # the witness primes' labels
+    witness_norms: tuple[int, ...]
     tuples_examined: int
 
 
@@ -137,10 +151,13 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     rec(0, 1, ())
     # labels only for the witness: by prefix stability and the shared
     # (norm, label) order, index i is the same prime in both lists
-    entries = list_primes(system, norms[witness[-1]]) if witness else ()
+    labels = []
+    if witness:
+        lim = norms[witness[-1]]
+        labels = list_primes(system, lim, primes[: primes.searchsorted(lim, "right")])[1]
     M = Fraction(best, count(X))
-    return DominationReport(X, k_max, float(M), M,
-                            tuple(entries[i] for i in witness), examined)
+    return DominationReport(X, k_max, float(M), M, tuple(labels[i] for i in witness),
+                            tuple(norms[i] for i in witness), examined)
 
 
 @dataclass(frozen=True)

@@ -104,14 +104,18 @@ _BLOCK_ROWS = 1 << 18
 
 
 @functools.cache
-def irreducible_indices(q: int, n: int) -> tuple[int, ...]:
-    """Sorted indices of all monic irreducibles of degree exactly n."""
+def irreducible_indices(q: int, n: int) -> np.ndarray:
+    """Sorted indices of all monic irreducibles of degree exactly n: an
+    int64 array, read-only, since the cache hands the same one to every
+    caller."""
     if q not in SUPPORTED_Q:
         raise ParameterError(f"unsupported field order q={q}; supported: {SUPPORTED_Q}")
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
     reducible = _reducible_gf2(n) if q == 2 else _reducible_bulk(q, n)
-    return tuple(np.flatnonzero(~reducible).tolist())
+    indices = np.flatnonzero(~reducible).astype(np.int64, copy=False)
+    indices.flags.writeable = False
+    return indices
 
 
 def _monic_digits(q: int, degree: int, start: int, stop: int) -> np.ndarray:
@@ -165,7 +169,7 @@ def _reducible_gf2(n: int) -> np.ndarray:
     for a in range(1, n // 2 + 1):
         b = n - a
         h = np.arange(1 << b, 1 << (b + 1), dtype=np.uint64)
-        for fi in irreducible_indices(2, a):
+        for fi in irreducible_indices(2, a).tolist():
             fbits = fi | (1 << a)
             acc = np.zeros(h.shape, dtype=np.uint64)
             shift = 0

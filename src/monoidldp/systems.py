@@ -5,12 +5,14 @@ of primes of norm <= X, each of norm >= 2. Norms may repeat (distinct primes
 of equal norm are distinct generators of the monoid). Every computation
 reads the primes as prime_norms(system, X): an int64 array, ascending, with
 multiplicity, built without labels. list_primes gives the same primes as
-(norm, label) pairs, labels unique within a system, sorted by (norm, label);
-only reports that print primes (primes, expect, the dominate witness)
-build them. Both are pure functions of (system, X),
-so prefixes are stable: restricting the primes for X to norms <= X'
-reproduces the primes for X'. Both raise BudgetExceeded above X = 1e8, the
-ceiling of the integer sieve, on every system and before anything is built.
+two columns, (norms, labels): norms is prime_norms' array and labels a list
+of strings, unique within a system, in (norm, label) order, built from that
+array and X. Only reports that print primes (primes, expect, the dominate
+witness) build labels, and no per-prime object is built. Both are pure
+functions of (system, X), so prefixes are stable: restricting the primes
+for X to norms <= X' reproduces the primes for X'. Both raise
+BudgetExceeded above X = 1e8, the ceiling of the integer sieve, on every
+system and before anything is built.
 
 Nothing is cached, not even primes_upto, the rational primes up to X that
 the integers and the quadratic fields both read. On a quadratic field the
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,11 +55,6 @@ from .gfpoly import SUPPORTED_Q, irreducible_indices, monic_labels, necklace_cou
 _MAX_X_SIEVE = 100_000_000
 
 
-class PrimeEntry(NamedTuple):
-    norm: int
-    label: str
-
-
 @dataclass(frozen=True)
 class Integers:
     @property
@@ -67,8 +64,8 @@ class Integers:
     def _norms(self, X: int) -> np.ndarray:
         return primes_upto(X)
 
-    def _entries(self, X: int) -> list[PrimeEntry]:
-        return [PrimeEntry(p, str(p)) for p in primes_upto(X).tolist()]
+    def _labels(self, X: int, norms: np.ndarray) -> list[str]:
+        return list(map(str, norms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,9 @@ class PolyOverFq:
                  for d, norm in self._degrees(X)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def _entries(self, X: int) -> list[PrimeEntry]:
-        # labels sorted per degree leave list_primes' sort one linear pass
-        return [PrimeEntry(norm, label) for d, norm in self._degrees(X)
+    def _labels(self, X: int, norms: np.ndarray) -> list[str]:
+        # one norm per degree: (norm, label) order sorts within a degree only
+        return [label for d, _ in self._degrees(X)
                 for label in sorted(monic_labels(self.q, d, irreducible_indices(self.q, d)))]
 
 
@@ -132,19 +129,18 @@ class QuadraticField:
         inert = inert[: inert.searchsorted(math.isqrt(X), "right")]
         return np.sort(np.concatenate([split, split, p[chi == 0], inert * inert]))
 
-    def _entries(self, X: int) -> list[PrimeEntry]:
-        out = []
-        primes = primes_upto(X)
-        for p, chi in zip(primes.tolist(), self._chi(primes).tolist()):
-            if chi == 1:
-                out.append(PrimeEntry(p, f"({p},s1)"))
-                out.append(PrimeEntry(p, f"({p},s2)"))
-            elif chi == 0:
-                out.append(PrimeEntry(p, f"({p},r)"))
-            elif p * p <= X:
-                # inert: the prime ideal (p) has norm p^2
-                out.append(PrimeEntry(p * p, f"({p},i)"))
-        return out
+    def _labels(self, X: int, norms: np.ndarray) -> list[str]:
+        # read off the norm column, with no second sieve: a square norm is
+        # an inert p^2 (no prime is a square); a prime norm p is ramified
+        # where chi_D(p) = 0, else one of a split pair, adjacent, s1 first
+        root = np.rint(np.sqrt(norms)).astype(np.int64)
+        inert = root * root == norms
+        p = np.where(inert, root, norms)
+        second = np.zeros(norms.size, dtype=np.int64)
+        second[1:] = norms[1:] == norms[:-1]
+        kind = np.where(inert, 3, np.where(self._chi(p) == 0, 2, second))
+        suffix = np.array(["s1", "s2", "r", "i"], dtype=object)[kind].tolist()
+        return [f"({p},{k})" for p, k in zip(p.tolist(), suffix)]
 
 
 @dataclass(frozen=True)
@@ -184,12 +180,11 @@ class Beurling:
     def _norms(self, X: int) -> np.ndarray:
         return np.sort(np.array([n for n in self.norms if n <= X], dtype=np.int64))
 
-    def _entries(self, X: int) -> list[PrimeEntry]:
-        return [
-            PrimeEntry(n, f"beurling#{i}")
-            for i, n in enumerate(self.norms, start=1)
-            if n <= X
-        ]
+    def _labels(self, X: int, norms: np.ndarray) -> list[str]:
+        # the i-th norm of the source is beurling#i; in (norm, label) order,
+        # beurling#10 comes before beurling#9
+        return [label for _, label in sorted(
+            (n, f"beurling#{i}") for i, n in enumerate(self.norms, start=1) if n <= X)]
 
 
 PrimeSystem = Integers | PolyOverFq | QuadraticField | Beurling
@@ -272,12 +267,17 @@ def _kronecker_table(D: int) -> np.ndarray:
     return chi
 
 
-def list_primes(system: PrimeSystem, X: int) -> tuple[PrimeEntry, ...]:
-    """All primes of the system with norm <= X, sorted by (norm, label)."""
+def list_primes(system: PrimeSystem, X: int,
+                norms: np.ndarray | None = None) -> tuple[np.ndarray, list[str]]:
+    """All primes of the system with norm <= X as two columns, (norms,
+    labels), in (norm, label) order: norms is prime_norms(system, X), and
+    labels[i] names the prime of norm norms[i]. Each call builds both anew,
+    except norms when the caller passes prime_norms(system, X) in.
+    """
     _check_prime_x(X)
-    entries = system._entries(X)
-    entries.sort()  # a PrimeEntry's tuple order is (norm, label)
-    return tuple(entries)
+    if norms is None:
+        norms = system._norms(X)
+    return norms, system._labels(X, norms)
 
 
 @dataclass(frozen=True)

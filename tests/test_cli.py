@@ -141,12 +141,13 @@ def test_expect_looks_primes_up_by_norm(tmp_path, capsys):
     (Integers(), [7, 2, 7]),
 ])
 def test_expect_takes_the_first_unused_entry(tmp_path, capsys, system, norms):
-    # the linear rule: for each norm in turn, the first entry of that norm
+    # the linear rule: for each norm in turn, the first prime of that norm
     # (in (norm, label) order) not taken yet
-    entries = systems.list_primes(system, max(norms))
+    listed, names = systems.list_primes(system, max(norms))
     selected = []
     for n in norms:
-        match = next((e for e in entries if e.norm == n and e not in selected), None)
+        match = next((i for i, m in enumerate(listed.tolist())
+                      if m == n and i not in selected), None)
         selected.append(match)
     args = ["expect", "--system", system.key, "--limit", "100",
             "--primes", ",".join(map(str, norms)), "--out", str(tmp_path)]
@@ -154,7 +155,7 @@ def test_expect_takes_the_first_unused_entry(tmp_path, capsys, system, norms):
         assert main(args) == 65
     else:
         assert main(args) == 0
-        labels = "*".join(e.label for e in selected)
+        labels = "*".join(names[i] for i in selected)
         assert f"primes={labels}" in capsys.readouterr().out
 
 
@@ -251,6 +252,7 @@ PRIME_READERS = [
     ["mertens", "--grid", "1000000000000"],
     ["tail-mass", "--limit", "1000000000000"],
     ["dominate", "--limit", "1000000000000"],
+    ["expect", "--system", "quad:-4", "--limit", "1000000000000", "--primes", "1000000009"],
     ["primes", "--system", "poly:2", "--limit", "1000000000000"],
     ["sweep", "--grid", "1000,10000,100000,1000000000000"],
 ]
@@ -260,16 +262,16 @@ PRIME_READERS = [
 def test_prime_readers_exit_66_above_the_sieve_cap(argv, tmp_path, monkeypatch, capsys):
     # every builder of a prime list refuses an X above the cap, so a missing
     # check fails here instead of allocating
-    def guarded(build):
+    def guarded(build, at):  # X is the argument at index `at`
         def build_below_cap(*args):
-            assert args[-1] <= 10**8, f"primes built up to X={args[-1]}"
+            assert args[at] <= 10**8, f"primes built up to X={args[at]}"
             return build(*args)
         return build_below_cap
 
-    monkeypatch.setattr(systems, "primes_upto", guarded(systems.primes_upto))
+    monkeypatch.setattr(systems, "primes_upto", guarded(systems.primes_upto, 0))
     for cls in (Integers, PolyOverFq, QuadraticField, Beurling):
-        for name in ("_norms", "_entries"):
-            monkeypatch.setattr(cls, name, guarded(getattr(cls, name)))
+        for name in ("_norms", "_labels"):
+            monkeypatch.setattr(cls, name, guarded(getattr(cls, name), 1))
     assert main(argv + ["--out", str(tmp_path)]) == 66
     assert "budget error:" in capsys.readouterr().err
 
@@ -300,6 +302,8 @@ BUILD_COUNTS = [
     # one B list per X, up to floor(k_X) <= 7 here, and no other
     (["mgf-gap", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], None, 4, 0),
     (["density", "--system", "quad:-4", "--grid", "1000,10000,100000,300000"], None, 0, 0),
+    (["expect", "--system", "quad:-4", "--limit", "1000000000000", "--primes", "5,9973,5"],
+     9973, 0, 0),
 ]
 
 
@@ -323,6 +327,30 @@ def test_each_command_builds_one_prime_list(argv, X, b_lists, frontiers, tmp_pat
     assert big == ([] if X is None else [X])
     assert len(built["_norms"]) - len(big) == b_lists
     assert built["_frontier"] == [X] * frontiers
+
+
+def test_expect_builds_one_prime_list(tmp_path, monkeypatch):
+    # the asked primes' labels and the membership check read the columns of
+    # one list_primes call, at the largest norm asked, whose labels read its
+    # norms and so run no second sieve
+    built = collections.defaultdict(list)  # builder -> the X of each call
+
+    def counted(name, build):
+        def build_and_count(*args):
+            built[name].append(args[0 if name == "primes_upto" else 1])
+            return build(*args)
+        return build_and_count
+
+    monkeypatch.setattr(systems, "primes_upto", counted("primes_upto", systems.primes_upto))
+    for cls in (Integers, PolyOverFq, QuadraticField, Beurling):
+        for name in ("_norms", "_labels"):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    argv = ["expect", "--system", "quad:-4", "--limit", "1000000000000",
+            "--primes", "5,9973,5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    # the sieves below |D| = 4 build chi_D's table
+    assert [x for x in built.pop("primes_upto") if x > 4] == [9973]
+    assert built == {"_norms": [9973], "_labels": [9973]}
 
 
 def test_help_exits_zero():

@@ -114,14 +114,14 @@ def test_domination_integers_ratio_capped_at_one():
     rep = domination_report(Integers(), 100, 3)
     assert rep.M_exact == 1
     assert rep.M_observed == 1.0
-    assert [e.norm for e in rep.witness] == [2]
+    assert (rep.witness, rep.witness_norms) == (("2",), (2,))
     # tuple count matches a combinations scan with the same product cutoff
-    entries = list_primes(Integers(), 100)
+    norms = list_primes(Integers(), 100)[0].tolist()
     expected = sum(
         1
         for k in (1, 2, 3)
-        for tup in itertools.combinations(entries, k)
-        if math.prod(e.norm for e in tup) <= 100
+        for tup in itertools.combinations(norms, k)
+        if math.prod(tup) <= 100
     )
     assert rep.tuples_examined == expected
 
@@ -129,35 +129,38 @@ def test_domination_integers_ratio_capped_at_one():
 def test_domination_beurling_exceeds_one():
     rep = domination_report(Beurling((2, 3)), 12, 2)
     assert rep.M_exact == Fraction(3, 2)
-    assert [e.norm for e in rep.witness] == [2, 3]
+    assert rep.witness_norms == (2, 3)
+    assert rep.witness == ("beurling#1", "beurling#2")
 
 
 def test_domination_poly_matches_brute_maximum():
     system = PolyOverFq(2)
     X, k_max = 8, 3
-    entries = list_primes(system, X)
+    norms, labels = list_primes(system, X)
     cx = _count(system, X)
     best = Fraction(0)
     for k in range(1, k_max + 1):
-        for tup in itertools.combinations(entries, k):
-            prod = math.prod(e.norm for e in tup)
+        for tup in itertools.combinations(norms.tolist(), k):
+            prod = math.prod(tup)
             if prod <= X:
                 best = max(best, Fraction(_count(system, X // prod) * prod, cx))
     rep = domination_report(system, X, k_max)
     assert rep.M_exact == best == Fraction(14, 15)
-    assert rep.witness == (entries[0],)
+    assert (rep.witness, rep.witness_norms) == ((labels[0],), (int(norms[0]),))
 
 
 def _labelled_domination(system, X, k_max):
-    """The depth-first search over labelled entries that the report replaced."""
-    entries = list_primes(system, X)
+    """The depth-first search over labelled primes that the report replaced:
+    (the largest ratio, its witness's labels and norms, tuples examined)."""
+    norms, labels = list_primes(system, X)
+    entries = list(zip(labels, norms.tolist()))
     cx = _count(system, X)
     best, witness, examined = Fraction(0), (), 0
 
     def rec(i0, prod, picked):
         nonlocal best, witness, examined
         for i in range(i0, len(entries)):
-            p = prod * entries[i].norm
+            p = prod * entries[i][1]
             if p > X:
                 break
             examined += 1
@@ -169,7 +172,7 @@ def _labelled_domination(system, X, k_max):
                 rec(i + 1, p, tup)
 
     rec(0, 1, ())
-    return best, witness, examined
+    return (best, *(tuple(column) for column in zip(*witness)), examined)
 
 
 @pytest.mark.parametrize("system,X,k_max", [
@@ -183,14 +186,15 @@ def test_domination_searches_norms_and_labels_only_the_witness(system, X, k_max,
     expected = _labelled_domination(system, X, k_max)
     real, limits = exact.list_primes, []
 
-    def spy(system_, limit):
+    def spy(system_, limit, norms):
         limits.append(limit)
-        return real(system_, limit)
+        assert np.array_equal(norms, prime_norms(system_, limit))
+        return real(system_, limit, norms)
 
     monkeypatch.setattr(exact, "list_primes", spy)
     rep = domination_report(system, X, k_max)
-    assert (rep.M_exact, rep.witness, rep.tuples_examined) == expected
-    assert limits == [max(e.norm for e in rep.witness)]
+    assert (rep.M_exact, rep.witness, rep.witness_norms, rep.tuples_examined) == expected
+    assert limits == [max(rep.witness_norms)]
 
 
 @pytest.mark.parametrize("system,X,k_max", [
@@ -203,21 +207,23 @@ def test_domination_searches_norms_and_labels_only_the_witness(system, X, k_max,
     (Beurling((2, 2, 3, 3, 3, 5, 7, 7)), 150, 3),
 ], ids=lambda v: getattr(v, "key", str(v)))
 def test_domination_matches_a_brute_force_fraction_maximum(system, X, k_max):
-    entries = list_primes(system, X)
+    norms, labels = list_primes(system, X)
+    norms = norms.tolist()
     cx = _count(system, X)
     # every tuple of distinct primes with product <= X, index-lexicographic,
     # which is the search's depth-first order
     tuples = sorted(tup for k in range(1, k_max + 1)
-                    for tup in itertools.combinations(range(len(entries)), k)
-                    if math.prod(entries[i].norm for i in tup) <= X)
+                    for tup in itertools.combinations(range(len(norms)), k)
+                    if math.prod(norms[i] for i in tup) <= X)
     ratios = [Fraction(_count(system, X // prod) * prod, cx)
-              for prod in (math.prod(entries[i].norm for i in tup) for tup in tuples)]
+              for prod in (math.prod(norms[i] for i in tup) for tup in tuples)]
     best = max(ratios)
     first = tuples[ratios.index(best)]
     rep = domination_report(system, X, k_max)
     assert rep.M_exact == best
     assert rep.M_observed == float(best)
-    assert rep.witness == tuple(entries[i] for i in first)
+    assert rep.witness == tuple(labels[i] for i in first)
+    assert rep.witness_norms == tuple(norms[i] for i in first)
     assert rep.tuples_examined == len(tuples)
 
 
@@ -256,9 +262,8 @@ def test_truncation_sets_split():
 def test_truncation_b_is_the_small_norms_of_the_full_list(system, X, C):
     g = NormResidue(3, frozenset({2}), 2.5, 0.3)  # C = 1 drops the 2.5 primes
     ts = truncation_sets(system, g, X, C)
-    entries = list_primes(system, X)
-    assert ts.B.tolist() == [e.norm for e in entries
-                             if e.norm <= ts.k_X and abs(_g_at(g, e.norm)) <= C]
+    norms = list_primes(system, X)[0].tolist()
+    assert ts.B.tolist() == [n for n in norms if n <= ts.k_X and abs(_g_at(g, n)) <= C]
     assert ts.B.size
 
 

@@ -44,7 +44,7 @@ def test_ek_report_against_trial_division_oracle():
     assert rep.ks_distance == pytest.approx(d_plus, rel=1e-12)
     assert rep.ks_two_sided == pytest.approx(max(d_plus, d_minus), rel=1e-12)
     assert rep.ks_distance == pytest.approx(0.094455, abs=1e-5)
-    assert rep.mean_omega == sum(X // e.norm for e in list_primes(Integers(), X)) / X
+    assert rep.mean_omega == sum(X // n for n in list_primes(Integers(), X)[0].tolist()) / X
 
 
 def test_ek_report_frozen_statistics():

@@ -123,7 +123,7 @@ def test_irreducibles_match_long_division_oracle(q):
         oracle = tuple(
             i for i in range(q**n) if _is_irreducible_by_division(gf, neg, q, n, i)
         )
-        assert irreducible_indices(q, n) == oracle
+        assert irreducible_indices(q, n).tolist() == list(oracle)
         assert len(oracle) == necklace_count(q, n)
 
 
@@ -254,6 +254,14 @@ def test_monic_labels_match_monic_label(q):
         labels = monic_labels(q, d, idx)
         assert labels == [monic_label(q, d, i) for i in idx]
         assert labels == [_label_from_coeffs(q, d, i) for i in idx]
+
+
+def test_irreducible_indices_are_a_read_only_cached_array():
+    indices = irreducible_indices(3, 4)
+    assert indices.dtype == np.int64
+    assert indices is irreducible_indices(3, 4)
+    with pytest.raises(ValueError):
+        indices[0] = 0
 
 
 def _per_digit_labels(q, degree, indices):

@@ -142,7 +142,7 @@ def test_omega_total_identity():
     # sum of omega over the table equals sum over primes of floor(X/p)
     X = 10**4
     t = enumerate_monoid(Integers(), X, Omega())
-    assert int(t.omega.sum(dtype=np.int64)) == sum(X // e.norm for e in list_primes(Integers(), X))
+    assert int(t.omega.sum(dtype=np.int64)) == sum(X // n for n in list_primes(Integers(), X)[0].tolist())
 
 
 def test_poly_table_small():
@@ -165,9 +165,8 @@ def test_table_column_dtypes():
 def _reference_table(system, X, g):
     """The depth-first recursion the frontier replaced, kept as its oracle:
     lexsorted (norm, omega, gsum) columns, g evaluated one prime at a time."""
-    entries = list_primes(system, X)
-    norms = [e.norm for e in entries]
-    gvals = [float(scalar_g(g, e.norm)) for e in entries]
+    norms = list_primes(system, X)[0].tolist()
+    gvals = [float(scalar_g(g, n)) for n in norms]
     rows = [(1, 0, 0.0)]
 
     def rec(i0, n, om, gs):

@@ -28,10 +28,18 @@ from monoidldp.systems import (
 )
 
 
+def _pairs(system, X):
+    """list_primes' two columns zipped into (norm, label) pairs."""
+    norms, labels = list_primes(system, X)
+    assert len(norms) == len(labels)
+    return list(zip(norms.tolist(), labels))
+
+
 def test_integer_primes():
-    assert [e.norm for e in list_primes(Integers(), 30)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert [e.label for e in list_primes(Integers(), 10)] == ["2", "3", "5", "7"]
-    assert list_primes(Integers(), 1) == ()
+    assert list_primes(Integers(), 30)[0].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert list_primes(Integers(), 10)[1] == ["2", "3", "5", "7"]
+    norms, labels = list_primes(Integers(), 1)
+    assert norms.dtype == np.int64 and norms.size == 0 and labels == []
     with pytest.raises(ParameterError):
         list_primes(Integers(), 0)
 
@@ -53,24 +61,26 @@ def test_primes_upto_against_trial_division():
 
 
 def test_poly_primes_gf2():
-    entries = list_primes(PolyOverFq(2), 8)
-    assert [e.norm for e in entries] == [2, 2, 4, 8, 8]
-    assert [e.label for e in entries] == ["t", "t+1", "t^2+t+1", "t^3+t+1", "t^3+t^2+1"]
+    norms, labels = list_primes(PolyOverFq(2), 8)
+    assert norms.tolist() == [2, 2, 4, 8, 8]
+    assert labels == ["t", "t+1", "t^2+t+1", "t^3+t+1", "t^3+t^2+1"]
 
 
 def test_poly_primes_counts_match_necklace():
     from monoidldp.gfpoly import necklace_count
 
     for q in (2, 3, 5):
-        entries = list_primes(PolyOverFq(q), q**4)
+        # a label's leading term t^d gives its degree, so the label column
+        # is counted per degree apart from the necklace formula
+        labels = list_primes(PolyOverFq(q), q**4)[1]
+        lead = [label.split("+")[0] for label in labels]
         for d in range(1, 5):
-            assert sum(1 for e in entries if e.norm == q**d) == necklace_count(q, d)
+            assert lead.count("t" if d == 1 else f"t^{d}") == necklace_count(q, d)
 
 
 def test_quadratic_entries_gaussian():
     # Q(i): 2 ramifies, p = 1 mod 4 splits, p = 3 mod 4 is inert with norm p^2
-    entries = list_primes(QuadraticField(-4), 25)
-    assert [(e.norm, e.label) for e in entries] == [
+    assert _pairs(QuadraticField(-4), 25) == [
         (2, "(2,r)"),
         (5, "(5,s1)"), (5, "(5,s2)"),
         (9, "(3,i)"),
@@ -140,13 +150,12 @@ def test_kronecker_against_square_counting(D):
 def test_quadratic_splitting_matches_character():
     # ideal count above odd unramified p: 2 if chi = 1 else 0 at norm p
     for D in (-4, 5, -7):
-        entries = list_primes(QuadraticField(D), 1000)
+        norms = list_primes(QuadraticField(D), 1000)[0]
         for p in [int(v) for v in primes_upto(1000)]:
             if p == 2 or D % p == 0:
                 continue
-            at_p = [e for e in entries if e.norm == p]
             chi = kronecker_at_prime(D, p)
-            assert len(at_p) == (2 if chi == 1 else 0)
+            assert int((norms == p).sum()) == (2 if chi == 1 else 0)
 
 
 def test_beurling_file_parsing(tmp_path):
@@ -154,8 +163,7 @@ def test_beurling_file_parsing(tmp_path):
     f.write_text("# toy system\n\n2\n3\n\n# another comment\n2\n")
     b = Beurling.from_file(str(f))
     assert b.norms == (2, 3, 2)
-    entries = list_primes(b, 10)
-    assert [(e.norm, e.label) for e in entries] == [
+    assert _pairs(b, 10) == [
         (2, "beurling#1"), (2, "beurling#3"), (3, "beurling#2"),
     ]
 
@@ -191,14 +199,14 @@ def test_mertens_examples():
 def test_prime_norms_and_mertens_sum_match_the_prime_list(system):
     longer = prime_norms(system, 2 * 10**5)
     for X in (3, 100, 6561, 10**5):
-        entries = list_primes(system, X)
+        listed = [n for n, _ in _entries_oracle(system, X)]
         norms = prime_norms(system, X)
         assert norms.dtype == np.int64
-        assert norms.tolist() == [e.norm for e in entries]
+        assert norms.tolist() == listed
         # the correctly rounded sum, whatever the order of the terms
-        total = math.fsum(1.0 / e.norm for e in reversed(entries))
+        total = math.fsum(1.0 / n for n in reversed(listed))
         assert mertens_sum(norms, X) == (total, total - math.log(math.log(X)))
-        assert prime_count_check(norms, X) == len(entries) * math.log(X) / X
+        assert prime_count_check(norms, X) == len(listed) * math.log(X) / X
         # the same from the prefix of a longer array
         assert mertens_sum(longer, X) == mertens_sum(norms, X)
         assert prime_count_check(longer, X) == prime_count_check(norms, X)
@@ -272,15 +280,23 @@ def test_density_grid_validation():
 def test_list_primes_prefix_stability(x1, x2):
     lo, hi = sorted((x1, x2))
     sys_ = QuadraticField(-4)
-    small = list_primes(sys_, lo)
-    big = list_primes(sys_, hi)
-    assert small == tuple(e for e in big if e.norm <= lo)
+    small, big = _pairs(sys_, lo), _pairs(sys_, hi)
+    assert small == [(n, label) for n, label in big if n <= lo]
 
 
 def test_list_primes_sorted_and_immutable():
-    entries = list_primes(Integers(), 100)
-    assert list(entries) == sorted(entries)
-    assert isinstance(entries, tuple)
+    # columns, in (norm, label) order; a second call returns fresh, equal
+    # columns, so a caller that writes to its columns changes no other's
+    for system in (Integers(), QuadraticField(-4), PolyOverFq(3), Beurling((3, 2, 3, 2))):
+        norms, labels = list_primes(system, 100)
+        assert isinstance(norms, np.ndarray) and isinstance(labels, list)
+        assert _pairs(system, 100) == sorted(zip(norms.tolist(), labels))
+        again_norms, again_labels = list_primes(system, 100)
+        assert again_norms is not norms and again_labels is not labels
+        assert not np.shares_memory(again_norms, norms)
+        norms[0], labels[0] = -1, "changed"
+        assert list_primes(system, 100)[0].tolist() == again_norms.tolist()
+        assert list_primes(system, 100)[1] == again_labels
 
 
 ALL_FUNDAMENTAL = [D for D in range(-100, 101) if _is_fundamental_discriminant(D)]
@@ -337,17 +353,16 @@ def test_quad_prime_norms_match_euler_criterion(X):
                                     Beurling((2, 3))], ids=lambda s: s.key)
 @pytest.mark.parametrize("X", [0, -1])
 def test_prime_norms_rejects_x_below_one(system, X):
-    with pytest.raises(ParameterError):
-        prime_norms(system, X)
-    with pytest.raises(ParameterError):
-        list_primes(system, X)
+    for read in (prime_norms, list_primes):
+        with pytest.raises(ParameterError):
+            read(system, X)
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
                                     Beurling((2, 3))], ids=lambda s: s.key)
 def test_prime_layer_cap_is_exact(monkeypatch, system):
     monkeypatch.setattr(systems, "_MAX_X_SIEVE", 100)
-    assert prime_norms(system, 100).tolist() == [e.norm for e in list_primes(system, 100)]
+    assert prime_norms(system, 100).tolist() == list_primes(system, 100)[0].tolist()
     for read in (prime_norms, list_primes):
         with pytest.raises(BudgetExceeded) as err:
             read(system, 101)
@@ -366,10 +381,13 @@ NORM_CASES = (
 
 @pytest.mark.parametrize("system,grid", NORM_CASES, ids=[s.key for s, _ in NORM_CASES])
 def test_prime_norms_match_list_primes(system, grid):
+    # at the inert squares 9 and 25, past them, and where a degree starts
     for X in grid:
         norms = prime_norms(system, X)
-        assert norms.dtype == np.int64
-        assert norms.tolist() == [e.norm for e in list_primes(system, X)], X
+        listed, labels = list_primes(system, X)
+        assert norms.dtype == listed.dtype == np.int64
+        assert np.array_equal(norms, listed), X
+        assert list(zip(listed.tolist(), labels)) == _entries_oracle(system, X), X
 
 
 def _refuse(*args, **kwargs):
@@ -397,3 +415,68 @@ def test_computation_builds_no_labels(system, X, monkeypatch):
     for module in (systems, gfpoly):
         monkeypatch.setattr(module, "monic_labels", _refuse)
     assert run() == expected
+
+
+def _poly_label(q, degree, index):
+    """The label of one monic polynomial, term by term from the base-q
+    digits of its index, low digit first."""
+    coeffs = [(index // q**i) % q for i in range(degree)] + [1]
+    terms = []
+    for i in range(degree, -1, -1):
+        c = coeffs[i]
+        if c and i == 0:
+            terms.append(str(c))
+        elif c:
+            terms.append(("" if c == 1 else str(c)) + ("t" if i == 1 else f"t^{i}"))
+    return "+".join(terms)
+
+
+def _entries_oracle(system, X):
+    """The per-prime (norm, label) pairs that list_primes' columns replaced,
+    built one prime at a time, in (norm, label) order: quadratic fields by
+    the scalar Kronecker symbol, PolyOverFq by the irreducible sieve's
+    indices (not the necklace count) and scalar labels."""
+    if isinstance(system, Integers):
+        out = [(p, str(p)) for p in primes_upto(X).tolist()]
+    elif isinstance(system, QuadraticField):
+        out = []
+        for p in primes_upto(X).tolist():
+            chi = kronecker_at_prime(system.D, p)
+            if chi == 1:
+                out += [(p, f"({p},s1)"), (p, f"({p},s2)")]
+            elif chi == 0:
+                out.append((p, f"({p},r)"))
+            elif p * p <= X:
+                # inert: the prime ideal (p) has norm p^2
+                out.append((p * p, f"({p},i)"))
+    elif isinstance(system, PolyOverFq):
+        q, out, d = system.q, [], 1
+        while q**d <= X:
+            indices = gfpoly.irreducible_indices(q, d).tolist()
+            out += [(q**d, _poly_label(q, d, i)) for i in indices]
+            d += 1
+    else:
+        out = [(n, f"beurling#{i}") for i, n in enumerate(system.norms, start=1) if n <= X]
+    return sorted(out)
+
+
+# beurling#1, #9 and #10 share norm 5: (norm, label) order puts #10 before #9
+REPEATED = Beurling((5, 2, 3, 2, 7, 3, 2, 11, 5, 5, 2, 3))
+LABEL_CASES = ([(Integers(), 10**5), (REPEATED, 12)]
+               + [(QuadraticField(D), 10**4) for D in ALL_FUNDAMENTAL]
+               + [(PolyOverFq(q), q**6) for q in SUPPORTED_Q])
+
+
+@pytest.mark.parametrize("system,X", LABEL_CASES, ids=[s.key for s, _ in LABEL_CASES])
+def test_list_primes_columns_match_the_per_prime_oracle(system, X):
+    norms, labels = list_primes(system, X)
+    want = prime_norms(system, X)
+    assert norms.dtype == want.dtype == np.int64
+    assert np.array_equal(norms, want)
+    assert list(zip(norms.tolist(), labels)) == _entries_oracle(system, X)
+    # prefix stability: the columns at a smaller X are the prefixes up to it
+    small = X // 3
+    k = int(norms.searchsorted(small, "right"))
+    small_norms, small_labels = list_primes(system, small)
+    assert small_norms.tolist() == norms[:k].tolist()
+    assert small_labels == labels[:k]
