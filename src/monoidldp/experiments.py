@@ -284,8 +284,9 @@ def ldp_scan(
     is asserted.
 
     The gsum column is built once, at the largest X (gsum_column; on the
-    integers a sieve of gsum alone). The sorted column at any smaller X is
-    a prefix of it, bit for bit, so each X counts a prefix, block by block.
+    integers a sieve of gsum alone, whose rows 0..X-1 are the norms 1..X).
+    Every other system's rows come in level order, and each X counts, block
+    by block, the rows of norm <= X; a count does not depend on row order.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -300,12 +301,15 @@ def ldp_scan(
     bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
     rows = []
     for X in X_list:
-        # norm None stands for 1..X
-        total = X if norm is None else int(norm.searchsorted(np.uint64(X), "right"))
         ll = math.log(math.log(X))
         counts = [0] * len(intervals)
-        for a in range(0, total, _BLOCK_ROWS):
-            v = gsum[a:min(a + _BLOCK_ROWS, total)] / ll
+        total = 0
+        size = X if norm is None else gsum.size  # norm None stands for 1..X
+        for a in range(0, size, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, size)
+            v = gsum[a:b] if norm is None else gsum[a:b][norm[a:b] <= np.uint64(X)]
+            v = v / ll
+            total += v.size
             for k, (lo, hi) in enumerate(intervals):
                 counts[k] += int(np.count_nonzero((v >= lo) & (v < hi)))
         for (lo, hi), bound, count in zip(intervals, bounds, counts):

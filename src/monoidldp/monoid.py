@@ -36,10 +36,11 @@ float64 (8); the norm column, 1..X, need not be stored at all.
 
 A caller that reads one column asks for that column alone, with its
 norms, None on the integers, where they are implicit: omega_column for
-ek_report, which reduces rows in any order, so the frontier's stay in
-level order, and gsum_column for ldp_scan, which reads sorted prefixes.
-Only the full table (count, the cache dump) holds all three columns on
-the integers, 20 bytes per element with omega widened to uint32.
+ek_report and gsum_column for ldp_scan. Both reduce rows in any order, so
+the frontier's columns stay in level order, as built, and no sort runs.
+Only the full table (count, the cache dump) is sorted, and only it holds
+all three columns on the integers, 20 bytes per element with omega
+widened to uint32.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X, and it keeps the prime norms it was built from.
@@ -64,7 +65,6 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -135,13 +135,18 @@ def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.nda
 
 
 def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.ndarray]:
-    """(norm, gsum): the table's norm and gsum columns at X. The integers
-    sieve gsum alone, and norm is None: the norms are 1..X."""
+    """(norm, gsum): the (norm, gsum) rows of the table at X, as a multiset.
+
+    The integers sieve gsum alone, and norm is None: the norms are 1..X.
+    Every other system returns the frontier's columns as they come, in
+    level order (omega ascending), unsorted by norm.
+    """
+    _check_x(system, X)
+    primes = prime_norms(system, X)
     if isinstance(system, Integers):
-        _check_x(system, X)
-        return None, _gsum_sieve(prime_norms(system, X), X, g)[1:]
-    table = enumerate_monoid(system, X, g)
-    return table.norm, table.gsum
+        return None, _gsum_sieve(primes, X, g)[1:]
+    norm, _, gsum = _frontier(primes, X, g)
+    return norm, gsum
 
 
 def _check_x(system: PrimeSystem, X: int) -> None:
@@ -161,7 +166,7 @@ def _check_x(system: PrimeSystem, X: int) -> None:
 def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table of 1..X from the rational primes <= X."""
     omega = _omega_sieve(primes, X)
-    gsum = _gsum_sieve(primes, X, g, omega)
+    gsum = _gsum_sieve(primes, X, g)
     norm = np.arange(1, X + 1, dtype=np.uint64)
     return norm, omega[1:].astype(np.uint32), gsum[1:]
 
@@ -175,22 +180,11 @@ def _omega_sieve(primes: np.ndarray, X: int) -> np.ndarray:
     return omega
 
 
-def _gsum_sieve(primes: np.ndarray, X: int, g, omega: np.ndarray | None = None) -> np.ndarray:
+def _gsum_sieve(primes: np.ndarray, X: int, g) -> np.ndarray:
     """gsum(n) at index n of a float64 array over 0..X, summed in ascending
-    prime order. A g constant on the primes reads omega, the _omega_sieve
-    column, sieved here unless given."""
+    prime order."""
     gsum = np.zeros(X + 1, dtype=np.float64)
-    gvals = g.values(primes)
-    if gvals.size and not np.all(gvals == gvals[0]):
-        _sieve_add(gsum, primes, X, gvals)
-    elif gvals.size and gvals[0] != 0.0:
-        if omega is None:
-            omega = _omega_sieve(primes, X)
-        # the sums g0 + g0 + ... in ascending order, as the other branch and
-        # the frontier add them; omega * g0 rounds differently for most g0
-        steps = accumulate([float(gvals[0])] * int(omega.max()))
-        for k, step in enumerate(steps, 1):  # no n-length index or buffer
-            gsum[omega == k] = step
+    _sieve_add(gsum, primes, X, g.values(primes))
     return gsum
 
 

@@ -297,6 +297,7 @@ BUILD_COUNTS = [
     (["mertens", "--grid", "1000,10000,100000,1000000,3000000"], 3_000_000, 0, 0),
     (["ek", "--limit", "100000"], 100_000, 0, 0),
     (["ek", "--system", "quad:-4", "--limit", "100000"], 100_000, 0, 1),
+    (["ldp-scan", "--system", "quad:-4", "--grid", "1000,10000,100000"], 100_000, 0, 1),
     (["dominate", "--system", "quad:-4", "--limit", "30000", "--kmax", "3"], 30_000, 0, 0),
     (["sweep", "--system", "quad:-4", "--grid", "1000,10000,30000,100000"], 100_000, 0, 0),
     # one B list per X, up to floor(k_X) <= 7 here, and no other

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidldp import experiments
+from monoidldp import experiments, monoid
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ks_maxima, ek_report, ldp_scan
@@ -67,8 +67,8 @@ def _hex(row) -> dict:
 CASES = [(X, block) for X in (16, 17, 1000, 2**16 - 1, 2**16 + 1, 10**6)
          for block in (1, 3, 2**16, X + 1) if X < 10**6 or block > 3]
 # ldp_scan's Python loop runs ~1.5 X times with 1-row blocks, so near 2^16
-# only once: that loop is the same for a constant g, whose gsum the sieve
-# builds differently, and CASES holds Omega at every other block size
+# only once: that loop is the same for every g, and CASES holds Omega at
+# every other block size
 LDP_CASES = [(X, block, g) for X, block in CASES for g in (RESIDUE, Omega())
              if block > 1 or X < 2**16 - 1 or (X, g) == (2**16 + 1, RESIDUE)]
 
@@ -114,13 +114,34 @@ def test_columns_are_the_tables_columns(system):
         assert norm is None and g_norm is None
         assert omega.dtype == np.uint8
         norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
-    else:  # the same (norm, omega) rows, in level order
-        order = np.lexsort((omega, norm))
-        norm, omega = norm[order], omega[order]
+    else:  # the frontier's rows as built, in level order
+        f_norm, f_omega, f_gsum = monoid._frontier(primes, X, RESIDUE)
+        assert norm.tobytes() == g_norm.tobytes() == f_norm.tobytes()
+        assert np.array_equal(omega, f_omega)
+        assert gsum.tobytes() == f_gsum.tobytes()
+        # and, as a multiset, the sorted table's rows
+        order = np.lexsort((gsum, omega, norm))
+        norm, omega, gsum = norm[order], omega[order], gsum[order]
+        g_norm = norm
     assert norm.tobytes() == g_norm.tobytes() == table.norm.tobytes()
     assert np.array_equal(omega, table.omega)
     assert gsum.tobytes() == table.gsum.tobytes()
     assert primes.tobytes() == table.primes.tobytes()
+
+
+@pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(2), Beurling((2, 3, 3, 5))],
+                         ids=lambda s: s.key)
+def test_ldp_scan_builds_no_sorted_table(system, monkeypatch):
+    grid = [16, 300, 3000]
+    want = [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)]
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("ldp_scan sorted the frontier's table")
+
+    monkeypatch.setattr(monoid, "enumerate_monoid", no_table)
+    monkeypatch.setattr(monoid, "_frontier_table", no_table)
+    got = [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)]
+    assert got == want and len(got) == len(grid) * len(INTERVALS)
 
 
 FRONTIER_EK = [(QuadraticField(-3), 5000), (QuadraticField(5), 5000), (PolyOverFq(3), 3**8),

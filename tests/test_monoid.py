@@ -110,9 +110,9 @@ def test_sieve_matches_recursion_for_constant_g():
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
 def test_table_at_smaller_x_is_a_prefix(system):
-    # ldp_scan reads every X of its grid off one table; g here is constant
-    # on the primes up to 40000 only, so on the integers the sieve takes its
-    # constant-g branch at X <= 30030 and its other branch at 50000
+    # count's table at X is a prefix of the table at any larger X, as is the
+    # integers' gsum column for ldp_scan; g here is constant on the primes
+    # up to 40000 only
     g = TableLookup(((40009, 0.7),), default=0.1)
     big = enumerate_monoid(system, 50_000, g)
     for X in (1, 30030, 40009):
