@@ -55,12 +55,7 @@ from .experiments import (
     ldp_scan,
 )
 from .gfpoly import irreducible_indices, necklace_count
-from .monoid import (
-    MonoidTable,
-    element_counter,
-    enumerate_monoid,
-    write_table_cache,
-)
+from .monoid import MonoidTable, element_counter, enumerate_monoid
 from .rate import (
     RatePoint,
     RateProfile,

@@ -14,8 +14,8 @@ longer carry "seed"; older echoes that do still replay, to an echo without it.
 Exit codes: 0 PASS, 1 WARN, 2 FAILED or runtime error, 64 usage error,
 65 bad parameter or input file, 66 budget exceeded.
 
-Runtime-only knobs (--out, --threads, and count's --dump-cache) are excluded
-from the echo.
+Every option of a subcommand is echoed, as is --format; only --out and
+--threads are not.
 
 Each subcommand is one COMMAND_TABLE entry (help, handler, options) that
 drives the parser, the echo, the --config key check and dispatch. Handlers
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .exact import domination_report, expect_Y, expect_Z, tail_mass
 from .experiments import LDPRow, condition_sweep, ek_report, gap_sweep, ldp_scan
-from .monoid import enumerate_monoid, write_table_cache
+from .monoid import enumerate_monoid
 from .rate import rate_profile
 from .reportio import Records, fmt, write_csv, write_echo, write_json
 from .systems import (
@@ -266,8 +266,6 @@ def _run_primes(a: dict) -> Report:
 def _run_count(a: dict) -> Report:
     system, g, X = a["system"], a["g"], int(a["limit"])
     table = enumerate_monoid(system, X, g)
-    if a.get("dump_cache"):
-        write_table_cache(table, a["dump_cache"])
     mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
     return Report(
         0, f"{table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
@@ -434,13 +432,12 @@ def _run_sweep(a: dict) -> Report:
 
 # ---------------------------------------------------------------------------
 # the command table: an option is (key, type, default[, argparse extras]) for
-# flag --key, "_" as "-"; `options` are echoed and required on replay, `runtime` not.
+# flag --key, "_" as "-"; every option is echoed and required on replay.
 
 class Command(NamedTuple):
     help: str
     run: Callable[[dict], Report]
     options: tuple[tuple, ...]
-    runtime: tuple[tuple, ...] = ()
 
 
 _SYSTEM = ("system", _system_arg, "integers")
@@ -450,19 +447,12 @@ _RHO = ("rho", _rho_arg, "delta1")
 COMMAND_TABLE: dict[str, Command] = {
     "primes": Command("list primes of the system up to a norm bound", _run_primes,
                       (_SYSTEM, ("limit", int, 100))),
-    "count": Command(
-        "enumerate the monoid table (norm, omega, gsum)", _run_count,
-        (_SYSTEM, ("limit", int, 1000), _G),
-        runtime=(("dump_cache", str, None,
-                  {"metavar": "PATH", "help": "also write the binary table cache"}),)),
+    "count": Command("enumerate the monoid table (norm, omega, gsum)", _run_count,
+                     (_SYSTEM, ("limit", int, 1000), _G)),
     "density": Command("fit count(X) = a X + O(X^b) over a grid", _run_density,
                        (_SYSTEM, ("grid", _grid_int_arg, "geom:100:100000:4"))),
-    "mertens": Command(
-        "partial sums of 1/N(p) minus log log X", _run_mertens,
-        (_SYSTEM, ("grid", _grid_int_arg, "geom:100:1000000:5")),
-        # a one-point --grid in disguise; the echo keeps only the grid
-        runtime=(("limit", int, None,
-                  {"help": "single cutoff, shorthand for --grid LIMIT"}),)),
+    "mertens": Command("partial sums of 1/N(p) minus log log X", _run_mertens,
+                       (_SYSTEM, ("grid", _grid_int_arg, "geom:100:1000000:5"))),
     "expect": Command(
         "exact E[prod Z_p] vs E[prod Y_p] for chosen primes", _run_expect,
         (_SYSTEM, ("limit", int, 100),
@@ -509,24 +499,17 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; changes nothing")
-        for key, kind, default, *extra in command.options + command.runtime:
+        for key, kind, default, *extra in command.options:
             sp.add_argument("--" + key.replace("_", "-"), type=kind, default=default,
                             **(extra[0] if extra else {}))
     return parser
 
 
-def _cfg_from_namespace(ns: argparse.Namespace) -> tuple[dict, dict]:
-    """(echoed config, runtime-only extras) from a parsed command line."""
-    command = COMMAND_TABLE[ns.command]
+def _cfg_from_namespace(ns: argparse.Namespace) -> dict:
+    """The echoed config of a parsed command line."""
     cfg = {"command": ns.command, "format": ns.format}
-    cfg.update((key, getattr(ns, key)) for key in _keys(command))
-    runtime = {opt[0]: getattr(ns, opt[0]) for opt in command.runtime}
-    limit = runtime.pop("limit", None)
-    if limit is not None:
-        if limit < 3:
-            raise UsageError(f"--limit must be >= 3, got {limit}")
-        cfg["grid"] = [limit]
-    return cfg, runtime
+    cfg.update((key, getattr(ns, key)) for key in _keys(COMMAND_TABLE[ns.command]))
+    return cfg
 
 
 def _load_config(path: str) -> dict:
@@ -572,16 +555,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.add_argument("--out", default="reports")
             parser.add_argument("--threads", type=int, default=None)
             ns = parser.parse_args(argv)
-            cfg, runtime = _load_config(ns.config), {}
+            cfg = _load_config(ns.config)
         else:
             ns = _build_parser().parse_args(argv)
-            cfg, runtime = _cfg_from_namespace(ns)
+            cfg = _cfg_from_namespace(ns)
         if ns.threads is not None and ns.threads < 1:
             raise UsageError(f"--threads must be >= 1, got {ns.threads}")
         out = Path(ns.out)
         out.mkdir(parents=True, exist_ok=True)
         args = {k: _BUILDERS[k](v) if k in _BUILDERS else v for k, v in cfg.items()}
-        args.update(runtime)
         report = COMMAND_TABLE[cfg["command"]].run(args)
         _emit(out, cfg, report)
         print(f"{cfg['command']}: {report.summary}")

@@ -20,7 +20,7 @@ class SourceError(MonoidLdpError):
 
 
 class BudgetExceeded(MonoidLdpError):
-    """Predicted or actual enumeration size exceeds the configured budget."""
+    """A threshold or element count exceeds one of the package's fixed caps."""
 
     def __init__(self, message: str, predicted: int | None = None, cap: int | None = None):
         super().__init__(message)

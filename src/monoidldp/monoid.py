@@ -38,12 +38,12 @@ A caller that reads one column asks for that column alone, with its
 norms, None on the integers, where they are implicit: omega_column for
 ek_report and gsum_column for ldp_scan. Both reduce rows in any order, so
 the frontier's columns stay in level order, as built, and no sort runs.
-Only the full table (count, the cache dump) is sorted, and only it holds
-all three columns on the integers, 20 bytes per element with omega
-widened to uint32.
+Only the full table (count) is sorted, and only it holds all three
+columns on the integers, 20 bytes per element with omega widened to
+uint32.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
-every threshold up to X, and it keeps the prime norms it was built from.
+every threshold up to X.
 Element counts need no table. element_counter answers count(y) in closed
 form on every system but Beurling: y on the integers, the sum of q^d over
 q^d <= y on F_q[t], and on a quadratic field, whose elements are the
@@ -62,10 +62,8 @@ never overflow: they are bounded by X, which the caps keep below 2^63.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -81,9 +79,6 @@ from .systems import (
     prime_norms,
 )
 
-CACHE_MAGIC = b"MLDP0001"
-CACHE_VERSION = 1
-_RECORD_DTYPE = np.dtype([("norm", "<u8"), ("omega", "<u4"), ("gsum", "<f8")])
 # (parent, prime) pairs expanded at once; bounds the frontier's temporaries
 _BLOCK_PAIRS = 1 << 16
 # desk-scale caps: elements in memory, and X on the frontier; the sieve's
@@ -98,12 +93,9 @@ _MAX_X_COUNT = 10**12
 
 @dataclass(frozen=True)
 class MonoidTable:
-    system: PrimeSystem
-    X: int
     norm: np.ndarray
     omega: np.ndarray
     gsum: np.ndarray
-    primes: np.ndarray  # the prime norms <= X it was built from
 
     @property
     def count(self) -> int:
@@ -114,9 +106,8 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics:
     sieved on the integers, built by the frontier on every other system."""
     _check_x(system, X)
-    primes = prime_norms(system, X)
     build = _sieve_table if isinstance(system, Integers) else _frontier_table
-    return MonoidTable(system, X, *build(primes, X, g), primes)
+    return MonoidTable(*build(prime_norms(system, X), X, g))
 
 
 def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -380,15 +371,3 @@ def _quad_counter(D: int, X: int) -> Callable[[int], int]:
 
     return count
 
-
-def write_table_cache(table: MonoidTable, path: str | Path) -> None:
-    """Binary cache: 16-byte header (magic, u32 version, u32 count), then
-    little-endian records (u64 norm, u32 omega, f64 gsum)."""
-    records = np.empty(table.count, dtype=_RECORD_DTYPE)
-    records["norm"] = table.norm
-    records["omega"] = table.omega
-    records["gsum"] = table.gsum
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", CACHE_VERSION, table.count))
-        fh.write(records.tobytes())

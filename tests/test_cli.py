@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from monoidldp import monoid, systems
-from monoidldp.additive import Omega
-from monoidldp.cli import main
-from monoidldp.monoid import enumerate_monoid, write_table_cache
+from monoidldp.cli import COMMAND_TABLE, _build_parser, main
 from monoidldp.reportio import fmt
 from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField
 
@@ -34,7 +32,8 @@ def test_rate_example(tmp_path):
 
 
 def test_mertens_limit_example(tmp_path, capsys):
-    code = main(["mertens", "--system", "integers", "--limit", "100",
+    # a single cutoff is a one-point grid
+    code = main(["mertens", "--system", "integers", "--grid", "100",
                  "--out", str(tmp_path)])
     assert code == 0
     header, rows = _read_csv(tmp_path / "mertens.csv")
@@ -44,7 +43,6 @@ def test_mertens_limit_example(tmp_path, capsys):
     assert "sum=1.80281720105" in capsys.readouterr().out
     echo = json.loads((tmp_path / "config-echo.json").read_text())
     assert echo["grid"] == [100]
-    assert "limit" not in echo
 
 
 def test_expect_example(tmp_path, capsys):
@@ -64,6 +62,43 @@ def test_usage_errors_exit_64(tmp_path):
     assert main(["primes", "--system", "martian", "--out", str(tmp_path)]) == 64
     assert main(["primes", "--threads", "0", "--out", str(tmp_path)]) == 64
     assert main(["rate", "--grid", "geom:0:5:3", "--out", str(tmp_path)]) == 64
+
+
+# one cheap run of each subcommand, to read the keys of its echo
+ECHO_RUNS = {
+    "primes": ["--limit", "10"],
+    "count": ["--limit", "10"],
+    "density": ["--grid", "10,100,1000,10000"],
+    "mertens": ["--grid", "10"],
+    "expect": ["--limit", "10", "--primes", "2"],
+    "dominate": ["--limit", "10", "--kmax", "2"],
+    "mgf-gap": ["--grid", "100,1000"],
+    "tail-mass": ["--limit", "10"],
+    "rate": ["--grid", "1"],
+    "ek": ["--limit", "100"],
+    "ldp-scan": ["--grid", "10"],
+    "sweep": ["--grid", "geom:100:10000:4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_TABLE))
+def test_every_subcommand_option_is_echoed(tmp_path, command):
+    assert main([command, *ECHO_RUNS[command], "--out", str(tmp_path)]) in (0, 1, 2)
+    echo = json.loads((tmp_path / "config-echo.json").read_text())
+    allowed = {"--" + key.replace("_", "-") for key in echo}
+    allowed |= {"--out", "--threads", "--format", "-h", "--help"}
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    for action in subparsers[command]._actions:
+        assert set(action.option_strings) <= allowed, action.option_strings
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    cache, out = tmp_path / "table.mldp", tmp_path / "out"
+    for argv in (["count", "--limit", "100", "--dump-cache", str(cache)],
+                 ["mertens", "--limit", "100"]):
+        assert main([*argv, "--out", str(out)]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists() and not cache.exists()
 
 
 def test_parameter_and_source_errors_exit_65(tmp_path):
@@ -390,19 +425,6 @@ def test_ldp_scan_json_serializes_infinity_as_string(tmp_path):
           "--format", "json", "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "ldp-scan.json").read_text())
     assert payload["rows"][0]["x_hi"] == "inf"
-
-
-def test_dump_cache_roundtrip(tmp_path):
-    cache = tmp_path / "table.mldp"
-    code = main(["count", "--limit", "100", "--dump-cache", str(cache),
-                 "--out", str(tmp_path)])
-    assert code == 0
-    # the table's own cache bytes; test_monoid reads such a cache back
-    write_table_cache(enumerate_monoid(Integers(), 100, Omega()), tmp_path / "want.mldp")
-    assert cache.read_bytes() == (tmp_path / "want.mldp").read_bytes()
-    # runtime-only flag stays out of the echo
-    echo = json.loads((tmp_path / "config-echo.json").read_text())
-    assert "dump_cache" not in echo
 
 
 def test_config_echo_replay_is_byte_identical(tmp_path):

@@ -53,7 +53,7 @@ CASES = [
     ("density-beurling-failed", ["density", "--system", "beurling:norms.txt",
                                  "--grid", "10,100,1000,10000"], BOTH),
     ("mertens-grid", ["mertens", "--grid", "100,1000"], BOTH),
-    ("mertens-limit", ["mertens", "--system", "quad:-3", "--limit", "500"], BOTH),
+    ("mertens-limit", ["mertens", "--system", "quad:-3", "--grid", "500"], BOTH),
     ("expect-integers", ["expect", "--limit", "10", "--primes", "2,3"], BOTH),
     ("expect-quad", ["expect", "--system", "quad:-4", "--limit", "200",
                      "--primes", "2,5,5"], BOTH),

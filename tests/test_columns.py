@@ -18,7 +18,14 @@ from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ks_maxima, ek_report, ldp_scan
 from monoidldp.monoid import enumerate_monoid, gsum_column, omega_column
-from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, mertens_sum
+from monoidldp.systems import (
+    Beurling,
+    Integers,
+    PolyOverFq,
+    QuadraticField,
+    mertens_sum,
+    prime_norms,
+)
 
 RESIDUE = NormResidue(4, frozenset({1}), 2, 0.5)
 INTERVALS = [(-math.inf, 0.5), (0.5, 1), (1, 1.5), (1.5, 2), (2, math.inf)]
@@ -37,7 +44,7 @@ def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
         X=X, samples=table.count, min_norm=min_norm, ks_sample_count=t.size,
         ks_distance=d_plus, ks_two_sided=max(d_plus, d_minus),
         mean_omega=int(table.omega.sum(dtype=np.int64)) / table.count,
-        mertens_mean=mertens_sum(table.primes, X)[0],
+        mertens_mean=mertens_sum(prime_norms(system, X), X)[0],
         variance_omega=float(Fraction(n * s2 - s1 * s1, n * n)),
     )
 
@@ -126,7 +133,7 @@ def test_columns_are_the_tables_columns(system):
     assert norm.tobytes() == g_norm.tobytes() == table.norm.tobytes()
     assert np.array_equal(omega, table.omega)
     assert gsum.tobytes() == table.gsum.tobytes()
-    assert primes.tobytes() == table.primes.tobytes()
+    assert primes.tobytes() == prime_norms(system, X).tobytes()
 
 
 @pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(2), Beurling((2, 3, 3, 5))],

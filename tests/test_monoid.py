@@ -1,8 +1,6 @@
-"""Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle, cache format."""
+"""Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle."""
 import math
-import struct
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +9,13 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import monoid
 from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.cli import main
-from monoidldp.errors import (
-    BudgetExceeded,
-    ParameterError,
-    SourceError,
-)
+from monoidldp.errors import BudgetExceeded, ParameterError
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     _frontier_table,
     _sieve_table,
     element_counter,
     enumerate_monoid,
-    write_table_cache,
 )
 from monoidldp.systems import (
     Beurling,
@@ -370,7 +363,8 @@ def test_budget_errors(monkeypatch):
     for system, cap in ((Integers(), "_MAX_X_SIEVE"), (QuadraticField(-4), "_MAX_X_FRONTIER")):
         with monkeypatch.context() as m:
             m.setattr(monoid, cap, 10**3)
-            assert enumerate_monoid(system, 10**3, Omega()).X == 10**3
+            table = enumerate_monoid(system, 10**3, Omega())
+            assert table.count == element_counter(system, 10**3)(10**3)
             with pytest.raises(BudgetExceeded) as err:
                 enumerate_monoid(system, 10**3 + 1, Omega())
             assert (err.value.predicted, err.value.cap) == (10**3 + 1, 10**3)
@@ -395,54 +389,6 @@ def test_x_validation():
     for system in (Integers(), QuadraticField(-4), Beurling((2, 3))):
         with pytest.raises(ParameterError):
             enumerate_monoid(system, 0, Omega())
-
-
-def read_table_cache(path):
-    """Read back the (norm, omega, gsum) arrays of write_table_cache;
-    validates header and length."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:8] != monoid.CACHE_MAGIC:
-        raise SourceError(f"{path}: not a monoid table cache (bad magic)")
-    version, count = struct.unpack("<II", blob[8:16])
-    if version != monoid.CACHE_VERSION:
-        raise SourceError(f"{path}: unsupported cache version {version}")
-    body = blob[16:]
-    if len(body) != count * monoid._RECORD_DTYPE.itemsize:
-        raise SourceError(f"{path}: truncated cache ({len(body)} bytes for {count} records)")
-    records = np.frombuffer(body, dtype=monoid._RECORD_DTYPE)
-    return records["norm"].copy(), records["omega"].copy(), records["gsum"].copy()
-
-
-def test_cache_roundtrip(tmp_path):
-    t = enumerate_monoid(Integers(), 500, NormResidue(3, frozenset({1}), 0.25, 0.0))
-    path = tmp_path / "table.bin"
-    write_table_cache(t, path)
-    norm, omega, gsum = read_table_cache(path)
-    assert np.array_equal(norm, t.norm)
-    assert np.array_equal(omega, t.omega)
-    assert np.array_equal(gsum, t.gsum)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    t = enumerate_monoid(Integers(), 50, Omega())
-    path = tmp_path / "table.bin"
-    write_table_cache(t, path)
-    raw = path.read_bytes()
-
-    bad_magic = tmp_path / "magic.bin"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(SourceError):
-        read_table_cache(bad_magic)
-
-    truncated = tmp_path / "trunc.bin"
-    truncated.write_bytes(raw[:-7])
-    with pytest.raises(SourceError):
-        read_table_cache(truncated)
-
-    bad_version = tmp_path / "ver.bin"
-    bad_version.write_bytes(raw[:8] + b"\xff\xff\xff\xff" + raw[12:])
-    with pytest.raises(SourceError):
-        read_table_cache(bad_version)
 
 
 def test_table_csv(tmp_path):
