@@ -4,9 +4,13 @@
 On quad:D and poly:q, monoid.element_counter answers count(y) in closed
 form. This compares it with the frontier's count: the counter of a Beurling
 system on the same prime norms, which enumerates every element of norm
-<= X. It runs every fundamental discriminant D with |D| <= 100 at X = N,
-and every supported q at the largest power of q <= N, over every y up to
-3000, every power of q and the integer below it, 50 log-spaced y and X.
+<= X. The oracle is independent of the closed form only while it counts
+through a Beurling system: on quad:D and poly:q the frontier sizes its
+columns by the closed-form count, but a Beurling system has none, so its
+frontier grows its columns and never reads one. It runs every
+fundamental discriminant D with |D| <= 100 at X = N, and every supported
+q at the largest power of q <= N, over every y up to 3000, every power of
+q and the integer below it, 50 log-spaced y and X.
 It prints one line per system and exits 1 on the first mismatch.
 
     PYTHONPATH=src python3 scripts/check_counts.py --limit 1000000

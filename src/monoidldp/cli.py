@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -490,6 +491,7 @@ def _keys(command: Command) -> list[str]:
     return [opt[0] for opt in command.options]
 
 
+@functools.cache  # built at the first main call, once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monoidldp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

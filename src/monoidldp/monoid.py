@@ -8,21 +8,30 @@ depends only on these three numbers, and memory is the binding constraint.
 
 A frontier enumerates the elements one omega-level at a time, over the
 primes sorted by norm. Every element other than 1 is a parent times
-p_i^e, e >= 1, with i at or after the parent's next prime index, so level
-k + 1 is the children of level k. The (parent, prime) pairs of a level
-come from one searchsorted of X // n and are expanded in blocks of at most
-_BLOCK_PAIRS pairs, which bounds the temporaries; a short loop over
-exponents runs while n * p^e <= X. A child's gsum is g(p_i) + the parent's
-gsum, the float add of a depth-first walk, so gsum is summed in ascending
-prime order; g is read as one array over the prime norms. The levels fill
-two columns (norm, gsum) that grow by doubling, and omega is the level
-index, so the sorted table holds 20 bytes per element (12 without g).
-The doubling and the sort by (norm, omega, gsum) take more at their peak:
-~52 bytes per element traced on quad:-4 at 1e6, ~32 unsorted without g
-(the doubling alone). Each pair gives at least one child, so the element
-budget is checked against the pair count before a level is expanded and
-again after every block; it raises exactly when the element count exceeds
-the cap.
+p_i^e, e >= 1, with i at or after the parent's next prime index nxt, so
+level k + 1 is the children of level k. A level's parents are taken in
+blocks of _BLOCK_PARENTS; a block's (parent, prime) pairs come from one
+searchsorted of X // n and are expanded in blocks of at most _BLOCK_PAIRS
+pairs, so the temporaries are bounded, not a whole level; a short loop
+over exponents runs while n * p^e <= X. A child's gsum is g(p_i) + the
+parent's gsum, the float add of a depth-first walk, so gsum is summed in
+ascending prime order; g is read as one array over the prime norms.
+
+The levels fill three columns: norm (int64), gsum (float64, only with g)
+and nxt (int32, dropped at the end); omega is the level index, repeated
+into uint8 at the end. On quad:D and poly:q the callers pass the element
+count in closed form (element_counter), so the element cap is checked
+against the exact count before anything is allocated, and the columns are
+allocated once at that size; the enumeration must fill them exactly, else
+MonoidLdpError, which makes each run a cross-check of the closed form. A
+Beurling system has no closed form: its columns grow by doubling, and
+since each pair gives at least one child, the cap is checked against the
+pair count before each parent block is expanded and again after every
+pair block; it raises exactly when the element count exceeds the cap.
+Traced with tracemalloc on quad:-4 at 1e6, the frontier peaks at ~19 bytes
+per element without g (13 of them the columns) and ~30 with g (21), and
+the table sorted by (norm, omega, gsum), omega widened to uint32 after the
+gather (20 bytes per element), at ~34.
 
 For the rational integers the columns are instead sieved over 1..X, one
 column at a time, with g evaluated once as an array over the primes.
@@ -56,8 +65,8 @@ every other system, and four constants cap it: X <= 1e7 on the frontier
 (tables, and Beurling counters), X <= 1e8 on the sieve (the prime layer's
 cap), at most 2e8 elements in memory, and X <= 1e12 for the closed-form
 counts, which hold no element. The X caps are checked before anything is
-allocated, the element cap before each level as above. Partial products
-never overflow: they are bounded by X, which the caps keep below 2^63.
+allocated, the element cap as above. Partial products never overflow:
+they are bounded by X, which the caps keep below 2^63.
 """
 from __future__ import annotations
 
@@ -68,7 +77,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import BudgetExceeded, MonoidLdpError, ParameterError
 from .systems import (
     _MAX_X_SIEVE,
     Beurling,
@@ -79,7 +88,9 @@ from .systems import (
     prime_norms,
 )
 
-# (parent, prime) pairs expanded at once; bounds the frontier's temporaries
+# parents whose pairs are counted at once, and (parent, prime) pairs
+# expanded at once; together they bound the frontier's temporaries
+_BLOCK_PARENTS = 1 << 16
 _BLOCK_PAIRS = 1 << 16
 # desk-scale caps: elements in memory, and X on the frontier; the sieve's
 # X cap, _MAX_X_SIEVE, is the prime layer's
@@ -106,8 +117,10 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics:
     sieved on the integers, built by the frontier on every other system."""
     _check_x(system, X)
-    build = _sieve_table if isinstance(system, Integers) else _frontier_table
-    return MonoidTable(*build(prime_norms(system, X), X, g))
+    primes = prime_norms(system, X)
+    if isinstance(system, Integers):
+        return MonoidTable(*_sieve_table(primes, X, g))
+    return MonoidTable(*_frontier_table(primes, X, g, _closed_count(system, X)))
 
 
 def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -122,7 +135,7 @@ def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.nda
     primes = prime_norms(system, X)
     if isinstance(system, Integers):
         return None, _omega_sieve(primes, X)[1:], primes
-    return (*_frontier(primes, X, None)[:2], primes)
+    return (*_frontier(primes, X, None, _closed_count(system, X))[:2], primes)
 
 
 def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.ndarray]:
@@ -136,8 +149,14 @@ def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.n
     primes = prime_norms(system, X)
     if isinstance(system, Integers):
         return None, _gsum_sieve(primes, X, g)[1:]
-    norm, _, gsum = _frontier(primes, X, g)
+    norm, _, gsum = _frontier(primes, X, g, _closed_count(system, X))
     return norm, gsum
+
+
+def _closed_count(system: PrimeSystem, X: int) -> int | None:
+    """The frontier's element count at X in closed form, None on Beurling
+    systems, which have none."""
+    return None if isinstance(system, Beurling) else element_counter(system, X)(X)
 
 
 def _check_x(system: PrimeSystem, X: int) -> None:
@@ -198,71 +217,86 @@ def _sieve_add(col: np.ndarray, primes: np.ndarray, X: int, vals: np.ndarray | N
             col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
 
 
-def _frontier_table(P: np.ndarray, X: int, g) -> tuple[np.ndarray, ...]:
-    """The frontier's columns sorted by (norm, omega, gsum)."""
-    columns = list(_frontier(P, X, g))
+def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple[np.ndarray, ...]:
+    """The frontier's columns sorted by (norm, omega, gsum), omega widened
+    to uint32 after the gather."""
+    columns = list(_frontier(P, X, g, total))
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
     for k in range(len(columns)):  # one sorted copy alive at a time
         columns[k] = columns[k][order]
+    columns[1] = columns[1].astype(np.uint32)
     return tuple(columns)
 
 
-def _frontier(P: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _frontier(P: np.ndarray, X: int, g, total: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Unsorted (norm, omega, gsum) columns of every element of norm <= X,
     P being the prime norms <= X, one omega-level at a time; g=None skips g
-    and the gsum column."""
+    and the gsum column.
+
+    total, when given, is the element count in closed form: the element cap
+    is checked against it, the columns are allocated once at that size, and
+    the enumeration must fill them exactly, else MonoidLdpError. Without it
+    the columns grow by doubling.
+    """
+    if total is not None:
+        _check_budget(total)
     G = None if g is None else g.values(P)
-    # the columns grow by doubling; levels are contiguous slices, level 0 is 1
-    cols = [np.empty(max(1024, 2 * P.size), dtype=np.int64)]
-    cols[0][0] = 1
+    size = max(1024, 2 * P.size) if total is None else total
+    # norm, gsum and nxt, the index of the first prime an element may take;
+    # levels are contiguous slices, level 0 is 1
+    cols = [np.empty(size, dtype=np.int64)]
     if G is not None:
-        cols.append(np.empty(cols[0].size))
-        cols[1][0] = 0.0
-    # nxt: the index of the first prime each element of the level may take
-    nxt = np.zeros(1, dtype=np.intp)
-    start, stop = 0, 1  # the level: cols[k][start:stop]
+        cols.append(np.empty(size))
+    cols.append(np.empty(size, dtype=np.int32))
+    for col in cols:
+        col[0] = 0
+    cols[0][0] = 1
     sizes = [1]
-    while True:
-        # per parent, the primes p_i with i >= nxt and n * p_i <= X
-        count = P.searchsorted(X // cols[0][start:stop], "right")
-        count -= nxt
-        np.maximum(count, 0, out=count)
-        ends = np.cumsum(count)
-        total, pending = stop, int(ends[-1])  # pairs; each gives one child at least
-        if not pending:
-            break
-        _check_budget(total + pending)
-        nxt_parts = []
-        a = int(ends.searchsorted(0, "right"))  # blocks start at a parent with pairs
-        while a < count.size:
-            base = int(ends[a - 1]) if a else 0
-            b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
-            children = _expand(P, G, X, [col[start + a:start + b] for col in cols],
-                               nxt[a:b], count[a:b])
-            nxt_parts.append(children.pop())
-            size = nxt_parts[-1].size
-            if total + size > cols[0].size:
-                cols = [_grow(col, total, total + size) for col in cols]
-            for col, child in zip(cols, children):
-                col[total:total + size] = child
-            total += size
-            pending -= int(ends[b - 1]) - base
-            _check_budget(total + pending)
-            a = int(ends.searchsorted(ends[b - 1], "right"))
-        nxt = np.concatenate(nxt_parts)
-        start, stop = stop, total
-        sizes.append(stop - start)
+    start, stop = 0, 1  # the level: cols[k][start:stop]
+    while start < stop:
+        used = stop
+        for first in range(start, stop, _BLOCK_PARENTS):
+            last = min(first + _BLOCK_PARENTS, stop)
+            # per parent, the primes p_i with i >= nxt and n * p_i <= X
+            count = P.searchsorted(X // cols[0][first:last], "right")
+            count -= cols[-1][first:last]
+            np.maximum(count, 0, out=count)
+            ends = np.cumsum(count)
+            pending = int(ends[-1])  # pairs; each gives one child at least
+            _check_budget(used + pending)
+            a = int(ends.searchsorted(0, "right"))  # blocks start at a parent with pairs
+            while a < count.size:
+                base = int(ends[a - 1]) if a else 0
+                b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
+                children = _expand(P, G, X, [col[first + a:first + b] for col in cols],
+                                   count[a:b])
+                n = children[0].size
+                if used + n > cols[0].size:
+                    if total is not None:
+                        raise _count_error(X, total, f"more than {total}")
+                    cols = [_grow(col, used, used + n) for col in cols]
+                for col, child in zip(cols, children):
+                    col[used:used + n] = child
+                used += n
+                pending -= int(ends[b - 1]) - base
+                _check_budget(used + pending)
+                a = int(ends.searchsorted(ends[b - 1], "right"))
+        sizes.append(used - stop)
+        start, stop = stop, used
+    if total is not None and stop != total:
+        raise _count_error(X, total, stop)
     norm = cols[0][:stop].view(np.uint64)
-    omega = np.repeat(np.arange(len(sizes), dtype=np.uint32), sizes)
+    omega = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
     return norm, omega, cols[1][:stop] if G is not None else None
 
 
-def _expand(P, G, X, parents, nxt, count) -> list[np.ndarray]:
-    """The children [norm, gsum, nxt] of a block of parents [norm, gsum]
+def _expand(P, G, X, parents, count) -> list[np.ndarray]:
+    """The children [norm, gsum, nxt] of a block of parents [norm, gsum, nxt]
     (no gsum when G is None): n * p_i^e <= X, e >= 1, for the count[j]
     primes i = nxt[j], nxt[j] + 1, ... of parent j."""
     ends = np.cumsum(count)
-    i = np.repeat(nxt - (ends - count), count)
+    i = np.repeat(parents[-1] - (ends - count), count)
     i += np.arange(i.size)
     p = P[i]
     cols = [np.repeat(parents[0], count) * p]
@@ -287,8 +321,16 @@ def _grow(col: np.ndarray, used: int, need: int) -> np.ndarray:
     return out
 
 
+def _count_error(X: int, total: int, built) -> MonoidLdpError:
+    """The closed-form count and the frontier disagree: a fault of one."""
+    return MonoidLdpError(
+        f"the frontier built {built} elements of norm <= {X}, "
+        f"where the closed-form count is {total}")
+
+
 def _check_budget(at_least: int) -> None:
-    """Raise when a lower bound on the element count exceeds the cap."""
+    """Raise when the element count, or a lower bound on it, exceeds the
+    cap."""
     if at_least > _MAX_ELEMENTS:
         raise BudgetExceeded(
             f"enumeration exceeds {_MAX_ELEMENTS} elements",

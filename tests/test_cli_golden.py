@@ -149,6 +149,17 @@ def test_golden_echo_replays(workdir, name, argv, fmt):
     _check_against_golden(workdir / "replay", code, golden, argv[0], fmt)
 
 
+def test_usage_errors_leave_the_parser_as_built(workdir):
+    # the parser is built once per process; a command after usage errors
+    # writes the golden's bytes
+    for argv in (["ek", "--limit", "many"], ["ek", "--bogus"], ["nonesuch"]):
+        assert main(argv + ["--out", "bad"]) == 64
+    name, argv, fmt = next(run for run in RUNS if run[0] == "ek-quad" and run[2] == "json")
+    code = _run(argv, fmt, workdir / "out")
+    _check_against_golden(workdir / "out", code, _case_dir(name, fmt), argv[0], fmt)
+    assert not (workdir / "bad").exists()
+
+
 def _regenerate(names: list[str]) -> None:
     import shutil
     import tempfile

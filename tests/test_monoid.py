@@ -1,5 +1,6 @@
 """Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle."""
 import math
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -9,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import monoid
 from monoidldp.additive import NormResidue, Omega, TableLookup
 from monoidldp.cli import main
-from monoidldp.errors import BudgetExceeded, ParameterError
+from monoidldp.errors import BudgetExceeded, MonoidLdpError, ParameterError
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     _frontier_table,
     _sieve_table,
     element_counter,
     enumerate_monoid,
+    gsum_column,
+    omega_column,
 )
 from monoidldp.systems import (
     Beurling,
@@ -153,6 +156,10 @@ def test_table_column_dtypes():
                   lambda X: _frontier_table(prime_norms(QuadraticField(-4), X), X, Omega())):
         for X in (1, 1000):
             assert [col.dtype for col in build(X)] == [np.uint64, np.uint32, np.float64]
+    # the omega column alone is one byte per element on every system
+    for system in (Integers(), QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))):
+        for X in (1, 1000):
+            assert omega_column(system, X)[1].dtype == np.uint8
 
 
 def _reference_table(system, X, g):
@@ -196,20 +203,89 @@ def test_frontier_matches_reference_recursion(system):
                 assert got.tobytes() == want.tobytes(), (X, name)
 
 
-@pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(3)], ids=lambda s: s.key)
+BLOCK_SYSTEMS = [QuadraticField(-4), QuadraticField(5), PolyOverFq(3),
+                 Beurling((2, 3, 3, 5, 7, 7))]
+# closed-form counts size the frontier's columns on these; Beurling grows them
+EXACT_SYSTEMS = [QuadraticField(-4), QuadraticField(5), PolyOverFq(2), PolyOverFq(3)]
+
+
+@pytest.mark.parametrize("system", BLOCK_SYSTEMS, ids=lambda s: s.key)
 def test_frontier_is_independent_of_block_size(monkeypatch, system):
     X, g = 5000, SIEVE_GS["residue-3-2"]
-    want = enumerate_monoid(system, X, g)
+    want = _reference_table(system, X, g)
     count = element_counter(system, X)
     want_counts = [count(y) for y in range(1, X + 1)]
-    # 1 pair: one parent per block; 7: blocks split parents' pair ranges unevenly
-    for block in (1, 7):
-        monkeypatch.setattr(monoid, "_BLOCK_PAIRS", block)
+    levels = np.bincount(want[1])
+    # (pairs, parents) per block: 1 parent or pair per block; 7 pairs split
+    # parents' pair ranges unevenly; 97 parents split some level unevenly
+    assert any(size > 97 and size % 97 for size in levels)
+    for pairs, parents in ((2**16, 1), (2**16, 7), (2**16, 97), (1, 7), (7, 97),
+                           (1, 2**16), (7, 2**16)):
+        monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)
+        monkeypatch.setattr(monoid, "_BLOCK_PARENTS", parents)
         got = enumerate_monoid(system, X, g)
-        for a, b in ((got.norm, want.norm), (got.omega, want.omega), (got.gsum, want.gsum)):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip((got.norm, got.omega, got.gsum), want):
+            assert a.tobytes() == b.tobytes(), (pairs, parents)
         count = element_counter(system, X)
         assert [count(y) for y in range(1, X + 1)] == want_counts
+
+
+def _must_not_run(*args):
+    raise AssertionError("must not run")
+
+
+@pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.key)
+def test_exact_columns_never_grow(monkeypatch, system):
+    # sized by the closed-form count, the columns are allocated once
+    monkeypatch.setattr(monoid, "_grow", _must_not_run)
+    monkeypatch.setattr(monoid, "_BLOCK_PAIRS", 7)
+    g = SIEVE_GS["residue-3-2"]
+    for X in (1, 2, 4, 1000, 5000):
+        total = element_counter(system, X)(X)
+        assert enumerate_monoid(system, X, g).count == total
+        assert omega_column(system, X)[0].size == gsum_column(system, X, g)[0].size == total
+    # a Beurling system has no closed form, so its columns do grow
+    with pytest.raises(AssertionError, match="must not run"):
+        omega_column(Beurling((2, 3, 5, 7)), 10**6)
+
+
+@pytest.mark.parametrize("system,X", [(QuadraticField(-4), 10**6), (PolyOverFq(3), 3**12)],
+                         ids=lambda v: getattr(v, "key", v))
+def test_exact_budget_raises_before_any_column(monkeypatch, system, X):
+    # the cap is checked against the closed-form count, so the error carries
+    # the exact count, and comes before g or any column of the frontier
+    total = element_counter(system, X)(X)
+    monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total - 1)
+    unread = type("G", (), {"key": "unread", "values": staticmethod(_must_not_run)})()
+    for build in (lambda: enumerate_monoid(system, X, unread), lambda: omega_column(system, X),
+                  lambda: gsum_column(system, X, unread)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.predicted, err.value.cap) == (total, total - 1)
+        assert peak < 8 * total  # less than the norm column, int64
+    monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total)
+    assert enumerate_monoid(system, X, Omega()).count == total
+
+
+@pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.key)
+@pytest.mark.parametrize("error", [-1, 1])
+def test_wrong_closed_form_count_raises(monkeypatch, system, error):
+    # every run on quad:D and poly:q checks the closed form against the
+    # enumeration: a count off by one either way fills too many or too few rows
+    X = 3000
+    counter = element_counter(system, X)
+    monkeypatch.setattr(monoid, "element_counter",
+                        lambda *args: lambda y: counter(y) + error)
+    monkeypatch.setattr(monoid, "_grow", _must_not_run)
+    for build in (lambda: enumerate_monoid(system, X, Omega()), lambda: omega_column(system, X),
+                  lambda: gsum_column(system, X, Omega())):
+        with pytest.raises(MonoidLdpError, match=f"closed-form count is {counter(X) + error}"):
+            build()
 
 
 @pytest.mark.parametrize("system", [QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))],
@@ -261,7 +337,10 @@ def test_poly_counts_are_monic_polynomial_counts(q):
 
 
 def _frontier_counts(system, X, ys):
-    """count(y) by the frontier: the Beurling counter on the same prime norms."""
+    """count(y) by the frontier: the Beurling counter on the same prime norms.
+    A Beurling system has no closed form, so its frontier never reads one;
+    quad:D and poly:q tables are sized by the closed form, and would make
+    this oracle check the closed form against itself."""
     count = element_counter(Beurling(tuple(prime_norms(system, X).tolist())), X)
     return [count(y) for y in ys]
 
