@@ -49,9 +49,9 @@ def main() -> int:
     runs += [(system, X) for system in (QuadraticField(-4), PolyOverFq(2))
              for X in _grid(min(N, 10**6))]
     for system, X in runs:
-        norm, omega, _ = omega_column(system, X)
-        t = _ek_sample(norm, omega, 3)
-        del norm, omega
+        table, _ = omega_column(system, X)
+        t = _ek_sample(table, 3)
+        del table
         got, want = _ks_maxima(t), _oracle(t)
         if [x.hex() for x in got] != [x.hex() for x in want]:
             print(f"MISMATCH {system.key}: X={X}, n={t.size}: blocks give {got}, "

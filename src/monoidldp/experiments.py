@@ -40,7 +40,7 @@ import numpy as np
 from .additive import AdditiveFunction, DiscreteMeasure, check_convergence
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, _gap_row, truncation_sets
-from .monoid import element_counter, gsum_column, omega_column
+from .monoid import MonoidTable, element_counter, gsum_column, omega_column
 from .rate import rate
 from .systems import (
     PrimeSystem,
@@ -65,11 +65,6 @@ class EKReport:
     variance_omega: float
 
 
-# rows of a column reduced at once; bounds the float64 temporaries of
-# ek_report and ldp_scan
-_BLOCK_ROWS = 1 << 16
-
-
 def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     """Normality diagnostics for (omega(m) - log log N(m)) / sqrt(log log N(m)).
 
@@ -78,7 +73,7 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     sum are reported over the full table for cross-checks.
 
     Only the norm and omega columns are built, rows in any order
-    (omega_column; on the integers the norms are implicit). Mean and
+    (omega_column), and read block by block (MonoidTable.blocks). Mean and
     variance come exactly from the omega histogram and the statistic is
     sorted, so no field depends on the row order (_ks_maxima).
     """
@@ -86,16 +81,15 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
     if min_norm < 3:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
-    norm, omega, primes = omega_column(system, X)
-    count = omega.size
+    table, primes = omega_column(system, X)
+    count = table.count
     # the whole-column reductions come before t, so no temporary of theirs
     # meets it; omega < 64 (norms >= 2), and no intp copy of omega is made
     mertens_mean = mertens_sum(primes, X)[0]
-    hist = sum(np.bincount(omega[a:a + _BLOCK_ROWS], minlength=64)
-               for a in range(0, count, _BLOCK_ROWS))
+    hist = sum(np.bincount(o, minlength=64) for _, o in table.blocks(table.omega))
     k = np.arange(hist.size)
     s1, s2 = int(hist @ k), int(hist @ (k * k))
-    t = _ek_sample(norm, omega, min_norm)
+    t = _ek_sample(table, min_norm)
     if not t.size:
         raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
     d_plus, d_minus = _ks_maxima(t)
@@ -113,19 +107,13 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     )
 
 
-def _ek_sample(norm: np.ndarray | None, omega: np.ndarray, min_norm: int) -> np.ndarray:
-    """The sorted statistic over the rows of norm >= min_norm, computed
-    block by block into one float64 array; norm None stands for 1..X."""
-    t = np.empty(omega.size)  # the kept rows fill a prefix
+def _ek_sample(table: MonoidTable, min_norm: int) -> np.ndarray:
+    """The sorted statistic over the rows of norm >= min_norm of a table
+    with an omega column, computed block by block into one float64 array."""
+    t = np.empty(table.count)  # the kept rows fill a prefix
     size = 0
-    for a in range(0, omega.size, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, omega.size)
-        if norm is None:  # rows a..b-1 have norms a+1..b
-            a = min(max(a, min_norm - 1), b)
-            o, ll = omega[a:b], np.arange(a + 1, b + 1, dtype=np.float64)
-        else:
-            keep = norm[a:b] >= np.uint64(min_norm)
-            o, ll = omega[a:b][keep], norm[a:b][keep].astype(np.float64)
+    for norm, o in table.blocks(table.omega, lo=min_norm):
+        ll = norm.astype(np.float64)
         np.log(np.log(ll, out=ll), out=ll)
         out = t[size:size + ll.size]
         np.subtract(o, ll, out=out)
@@ -283,10 +271,9 @@ def ldp_scan(
     keeps the two columns visibly apart at any reachable X, so no closeness
     is asserted.
 
-    The gsum column is built once, at the largest X (gsum_column; on the
-    integers a sieve of gsum alone, whose rows 0..X-1 are the norms 1..X).
-    Every other system's rows come in level order, and each X counts, block
-    by block, the rows of norm <= X; a count does not depend on row order.
+    The gsum column is built once, at the largest X (gsum_column), and
+    each X counts, block by block, the rows of norm <= X (MonoidTable.blocks);
+    a count does not depend on row order.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -297,17 +284,14 @@ def ldp_scan(
             raise ParameterError(f"ldp_scan needs X >= 3, got {X}")
     if not X_list:
         return []
-    norm, gsum = gsum_column(system, max(X_list), g)
+    table = gsum_column(system, max(X_list), g)
     bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
     rows = []
     for X in X_list:
         ll = math.log(math.log(X))
         counts = [0] * len(intervals)
         total = 0
-        size = X if norm is None else gsum.size  # norm None stands for 1..X
-        for a in range(0, size, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, size)
-            v = gsum[a:b] if norm is None else gsum[a:b][norm[a:b] <= np.uint64(X)]
+        for _, v in table.blocks(table.gsum, hi=X):
             v = v / ll
             total += v.size
             for k, (lo, hi) in enumerate(intervals):

@@ -40,18 +40,6 @@ _MODULI = {
 }
 
 
-class GF:
-    """Table-driven finite field of order q."""
-
-    def __init__(self, q: int, p: int, k: int, add, mul, inv):
-        self.q = q
-        self.p = p
-        self.k = k
-        self.add = add
-        self.mul = mul
-        self.inv = inv
-
-
 def _digit_mul_mod(p: int, mod: tuple[int, ...], a: list[int], b: list[int]) -> list[int]:
     k = len(mod) - 1
     out = [0] * (2 * k - 1)
@@ -69,8 +57,10 @@ def _digit_mul_mod(p: int, mod: tuple[int, ...], a: list[int], b: list[int]) -> 
 
 
 @functools.cache
-def field(q: int) -> GF:
-    """Construct GF(q) with full add/mul/inv tables."""
+def field(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul): the addition and multiplication tables of GF(q), q x q
+    uint8 arrays, read-only, since the cache hands the same ones to every
+    caller."""
     if q not in SUPPORTED_Q:
         raise ParameterError(f"unsupported field order q={q}; supported: {SUPPORTED_Q}")
     if q in _MODULI:
@@ -85,18 +75,12 @@ def field(q: int) -> GF:
     def undigits(ds: list[int]) -> int:
         return sum(d * p**i for i, d in enumerate(ds))
 
-    add = tuple(
-        tuple(undigits([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q))
-        for a in range(q)
-    )
-    mul = tuple(
-        tuple(undigits(_digit_mul_mod(p, mod, digits(a), digits(b))) for b in range(q))
-        for a in range(q)
-    )
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-    return GF(q, p, k, add, mul, tuple(inv))
+    add = np.array([[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                     for b in range(q)] for a in range(q)], dtype=np.uint8)
+    mul = np.array([[undigits(_digit_mul_mod(p, mod, digits(a), digits(b)))
+                     for b in range(q)] for a in range(q)], dtype=np.uint8)
+    add.flags.writeable = mul.flags.writeable = False
+    return add, mul
 
 
 # rows (products f*h) per bulk-sieve block; bounds the sieve's working arrays
@@ -132,9 +116,7 @@ def _monic_digits(q: int, degree: int, start: int, stop: int) -> np.ndarray:
 
 def _reducible_bulk(q: int, n: int) -> np.ndarray:
     # digits are uint8 field elements; x*q + y indexes the flattened tables
-    gf = field(q)
-    add = np.array(gf.add, dtype=np.uint8).ravel()
-    mul = np.array(gf.mul, dtype=np.uint8).ravel()
+    add, mul = (table.ravel() for table in field(q))
     reducible = np.zeros(q**n, dtype=bool)
     for a in range(1, n // 2 + 1):
         b = n - a

@@ -30,8 +30,7 @@ pair count before each parent block is expanded and again after every
 pair block; it raises exactly when the element count exceeds the cap.
 Traced with tracemalloc on quad:-4 at 1e6, the frontier peaks at ~19 bytes
 per element without g (13 of them the columns) and ~30 with g (21), and
-the table sorted by (norm, omega, gsum), omega widened to uint32 after the
-gather (20 bytes per element), at ~34.
+the table sorted by (norm, omega, gsum) (17 bytes per element) at ~34.
 
 For the rational integers the columns are instead sieved over 1..X, one
 column at a time, with g evaluated once as an array over the primes.
@@ -40,16 +39,16 @@ largest. So a sieve makes one strided add per prime p <= sqrt(X), in
 ascending order, and then one vectorized add per cofactor m <= sqrt(X)
 for the large primes p <= X/m. Each gsum is thus summed in ascending
 prime order, as the frontier sums it, and the two paths agree bit for
-bit. omega is sieved into uint8 (1 byte per element) and gsum into
-float64 (8); the norm column, 1..X, need not be stored at all.
+bit. One sieve counts omega into uint8 (1 byte per element), as in
+every table, or sums gsum into float64 (8); the norms, 1..X, are
+implicit.
 
-A caller that reads one column asks for that column alone, with its
-norms, None on the integers, where they are implicit: omega_column for
-ek_report and gsum_column for ldp_scan. Both reduce rows in any order, so
-the frontier's columns stay in level order, as built, and no sort runs.
-Only the full table (count) is sorted, and only it holds all three
-columns on the integers, 20 bytes per element with omega widened to
-uint32.
+A caller that reads one column asks for it alone, a MonoidTable whose
+other columns are None (omega_column for ek_report, gsum_column for
+ldp_scan), with norm None on the integers. Only MonoidTable.blocks reads
+that rule: it yields the rows of norm in [lo, hi] in blocks, by a prefix
+slice or a mask. Rows may come in any order, so no sort runs. Only the
+full table (count) is sorted, 17 bytes per element.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -88,6 +87,9 @@ from .systems import (
     prime_norms,
 )
 
+# rows of a table's column read at once (MonoidTable.blocks); bounds the
+# temporaries of the reductions over a column
+_BLOCK_ROWS = 1 << 16
 # parents whose pairs are counted at once, and (parent, prime) pairs
 # expanded at once; together they bound the frontier's temporaries
 _BLOCK_PARENTS = 1 << 16
@@ -104,59 +106,80 @@ _MAX_X_COUNT = 10**12
 
 @dataclass(frozen=True)
 class MonoidTable:
-    norm: np.ndarray
-    omega: np.ndarray
-    gsum: np.ndarray
+    """Columns of the elements of norm <= X; a column not built is None,
+    and norm None means the norms are 1..count, in row order."""
+
+    norm: np.ndarray | None
+    omega: np.ndarray | None
+    gsum: np.ndarray | None
 
     @property
     def count(self) -> int:
-        return int(self.norm.size)
+        return int(next(c for c in (self.norm, self.omega, self.gsum) if c is not None).size)
+
+    def blocks(self, values: np.ndarray, lo: int = 1, hi: int | None = None):
+        """(norms, values) of the rows with lo <= norm <= hi (hi None: no
+        bound), values being a column of the table, in row order and blocks
+        of at most _BLOCK_ROWS rows; norms are uint64. Implicit norms are
+        read as a prefix slice, explicit ones by a mask over every row."""
+        if self.norm is None:
+            stop = self.count if hi is None else min(hi, self.count)
+            for a in range(max(lo, 1) - 1, stop, _BLOCK_ROWS):
+                b = min(a + _BLOCK_ROWS, stop)
+                yield np.arange(a + 1, b + 1, dtype=np.uint64), values[a:b]
+            return
+        for a in range(0, self.count, _BLOCK_ROWS):
+            norm, vals = self.norm[a:a + _BLOCK_ROWS], values[a:a + _BLOCK_ROWS]
+            if lo > 1 or hi is not None:
+                keep = norm >= np.uint64(max(lo, 1))
+                if hi is not None:
+                    keep &= norm <= np.uint64(max(hi, 0))
+                norm, vals = norm[keep], vals[keep]
+            yield norm, vals
 
 
 def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics:
-    sieved on the integers, built by the frontier on every other system."""
-    _check_x(system, X)
-    primes = prime_norms(system, X)
+    sieved on the integers, built by the frontier on every other system;
+    every column explicit, sorted by (norm, omega, gsum)."""
+    primes, total = _prepare(system, X)
     if isinstance(system, Integers):
         return MonoidTable(*_sieve_table(primes, X, g))
-    return MonoidTable(*_frontier_table(primes, X, g, _closed_count(system, X)))
+    return MonoidTable(*_frontier_table(primes, X, g, total))
 
 
-def omega_column(system: PrimeSystem, X: int) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(norm, omega, primes): the (norm, omega) rows of the table at X, as
-    a multiset, and the prime norms <= X, with no gsum and no g.
+def omega_column(system: PrimeSystem, X: int) -> tuple[MonoidTable, np.ndarray]:
+    """(table, primes): the table at X with norm and omega alone, its rows
+    a multiset, and the prime norms <= X; no g is read.
 
-    The integers sieve omega alone into uint8, and norm is None: the norms
-    are 1..X. Every other system returns the frontier's columns without g
-    as they come, in level order (omega ascending), unsorted by norm.
+    The integers sieve omega alone, their norms implicit. Every other
+    system returns the frontier's columns as they come, in level order.
     """
-    _check_x(system, X)
-    primes = prime_norms(system, X)
+    primes, total = _prepare(system, X)
     if isinstance(system, Integers):
-        return None, _omega_sieve(primes, X)[1:], primes
-    return (*_frontier(primes, X, None, _closed_count(system, X))[:2], primes)
+        return MonoidTable(None, _sieve(primes, X, None)[1:], None), primes
+    norm, omega, _ = _frontier(primes, X, None, total)
+    return MonoidTable(norm, omega, None), primes
 
 
-def gsum_column(system: PrimeSystem, X: int, g) -> tuple[np.ndarray | None, np.ndarray]:
-    """(norm, gsum): the (norm, gsum) rows of the table at X, as a multiset.
-
-    The integers sieve gsum alone, and norm is None: the norms are 1..X.
-    Every other system returns the frontier's columns as they come, in
-    level order (omega ascending), unsorted by norm.
-    """
-    _check_x(system, X)
-    primes = prime_norms(system, X)
+def gsum_column(system: PrimeSystem, X: int, g) -> MonoidTable:
+    """The table at X with norm and gsum alone, its rows a multiset: on the
+    integers a sieve of gsum alone, their norms implicit, elsewhere the
+    frontier's columns as they come, in level order."""
+    primes, total = _prepare(system, X)
     if isinstance(system, Integers):
-        return None, _gsum_sieve(primes, X, g)[1:]
-    norm, _, gsum = _frontier(primes, X, g, _closed_count(system, X))
-    return norm, gsum
+        return MonoidTable(None, None, _sieve(primes, X, g.values(primes))[1:])
+    norm, _, gsum = _frontier(primes, X, g, total)
+    return MonoidTable(norm, None, gsum)
 
 
-def _closed_count(system: PrimeSystem, X: int) -> int | None:
-    """The frontier's element count at X in closed form, None on Beurling
+def _prepare(system: PrimeSystem, X: int) -> tuple[np.ndarray, int | None]:
+    """The X caps, checked before anything is allocated; then the prime
+    norms <= X and the element count at X in closed form, None on Beurling
     systems, which have none."""
-    return None if isinstance(system, Beurling) else element_counter(system, X)(X)
+    _check_x(system, X)
+    primes = prime_norms(system, X)
+    return primes, None if isinstance(system, Beurling) else element_counter(system, X)(X)
 
 
 def _check_x(system: PrimeSystem, X: int) -> None:
@@ -175,32 +198,16 @@ def _check_x(system: PrimeSystem, X: int) -> None:
 
 def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table of 1..X from the rational primes <= X."""
-    omega = _omega_sieve(primes, X)
-    gsum = _gsum_sieve(primes, X, g)
-    norm = np.arange(1, X + 1, dtype=np.uint64)
-    return norm, omega[1:].astype(np.uint32), gsum[1:]
+    omega = _sieve(primes, X, None)
+    gsum = _sieve(primes, X, g.values(primes))
+    return np.arange(1, X + 1, dtype=np.uint64), omega[1:], gsum[1:]
 
 
-def _omega_sieve(primes: np.ndarray, X: int) -> np.ndarray:
-    """omega(n) at index n of a uint8 array over 0..X, from the rational
-    primes <= X. No n below 23# = 223,092,870, above the sieve's cap, has
-    more than 8 prime factors."""
-    omega = np.zeros(X + 1, dtype=np.uint8)
-    _sieve_add(omega, primes, X, None)
-    return omega
-
-
-def _gsum_sieve(primes: np.ndarray, X: int, g) -> np.ndarray:
-    """gsum(n) at index n of a float64 array over 0..X, summed in ascending
-    prime order."""
-    gsum = np.zeros(X + 1, dtype=np.float64)
-    _sieve_add(gsum, primes, X, g.values(primes))
-    return gsum
-
-
-def _sieve_add(col: np.ndarray, primes: np.ndarray, X: int, vals: np.ndarray | None) -> None:
-    """col[n] += vals[i] for every prime primes[i] dividing n <= X, in
-    ascending order of i; vals None adds 1 per prime."""
+def _sieve(primes: np.ndarray, X: int, vals: np.ndarray | None) -> np.ndarray:
+    """Entry n, over 0..X, sums vals[i] over the primes primes[i] dividing
+    n in ascending order of i, in float64; with vals None it counts them,
+    omega(n), in uint8, as no n below 23# = 223,092,870 has 9."""
+    col = np.zeros(X + 1, dtype=np.uint8 if vals is None else np.float64)
     # primes up to sqrt(X), ascending: one strided add per prime
     k = int(primes.searchsorted(math.isqrt(X), "right"))
     small = [1] * k if vals is None else vals[:k].tolist()
@@ -215,16 +222,15 @@ def _sieve_add(col: np.ndarray, primes: np.ndarray, X: int, vals: np.ndarray | N
         for m in range(1, X // int(large[0]) + 1):
             j = int(large.searchsorted(X // m, "right"))
             col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
+    return col
 
 
 def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple[np.ndarray, ...]:
-    """The frontier's columns sorted by (norm, omega, gsum), omega widened
-    to uint32 after the gather."""
+    """The frontier's columns sorted by (norm, omega, gsum)."""
     columns = list(_frontier(P, X, g, total))
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
     for k in range(len(columns)):  # one sorted copy alive at a time
         columns[k] = columns[k][order]
-    columns[1] = columns[1].astype(np.uint32)
     return tuple(columns)
 
 

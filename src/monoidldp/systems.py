@@ -18,8 +18,8 @@ Nothing is cached, not even primes_upto, the rational primes up to X that
 the integers and the quadratic fields both read. On a quadratic field the
 Kronecker symbol (D/p) is chi_D(p), and chi_D is a character mod |D|: each
 prime's symbol is read from _kronecker_table(D) at p mod |D|, the table the
-closed-form ideal counts read too. _kronecker, the one implementation of the
-symbol, builds that table from the primes below |D|.
+closed-form ideal counts read too, and the one implementation of the
+symbol: it takes (D/p) at the primes below |D|, at most 25 of them.
 
 Four systems are provided:
 
@@ -229,37 +229,20 @@ def _is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def _kronecker(D: int, p: np.ndarray) -> np.ndarray:
-    """The Kronecker symbol (D/p) for an int64 array of rational primes.
-
-    Odd p use Euler's criterion, r^((p-1)/2) mod p by square-and-multiply
-    in int64; every product is below p^2, so this is exact while
-    p^2 < 2^63. (D/2) is 0 for even D, else 1 or -1 as D = +-1 or +-3
-    mod 8.
-    """
-    r = D % p
-    result = np.ones_like(p)
-    base, e = r, (p - 1) // 2
-    while e.any():
-        result = np.where(e & 1, result * base % p, result)
-        base = base * base % p
-        e >>= 1
-    chi = np.where(result == 1, 1, -1)
-    chi[r == 0] = 0
-    if D % 2:
-        chi[p == 2] = 1 if D % 8 in (1, 7) else -1
-    return chi
-
-
 def _kronecker_table(D: int) -> np.ndarray:
     """chi_D(n) for n = 0..|D| - 1, int64: the Kronecker symbol (D/n), a
     character mod |D| for a fundamental discriminant D, extended
-    completely multiplicatively from _kronecker at the primes below |D|."""
+    completely multiplicatively from (D/p) at the primes p below |D|:
+    (D/2) is 0 for even D, else 1 or -1 as D = +-1 or +-3 mod 8, and at
+    odd p Euler's criterion gives D^((p-1)/2) = 0, 1 or -1 mod p."""
     m = abs(D)
     chi = np.ones(m, dtype=np.int64)
     chi[0] = 0  # gcd(|D|, D) > 1
-    primes = primes_upto(m - 1)
-    for p, c in zip(primes.tolist(), _kronecker(D, primes).tolist()):
+    for p in primes_upto(m - 1).tolist():
+        if p == 2:
+            c = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+        else:  # p - 1 read as -1
+            c = (pow(D, (p - 1) // 2, p) + 1) % p - 1
         pk = p
         while pk < m:  # every power of p multiplies in c once more
             chi[pk::pk] *= c

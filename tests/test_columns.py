@@ -83,7 +83,7 @@ LDP_CASES = [(X, block, g) for X, block in CASES for g in (RESIDUE, Omega())
 @pytest.mark.parametrize("X,block", CASES)
 def test_blocked_ek_matches_the_full_table(monkeypatch, X, block):
     want = _hex(_ek_oracle(Integers(), X))
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
     assert _hex(ek_report(Integers(), X)) == want
 
 
@@ -91,7 +91,7 @@ def test_blocked_ek_matches_the_full_table(monkeypatch, X, block):
 def test_blocked_ldp_scan_matches_the_full_table(monkeypatch, X, block, g):
     grid = sorted({3, X // 7 + 3, X // 2 + 1, X})
     want = [_hex(r) for r in _ldp_oracle(Integers(), g, grid, INTERVALS, RHO)]
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
     assert [_hex(r) for r in ldp_scan(Integers(), g, grid, INTERVALS, RHO)] == want
 
 
@@ -104,9 +104,41 @@ def test_blocked_reductions_on_the_frontier(monkeypatch, system, X, block):
     want_ek = _hex(_ek_oracle(system, X, min_norm=5))
     grid = [16, X // 3, X]
     want_ldp = [_hex(r) for r in _ldp_oracle(system, RESIDUE, grid, INTERVALS, RHO)]
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
     assert _hex(ek_report(system, X, min_norm=5)) == want_ek
     assert [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)] == want_ldp
+
+
+def _rows(table, lo, hi) -> list[tuple[int, float]]:
+    """The (norm, gsum) rows that table.blocks yields, in order, checking
+    each block's size and dtypes on the way."""
+    rows = []
+    for norms, vals in table.blocks(table.gsum, lo, hi):
+        assert norms.dtype == np.uint64 and vals.dtype == np.float64
+        assert norms.size == vals.size <= monoid._BLOCK_ROWS
+        rows += zip(norms.tolist(), vals.tolist())
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**16])
+def test_blocks_read_implicit_and_explicit_norms_alike(monkeypatch, block):
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
+    count = 50
+    values = np.random.default_rng(0).random(count)
+    norm = np.arange(1, count + 1, dtype=np.uint64)
+    # explicit norms may come in any order, and the rows keep it
+    order = np.random.default_rng(1).permutation(count)
+    cases = [(monoid.MonoidTable(None, None, values), norm),
+             (monoid.MonoidTable(norm, None, values), norm),
+             (monoid.MonoidTable(norm[order], None, values[order]), norm[order])]
+    for lo in (1, 2, count, count + 1):
+        for hi in (None, 0, 1, count - 1, count, count + 5):
+            top = count if hi is None else hi
+            for table, norms in cases:
+                assert table.count == count
+                want = [(n, v) for n, v in zip(norms.tolist(), table.gsum.tolist())
+                        if lo <= n <= top]
+                assert _rows(table, lo, hi) == want, (table.norm is None, lo, hi)
 
 
 @pytest.mark.parametrize("system", [
@@ -115,11 +147,14 @@ def test_blocked_reductions_on_the_frontier(monkeypatch, system, X, block):
 def test_columns_are_the_tables_columns(system):
     X = 3000
     table = enumerate_monoid(system, X, RESIDUE)
-    norm, omega, primes = omega_column(system, X)
-    g_norm, gsum = gsum_column(system, X, RESIDUE)
-    if isinstance(system, Integers):
+    o_table, primes = omega_column(system, X)
+    g_table = gsum_column(system, X, RESIDUE)
+    assert o_table.gsum is None and g_table.omega is None
+    assert o_table.count == g_table.count == table.count
+    norm, omega, g_norm, gsum = o_table.norm, o_table.omega, g_table.norm, g_table.gsum
+    assert omega.dtype == np.uint8
+    if isinstance(system, Integers):  # the norms are implicit, 1..X
         assert norm is None and g_norm is None
-        assert omega.dtype == np.uint8
         norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
     else:  # the frontier's rows as built, in level order
         f_norm, f_omega, f_gsum = monoid._frontier(primes, X, RESIDUE)
@@ -161,13 +196,13 @@ def test_ek_matches_the_sorted_table(monkeypatch, system, X, min_norm, block):
     """Rows of norm < min_norm lie scattered through the level-ordered
     columns, so with 7-row blocks most blocks keep only some rows."""
     want = _hex(_ek_oracle(system, X, min_norm))
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
     assert _hex(ek_report(system, X, min_norm)) == want
 
 
 @pytest.mark.parametrize("system,X", FRONTIER_EK, ids=lambda v: getattr(v, "key", v))
 def test_ek_above_every_norm_is_an_empty_sample(monkeypatch, system, X):
-    monkeypatch.setattr(experiments, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(monoid, "_BLOCK_ROWS", 7)
     with pytest.raises(EmptySample):
         ek_report(system, X, min_norm=X + 1)
 
@@ -180,13 +215,13 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
     want = _hex(ek_report(system, X, min_norm))
 
     def shuffled(system, X):
-        norm, omega, primes = omega_column(system, X)
-        order = np.random.default_rng(seed).permutation(omega.size)
-        return norm[order], omega[order], primes
+        table, primes = omega_column(system, X)
+        order = np.random.default_rng(seed).permutation(table.count)
+        return monoid.MonoidTable(table.norm[order], table.omega[order], None), primes
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "omega_column", shuffled)
-        mp.setattr(experiments, "_BLOCK_ROWS", block)
+        mp.setattr(monoid, "_BLOCK_ROWS", block)
         assert _hex(ek_report(system, X, min_norm)) == want
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import gfpoly
 from monoidldp.errors import ParameterError
 from monoidldp.gfpoly import (
-    GF,
     SUPPORTED_Q,
     field,
     irreducible_indices,
@@ -34,10 +33,17 @@ def monic_label(q: int, degree: int, index: int) -> str:
     return monic_labels(q, degree, (index,))[0]
 
 
-def poly_mul(gf: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficient convolution over GF(q); inputs low-to-high."""
+def tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """field(q)'s (add, mul) as nested lists, for the scalar oracles."""
+    add, mul = field(q)
+    return add.tolist(), mul.tolist()
+
+
+def poly_mul(gf, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficient convolution over GF(q), gf being tables(q); inputs
+    low-to-high."""
     out = [0] * (len(a) + len(b) - 1)
-    add, mul = gf.add, gf.mul
+    add, mul = gf
     for i, ai in enumerate(a):
         if ai:
             row = mul[ai]
@@ -49,21 +55,24 @@ def poly_mul(gf: GF, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_field_axioms_exhaustive(q):
-    gf = field(q)
+    for table in field(q):
+        assert table.dtype == np.uint8 and table.shape == (q, q)
+        assert not table.flags.writeable  # the cache hands it to every caller
+    add, mul = tables(q)
     els = range(q)
     for a in els:
-        assert gf.add[a][0] == a
-        assert gf.mul[a][1] == a
-        assert gf.mul[a][0] == 0
-        if a:
-            assert gf.mul[a][gf.inv[a]] == 1
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert mul[a][0] == 0
+        if a:  # a unique inverse
+            assert mul[a].count(1) == 1
         for b in els:
-            assert gf.add[a][b] == gf.add[b][a]
-            assert gf.mul[a][b] == gf.mul[b][a]
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
             for c in els:
-                assert gf.add[gf.add[a][b]][c] == gf.add[a][gf.add[b][c]]
-                assert gf.mul[gf.mul[a][b]][c] == gf.mul[a][gf.mul[b][c]]
-                assert gf.mul[a][gf.add[b][c]] == gf.add[gf.mul[a][b]][gf.mul[a][c]]
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_field_rejects_unsupported_q():
@@ -77,14 +86,12 @@ def test_field_rejects_unsupported_q():
 
 
 def _neg_table(gf):
-    neg = [0] * gf.q
-    for a in range(gf.q):
-        neg[a] = next(b for b in range(gf.q) if gf.add[a][b] == 0)
-    return neg
+    return [row.index(0) for row in gf[0]]
 
 
 def _poly_rem(gf, neg, num, den):
     """Remainder of num modulo den (both low-to-high, den monic)."""
+    add, mul = gf
     num = list(num)
     dd = len(den) - 1
     for top in range(len(num) - 1, dd - 1, -1):
@@ -93,7 +100,7 @@ def _poly_rem(gf, neg, num, den):
             continue
         # den is monic, so the quotient digit is c itself
         for j in range(dd + 1):
-            num[top - dd + j] = gf.add[num[top - dd + j]][neg[gf.mul[c][den[j]]]]
+            num[top - dd + j] = add[num[top - dd + j]][neg[mul[c][den[j]]]]
     return num[:dd]
 
 
@@ -117,7 +124,7 @@ def _is_irreducible_by_division(gf, neg, q, n, index):
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_irreducibles_match_long_division_oracle(q):
-    gf = field(q)
+    gf = tables(q)
     neg = _neg_table(gf)
     for n in range(1, _max_degree(q, 1024) + 1):
         oracle = tuple(
@@ -180,7 +187,7 @@ def test_monic_coeffs_roundtrip():
     data=st.data(),
 )
 def test_poly_mul_commutes_and_adds_degrees(q, data):
-    gf = field(q)
+    gf = tables(q)
     deg = st.integers(min_value=0, max_value=4)
     da, db = data.draw(deg), data.draw(deg)
     coeff = st.integers(min_value=0, max_value=q - 1)

@@ -155,11 +155,12 @@ def test_table_column_dtypes():
                   lambda X: _frontier_table(primes_upto(X), X, Omega()),
                   lambda X: _frontier_table(prime_norms(QuadraticField(-4), X), X, Omega())):
         for X in (1, 1000):
-            assert [col.dtype for col in build(X)] == [np.uint64, np.uint32, np.float64]
-    # the omega column alone is one byte per element on every system
+            assert [col.dtype for col in build(X)] == [np.uint64, np.uint8, np.float64]
+    # omega is one byte per element in every table, on every system
     for system in (Integers(), QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))):
         for X in (1, 1000):
-            assert omega_column(system, X)[1].dtype == np.uint8
+            assert omega_column(system, X)[0].omega.dtype == np.uint8
+            assert enumerate_monoid(system, X, Omega()).omega.dtype == np.uint8
 
 
 def _reference_table(system, X, g):
@@ -182,7 +183,7 @@ def _reference_table(system, X, g):
 
     rec(0, 1, 0, 0.0)
     norm, omega, gsum = (np.array(col, dtype=dtype)
-                         for col, dtype in zip(zip(*rows), (np.uint64, np.uint32, np.float64)))
+                         for col, dtype in zip(zip(*rows), (np.uint64, np.uint8, np.float64)))
     order = np.lexsort((gsum, omega, norm))
     return norm[order], omega[order], gsum[order]
 
@@ -243,7 +244,7 @@ def test_exact_columns_never_grow(monkeypatch, system):
     for X in (1, 2, 4, 1000, 5000):
         total = element_counter(system, X)(X)
         assert enumerate_monoid(system, X, g).count == total
-        assert omega_column(system, X)[0].size == gsum_column(system, X, g)[0].size == total
+        assert omega_column(system, X)[0].count == gsum_column(system, X, g).count == total
     # a Beurling system has no closed form, so its columns do grow
     with pytest.raises(AssertionError, match="must not run"):
         omega_column(Beurling((2, 3, 5, 7)), 10**6)

@@ -17,7 +17,6 @@ from monoidldp.systems import (
     PolyOverFq,
     QuadraticField,
     _is_fundamental_discriminant,
-    _kronecker,
     _kronecker_table,
     density_fit,
     list_primes,
@@ -110,6 +109,30 @@ def kronecker_at_prime(D, p):
         return 0
     # Euler's criterion
     return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def _kronecker(D, p):
+    """The Kronecker symbol (D/p) for an int64 array of rational primes:
+    the Euler-criterion oracle of _kronecker_table, which reads chi_D mod
+    |D|.
+
+    Odd p use Euler's criterion, r^((p-1)/2) mod p by square-and-multiply
+    in int64; every product is below p^2, so this is exact while
+    p^2 < 2^63. (D/2) is 0 for even D, else 1 or -1 as D = +-1 or +-3
+    mod 8.
+    """
+    r = D % p
+    result = np.ones_like(p)
+    base, e = r, (p - 1) // 2
+    while e.any():
+        result = np.where(e & 1, result * base % p, result)
+        base = base * base % p
+        e >>= 1
+    chi = np.where(result == 1, 1, -1)
+    chi[r == 0] = 0
+    if D % 2:
+        chi[p == 2] = 1 if D % 8 in (1, 7) else -1
+    return chi
 
 
 def _jacobi(a, n):
