@@ -11,7 +11,6 @@ from .additive import (
     DiscreteMeasure,
     NormResidue,
     Omega,
-    TableLookup,
     check_convergence,
     exp_moment,
     rho_X,

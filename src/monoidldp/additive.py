@@ -2,13 +2,12 @@
 
 A strongly additive g is determined by its values on primes: g of a product
 of prime powers is the sum of g(p) over the distinct primes p dividing it.
-Three rules are supported, all with finitely many distinct values, all
+Two rules are supported, both with finitely many distinct values, all
 finite and all non-negative (the large-deviation machinery downstream
 assumes a measure supported on [0, inf)):
 
   Omega                g(p) = 1, the distinct-prime-divisor count
   NormResidue(m,R,..)  g(p) = value_in when N(p) mod m lands in R, else value_out
-  TableLookup          explicit norm -> value map with a default
 
 Each rule reads only a prime's norm, and g has one evaluation path:
 values(norms), a float64 array of g over an array of prime norms. The
@@ -26,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class Omega:
         return np.ones(len(norms))
 
 
-def _check_values(values) -> None:
-    # NaN fails both comparisons
-    if not all(0 <= v < math.inf for v in values):
-        raise ParameterError("prime values must be finite and non-negative")
-
-
 @dataclass(frozen=True)
 class NormResidue:
     modulus: int
@@ -60,7 +53,9 @@ class NormResidue:
         if self.modulus < 1:
             raise ParameterError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "residues", frozenset(int(r) % self.modulus for r in self.residues))
-        _check_values((self.value_in, self.value_out))
+        # NaN fails both comparisons
+        if not all(0 <= v < math.inf for v in (self.value_in, self.value_out)):
+            raise ParameterError("prime values must be finite and non-negative")
 
     @property
     def key(self) -> str:
@@ -72,38 +67,7 @@ class NormResidue:
         return np.where(inside, float(self.value_in), float(self.value_out))
 
 
-@dataclass(frozen=True)
-class TableLookup:
-    table: tuple[tuple[int, float], ...]
-    default: float = 0.0
-
-    def __post_init__(self):
-        if isinstance(self.table, Mapping):
-            object.__setattr__(self, "table", tuple(sorted(self.table.items())))
-        _check_values([self.default, *(v for _, v in self.table)])
-        first: dict[int, float] = {}
-        for n, v in self.table:
-            first.setdefault(n, v)  # the first entry for a norm wins
-        # values() searches the keys a norm can equal: integers below 2^63
-        keys = sorted(n for n in first if n == int(n) < 2**63)
-        object.__setattr__(self, "_keys", np.array([int(n) for n in keys], dtype=np.int64))
-        object.__setattr__(self, "_vals", np.array([float(first[n]) for n in keys]))
-
-    @property
-    def key(self) -> str:
-        body = ",".join(f"{n}={v:.12g}" for n, v in self.table)
-        return f"table:{body}:default={self.default:.12g}"
-
-    def values(self, norms: np.ndarray) -> np.ndarray:
-        out = np.full(len(norms), float(self.default))
-        if self._keys.size:
-            i = np.minimum(self._keys.searchsorted(norms), self._keys.size - 1)
-            hit = self._keys[i] == norms
-            out[hit] = self._vals[i[hit]]
-        return out
-
-
-AdditiveFunction = Omega | NormResidue | TableLookup
+AdditiveFunction = Omega | NormResidue
 
 
 @dataclass(frozen=True)

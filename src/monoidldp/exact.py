@@ -123,7 +123,7 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
     primes = prime_norms(system, X)
     norms = primes.tolist()
-    count = element_counter(system, X, primes)
+    count = element_counter(system, X)
     best = 0  # the numerator of the largest ratio
     witness: tuple[int, ...] = ()  # indices into norms
     examined = 0

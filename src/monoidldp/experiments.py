@@ -44,7 +44,6 @@ from .monoid import MonoidTable, element_counter, gsum_column, omega_column
 from .rate import rate
 from .systems import (
     PrimeSystem,
-    _density_grid,
     density_fit,
     mertens_sum,
     prime_count_check,
@@ -344,9 +343,8 @@ def condition_sweep(
     if min(X_list) < 3:
         raise ParameterError("condition_sweep needs every X >= 3")
 
-    _density_grid(system, X_list)  # the whole grid, before any prime is built
+    fit = density_fit(system, X_list)  # checks the whole grid before it builds anything
     norms = prime_norms(system, max(X_list))
-    fit = density_fit(system, X_list, norms)
     density = {
         "flag": "FAILED" if fit.status == "FAILED" else "PASS",
         "status": fit.status,

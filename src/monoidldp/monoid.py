@@ -344,9 +344,7 @@ def _check_budget(at_least: int) -> None:
         )
 
 
-def element_counter(
-    system: PrimeSystem, X: int, primes: np.ndarray | None = None
-) -> Callable[[int], int]:
+def element_counter(system: PrimeSystem, X: int) -> Callable[[int], int]:
     """count(y), the number of elements of norm <= y, for every 1 <= y <= X.
 
     Every system but Beurling answers in closed form and holds no element:
@@ -354,12 +352,10 @@ def element_counter(
     whose elements are the ideals, with sum_{d <= y} chi_D(d) floor(y/d)
     by the hyperbola method (_quad_counter). These take X up to
     _MAX_X_COUNT. A Beurling system is enumerated once at X by the
-    frontier, norms only and under its caps, and answers from the sorted
-    norm column, which stays in memory (8 bytes per element) while the
-    counter lives; primes, when given, are the caller's
-    prime_norms(system, X') at some X' >= X, read up to X instead of
-    building the list again, and are read on Beurling systems only.
-    Results for y > X are not counts.
+    frontier, norms only and under its caps, over the system's presorted
+    norms up to X, and answers from the sorted norm column, which stays
+    in memory (8 bytes per element) while the counter lives. Results for
+    y > X are not counts.
     """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
@@ -367,9 +363,7 @@ def element_counter(
         return int
     if isinstance(system, Beurling):
         _check_x(system, X)
-        if primes is None:
-            primes = prime_norms(system, X)
-        norm = _frontier(primes[: primes.searchsorted(X, "right")], X, None)[0]
+        norm = _frontier(prime_norms(system, X), X, None)[0]
         norm.sort()
         # a Python int would promote the whole uint64 column on every lookup
         return lambda y: int(norm.searchsorted(np.uint64(y), "right"))

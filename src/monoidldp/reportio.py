@@ -207,16 +207,6 @@ def round12(obj: Any, exact: bool = False) -> Any:
     numerically identical to the CSV view of the same report, or stay as
     they are when exact is set.
     """
-    # exact types first: NumPy scalars and subclasses take the isinstance chain
-    kind = type(obj)
-    if kind is int or kind is str or kind is bool or obj is None:
-        return obj
-    if kind is float and math.isfinite(obj):
-        return obj if exact else float(fmt(obj))
-    if kind is dict:
-        return {k: round12(v, exact) for k, v in obj.items()}
-    if kind is list:
-        return [round12(v, exact) for v in obj]
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return fmt(obj)

@@ -15,7 +15,8 @@ BudgetExceeded above X = 1e8, the ceiling of the integer sieve, on every
 system and before anything is built.
 
 Nothing is cached, not even primes_upto, the rational primes up to X that
-the integers and the quadratic fields both read. On a quadratic field the
+the integers and the quadratic fields both read; a Beurling system holds
+its own norms, sorted once when it is built. On a quadratic field the
 Kronecker symbol (D/p) is chi_D(p), and chi_D is a character mod |D|: each
 prime's symbol is read from _kronecker_table(D) at p mod |D|, the table the
 closed-form ideal counts read too, and the one implementation of the
@@ -29,7 +30,9 @@ Four systems are provided:
                   only labels run the irreducible sieve
   QuadraticField  prime ideals of Q(sqrt(D)) for a fundamental discriminant
                   D, |D| <= 100, split per the Kronecker symbol (D/p)
-  Beurling        an explicit norm sequence from a file or inline tuple
+  Beurling        an explicit norm sequence from a file or inline tuple;
+                  prime_norms copies a prefix of the presorted norms, one
+                  searchsorted and no sort per call
 
 The module also carries the counting diagnostics used to probe the axioms
 at finite X: a linear-density fit for "count = aX + O(X^b)", the Chebyshev
@@ -152,6 +155,9 @@ class Beurling:
         for n in self.norms:
             if not isinstance(n, int) or n < 2:
                 raise SourceError(f"Beurling norms must be integers >= 2, got {n!r}")
+        # sorted once; no X above the sieve's cap is read
+        object.__setattr__(self, "_sorted", np.sort(np.array(
+            [n for n in self.norms if n <= _MAX_X_SIEVE], dtype=np.int64)))
 
     @classmethod
     def from_file(cls, path: str) -> "Beurling":
@@ -178,7 +184,7 @@ class Beurling:
         return f"beurling:{self.source}"
 
     def _norms(self, X: int) -> np.ndarray:
-        return np.sort(np.array([n for n in self.norms if n <= X], dtype=np.int64))
+        return self._sorted[: self._sorted.searchsorted(X, "right")].copy()
 
     def _labels(self, X: int, norms: np.ndarray) -> list[str]:
         # the i-th norm of the source is beurling#i; in (norm, label) order,
@@ -284,20 +290,17 @@ class DensityFit:
     unsupported: tuple[int, ...] = dc_field(default_factory=tuple)
 
 
-def density_fit(
-    system: PrimeSystem, grid: Sequence[int], primes: np.ndarray | None = None
-) -> DensityFit:
+def density_fit(system: PrimeSystem, grid: Sequence[int]) -> DensityFit:
     """Fit count(X) = a*X + O(X^b) over a strictly increasing grid.
 
     The counts come from one element counter at the largest supported
-    threshold; every supported threshold must be >= 1. primes, when given,
-    are the caller's prime_norms at the grid's largest X or above; only a
-    Beurling counter reads them.
+    threshold; every supported threshold must be >= 1. The whole grid is
+    checked before the counter is built.
     """
     from .monoid import element_counter
 
     grid, unsupported = _density_grid(system, grid)
-    count = element_counter(system, grid[-1], primes)
+    count = element_counter(system, grid[-1])
     counts = [count(x) for x in grid]
     a_hat = counts[-1] / grid[-1]
     residuals = [(x, c - a_hat * x) for x, c in zip(grid, counts)]

@@ -3,7 +3,6 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +10,6 @@ from monoidldp.additive import (
     DiscreteMeasure,
     NormResidue,
     Omega,
-    TableLookup,
     check_convergence,
     exp_moment,
     rho_X,
@@ -52,39 +50,6 @@ def test_norm_residue_validation():
             NormResidue(4, frozenset({1}), bad, 1.0)
         with pytest.raises(ParameterError, match="finite"):
             NormResidue(4, frozenset({1}), 1.0, bad)
-
-
-def test_table_lookup_rule():
-    g = TableLookup(((2, 3.0), (5, 0.25)), default=1.0)
-    vals = g.values(prime_norms(Integers(), 11)).tolist()
-    assert vals == [3.0, 1.0, 0.25, 1.0, 1.0]
-    assert g.key == "table:2=3,5=0.25:default=1"
-
-
-def test_table_lookup_first_entry_wins():
-    # a tuple table may name a norm twice; the first entry is the one that counts
-    g = TableLookup(((7, 0.5), (3, 1.5), (7, 2.0), (3, 0.0)), default=0.25)
-    vals = g.values(prime_norms(Integers(), 11)).tolist()
-    assert vals == [0.25, 1.5, 0.25, 0.5, 0.25]
-    assert g.values(np.array([2, 3, 5, 7, 11, 13])).tolist() == [0.25, 1.5, 0.25, 0.5, 0.25, 0.25]
-
-
-def test_table_lookup_accepts_mapping():
-    g = TableLookup({5: 0.25, 2: 3.0})
-    assert g.table == ((2, 3.0), (5, 0.25))
-    assert g.default == 0.0
-
-
-def test_table_lookup_validation():
-    with pytest.raises(ParameterError):
-        TableLookup(((2, -1.0),))
-    with pytest.raises(ParameterError):
-        TableLookup((), default=-0.1)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ParameterError, match="finite"):
-            TableLookup(((2, bad),))
-        with pytest.raises(ParameterError, match="finite"):
-            TableLookup((), default=bad)
 
 
 def test_discrete_measure_validation():

@@ -47,6 +47,8 @@ CASES = [
     ("count-quad-residue", ["count", "--system", "quad:-4", "--limit", "120",
                             "--g", "residue:4:1:1:0.5"], BOTH),
     ("count-poly2", ["count", "--system", "poly:2", "--limit", "64"], BOTH),
+    # 1,140 rows: more than the frontier's first allocation, so its columns grow
+    ("count-beurling", ["count", "--system", "beurling:norms.txt", "--limit", "200000"], BOTH),
     ("density-integers", ["density", "--grid", "geom:100:10000:4"], BOTH),
     ("density-poly-unsupported", ["density", "--system", "poly:2",
                                   "--grid", "1,2,3,4,8"], BOTH),
@@ -61,6 +63,8 @@ CASES = [
     ("expect-beurling-repeated", ["expect", "--system", "beurling:norms.txt",
                                   "--limit", "100", "--primes", "2,2,2"], BOTH),
     ("dominate", ["dominate", "--limit", "50", "--kmax", "2"], BOTH),
+    ("dominate-beurling", ["dominate", "--system", "beurling:norms.txt",
+                           "--limit", "1000", "--kmax", "3"], BOTH),
     ("mgf-gap", ["mgf-gap", "--grid", "100,1000"], BOTH),
     ("mgf-gap-log-space", ["mgf-gap", "--grid", "100,1000", "--theta", "300"], BOTH),
     # B holds primes of equal norm (split primes, irreducibles of one degree)
@@ -82,6 +86,9 @@ CASES = [
                            "--intervals=-inf:1,1:1.5,1.5:inf"], BOTH),
     ("ldp-scan-residue", ["ldp-scan", "--g", "residue:3:1:1:0", "--rho", "rho.json",
                           "--grid", "200"], BOTH),
+    # the frontier's gsum column
+    ("ldp-scan-quad", ["ldp-scan", "--system", "quad:-4", "--g", "residue:4:1:2:0.5",
+                       "--grid", "100,1000,10000", "--intervals", "0:1,1:1.5,1.5:inf"], BOTH),
     ("sweep", ["sweep", "--grid", "geom:100:10000:4"], BOTH),
     ("sweep-beurling-failed", ["sweep", "--system", "beurling:norms.txt",
                                "--grid", "10,100,1000,10000"], BOTH),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidldp import monoid
-from monoidldp.additive import NormResidue, Omega, TableLookup
+from monoidldp.additive import NormResidue, Omega
 from monoidldp.cli import main
 from monoidldp.errors import BudgetExceeded, MonoidLdpError, ParameterError
 from monoidldp.gfpoly import SUPPORTED_Q
@@ -49,6 +49,17 @@ def test_beurling_23_elements():
     assert np.bincount(t.omega).tolist() == [1, 5, 2]
 
 
+class NormTable:
+    """g(p) = table[N(p)], default off the table: an arbitrary g for the
+    oracles, a rule that no command builds."""
+
+    def __init__(self, table, default=0.0):
+        self.table, self.default = dict(table), default
+
+    def values(self, norms):
+        return np.array([self.table.get(n, self.default) for n in norms.tolist()], dtype=float)
+
+
 def scalar_g(g, norm):
     """g at one prime of this norm, each rule written out one prime at a
     time: the reference that the array evaluation g.values must match."""
@@ -56,14 +67,13 @@ def scalar_g(g, norm):
         return 1.0
     if isinstance(g, NormResidue):
         return g.value_in if norm % g.modulus in g.residues else g.value_out
-    # a table may name a norm twice; the first entry wins
-    return next((v for n, v in g.table if n == norm), g.default)
+    return g.table.get(norm, g.default)
 
 
 def _restricted_to_two_primes():
     # a residue g kept on the norms 3 and 97 only, zero on every other prime
     g = NormResidue(3, frozenset({2}), 0.1, 0.7)
-    return TableLookup({n: scalar_g(g, n) for n in (3, 97)})
+    return NormTable({n: scalar_g(g, n) for n in (3, 97)})
 
 
 # every kind of g the integer sieve meets: constant and not, non-dyadic
@@ -72,7 +82,7 @@ SIEVE_GS = {
     "omega": Omega(),
     "residue-3-2": NormResidue(3, frozenset({2}), 0.1, 0.7),
     "residue-int-values": NormResidue(4, frozenset({1}), 2, 1),
-    "table": TableLookup(((2, 0.3), (7, 1.1), (97, 0.0), (101, 2.5)), default=0.2),
+    "table": NormTable({2: 0.3, 7: 1.1, 97: 0.0, 101: 2.5}, default=0.2),
     "zero": NormResidue(4, frozenset({1}), 0.0, 0.0),
     "restricted": _restricted_to_two_primes(),
 }
@@ -109,7 +119,7 @@ def test_table_at_smaller_x_is_a_prefix(system):
     # count's table at X is a prefix of the table at any larger X, as is the
     # integers' gsum column for ldp_scan; g here is constant on the primes
     # up to 40000 only
-    g = TableLookup(((40009, 0.7),), default=0.1)
+    g = NormTable({40009: 0.7}, default=0.1)
     big = enumerate_monoid(system, 50_000, g)
     for X in (1, 30030, 40009):
         small = enumerate_monoid(system, X, g)
@@ -117,6 +127,20 @@ def test_table_at_smaller_x_is_a_prefix(system):
         assert np.array_equal(big.norm[:total], small.norm)
         assert np.array_equal(big.omega[:total], small.omega)
         assert np.array_equal(big.gsum[:total], small.gsum)
+
+
+@pytest.mark.parametrize("g", [Omega(), NormResidue(3, frozenset({2}), 0.1, 0.7)],
+                         ids=lambda g: g.key)
+def test_beurling_over_the_rational_primes_is_the_integers(g):
+    # the frontier over the rational primes, given as Beurling norms, against
+    # the integer sieve, byte for byte
+    X = 10**5
+    beurling = enumerate_monoid(Beurling(tuple(primes_upto(X).tolist())), X, g)
+    integers = enumerate_monoid(Integers(), X, g)
+    for a, b in zip((beurling.norm, beurling.omega, beurling.gsum),
+                    (integers.norm, integers.omega, integers.gsum)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SIEVE_GS))

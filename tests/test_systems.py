@@ -322,6 +322,19 @@ def test_list_primes_sorted_and_immutable():
         assert list_primes(system, 100)[1] == again_labels
 
 
+def test_beurling_prime_norms_are_fresh_prefixes():
+    # the norms are sorted once, when the system is built; each call copies
+    # the prefix up to X, so writing to one result changes no later one.
+    # X = 2 is below the smallest norm, 3 a repeated norm, 1e8 above the
+    # largest; a norm past the sieve's cap is never read
+    system = Beurling((7, 3, 5, 2**70, 3, 11, 3))
+    for X, want in ((2, []), (3, [3, 3, 3]), (10**8, [3, 3, 3, 5, 7, 11])):
+        norms = prime_norms(system, X)
+        assert norms.dtype == np.int64 and norms.tolist() == want
+        norms[:] = -1
+        assert prime_norms(system, X).tolist() == want
+
+
 ALL_FUNDAMENTAL = [D for D in range(-100, 101) if _is_fundamental_discriminant(D)]
 
 
