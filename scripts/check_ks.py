@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Check the block-bounded KS maxima of `ek` against full arrays.
+"""Check the binned KS maxima of `ek` against the full sorted sample.
 
-experiments._ks_maxima takes Phi only at the end points of blocks of the
-sorted sample and inside the blocks that can hold a maximum. This compares
-both maxima, bit for bit, with the full-array computation: scipy's ndtr
-over every element and the step arrays (i+1)/n and i/n. It runs `ek`'s
-sample (min_norm 3) on the integers at every power of ten from 1e3 up to N
-and at N, and on quad:-4 and poly:2 the same up to min(N, 1e6). It prints
-one line per system and X and exits 1 on the first mismatch. scipy must be
-installed; the package itself never imports it.
+experiments._ks_bins counts `ek`'s statistic into bins, and
+experiments._ks_maxima takes Phi only at the bin edges and at the values
+of the bins that can hold a maximum. This compares both maxima, bit for
+bit, with the full-array computation: the whole statistic, built and
+sorted here, scipy's ndtr over every element and the step arrays (i+1)/n
+and i/n. It runs `ek`'s sample (min_norm 3) on the integers at every power
+of ten from 1e3 up to N and at N, and on quad:-4 and poly:2 the same up to
+min(N, 1e6). It prints one line per system and X and exits 1 on the first
+mismatch. scipy must be installed; the package itself never imports it.
 
     PYTHONPATH=src python3 scripts/check_ks.py --limit 10000000
 """
@@ -18,17 +19,25 @@ import sys
 import numpy as np
 from scipy.special import ndtr
 
-from monoidldp.experiments import _ek_sample, _ks_maxima
+from monoidldp.experiments import _ek_rows, _ek_t, _ks_bins, _ks_maxima
 from monoidldp.monoid import omega_column
 from monoidldp.systems import Integers, PolyOverFq, QuadraticField
 
 
-def _oracle(t: np.ndarray) -> tuple[float, float]:
-    """The KS maxima over full Phi and step arrays."""
+def _oracle(table) -> tuple[int, float, float]:
+    """(n, D+, D-): the KS maxima over the full sorted statistic of the
+    rows of norm >= 3, full Phi and full step arrays."""
+    parts = []
+    for norm, o in table.blocks(table.omega, lo=3):
+        ll = np.log(np.log(norm.astype(np.float64)))
+        parts.append((o - ll) / np.sqrt(ll))
+    t = np.sort(np.concatenate(parts))
+    del parts
     n = len(t)
     phi = ndtr(t)
+    del t
     steps = np.arange(1, n + 1, dtype=np.float64) / n
-    return float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
+    return n, float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
 
 
 def _grid(N: int) -> list[int]:
@@ -50,14 +59,15 @@ def main() -> int:
              for X in _grid(min(N, 10**6))]
     for system, X in runs:
         table, _ = omega_column(system, X)
-        t = _ek_sample(table, 3)
-        del table
-        got, want = _ks_maxima(t), _oracle(t)
-        if [x.hex() for x in got] != [x.hex() for x in want]:
-            print(f"MISMATCH {system.key}: X={X}, n={t.size}: blocks give {got}, "
-                  f"full arrays {want}")
+        bins, counts = _ks_bins(_ek_rows(table, 3), _ek_t, table.count)
+        got = _ks_maxima(_ek_rows(table, 3), _ek_t, bins, counts)
+        del bins
+        n, *want = _oracle(table)
+        if [x.hex() for x in got] != [x.hex() for x in want] or int(counts.sum()) != n:
+            print(f"MISMATCH {system.key}: X={X}, n={n}: bins give {got} over "
+                  f"{int(counts.sum())} rows, full arrays {tuple(want)}")
             return 1
-        print(f"{system.key}: X={X}, n={t.size}, both maxima agree")
+        print(f"{system.key}: X={X}, n={n}, both maxima agree")
     return 0
 
 

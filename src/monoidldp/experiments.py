@@ -22,11 +22,15 @@ alongside as ks_two_sided; at X = 10^6 for the integers it sits near 0.27
 distance is dominated by the left-of-center deficit), while the one-sided
 statistic is near 0.099 and is the quantity the regression baseline tracks.
 
-Both KS maxima are exact over every element, with no n-length array of Phi.
-Phi is Cephes' ndtr on arrays, bit-equal to the compiled C routine; the
-sorted sample is cut into blocks whose end points bound every value inside,
-and Phi is taken at the end points and then only inside the blocks that can
-hold a maximum (see _ks_maxima).
+Both KS maxima are exact over every element, with no float array over the
+sample and no sort of it. Phi is Cephes' ndtr on arrays, bit-equal to the
+compiled C routine. A first pass counts the statistic into fixed bins,
+keeping one uint16 bin per row (per run of equal rows, where most rows
+repeat the one before); the counts give every bin's ranks, and Phi at the
+bin edges bounds every value inside. A second pass takes the statistic
+again over the rows of the bins that can hold a maximum only, whose ranks
+are the rows below their bin plus their place inside it (see _ks_bins and
+_ks_maxima).
 """
 from __future__ import annotations
 
@@ -72,9 +76,9 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     sum are reported over the full table for cross-checks.
 
     Only the norm and omega columns are built, rows in any order
-    (omega_column), and read block by block (MonoidTable.blocks). Mean and
-    variance come exactly from the omega histogram and the statistic is
-    sorted, so no field depends on the row order (_ks_maxima).
+    (omega_column), and read block by block (MonoidTable.blocks), twice for
+    the KS maxima. Mean and variance come exactly from the omega histogram
+    and the KS maxima from ranks, so no field depends on the row order.
     """
     if X < 16:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
@@ -82,21 +86,23 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
     table, primes = omega_column(system, X)
     count = table.count
-    # the whole-column reductions come before t, so no temporary of theirs
-    # meets it; omega < 64 (norms >= 2), and no intp copy of omega is made
+    # the whole-column reductions come before the bins, so no temporary of
+    # theirs meets them; omega < 64 (norms >= 2), and no intp copy of omega
+    # is made
     mertens_mean = mertens_sum(primes, X)[0]
     hist = sum(np.bincount(o, minlength=64) for _, o in table.blocks(table.omega))
     k = np.arange(hist.size)
     s1, s2 = int(hist @ k), int(hist @ (k * k))
-    t = _ek_sample(table, min_norm)
-    if not t.size:
+    bins, counts = _ks_bins(_ek_rows(table, min_norm), _ek_t, count)
+    samples = int(counts.sum())
+    if not samples:
         raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
-    d_plus, d_minus = _ks_maxima(t)
+    d_plus, d_minus = _ks_maxima(_ek_rows(table, min_norm), _ek_t, bins, counts)
     return EKReport(
         X=X,
         samples=count,
         min_norm=min_norm,
-        ks_sample_count=t.size,
+        ks_sample_count=samples,
         ks_distance=d_plus,
         ks_two_sided=max(d_plus, d_minus),
         mean_omega=s1 / count,
@@ -106,21 +112,27 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     )
 
 
-def _ek_sample(table: MonoidTable, min_norm: int) -> np.ndarray:
-    """The sorted statistic over the rows of norm >= min_norm of a table
-    with an omega column, computed block by block into one float64 array."""
-    t = np.empty(table.count)  # the kept rows fill a prefix
-    size = 0
+def _ek_rows(table: MonoidTable, min_norm: int):
+    """The rows of norm >= min_norm, block by block, as (norm, omega) and
+    their runs (_ks_bins). Where most rows equal the row before them, as
+    on F_q[t], whose norms are few, each run of equal rows is one entry."""
     for norm, o in table.blocks(table.omega, lo=min_norm):
-        ll = norm.astype(np.float64)
-        np.log(np.log(ll, out=ll), out=ll)
-        out = t[size:size + ll.size]
-        np.subtract(o, ll, out=out)
-        out /= np.sqrt(ll)
-        size += ll.size
-    t = t[:size]
-    t.sort()
-    return t
+        new = np.concatenate(([True], (norm[1:] != norm[:-1]) | (o[1:] != o[:-1])))
+        if 2 * np.count_nonzero(new) > norm.size:
+            yield (norm, o), None
+        else:
+            heads = np.flatnonzero(new)
+            yield (norm[heads], o[heads]), np.diff(heads, append=norm.size)
+
+
+def _ek_t(norm: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """The statistic (omega - log log N) / sqrt(log log N) of rows (norm, omega)."""
+    ll = norm.astype(np.float64)
+    np.log(np.log(ll, out=ll), out=ll)
+    root = np.sqrt(ll)
+    np.subtract(o, ll, out=ll)
+    ll /= root
+    return ll
 
 
 # Moshier's Cephes ndtr (Methods and Programs for Mathematical Functions,
@@ -202,45 +214,96 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# Blocks of the sorted KS sample whose end points bound the whole block, and
-# the slack that covers Cephes' ~1e-15 departures from a monotone Phi.
-_KS_BLOCK = 256
+# The KS bins: _KS_BINS uniform bins over t in [_KS_LO, _KS_HI), the end
+# bins also taking every t beyond; the range only sets how many rows the
+# second pass reads, never the result. The slack covers Cephes' ~1e-15
+# departures from a monotone Phi and the rounding of the bounds.
+_KS_BINS = 1 << 14
+_KS_LO, _KS_HI = -4.0, 8.0
 _KS_SLACK = 1e-9
 
 
-def _ks_maxima(t: np.ndarray) -> tuple[float, float]:
-    """(max_i (i+1)/n - Phi(t_i), max_i Phi(t_i) - ((i+1)/n - 1/n)) over sorted t.
+def _ks_bin(t: np.ndarray) -> np.ndarray:
+    """(t - _KS_LO) / width clipped to [0, _KS_BINS - 1], in float64: cast
+    to an integer, the bin of each t. Every step is monotone, so the bin
+    never falls as t rises."""
+    b = t - _KS_LO
+    b *= _KS_BINS / (_KS_HI - _KS_LO)
+    return np.clip(b, 0, _KS_BINS - 1, out=b)
 
-    Phi and the steps both rise along t, so a block [a, b] holds no value
-    above (b+1)/n - Phi(t_a), nor above Phi(t_b) - ((a+1)/n - 1/n). One
-    Phi call takes every block's end points, lower bounds on both maxima,
-    and one more the inner points of the blocks whose upper bound comes
-    within the slack of them. Each candidate is the same float expression
-    as over the full arrays, so the maxima are the same bits.
+
+def _ks_bins(rows, stat, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1: (bins, counts), the uint16 bin of each entry of the rows and
+    the sample rows in each bin. rows yields blocks (cols, runs): cols a
+    tuple of arrays, which stat takes to the statistic of each entry, and
+    runs the sample rows that each entry stands for (None: one each);
+    size bounds the entries."""
+    bins = np.empty(size, dtype=np.uint16)
+    counts = np.zeros(_KS_BINS, dtype=np.int64)
+    n = 0
+    for cols, runs in rows:
+        b = bins[n:n + cols[0].size]
+        b[...] = _ks_bin(stat(*cols))
+        counts += np.bincount(b, runs, minlength=_KS_BINS).astype(np.int64, copy=False)
+        n += b.size
+    return bins[:n], counts
+
+
+def _ks_maxima(rows, stat, bins: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Pass 2: (max_i (i+1)/n - Phi(t_i), max_i Phi(t_i) - ((i+1)/n - 1/n))
+    over the sorted sample t of n rows, from the rows, as in _ks_bins, and
+    pass 1's bins and counts.
+
+    The bin never falls as t rises, so bin j holds the ranks before[j] to
+    before[j] + counts[j] - 1, and with one bin of margin for the rounding
+    of the bins its t lie between the edges of bins j - 1 and j + 2. So
+    Phi at those edges bounds both maxima over the bin from above, and over
+    every bin from below. The second pass reads the entries of the bins
+    whose upper bound reaches the lower one, and collapses their ties into
+    (value, count) block by block. Each value is then evaluated at the
+    rank that maximizes each expression, its last for the first and its
+    first for the second, which is the same float expression as over the
+    full arrays, so the maxima are the same bits.
     """
-    n = len(t)
-    firsts = np.arange(0, n, _KS_BLOCK)
-    lasts = np.minimum(firsts + _KS_BLOCK, n) - 1
-    ends = np.concatenate([firsts, lasts])
-    phi = _ndtr(t[ends])
-    d_plus, d_minus = _step_maxima(ends, phi, n)
-    pa, pb = phi[:firsts.size], phi[firsts.size:]
-    skip = (((lasts + 1) / n - pa < d_plus - _KS_SLACK)
-            & (pb - ((firsts + 1) / n - 1.0 / n) < d_minus - _KS_SLACK))
-    starts = firsts[~skip] + 1
-    sizes = np.maximum(lasts[~skip] - starts, 0)
-    if sizes.sum():
-        inner = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        inner += np.arange(inner.size)
-        p, m = _step_maxima(inner, _ndtr(t[inner]), n)
-        d_plus, d_minus = max(d_plus, p), max(d_minus, m)
+    n = int(counts.sum())
+    before = np.cumsum(counts) - counts
+    j = np.flatnonzero(counts)
+    # Phi at the lower and upper edges, the end bins open to -inf and +inf
+    width = (_KS_HI - _KS_LO) / _KS_BINS
+    phi_lo = np.where(j == 0, 0.0, _ndtr(_KS_LO + (j - 1) * width))
+    phi_hi = np.where(j == _KS_BINS - 1, 1.0, _ndtr(_KS_LO + (j + 2) * width))
+    upto = (before[j] + counts[j]) / n
+    at = before[j] / n
+    keep = np.zeros(_KS_BINS, dtype=bool)
+    keep[j] = ((upto - phi_lo + _KS_SLACK >= np.max(upto - phi_hi) - _KS_SLACK)
+               | (phi_hi - at + _KS_SLACK >= np.max(phi_lo - at) - _KS_SLACK))
+    values, tallies = [], []
+    a = 0
+    for cols, runs in rows:
+        sel = np.take(keep, bins[a:a + cols[0].size])
+        a += sel.size
+        if sel.any():
+            v, c = _tally(stat(*(col[sel] for col in cols)),
+                          np.ones(np.count_nonzero(sel), np.int64) if runs is None else runs[sel])
+            values.append(v)
+            tallies.append(c)
+    v, c = _tally(np.concatenate(values), np.concatenate(tallies))
+    # the rank of each value's first row: the rows below it that were read,
+    # plus those of the bins below its own that were not
+    skipped = before - (np.cumsum(counts * keep) - counts * keep)
+    first = np.cumsum(c) - c + skipped[_ks_bin(v).astype(np.intp)]
+    phi = _ndtr(v)
+    d_plus = float(np.max((first + c) / n - phi))
+    d_minus = float(np.max(phi - ((first + 1) / n - 1.0 / n)))
     return d_plus, d_minus
 
 
-def _step_maxima(i: np.ndarray, phi: np.ndarray, n: int) -> tuple[float, float]:
-    """The two KS maxima over the rows i with Phi values phi."""
-    s = (i + 1) / n
-    return float(np.max(s - phi)), float(np.max(phi - (s - 1.0 / n)))
+def _tally(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of v, ascending, and the sum of c over each."""
+    order = np.argsort(v)
+    v, c = v[order], c[order]
+    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return v[heads], np.add.reduceat(c, heads)
 
 
 @dataclass(frozen=True)
@@ -271,8 +334,8 @@ def ldp_scan(
     is asserted.
 
     The gsum column is built once, at the largest X (gsum_column), and
-    each X counts, block by block, the rows of norm <= X (MonoidTable.blocks);
-    a count does not depend on row order.
+    read once, block by block (MonoidTable.blocks): each block counts, for
+    every X, its rows of norm <= X; a count does not depend on row order.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -285,17 +348,21 @@ def ldp_scan(
         return []
     table = gsum_column(system, max(X_list), g)
     bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
-    rows = []
-    for X in X_list:
-        ll = math.log(math.log(X))
-        counts = [0] * len(intervals)
-        total = 0
-        for _, v in table.blocks(table.gsum, hi=X):
-            v = v / ll
-            total += v.size
+    lls = [math.log(math.log(X)) for X in X_list]
+    counts = [[0] * len(intervals) for _ in X_list]
+    totals = [0] * len(X_list)
+    for norms, gsum in table.blocks(table.gsum):
+        least, most = int(norms.min()), int(norms.max())
+        for x, (X, ll) in enumerate(zip(X_list, lls)):
+            if least > X:
+                continue
+            v = (gsum if most <= X else gsum[norms <= np.uint64(X)]) / ll
+            totals[x] += v.size
             for k, (lo, hi) in enumerate(intervals):
-                counts[k] += int(np.count_nonzero((v >= lo) & (v < hi)))
-        for (lo, hi), bound, count in zip(intervals, bounds, counts):
+                counts[x][k] += int(np.count_nonzero((v >= lo) & (v < hi)))
+    rows = []
+    for X, ll, total, row in zip(X_list, lls, totals, counts):
+        for (lo, hi), bound, count in zip(intervals, bounds, row):
             tail = Fraction(count, total)
             normalized = math.log(count / total) / ll if count else -math.inf
             rows.append(LDPRow(X, lo, hi, count, total, tail, normalized, bound))

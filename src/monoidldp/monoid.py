@@ -32,23 +32,28 @@ Traced with tracemalloc on quad:-4 at 1e6, the frontier peaks at ~19 bytes
 per element without g (13 of them the columns) and ~30 with g (21), and
 the table sorted by (norm, omega, gsum) (17 bytes per element) at ~34.
 
-For the rational integers the columns are instead sieved over 1..X, one
-column at a time, with g evaluated once as an array over the primes.
-Every n <= X has at most one prime factor above sqrt(X), and it is the
-largest. So a sieve makes one strided add per prime p <= sqrt(X), in
-ascending order, and then one vectorized add per cofactor m <= sqrt(X)
-for the large primes p <= X/m. Each gsum is thus summed in ascending
-prime order, as the frontier sums it, and the two paths agree bit for
-bit. One sieve counts omega into uint8 (1 byte per element), as in
-every table, or sums gsum into float64 (8); the norms, 1..X, are
-implicit.
+For the rational integers the columns are instead sieved over 1..X, in
+segments of _SEGMENT values of n, with g evaluated once as an array over
+the primes. Every n <= X has at most one prime factor above sqrt(X), and
+it is the largest. So a segment [lo, hi) gets one strided add per prime
+p <= sqrt(X), in ascending order from the first multiple of p at or
+above lo, and then the large primes: for every cofactor m <= sqrt(X) at
+once, two searchsorted give the primes p with lo <= m p < hi, and the
+(m, p) pairs are added in blocks of _BLOCK_PAIRS. Each gsum is thus
+summed in ascending prime order, as the frontier sums it, and the two
+paths agree bit for bit. One sieve counts omega into uint8 (1 byte per
+element), as in every table, or sums gsum into float64 (8); the norms,
+1..X, are implicit.
 
 A caller that reads one column asks for it alone, a MonoidTable whose
 other columns are None (omega_column for ek_report, gsum_column for
 ldp_scan), with norm None on the integers. Only MonoidTable.blocks reads
 that rule: it yields the rows of norm in [lo, hi] in blocks, by a prefix
 slice or a mask. Rows may come in any order, so no sort runs. Only the
-full table (count) is sorted, 17 bytes per element.
+full table (count) is sorted, 17 bytes per element. On the integers
+omega_column and the table concatenate the segments into whole columns,
+while gsum_column holds no column at all: its gsum is a _Sieved, which
+blocks sieves again, one segment at a time, on every read.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -90,6 +95,8 @@ from .systems import (
 # rows of a table's column read at once (MonoidTable.blocks); bounds the
 # temporaries of the reductions over a column
 _BLOCK_ROWS = 1 << 16
+# values of n sieved at once on the integers; 2^18 ran fastest at 1e8
+_SEGMENT = 1 << 18
 # parents whose pairs are counted at once, and (parent, prime) pairs
 # expanded at once; together they bound the frontier's temporaries
 _BLOCK_PARENTS = 1 << 16
@@ -105,28 +112,49 @@ _MAX_X_COUNT = 10**12
 
 
 @dataclass(frozen=True)
+class _Sieved:
+    """A column over 1..size that is sieved again, one segment at a time,
+    each time it is read (_segments)."""
+
+    primes: np.ndarray
+    vals: np.ndarray | None
+    size: int
+
+
+@dataclass(frozen=True)
 class MonoidTable:
     """Columns of the elements of norm <= X; a column not built is None,
-    and norm None means the norms are 1..count, in row order."""
+    and norm None means the norms are 1..count, in row order. gsum is an
+    array, or on the integers' gsum_column a _Sieved that only blocks
+    reads."""
 
     norm: np.ndarray | None
     omega: np.ndarray | None
-    gsum: np.ndarray | None
+    gsum: np.ndarray | _Sieved | None
 
     @property
     def count(self) -> int:
         return int(next(c for c in (self.norm, self.omega, self.gsum) if c is not None).size)
 
-    def blocks(self, values: np.ndarray, lo: int = 1, hi: int | None = None):
+    def blocks(self, values: np.ndarray | _Sieved, lo: int = 1, hi: int | None = None):
         """(norms, values) of the rows with lo <= norm <= hi (hi None: no
         bound), values being a column of the table, in row order and blocks
         of at most _BLOCK_ROWS rows; norms are uint64. Implicit norms are
-        read as a prefix slice, explicit ones by a mask over every row."""
+        read as a prefix slice, of each segment of a _Sieved in turn, and
+        explicit ones by a mask over every row."""
         if self.norm is None:
             stop = self.count if hi is None else min(hi, self.count)
-            for a in range(max(lo, 1) - 1, stop, _BLOCK_ROWS):
-                b = min(a + _BLOCK_ROWS, stop)
-                yield np.arange(a + 1, b + 1, dtype=np.uint64), values[a:b]
+            parts = (_segments(values.primes, values.size, values.vals)
+                     if isinstance(values, _Sieved) else (values,))
+            base = 0  # rows before the part
+            for part in parts:
+                end = min(base + part.size, stop)
+                for a in range(max(lo - 1, base), end, _BLOCK_ROWS):
+                    b = min(a + _BLOCK_ROWS, end)
+                    yield np.arange(a + 1, b + 1, dtype=np.uint64), part[a - base:b - base]
+                base += part.size
+                if base >= stop:
+                    return
             return
         for a in range(0, self.count, _BLOCK_ROWS):
             norm, vals = self.norm[a:a + _BLOCK_ROWS], values[a:a + _BLOCK_ROWS]
@@ -134,7 +162,8 @@ class MonoidTable:
                 keep = norm >= np.uint64(max(lo, 1))
                 if hi is not None:
                     keep &= norm <= np.uint64(max(hi, 0))
-                norm, vals = norm[keep], vals[keep]
+                if not keep.all():
+                    norm, vals = norm[keep], vals[keep]
             yield norm, vals
 
 
@@ -157,18 +186,18 @@ def omega_column(system: PrimeSystem, X: int) -> tuple[MonoidTable, np.ndarray]:
     """
     primes, total = _prepare(system, X)
     if isinstance(system, Integers):
-        return MonoidTable(None, _sieve(primes, X, None)[1:], None), primes
+        return MonoidTable(None, _sieve(primes, X, None), None), primes
     norm, omega, _ = _frontier(primes, X, None, total)
     return MonoidTable(norm, omega, None), primes
 
 
 def gsum_column(system: PrimeSystem, X: int, g) -> MonoidTable:
     """The table at X with norm and gsum alone, its rows a multiset: on the
-    integers a sieve of gsum alone, their norms implicit, elsewhere the
-    frontier's columns as they come, in level order."""
+    integers gsum sieved in segments as it is read, their norms implicit,
+    elsewhere the frontier's columns as they come, in level order."""
     primes, total = _prepare(system, X)
     if isinstance(system, Integers):
-        return MonoidTable(None, None, _sieve(primes, X, g.values(primes))[1:])
+        return MonoidTable(None, None, _Sieved(primes, g.values(primes), X))
     norm, _, gsum = _frontier(primes, X, g, total)
     return MonoidTable(norm, None, gsum)
 
@@ -200,29 +229,71 @@ def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray,
     """The table of 1..X from the rational primes <= X."""
     omega = _sieve(primes, X, None)
     gsum = _sieve(primes, X, g.values(primes))
-    return np.arange(1, X + 1, dtype=np.uint64), omega[1:], gsum[1:]
+    return np.arange(1, X + 1, dtype=np.uint64), omega, gsum
 
 
 def _sieve(primes: np.ndarray, X: int, vals: np.ndarray | None) -> np.ndarray:
-    """Entry n, over 0..X, sums vals[i] over the primes primes[i] dividing
-    n in ascending order of i, in float64; with vals None it counts them,
-    omega(n), in uint8, as no n below 23# = 223,092,870 has 9."""
-    col = np.zeros(X + 1, dtype=np.uint8 if vals is None else np.float64)
-    # primes up to sqrt(X), ascending: one strided add per prime
+    """The whole column over 1..X, its segments copied into one array."""
+    col = np.empty(X, dtype=np.uint8 if vals is None else np.float64)
+    a = 0
+    for part in _segments(primes, X, vals):
+        col[a:a + part.size] = part
+        a += part.size
+    return col
+
+
+def _segments(primes: np.ndarray, X: int, vals: np.ndarray | None):
+    """The column over 1..X in segments of _SEGMENT values of n, ascending.
+    Entry n sums vals[i] over the primes primes[i] dividing n in ascending
+    order of i, in float64; with vals None it counts them, omega(n), in
+    uint8, as no n below 23# = 223,092,870 has 9."""
+    dtype = np.uint8 if vals is None else np.float64
+    # primes up to sqrt(X), ascending: one strided add per prime and segment
     k = int(primes.searchsorted(math.isqrt(X), "right"))
-    small = [1] * k if vals is None else vals[:k].tolist()
-    for p, v in zip(primes[:k].tolist(), small):
-        if v != 0.0:
-            col[p::p] += v
+    small = [(p, v) for p, v in zip(primes[:k].tolist(),
+                                     [1] * k if vals is None else vals[:k].tolist())
+             if v != 0.0]
     # n <= X has at most one prime factor above sqrt(X), its largest, so it
     # comes last and the ascending order of the sum holds. Its cofactor m is
-    # below sqrt(X); within one m the indices m * p are distinct.
+    # below sqrt(X), and n determines (m, p), so a segment's targets are
+    # distinct.
     large = primes[k:]
-    if large.size:
-        for m in range(1, X // int(large[0]) + 1):
-            j = int(large.searchsorted(X // m, "right"))
-            col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
-    return col
+    big = None if vals is None else vals[k:]
+    m = np.arange(1, X // int(large[0]) + 1 if large.size else 1, dtype=np.int64)
+    for lo in range(1, X + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, X + 1)
+        col = np.zeros(hi - lo, dtype=dtype)
+        for p, v in small:
+            col[-lo % p::p] += v
+        # per cofactor m, the large primes p with lo <= m p < hi
+        first = large.searchsorted(-(-lo // m))
+        count = large.searchsorted(-(-hi // m)) - first
+        ends = np.cumsum(count)
+        for a, b in _pair_blocks(ends):
+            i = _ranges(first[a:b], count[a:b])
+            n = np.repeat(m[a:b], count[a:b]) * large[i] - lo
+            col[n] += 1 if big is None else big[i]
+        yield col
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[j], first[j] + 1, ..., first[j] + count[j] - 1 for every j, in
+    one int64 array."""
+    i = np.repeat(first - (np.cumsum(count) - count), count)
+    i += np.arange(i.size)
+    return i
+
+
+def _pair_blocks(ends: np.ndarray):
+    """(a, b): consecutive slices of the rows with pairs, ends being the
+    running pair count over the rows, each of at most _BLOCK_PAIRS pairs or
+    else of one row."""
+    a = int(ends.searchsorted(0, "right"))
+    while a < ends.size:
+        base = int(ends[a - 1]) if a else 0
+        b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
+        yield a, b
+        a = int(ends.searchsorted(ends[b - 1], "right"))
 
 
 def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple[np.ndarray, ...]:
@@ -269,12 +340,9 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
             count -= cols[-1][first:last]
             np.maximum(count, 0, out=count)
             ends = np.cumsum(count)
-            pending = int(ends[-1])  # pairs; each gives one child at least
-            _check_budget(used + pending)
-            a = int(ends.searchsorted(0, "right"))  # blocks start at a parent with pairs
-            while a < count.size:
-                base = int(ends[a - 1]) if a else 0
-                b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
+            # pairs; each gives one child at least
+            _check_budget(used + int(ends[-1]))
+            for a, b in _pair_blocks(ends):
                 children = _expand(P, G, X, [col[first + a:first + b] for col in cols],
                                    count[a:b])
                 n = children[0].size
@@ -285,9 +353,7 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
                 for col, child in zip(cols, children):
                     col[used:used + n] = child
                 used += n
-                pending -= int(ends[b - 1]) - base
-                _check_budget(used + pending)
-                a = int(ends.searchsorted(ends[b - 1], "right"))
+                _check_budget(used + int(ends[-1] - ends[b - 1]))
         sizes.append(used - stop)
         start, stop = stop, used
     if total is not None and stop != total:
@@ -301,9 +367,7 @@ def _expand(P, G, X, parents, count) -> list[np.ndarray]:
     """The children [norm, gsum, nxt] of a block of parents [norm, gsum, nxt]
     (no gsum when G is None): n * p_i^e <= X, e >= 1, for the count[j]
     primes i = nxt[j], nxt[j] + 1, ... of parent j."""
-    ends = np.cumsum(count)
-    i = np.repeat(parents[-1] - (ends - count), count)
-    i += np.arange(i.size)
+    i = _ranges(parents[-1], count)
     p = P[i]
     cols = [np.repeat(parents[0], count) * p]
     if G is not None:

@@ -2,7 +2,8 @@
 
 The oracle is the full-table computation the blocked code replaced: the
 (norm, omega, gsum) table of enumerate_monoid (the sieve's _sieve_table on
-the integers), reduced over whole columns at once.
+the integers), reduced over whole columns at once, and for ek the KS
+maxima over the whole sorted statistic and its Phi.
 """
 import dataclasses
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from monoidldp import experiments, monoid
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
-from monoidldp.experiments import EKReport, LDPRow, _ks_maxima, ek_report, ldp_scan
+from monoidldp.experiments import EKReport, LDPRow, _ndtr, ek_report, ldp_scan
 from monoidldp.monoid import enumerate_monoid, gsum_column, omega_column
 from monoidldp.systems import (
     Beurling,
@@ -37,7 +38,10 @@ def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
     mask = table.norm >= min_norm
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
     t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
-    d_plus, d_minus = _ks_maxima(t)
+    phi = _ndtr(t)
+    steps = np.arange(1, t.size + 1, dtype=np.float64) / t.size
+    d_plus = float(np.max(steps - phi))
+    d_minus = float(np.max(phi - (steps - 1.0 / t.size)))
     omega = table.omega.astype(np.int64)
     n, s1, s2 = table.count, int(omega.sum()), int((omega * omega).sum())
     return EKReport(
@@ -156,6 +160,8 @@ def test_columns_are_the_tables_columns(system):
     if isinstance(system, Integers):  # the norms are implicit, 1..X
         assert norm is None and g_norm is None
         norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
+        # gsum is sieved in segments as it is read
+        gsum = np.concatenate([v for _, v in g_table.blocks(g_table.gsum)])
     else:  # the frontier's rows as built, in level order
         f_norm, f_omega, f_gsum = monoid._frontier(primes, X, RESIDUE)
         assert norm.tobytes() == g_norm.tobytes() == f_norm.tobytes()
@@ -225,22 +231,36 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
         assert _hex(ek_report(system, X, min_norm)) == want
 
 
-# tracemalloc sees NumPy's buffers; the full table took ~46 (ek) and ~21-31
-# (ldp_scan) bytes per element here
+# tracemalloc sees NumPy's buffers. At 1e6 on the integers the full table
+# took ~46 (ek) and ~21-31 (ldp_scan) bytes per element, and one whole
+# float64 column (ek's sorted statistic, ldp_scan's gsum) ~11. Without it,
+# ek holds omega and the KS bins (3 bytes per element) and ldp_scan one
+# sieve segment; both also hold the primes and a block's temporaries. On
+# poly:2 most rows repeat the one before: ek took 16.5 and 22.6 bytes per
+# element when it collapsed neither these runs nor the ties of its
+# candidates into (value, count).
 PEAK_RUNS = {
-    "ek": lambda X: ek_report(Integers(), X),
-    "ldp-residue": lambda X: ldp_scan(Integers(), RESIDUE, [X // 10, X], INTERVALS, RHO),
-    "ldp-omega": lambda X: ldp_scan(Integers(), Omega(), [X], INTERVALS, RHO),
+    "ek": (6, Integers(), 10**6, ek_report),
+    "ldp-residue": (9, Integers(), 10**6,
+                    lambda s, X: ldp_scan(s, RESIDUE, [X // 10, X], INTERVALS, RHO)),
+    "ldp-omega": (9, Integers(), 10**6, lambda s, X: ldp_scan(s, Omega(), [X], INTERVALS, RHO)),
+    "ek-poly2": (12, PolyOverFq(2), 2**16, ek_report),
 }
 
 
 @pytest.mark.parametrize("name", list(PEAK_RUNS))
-def test_integer_reductions_take_at_most_12_bytes_per_element(name):
-    X = 10**6
+def test_reduction_peaks_in_bytes_per_element(monkeypatch, name):
+    bound, system, X, run = PEAK_RUNS[name]
+    elements = X
+    if not isinstance(system, Integers):
+        # the frontier's own peak is not the reduction's: build it untraced
+        built = omega_column(system, X)
+        monkeypatch.setattr(experiments, "omega_column", lambda system, X: built)
+        elements = built[0].count
     tracemalloc.start()
     try:
-        PEAK_RUNS[name](X)
+        run(system, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * X, f"{peak / X:.2f} bytes per element"
+    assert peak <= bound * elements, f"{peak / elements:.2f} bytes per element"

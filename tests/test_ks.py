@@ -1,5 +1,5 @@
-"""The array Phi and the block-bounded KS maxima behind `ek`, and an import
-path that loads no scipy.
+"""The array Phi and the binned KS maxima behind `ek`, and an import path
+that loads no scipy.
 
 The oracles are a scalar port of Cephes' ndtr, kept here, and scipy: the
 tests that need scipy skip without it, and the subprocess tests check that
@@ -26,6 +26,7 @@ from monoidldp.experiments import (
     _ERFC_S,
     _MAXLOG,
     _SQRT1_2,
+    _ks_bins,
     _ks_maxima,
     ek_report,
 )
@@ -181,74 +182,99 @@ def test_ndtr_falls_by_at_most_1e_15():
 def _oracle(t: np.ndarray) -> tuple[float, float]:
     """The KS maxima over full Phi and step arrays."""
     ndtr = pytest.importorskip("scipy.special").ndtr
+    t = np.sort(t)
     n = len(t)
     phi = ndtr(t)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     return float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
 
 
+def _identity(t: np.ndarray) -> np.ndarray:
+    return t
+
+
+def _binned(t: np.ndarray, block: int, runs: bool) -> tuple[float, float]:
+    """The binned KS maxima of the sample t, shuffled and fed in blocks of
+    block entries: one entry per element, or with runs one per distinct
+    value, counted as often as it occurs."""
+    rng = np.random.default_rng(block)
+    if runs:
+        values, counts = np.unique(t, return_counts=True)
+        order = rng.permutation(values.size)
+        values, counts = values[order], counts[order]
+    else:
+        values, counts = rng.permutation(t), None
+
+    def rows():
+        for a in range(0, values.size, block):
+            yield (values[a:a + block],), None if counts is None else counts[a:a + block]
+
+    bins, hist = _ks_bins(rows(), _identity, values.size)
+    assert bins.size == values.size and int(hist.sum()) == t.size
+    return _ks_maxima(rows(), _identity, bins, hist)
+
+
 def _ek_t(system, X: int) -> np.ndarray:
     table = enumerate_monoid(system, X, Omega())
     mask = table.norm >= 3
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
-    return np.sort((table.omega[mask] - ll) / np.sqrt(ll))
+    return (table.omega[mask] - ll) / np.sqrt(ll)
 
 
-def _assert_maxima_bit_equal(t: np.ndarray) -> None:
-    got, want = _ks_maxima(t), _oracle(t)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+def _assert_maxima_bit_equal(t: np.ndarray, block: int = 4096) -> None:
+    want = [x.hex() for x in _oracle(t)]
+    for runs in (False, True):
+        assert [x.hex() for x in _binned(t, block, runs)] == want, runs
 
 
 @pytest.mark.parametrize("system,X", [
     (Integers(), 10**5), (Integers(), 10**6), (QuadraticField(-4), 10**5),
-    (PolyOverFq(2), 2**16),
-], ids=["integers-1e5", "integers-1e6", "quad-4-1e5", "poly2-2^16"])
+    (PolyOverFq(2), 2**16), (PolyOverFq(3), 3**9),
+], ids=["integers-1e5", "integers-1e6", "quad-4-1e5", "poly2-2^16", "poly3-3^9"])
 def test_ks_maxima_bit_equal_on_ek_tables(system, X):
-    _assert_maxima_bit_equal(_ek_t(system, X))
+    _assert_maxima_bit_equal(_ek_t(system, X), block=2**16)
+
+
+@pytest.mark.parametrize("system,X", [(PolyOverFq(2), 2**16), (PolyOverFq(3), 3**9)],
+                         ids=["poly2-2^16", "poly3-3^9"])
+def test_ek_collapses_tie_heavy_tables_to_the_oracle(system, X):
+    """On F_q[t] most rows repeat the one before, so ek reads runs; its
+    maxima are the full arrays' bits all the same."""
+    d_plus, d_minus = _oracle(_ek_t(system, X))
+    report = ek_report(system, X)
+    assert report.ks_distance.hex() == d_plus.hex()
+    assert report.ks_two_sided.hex() == max(d_plus, d_minus).hex()
 
 
 def _adversarial() -> dict[str, np.ndarray]:
-    block = experiments._KS_BLOCK
     rng = np.random.default_rng(7)
     return {
         "all-equal": np.full(1000, 0.3),
         "tied-runs": np.repeat(np.sort(rng.normal(size=40)), rng.integers(1, 200, 40)),
         "n=1": np.array([0.25]),
-        "block-1": np.sort(rng.normal(size=block - 1)),
-        "block+1": np.sort(rng.normal(size=block + 1)),
-        "3-blocks": np.sort(rng.normal(size=3 * block)),
-        "normal-sample": np.sort(rng.normal(size=20_000)),
-        "far-tails": np.sort(np.concatenate([rng.uniform(-50, -30, 300),
-                                             rng.uniform(30, 50, 300)])),
+        "block-1": rng.normal(size=255),
+        "block+1": rng.normal(size=257),
+        "3-blocks": rng.normal(size=768),
+        "normal-sample": rng.normal(size=20_000),
+        # every value in the clipped end bins
+        "far-tails": np.concatenate([rng.uniform(-50, -30, 300), rng.uniform(30, 50, 300)]),
     }
 
 
 @pytest.mark.parametrize("name", list(_adversarial()))
 def test_ks_maxima_bit_equal_on_adversarial_arrays(name):
-    _assert_maxima_bit_equal(_adversarial()[name])
+    _assert_maxima_bit_equal(_adversarial()[name], block=256)
 
 
 @pytest.mark.parametrize("block", [1, 2, 10**9])
 @pytest.mark.parametrize("name", ["tied-runs", "n=1", "block+1", "3-blocks"])
 def test_ks_maxima_at_degenerate_block_sizes(monkeypatch, block, name):
-    """Blocks of 1 or 2 are all end points; one block longer than n is
-    evaluated everywhere. Each gives the oracle's bits."""
-    t = _adversarial()[name]
-    calls = []
-    phi = experiments._ndtr
-
-    def counted(x):
-        calls.append(len(x))
-        return phi(x)
-
-    monkeypatch.setattr(experiments, "_KS_BLOCK", block)
-    monkeypatch.setattr(experiments, "_ndtr", counted)
-    _assert_maxima_bit_equal(t)
-    n = len(t)
-    if block > n:
-        assert sum(calls) == max(n, 2)  # both end points, then every inner element
-    else:
-        assert sum(calls) == 2 * -(-n // block)  # end points only
+    """Blocks of 1 or 2 entries over as many bins, where every entry is a
+    candidate, and one block longer than n over the usual bins: each gives
+    the oracle's bits."""
+    if block < 10**9:
+        monkeypatch.setattr(experiments, "_KS_BINS", block)
+    _assert_maxima_bit_equal(_adversarial()[name], block)
 
 
 @pytest.mark.parametrize("system,X", [

@@ -158,6 +158,69 @@ def test_sieve_matches_recursion_with_residue_g():
     _assert_paths_agree(5000, NormResidue(4, frozenset({1, 3}), 1.0, 2.0))
 
 
+def _whole_sieve(primes, X, vals):
+    """The whole-array sieve that the segmented one replaced, kept as its
+    oracle: entry n, over 0..X, sums vals[i] over the primes primes[i]
+    dividing n in ascending order of i, in float64; with vals None it
+    counts them in uint8."""
+    col = np.zeros(X + 1, dtype=np.uint8 if vals is None else np.float64)
+    k = int(primes.searchsorted(math.isqrt(X), "right"))
+    small = [1] * k if vals is None else vals[:k].tolist()
+    for p, v in zip(primes[:k].tolist(), small):
+        if v != 0.0:
+            col[p::p] += v
+    large = primes[k:]
+    if large.size:
+        for m in range(1, X // int(large[0]) + 1):
+            j = int(large.searchsorted(X // m, "right"))
+            col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
+    return col
+
+
+# the g of the segmented-sieve oracle tests: a constant g, a residue g and
+# an arbitrary one; omega (no g) is checked beside them
+SEGMENT_GS = [Omega(), NormResidue(4, frozenset({1}), 2, 0.5), SIEVE_GS["table"]]
+
+
+def _assert_segments_match_the_whole_sieve(X):
+    primes = primes_upto(X)
+    want = _whole_sieve(primes, X, None)[1:]
+    got = monoid._sieve(primes, X, None)
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), X
+    assert omega_column(Integers(), X)[0].omega.tobytes() == want.tobytes(), X
+    for g in SEGMENT_GS:
+        want = _whole_sieve(primes, X, g.values(primes))[1:]
+        got = monoid._sieve(primes, X, g.values(primes))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (X, g)
+        # gsum_column holds no column: blocks sieves its segments as read
+        table = gsum_column(Integers(), X, g)
+        read = np.concatenate([v for _, v in table.blocks(table.gsum)])
+        assert read.tobytes() == want.tobytes(), (X, g)
+
+
+# per segment size, X at segment boundaries and one off them, and X whose
+# primes above sqrt(X) are none or few (1 to 10)
+SEGMENT_CASES = {
+    1: [1, 2, 3, 4, 5, 8, 9, 10, 48, 49, 50, 121, 1000],
+    7: [1, 3, 6, 7, 8, 13, 14, 15, 49, 699, 700, 701, 10**4 + 7],
+    2**16: [10, 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**16 + 5],
+    "above X": [1, 2, 10, 1000, 2**16 + 1],
+}
+
+
+@pytest.mark.parametrize("segment", list(SEGMENT_CASES))
+def test_segments_match_the_whole_sieve(monkeypatch, segment):
+    for X in SEGMENT_CASES[segment]:
+        monkeypatch.setattr(monoid, "_SEGMENT", X + 1 if segment == "above X" else segment)
+        _assert_segments_match_the_whole_sieve(X)
+
+
+def test_segments_match_the_whole_sieve_at_the_segment_size():
+    segment = monoid._SEGMENT
+    for X in (segment - 1, segment, segment + 1, 2 * segment + 1):
+        _assert_segments_match_the_whole_sieve(X)
+
+
 def test_omega_total_identity():
     # sum of omega over the table equals sum over primes of floor(X/p)
     X = 10**4
