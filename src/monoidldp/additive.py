@@ -9,22 +9,35 @@ assumes a measure supported on [0, inf)):
   Omega                g(p) = 1, the distinct-prime-divisor count
   NormResidue(m,R,..)  g(p) = value_in when N(p) mod m lands in R, else value_out
 
-Each rule reads only a prime's norm, and g has one evaluation path:
-values(norms), a float64 array of g over an array of prime norms. The
-enumeration, rho_X, tail_mass and the B-side MGFs all call it once over
-prime_norms (or B's norms), so no Python runs per prime to evaluate g.
+Each rule reads only a prime's norm and takes at most two values on the
+primes: value_in on a class of norms and value_out off it (Omega has no
+class, and takes 1). So g(n) is a function of the element's cell (omega, a):
+omega distinct primes, a of them in the class. Each rule has three array
+methods, and no Python runs per prime or per element:
+
+  values(norms)    g at each prime, float64: rho_X, tail_mass and the B-side
+                   MGFs read it
+  inside(norms)    whether each prime is in the class (None for Omega): the
+                   enumeration counts a from it
+  sums(omega, a)   g(n) per cell, value_in a + value_out (omega - a)
+                   correctly rounded, so it does not depend on the order in
+                   which an element's primes are met
 
 The empirical measure rho_X puts mass proportional to 1/N(p) on each value
-g(p) over norms <= X, normalized by the Mertens sum. Weights are accumulated
-as unreduced integer fractions and combined by divide-and-conquer so the
-total mass is exactly 1 before any float rounding; a gcd normalization per
-prime would be quadratic-time at X = 10^6.
+g(p) over norms <= X, normalized by the Mertens sum. Each weight is the
+correctly rounded quotient of two exact sums. It is taken from fixed-point
+sums of floor(2^K / N(p)) in Python ints, which bound it from both sides;
+when the two bounds round to different doubles, the sums are taken again
+as unreduced integer fractions, combined by divide-and-conquer, so the
+total mass is exactly 1 before any float rounding (a gcd normalization per
+prime would be quadratic-time at X = 10^6).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +53,12 @@ class Omega:
 
     def values(self, norms: np.ndarray) -> np.ndarray:
         return np.ones(len(norms))
+
+    def inside(self, norms: np.ndarray) -> None:
+        return None
+
+    def sums(self, omega: np.ndarray, a: np.ndarray | None) -> np.ndarray:
+        return np.asarray(omega, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -63,8 +82,20 @@ class NormResidue:
         return f"residue:{self.modulus}:{rs}:{self.value_in:.12g}:{self.value_out:.12g}"
 
     def values(self, norms: np.ndarray) -> np.ndarray:
-        inside = np.isin(norms % self.modulus, sorted(self.residues))
-        return np.where(inside, float(self.value_in), float(self.value_out))
+        return np.where(self.inside(norms), float(self.value_in), float(self.value_out))
+
+    def inside(self, norms: np.ndarray) -> np.ndarray:
+        return np.isin(norms % self.modulus, sorted(self.residues))
+
+    def sums(self, omega: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """g over elements with omega distinct primes, a of them in the
+        class: value_in a + value_out (omega - a), correctly rounded."""
+        omega = np.asarray(omega)
+        top = int(omega.max(initial=0)) + 1
+        v_in, v_out = Fraction(self.value_in), Fraction(self.value_out)
+        cells = np.array([[float(j * v_in + (k - j) * v_out) for j in range(top)]
+                          for k in range(top)])
+        return cells[omega, a]
 
 
 AdditiveFunction = Omega | NormResidue
@@ -113,6 +144,11 @@ class DiscreteMeasure:
         return math.fsum(w * y for y, w in self.atoms)
 
 
+# bits of the fixed-point sums of rho_X: 2^192 / N(p) keeps ~165 bits of
+# each 1/N(p) at the 1e8 prime cap, far more than a double's 53
+_FIXED_BITS = 192
+
+
 def _tree_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Sum of num/den fractions without gcd reduction, combined pairwise."""
     while len(pairs) > 1:
@@ -130,22 +166,51 @@ def rho_X(norms: np.ndarray, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     """Empirical prime-value measure at threshold X.
 
     Atom at each distinct y = g(p), weighted by sum of 1/N(p) over the
-    primes attaining y, normalized by the full Mertens sum. Exact rational
-    until the final float conversion. norms: prime_norms at some X' >= X.
+    primes attaining y, normalized by the full Mertens sum, each weight
+    the correctly rounded double of that exact ratio. norms: prime_norms
+    at some X' >= X.
     """
     if X < 1:
         raise ParameterError(f"X must be >= 1, got {X}")
     norms = norms[: norms.searchsorted(X, "right")]
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
-    groups: dict[float, list[tuple[int, int]]] = {}
-    for y, n in zip(g.values(norms).tolist(), norms.tolist()):
-        groups.setdefault(y, []).append((1, n))
-    group_sums = {y: _tree_sum(ps) for y, ps in groups.items()}
-    tot_n, tot_d = _tree_sum(list(group_sums.values()))
-    # correctly rounded big-int division; no gcd on huge denominators
-    return DiscreteMeasure(tuple((y, (n * tot_d) / (d * tot_n))
-                                 for y, (n, d) in sorted(group_sums.items())))
+    ys, atom = np.unique(g.values(norms), return_inverse=True)
+    pairs = list(zip(atom.tolist(), norms.tolist()))
+    weights = _fixed_weights(pairs, ys.size) or _exact_weights(pairs, ys.size)
+    return DiscreteMeasure(tuple(zip(ys.tolist(), weights)))
+
+
+def _fixed_weights(pairs: list[tuple[int, int]], atoms: int) -> list[float] | None:
+    """The weights from s_y = sum of floor(2^K / N(p)) over the c_y primes
+    (atom y, N(p)) of pairs, S their total over m primes: the exact weight
+    lies strictly inside (s_y / (S + m), (s_y + c_y) / S), so where both
+    ends round to one double, that double is its correctly rounded value.
+    None when they do not, for some atom."""
+    unit = 1 << _FIXED_BITS
+    sums, counts = [0] * atoms, [0] * atoms
+    for y, n in pairs:
+        sums[y] += unit // n
+        counts[y] += 1
+    total, m = sum(sums), len(pairs)
+    weights = []
+    for s, c in zip(sums, counts):
+        w = s / (total + m)  # int / int: correctly rounded
+        if w != (s + c) / total:
+            return None
+        weights.append(w)
+    return weights
+
+
+def _exact_weights(pairs: list[tuple[int, int]], atoms: int) -> list[float]:
+    """The weights as exact unreduced fractions (tree sums), each divided
+    once, correctly rounded, with no gcd on the huge denominators."""
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(atoms)]
+    for y, n in pairs:
+        groups[y].append((1, n))
+    sums = [_tree_sum(ps) for ps in groups]
+    tot_n, tot_d = _tree_sum(sums)
+    return [(n * tot_d) / (d * tot_n) for n, d in sums]
 
 
 def exp_moment(measure: DiscreteMeasure, theta: float) -> float:

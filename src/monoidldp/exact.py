@@ -221,21 +221,25 @@ def _support_counts(
     count: Callable[[int], int], X: int, norms: np.ndarray, g: AdditiveFunction
 ) -> tuple[int, list[tuple[int, float]]]:
     """count(X) and (c_S, g_S) per S with N(S) <= X (module docstring); g_S
-    adds g over S in ascending norm order, as a table's gsum would. count
-    is an element_counter built at X or above."""
-    sets = {0: (1, 0.0)}  # bitmask over indices into norms -> (N(S), g_S)
-    for i, (p, gp) in enumerate(zip(norms.tolist(), g.values(norms).tolist())):
-        for mask, (n, gs) in list(sets.items()):
+    is g at S's cell, as a table's gsum is (g.sums). count is an
+    element_counter built at X or above."""
+    inside = g.inside(norms)
+    ins = [False] * len(norms) if inside is None else inside.tolist()
+    # bitmask over indices into norms -> (N(S), |S|, primes of S in g's class)
+    sets = {0: (1, 0, 0)}
+    for i, (p, j) in enumerate(zip(norms.tolist(), ins)):
+        for mask, (n, k, a) in list(sets.items()):
             if n * p <= X:
-                sets[mask | 1 << i] = (n * p, gp + gs)
+                sets[mask | 1 << i] = (n * p, k + 1, a + j)
     # d_S = count(X // N(S)), then the superset Moebius transform in place
-    c = {mask: count(X // n) for mask, (n, _) in sets.items()}
+    c = {mask: count(X // n) for mask, (n, _, _) in sets.items()}
     for i in range(len(norms)):
         bit = 1 << i
         for mask in sets:
             if mask & bit:
                 c[mask ^ bit] -= c[mask]
-    return count(X), [(c[mask], gs) for mask, (_, gs) in sets.items()]
+    _, k, a = (np.array(col) for col in zip(*sets.values()))
+    return count(X), list(zip([c[mask] for mask in sets], g.sums(k, a).tolist()))
 
 
 def _mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:

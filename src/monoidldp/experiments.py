@@ -8,9 +8,9 @@ only trends and identities:
   ek_report          per-element normalized omega statistic against the
                      standard normal CDF (correctly normalized)
   ldp_scan           exact tail probabilities of gsum / log log X on given
-                     intervals, next to the rate-function bound; the two
-                     columns are emitted side by side, convergence is not
-                     asserted
+                     intervals, next to the rate-function bound, from the
+                     histogram of the (omega, a) cells; the two columns
+                     are emitted side by side, convergence is not asserted
   condition_sweep    counting-axiom diagnostics bundled with PASS/WARN/FAILED
                      flags; thresholds documented on the function
   gap_sweep          the B-side MGF gap per X, asserting a strict decrease
@@ -44,7 +44,7 @@ import numpy as np
 from .additive import AdditiveFunction, DiscreteMeasure, check_convergence
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, _gap_row, truncation_sets
-from .monoid import MonoidTable, element_counter, gsum_column, omega_column
+from .monoid import MonoidTable, cell_counts, element_counter, omega_column
 from .rate import rate
 from .systems import (
     PrimeSystem,
@@ -333,9 +333,12 @@ def ldp_scan(
     keeps the two columns visibly apart at any reachable X, so no closeness
     is asserted.
 
-    The gsum column is built once, at the largest X (gsum_column), and
-    read once, block by block (MonoidTable.blocks): each block counts, for
-    every X, its rows of norm <= X; a count does not depend on row order.
+    Every g takes at most two values on the primes, so gsum is a function
+    of the cell (omega, a), a counting the primes in g's class. The cells'
+    histogram at every X comes from one table, built at the largest X
+    (cell_counts); g and the interval tests are then taken once per cell,
+    g correctly rounded (g.sums), so elements with equal g never fall on
+    both sides of an edge.
     """
     for lo, hi in intervals:
         if not lo < hi:
@@ -346,23 +349,17 @@ def ldp_scan(
             raise ParameterError(f"ldp_scan needs X >= 3, got {X}")
     if not X_list:
         return []
-    table = gsum_column(system, max(X_list), g)
+    counts = cell_counts(system, X_list, g)
+    k, a = np.nonzero(counts.any(axis=0))
+    gsum = g.sums(k, a)
     bounds = [_rate_bound(rho, lo, hi) for lo, hi in intervals]
-    lls = [math.log(math.log(X)) for X in X_list]
-    counts = [[0] * len(intervals) for _ in X_list]
-    totals = [0] * len(X_list)
-    for norms, gsum in table.blocks(table.gsum):
-        least, most = int(norms.min()), int(norms.max())
-        for x, (X, ll) in enumerate(zip(X_list, lls)):
-            if least > X:
-                continue
-            v = (gsum if most <= X else gsum[norms <= np.uint64(X)]) / ll
-            totals[x] += v.size
-            for k, (lo, hi) in enumerate(intervals):
-                counts[x][k] += int(np.count_nonzero((v >= lo) & (v < hi)))
     rows = []
-    for X, ll, total, row in zip(X_list, lls, totals, counts):
-        for (lo, hi), bound, count in zip(intervals, bounds, row):
+    for X, cells in zip(X_list, counts[:, k, a]):
+        ll = math.log(math.log(X))
+        total = int(cells.sum())
+        v = gsum / ll
+        for (lo, hi), bound in zip(intervals, bounds):
+            count = int(cells[(v >= lo) & (v < hi)].sum())
             tail = Fraction(count, total)
             normalized = math.log(count / total) / ll if count else -math.inf
             rows.append(LDPRow(X, lo, hi, count, total, tail, normalized, bound))

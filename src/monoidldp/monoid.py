@@ -6,6 +6,14 @@ primes dividing the element, and the strongly additive statistic sum g(p)
 over those primes. Factorizations are discarded; every downstream statistic
 depends only on these three numbers, and memory is the binding constraint.
 
+Every g takes at most two values on the primes, value_in on a class of
+norms and value_out off it, so gsum is a function of the element's cell
+(omega, a), a being the number of its distinct primes in the class
+(g.inside). The paths below count a as they count omega, in integers, and
+g.sums turns a cell into its correctly rounded gsum, which does not depend
+on the order in which the primes were met. cell_counts gives the cells'
+histogram at every X of a grid, which is all that ldp_scan reads.
+
 A frontier enumerates the elements one omega-level at a time, over the
 primes sorted by norm. Every element other than 1 is a parent times
 p_i^e, e >= 1, with i at or after the parent's next prime index nxt, so
@@ -13,13 +21,14 @@ level k + 1 is the children of level k. A level's parents are taken in
 blocks of _BLOCK_PARENTS; a block's (parent, prime) pairs come from one
 searchsorted of X // n and are expanded in blocks of at most _BLOCK_PAIRS
 pairs, so the temporaries are bounded, not a whole level; a short loop
-over exponents runs while n * p^e <= X. A child's gsum is g(p_i) + the
-parent's gsum, the float add of a depth-first walk, so gsum is summed in
-ascending prime order; g is read as one array over the prime norms.
+over exponents runs while n * p^e <= X. A child's a is the parent's a,
+plus one when p_i is in the class.
 
-The levels fill three columns: norm (int64), gsum (float64, only with g)
-and nxt (int32, dropped at the end); omega is the level index, repeated
-into uint8 at the end. On quad:D and poly:q the callers pass the element
+The levels fill three columns: norm (int64), a (uint8, only when g has a
+class) and nxt (int32, dropped at the end); omega is the level index,
+repeated into uint8 at the end. a and omega need separate bytes: a
+Beurling system whose norm 2 repeats reaches omega = 23 below the
+frontier's cap. On quad:D and poly:q the callers pass the element
 count in closed form (element_counter), so the element cap is checked
 against the exact count before anything is allocated, and the columns are
 allocated once at that size; the enumeration must fill them exactly, else
@@ -28,32 +37,26 @@ Beurling system has no closed form: its columns grow by doubling, and
 since each pair gives at least one child, the cap is checked against the
 pair count before each parent block is expanded and again after every
 pair block; it raises exactly when the element count exceeds the cap.
-Traced with tracemalloc on quad:-4 at 1e6, the frontier peaks at ~19 bytes
-per element without g (13 of them the columns) and ~30 with g (21), and
-the table sorted by (norm, omega, gsum) (17 bytes per element) at ~34.
 
-For the rational integers the columns are instead sieved over 1..X, in
-segments of _SEGMENT values of n, with g evaluated once as an array over
-the primes. Every n <= X has at most one prime factor above sqrt(X), and
-it is the largest. So a segment [lo, hi) gets one strided add per prime
-p <= sqrt(X), in ascending order from the first multiple of p at or
-above lo, and then the large primes: for every cofactor m <= sqrt(X) at
-once, two searchsorted give the primes p with lo <= m p < hi, and the
-(m, p) pairs are added in blocks of _BLOCK_PAIRS. Each gsum is thus
-summed in ascending prime order, as the frontier sums it, and the two
-paths agree bit for bit. One sieve counts omega into uint8 (1 byte per
-element), as in every table, or sums gsum into float64 (8); the norms,
+For the rational integers the cells are instead sieved over 1..X, in
+segments of _SEGMENT values of n, into one uint8 per n, omega + 16 a: a
+prime adds 1, or 17 when it is in the class, and the nibbles cannot carry,
+since omega <= 8 below 23# = 223,092,870, above the sieve's 1e8 cap. Every
+n <= X has at most one prime factor above sqrt(X). So a segment [lo, hi)
+gets one strided add per prime p <= sqrt(X), from the first multiple of p
+at or above lo, and then the large primes: for every cofactor m <=
+sqrt(X) at once, two searchsorted give the primes p with lo <= m p < hi,
+and the (m, p) pairs are added in blocks of _BLOCK_PAIRS. With no class
+the byte is omega (1 byte per element, as in every table); the norms,
 1..X, are implicit.
 
 A caller that reads one column asks for it alone, a MonoidTable whose
-other columns are None (omega_column for ek_report, gsum_column for
-ldp_scan), with norm None on the integers. Only MonoidTable.blocks reads
-that rule: it yields the rows of norm in [lo, hi] in blocks, by a prefix
-slice or a mask. Rows may come in any order, so no sort runs. Only the
-full table (count) is sorted, 17 bytes per element. On the integers
-omega_column and the table concatenate the segments into whole columns,
-while gsum_column holds no column at all: its gsum is a _Sieved, which
-blocks sieves again, one segment at a time, on every read.
+other columns are None (omega_column for ek_report), with norm None on the
+integers. Only MonoidTable.blocks reads that rule: it yields the rows of
+norm in [lo, hi] in blocks, by a prefix slice or a mask. Rows may come in
+any order, so no sort runs. cell_counts holds no column on the integers:
+it counts each segment's cells as the sieve yields it. Only the full table
+(count) is sorted, 17 bytes per element.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -77,7 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,8 +98,9 @@ from .systems import (
 # rows of a table's column read at once (MonoidTable.blocks); bounds the
 # temporaries of the reductions over a column
 _BLOCK_ROWS = 1 << 16
-# values of n sieved at once on the integers; 2^18 ran fastest at 1e8
-_SEGMENT = 1 << 18
+# values of n sieved at once on the integers; 2^20 ran faster than 2^18 at
+# 1e8, for ek and ldp-scan alike, at the same peak (BENCH_segments.json)
+_SEGMENT = 1 << 20
 # parents whose pairs are counted at once, and (parent, prime) pairs
 # expanded at once; together they bound the frontier's temporaries
 _BLOCK_PARENTS = 1 << 16
@@ -112,49 +116,28 @@ _MAX_X_COUNT = 10**12
 
 
 @dataclass(frozen=True)
-class _Sieved:
-    """A column over 1..size that is sieved again, one segment at a time,
-    each time it is read (_segments)."""
-
-    primes: np.ndarray
-    vals: np.ndarray | None
-    size: int
-
-
-@dataclass(frozen=True)
 class MonoidTable:
     """Columns of the elements of norm <= X; a column not built is None,
-    and norm None means the norms are 1..count, in row order. gsum is an
-    array, or on the integers' gsum_column a _Sieved that only blocks
-    reads."""
+    and norm None means the norms are 1..count, in row order."""
 
     norm: np.ndarray | None
     omega: np.ndarray | None
-    gsum: np.ndarray | _Sieved | None
+    gsum: np.ndarray | None
 
     @property
     def count(self) -> int:
         return int(next(c for c in (self.norm, self.omega, self.gsum) if c is not None).size)
 
-    def blocks(self, values: np.ndarray | _Sieved, lo: int = 1, hi: int | None = None):
+    def blocks(self, values: np.ndarray, lo: int = 1, hi: int | None = None):
         """(norms, values) of the rows with lo <= norm <= hi (hi None: no
         bound), values being a column of the table, in row order and blocks
         of at most _BLOCK_ROWS rows; norms are uint64. Implicit norms are
-        read as a prefix slice, of each segment of a _Sieved in turn, and
-        explicit ones by a mask over every row."""
+        read as a prefix slice, and explicit ones by a mask over every row."""
         if self.norm is None:
             stop = self.count if hi is None else min(hi, self.count)
-            parts = (_segments(values.primes, values.size, values.vals)
-                     if isinstance(values, _Sieved) else (values,))
-            base = 0  # rows before the part
-            for part in parts:
-                end = min(base + part.size, stop)
-                for a in range(max(lo - 1, base), end, _BLOCK_ROWS):
-                    b = min(a + _BLOCK_ROWS, end)
-                    yield np.arange(a + 1, b + 1, dtype=np.uint64), part[a - base:b - base]
-                base += part.size
-                if base >= stop:
-                    return
+            for a in range(max(lo - 1, 0), stop, _BLOCK_ROWS):
+                b = min(a + _BLOCK_ROWS, stop)
+                yield np.arange(a + 1, b + 1, dtype=np.uint64), values[a:b]
             return
         for a in range(0, self.count, _BLOCK_ROWS):
             norm, vals = self.norm[a:a + _BLOCK_ROWS], values[a:a + _BLOCK_ROWS]
@@ -170,7 +153,8 @@ class MonoidTable:
 def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     """Complete table of monoid elements of norm <= X with g-statistics:
     sieved on the integers, built by the frontier on every other system;
-    every column explicit, sorted by (norm, omega, gsum)."""
+    every column explicit, sorted by (norm, omega, gsum), gsum being g at
+    each row's cell (g.sums)."""
     primes, total = _prepare(system, X)
     if isinstance(system, Integers):
         return MonoidTable(*_sieve_table(primes, X, g))
@@ -191,15 +175,70 @@ def omega_column(system: PrimeSystem, X: int) -> tuple[MonoidTable, np.ndarray]:
     return MonoidTable(norm, omega, None), primes
 
 
-def gsum_column(system: PrimeSystem, X: int, g) -> MonoidTable:
-    """The table at X with norm and gsum alone, its rows a multiset: on the
-    integers gsum sieved in segments as it is read, their norms implicit,
-    elsewhere the frontier's columns as they come, in level order."""
-    primes, total = _prepare(system, X)
+# the cells (omega, a) of cell_counts: omega < 64, as norms are >= 2 and X
+# stays below 2^63
+_CELL_BITS = 6
+_CELLS = 1 << _CELL_BITS
+
+
+def cell_counts(system: PrimeSystem, X_grid: Sequence[int], g) -> np.ndarray:
+    """counts[x, k, j]: the elements of norm <= X_grid[x] with k distinct
+    primes, j of them in g's class (g.inside; j = 0 when g has none), for
+    k, j < _CELLS.
+
+    One table is built, at the largest X, and read once, in blocks of
+    _BLOCK_ROWS rows: a block takes one bincount of its cells for the X
+    above all its norms, and one per X that cuts it, of its rows of norm
+    <= X. On the integers the blocks are the sieve's segments as they come,
+    each cell one byte, omega + 16 a, and no column is held; elsewhere they
+    are the frontier's omega and a columns as built, in level order.
+    """
+    top = max(X_grid)
+    primes, total = _prepare(system, top)
     if isinstance(system, Integers):
-        return MonoidTable(None, None, _Sieved(primes, g.values(primes), X))
-    norm, _, gsum = _frontier(primes, X, g, total)
-    return MonoidTable(norm, None, gsum)
+        shift, blocks = 4, _sieve_blocks(primes, top, g.inside(primes))
+    else:
+        shift, blocks = _CELL_BITS, _frontier_blocks(*_frontier(primes, top, g, total))
+    size = 1 << 2 * shift
+    counts = np.zeros((len(X_grid), size), dtype=np.int64)
+    for least, most, norms, cell in blocks:
+        whole = None
+        for x, X in enumerate(X_grid):
+            if X < least:
+                continue
+            if most <= X:
+                if whole is None:
+                    whole = np.bincount(cell, minlength=size)
+                counts[x] += whole
+            else:
+                below = cell[:X - least + 1] if norms is None else cell[norms <= np.uint64(X)]
+                counts[x] += np.bincount(below, minlength=size)
+    cells = np.arange(size)
+    out = np.zeros((len(X_grid), _CELLS, _CELLS), dtype=np.int64)
+    out[:, cells & (1 << shift) - 1, cells >> shift] = counts
+    return out
+
+
+def _sieve_blocks(primes: np.ndarray, X: int, inside: np.ndarray | None):
+    """(least norm, largest norm, None, cells) of n = 1..X, in blocks of at
+    most _BLOCK_ROWS cut from the sieve's segments; None: the norms are
+    the implicit least..largest."""
+    n = 0  # the values of n before the segment
+    for part in _segments(primes, X, inside):
+        for a in range(0, part.size, _BLOCK_ROWS):
+            cell = part[a:a + _BLOCK_ROWS]
+            yield n + a + 1, n + a + cell.size, None, cell
+        n += part.size
+
+
+def _frontier_blocks(norm: np.ndarray, omega: np.ndarray, a: np.ndarray | None):
+    """(least norm, largest norm, norms, cells) of the frontier's rows in
+    blocks, each cell omega + _CELLS a."""
+    for i in range(0, norm.size, _BLOCK_ROWS):
+        norms, cell = norm[i:i + _BLOCK_ROWS], omega[i:i + _BLOCK_ROWS].astype(np.intp)
+        if a is not None:
+            cell += a[i:i + _BLOCK_ROWS].astype(np.intp) << _CELL_BITS
+        yield int(norms.min()), int(norms.max()), norms, cell
 
 
 def _prepare(system: PrimeSystem, X: int) -> tuple[np.ndarray, int | None]:
@@ -227,42 +266,44 @@ def _check_x(system: PrimeSystem, X: int) -> None:
 
 def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table of 1..X from the rational primes <= X."""
-    omega = _sieve(primes, X, None)
-    gsum = _sieve(primes, X, g.values(primes))
+    inside = g.inside(primes)
+    omega = _sieve(primes, X, inside)
+    a = None if inside is None else omega >> 4
+    omega &= 15
+    gsum = g.sums(omega, a)
+    del a  # before the norms are allocated
     return np.arange(1, X + 1, dtype=np.uint64), omega, gsum
 
 
-def _sieve(primes: np.ndarray, X: int, vals: np.ndarray | None) -> np.ndarray:
+def _sieve(primes: np.ndarray, X: int, inside: np.ndarray | None) -> np.ndarray:
     """The whole column over 1..X, its segments copied into one array."""
-    col = np.empty(X, dtype=np.uint8 if vals is None else np.float64)
+    col = np.empty(X, dtype=np.uint8)
     a = 0
-    for part in _segments(primes, X, vals):
+    for part in _segments(primes, X, inside):
         col[a:a + part.size] = part
         a += part.size
     return col
 
 
-def _segments(primes: np.ndarray, X: int, vals: np.ndarray | None):
-    """The column over 1..X in segments of _SEGMENT values of n, ascending.
-    Entry n sums vals[i] over the primes primes[i] dividing n in ascending
-    order of i, in float64; with vals None it counts them, omega(n), in
-    uint8, as no n below 23# = 223,092,870 has 9."""
-    dtype = np.uint8 if vals is None else np.float64
-    # primes up to sqrt(X), ascending: one strided add per prime and segment
+def _segments(primes: np.ndarray, X: int, inside: np.ndarray | None):
+    """The column over 1..X in segments of _SEGMENT values of n, ascending:
+    entry n is the cell omega(n) + 16 a(n), in uint8, a(n) being the
+    primes primes[i] dividing n with inside[i] (none when inside is None,
+    so that entry n is omega(n)). Each prime adds 1, or 17 when inside, and
+    the nibbles cannot carry, as no n below 23# = 223,092,870 has 9
+    distinct primes."""
+    step = np.ones(primes.size, np.uint8) if inside is None else np.where(inside, 17, 1)
+    # primes up to sqrt(X): one strided add per prime and segment
     k = int(primes.searchsorted(math.isqrt(X), "right"))
-    small = [(p, v) for p, v in zip(primes[:k].tolist(),
-                                     [1] * k if vals is None else vals[:k].tolist())
-             if v != 0.0]
-    # n <= X has at most one prime factor above sqrt(X), its largest, so it
-    # comes last and the ascending order of the sum holds. Its cofactor m is
+    small = list(zip(primes[:k].tolist(), step[:k].tolist()))
+    # n <= X has at most one prime factor above sqrt(X); its cofactor m is
     # below sqrt(X), and n determines (m, p), so a segment's targets are
-    # distinct.
-    large = primes[k:]
-    big = None if vals is None else vals[k:]
+    # distinct
+    large, big = primes[k:], step[k:].astype(np.uint8)
     m = np.arange(1, X // int(large[0]) + 1 if large.size else 1, dtype=np.int64)
     for lo in range(1, X + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, X + 1)
-        col = np.zeros(hi - lo, dtype=dtype)
+        col = np.zeros(hi - lo, dtype=np.uint8)
         for p, v in small:
             col[-lo % p::p] += v
         # per cofactor m, the large primes p with lo <= m p < hi
@@ -272,7 +313,7 @@ def _segments(primes: np.ndarray, X: int, vals: np.ndarray | None):
         for a, b in _pair_blocks(ends):
             i = _ranges(first[a:b], count[a:b])
             n = np.repeat(m[a:b], count[a:b]) * large[i] - lo
-            col[n] += 1 if big is None else big[i]
+            col[n] += 1 if inside is None else big[i]
         yield col
 
 
@@ -297,8 +338,10 @@ def _pair_blocks(ends: np.ndarray):
 
 
 def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple[np.ndarray, ...]:
-    """The frontier's columns sorted by (norm, omega, gsum)."""
+    """The frontier's columns, gsum from each row's cell, sorted by (norm,
+    omega, gsum)."""
     columns = list(_frontier(P, X, g, total))
+    columns[2] = g.sums(columns[1], columns[2])  # a -> gsum
     order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
     for k in range(len(columns)):  # one sorted copy alive at a time
         columns[k] = columns[k][order]
@@ -307,9 +350,10 @@ def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple
 
 def _frontier(P: np.ndarray, X: int, g, total: int | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Unsorted (norm, omega, gsum) columns of every element of norm <= X,
-    P being the prime norms <= X, one omega-level at a time; g=None skips g
-    and the gsum column.
+    """Unsorted (norm, omega, a) columns of every element of norm <= X,
+    P being the prime norms <= X, one omega-level at a time; a counts an
+    element's primes in g's class (g.inside), in uint8, and is None when g
+    is None or has no class.
 
     total, when given, is the element count in closed form: the element cap
     is checked against it, the columns are allocated once at that size, and
@@ -318,13 +362,14 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
     """
     if total is not None:
         _check_budget(total)
-    G = None if g is None else g.values(P)
+    inside = None if g is None else g.inside(P)
+    In = None if inside is None else inside.astype(np.uint8)
     size = max(1024, 2 * P.size) if total is None else total
-    # norm, gsum and nxt, the index of the first prime an element may take;
+    # norm, a and nxt, the index of the first prime an element may take;
     # levels are contiguous slices, level 0 is 1
     cols = [np.empty(size, dtype=np.int64)]
-    if G is not None:
-        cols.append(np.empty(size))
+    if In is not None:
+        cols.append(np.empty(size, dtype=np.uint8))
     cols.append(np.empty(size, dtype=np.int32))
     for col in cols:
         col[0] = 0
@@ -343,7 +388,7 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
             # pairs; each gives one child at least
             _check_budget(used + int(ends[-1]))
             for a, b in _pair_blocks(ends):
-                children = _expand(P, G, X, [col[first + a:first + b] for col in cols],
+                children = _expand(P, In, X, [col[first + a:first + b] for col in cols],
                                    count[a:b])
                 n = children[0].size
                 if used + n > cols[0].size:
@@ -360,22 +405,21 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
         raise _count_error(X, total, stop)
     norm = cols[0][:stop].view(np.uint64)
     omega = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
-    return norm, omega, cols[1][:stop] if G is not None else None
+    return norm, omega, cols[1][:stop] if In is not None else None
 
 
-def _expand(P, G, X, parents, count) -> list[np.ndarray]:
-    """The children [norm, gsum, nxt] of a block of parents [norm, gsum, nxt]
-    (no gsum when G is None): n * p_i^e <= X, e >= 1, for the count[j]
+def _expand(P, In, X, parents, count) -> list[np.ndarray]:
+    """The children [norm, a, nxt] of a block of parents [norm, a, nxt]
+    (no a when In is None): n * p_i^e <= X, e >= 1, for the count[j]
     primes i = nxt[j], nxt[j] + 1, ... of parent j."""
     i = _ranges(parents[-1], count)
     p = P[i]
     cols = [np.repeat(parents[0], count) * p]
-    if G is not None:
-        # the float add of a depth-first walk: g(p_i) + the parent's gsum
-        cols.append(G[i] + np.repeat(parents[1], count))
+    if In is not None:
+        cols.append(In[i] + np.repeat(parents[1], count))
     cols.append(i + 1)
     parts = []
-    while cols[0].size:  # every exponent shares omega, gsum and nxt
+    while cols[0].size:  # every exponent shares omega, a and nxt
         parts.append(cols)
         more = cols[0] <= X // p
         p = p[more]

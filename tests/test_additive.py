@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoidldp import additive
 from monoidldp.additive import (
     DiscreteMeasure,
     NormResidue,
@@ -15,7 +16,7 @@ from monoidldp.additive import (
     rho_X,
 )
 from monoidldp.errors import EmptySystem, ParameterError
-from monoidldp.systems import Beurling, Integers, PolyOverFq, prime_norms
+from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, prime_norms
 
 
 def test_omega_rule():
@@ -140,6 +141,51 @@ def test_rho_x_mass_is_exactly_one(system, X):
     assert sum(exact.values()) == 1
     # each weight is its exact value, correctly rounded
     assert rho_X(prime_norms(system, X), g, X).atoms == tuple((y, float(w)) for y, w in exact.items())
+
+
+RHO_GS = [NormResidue(4, frozenset({1}), 2.0, 0.5), NormResidue(3, frozenset({1}), 0.1, 0.7)]
+
+
+def _tree_rho(norms, g, X):
+    """rho_X's atoms from the exact tree sums alone."""
+    norms = norms[: norms.searchsorted(X, "right")]
+    ys = sorted(set(g.values(norms).tolist()))
+    atom = [ys.index(y) for y in g.values(norms).tolist()]
+    return tuple(zip(ys, additive._exact_weights(list(zip(atom, norms.tolist())), len(ys))))
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+@pytest.mark.parametrize("g", RHO_GS, ids=lambda g: g.key)
+def test_rho_x_fixed_point_matches_the_tree_sum(monkeypatch, system, g):
+    # every atom from the fixed-point bounds, none from the fallback, and
+    # each the tree sum's correctly rounded weight, bit for bit
+    norms = prime_norms(system, 10**5)
+    grid = (10, 1000, 10**5)
+    want = [_tree_rho(norms, g, X) for X in grid]
+
+    def no_fallback(*args):
+        raise AssertionError("rho_X fell back to the tree sums")
+
+    monkeypatch.setattr(additive, "_exact_weights", no_fallback)
+    for X, atoms in zip(grid, want):
+        got = rho_X(norms, g, X).atoms
+        assert [(y.hex(), w.hex()) for y, w in got] == [(y.hex(), w.hex()) for y, w in atoms]
+
+
+@pytest.mark.parametrize("g", RHO_GS, ids=lambda g: g.key)
+def test_rho_x_fallback_gets_the_same_bits(monkeypatch, g):
+    # with 8 fixed-point bits the bounds of some atom straddle a double,
+    # so every weight comes from the tree sums, as the same bits
+    X = 10**5
+    norms = prime_norms(Integers(), X)
+    want = rho_X(norms, g, X).atoms
+    calls = []
+    fallback = additive._exact_weights
+    monkeypatch.setattr(additive, "_FIXED_BITS", 8)
+    monkeypatch.setattr(additive, "_exact_weights",
+                        lambda *args: calls.append(1) or fallback(*args))
+    assert rho_X(norms, g, X).atoms == want
+    assert calls == [1]
 
 
 def test_check_convergence_zero_when_limit_matches():

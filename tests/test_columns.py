@@ -5,6 +5,7 @@ The oracle is the full-table computation the blocked code replaced: the
 the integers), reduced over whole columns at once, and for ek the KS
 maxima over the whole sorted statistic and its Phi.
 """
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from monoidldp import experiments, monoid
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ndtr, ek_report, ldp_scan
-from monoidldp.monoid import enumerate_monoid, gsum_column, omega_column
+from monoidldp.monoid import cell_counts, enumerate_monoid, omega_column
 from monoidldp.systems import (
     Beurling,
     Integers,
@@ -77,6 +78,10 @@ def _hex(row) -> dict:
 # the other X cover both, 2^16 +- 1 across a block boundary
 CASES = [(X, block) for X in (16, 17, 1000, 2**16 - 1, 2**16 + 1, 10**6)
          for block in (1, 3, 2**16, X + 1) if X < 10**6 or block > 3]
+# ek pays per block for its run test and its bins, so 1-row blocks stop at
+# X = 1000: X = 16, 17 and 1000 put a block boundary at every row, and
+# 2^16 +- 1 keep theirs at blocks of 3 and 2^16
+EK_CASES = [(X, block) for X, block in CASES if block > 1 or X < 2**16 - 1]
 # ldp_scan's Python loop runs ~1.5 X times with 1-row blocks, so near 2^16
 # only once: that loop is the same for every g, and CASES holds Omega at
 # every other block size
@@ -84,7 +89,7 @@ LDP_CASES = [(X, block, g) for X, block in CASES for g in (RESIDUE, Omega())
              if block > 1 or X < 2**16 - 1 or (X, g) == (2**16 + 1, RESIDUE)]
 
 
-@pytest.mark.parametrize("X,block", CASES)
+@pytest.mark.parametrize("X,block", EK_CASES)
 def test_blocked_ek_matches_the_full_table(monkeypatch, X, block):
     want = _hex(_ek_oracle(Integers(), X))
     monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
@@ -97,6 +102,30 @@ def test_blocked_ldp_scan_matches_the_full_table(monkeypatch, X, block, g):
     want = [_hex(r) for r in _ldp_oracle(Integers(), g, grid, INTERVALS, RHO)]
     monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
     assert [_hex(r) for r in ldp_scan(Integers(), g, grid, INTERVALS, RHO)] == want
+
+
+def test_ldp_scan_edge_at_a_g_value_takes_every_element_of_it():
+    # g(n) = 0.1 a + 0.7 b is not a sum of dyadic values, so a float sum in
+    # the order the primes come gives some n with (a, b) = (3, 1) 1.0 and
+    # others 1 - 2^-53. Correctly rounded per cell, all of them are 1.0,
+    # and an edge at lo = 1.0 / log log X takes them all, as it does one
+    # ulp lower
+    X, g = 10**5, NormResidue(3, frozenset({1}), 0.1, 0.7)
+    ll = math.log(math.log(X))
+    lo = 1.0 / ll
+    rows = ldp_scan(Integers(), g, [X], [(lo, math.inf), (math.nextafter(lo, 0.0), math.inf)],
+                    RHO)
+    # the oracle: omega and a of every n by whole-array strided adds, and
+    # g of each (omega, a) as an exact fraction, rounded once
+    omega, a = np.zeros(X + 1, dtype=np.int64), np.zeros(X + 1, dtype=np.int64)
+    for p in prime_norms(Integers(), X).tolist():
+        omega[p::p] += 1
+        a[p::p] += p % 3 == 1
+    cells = collections.Counter(zip(omega[1:].tolist(), a[1:].tolist()))
+    want = sum(c for (k, j), c in cells.items()
+               if float(j * Fraction(0.1) + (k - j) * Fraction(0.7)) / ll >= lo)
+    assert cells[4, 3] > 0
+    assert [r.count for r in rows] == [want, want]
 
 
 @pytest.mark.parametrize("system,X", [
@@ -145,6 +174,12 @@ def test_blocks_read_implicit_and_explicit_norms_alike(monkeypatch, block):
                 assert _rows(table, lo, hi) == want, (table.norm is None, lo, hi)
 
 
+def _cell_histogram(omega, a) -> np.ndarray:
+    cells = np.zeros((monoid._CELLS, monoid._CELLS), dtype=np.int64)
+    np.add.at(cells, (omega, a), 1)
+    return cells
+
+
 @pytest.mark.parametrize("system", [
     Integers(), QuadraticField(-4), QuadraticField(-3), PolyOverFq(2), Beurling((2, 3, 3, 5)),
 ], ids=lambda s: s.key)
@@ -152,28 +187,32 @@ def test_columns_are_the_tables_columns(system):
     X = 3000
     table = enumerate_monoid(system, X, RESIDUE)
     o_table, primes = omega_column(system, X)
-    g_table = gsum_column(system, X, RESIDUE)
-    assert o_table.gsum is None and g_table.omega is None
-    assert o_table.count == g_table.count == table.count
-    norm, omega, g_norm, gsum = o_table.norm, o_table.omega, g_table.norm, g_table.gsum
+    assert o_table.gsum is None and o_table.count == table.count
+    norm, omega = o_table.norm, o_table.omega
     assert omega.dtype == np.uint8
+    f_norm, f_omega, a = monoid._frontier(primes, X, RESIDUE)
+    assert a.dtype == np.uint8
     if isinstance(system, Integers):  # the norms are implicit, 1..X
-        assert norm is None and g_norm is None
-        norm = g_norm = np.arange(1, X + 1, dtype=np.uint64)
-        # gsum is sieved in segments as it is read
-        gsum = np.concatenate([v for _, v in g_table.blocks(g_table.gsum)])
+        assert norm is None
+        norm = np.arange(1, X + 1, dtype=np.uint64)
+        # the sieve's cells, omega + 16 a in one byte, against the
+        # frontier's columns over the same primes, bit for bit
+        cells = monoid._sieve(primes, X, RESIDUE.inside(primes))
+        order = np.argsort(f_norm)
+        assert f_norm[order].tobytes() == norm.tobytes()
+        assert (cells & 15).tobytes() == f_omega[order].tobytes() == omega.tobytes()
+        assert (cells >> 4).tobytes() == a[order].tobytes()
+        a = cells >> 4
     else:  # the frontier's rows as built, in level order
-        f_norm, f_omega, f_gsum = monoid._frontier(primes, X, RESIDUE)
-        assert norm.tobytes() == g_norm.tobytes() == f_norm.tobytes()
+        assert norm.tobytes() == f_norm.tobytes()
         assert np.array_equal(omega, f_omega)
-        assert gsum.tobytes() == f_gsum.tobytes()
         # and, as a multiset, the sorted table's rows
-        order = np.lexsort((gsum, omega, norm))
-        norm, omega, gsum = norm[order], omega[order], gsum[order]
-        g_norm = norm
-    assert norm.tobytes() == g_norm.tobytes() == table.norm.tobytes()
+        order = np.lexsort((RESIDUE.sums(omega, a), omega, norm))
+        norm, omega, a = norm[order], omega[order], a[order]
+    assert norm.tobytes() == table.norm.tobytes()
     assert np.array_equal(omega, table.omega)
-    assert gsum.tobytes() == table.gsum.tobytes()
+    assert RESIDUE.sums(omega, a).tobytes() == table.gsum.tobytes()
+    assert np.array_equal(cell_counts(system, [X], RESIDUE)[0], _cell_histogram(omega, a))
     assert primes.tobytes() == prime_norms(system, X).tobytes()
 
 
@@ -235,15 +274,17 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
 # took ~46 (ek) and ~21-31 (ldp_scan) bytes per element, and one whole
 # float64 column (ek's sorted statistic, ldp_scan's gsum) ~11. Without it,
 # ek holds omega and the KS bins (3 bytes per element) and ldp_scan one
-# sieve segment; both also hold the primes and a block's temporaries. On
+# sieve segment of one-byte (omega, a) cells (~4.5 bytes per element, ~9
+# while it sieved a float64 gsum); both also hold the primes and a block's
+# temporaries. On
 # poly:2 most rows repeat the one before: ek took 16.5 and 22.6 bytes per
 # element when it collapsed neither these runs nor the ties of its
 # candidates into (value, count).
 PEAK_RUNS = {
     "ek": (6, Integers(), 10**6, ek_report),
-    "ldp-residue": (9, Integers(), 10**6,
+    "ldp-residue": (6, Integers(), 10**6,
                     lambda s, X: ldp_scan(s, RESIDUE, [X // 10, X], INTERVALS, RHO)),
-    "ldp-omega": (9, Integers(), 10**6, lambda s, X: ldp_scan(s, Omega(), [X], INTERVALS, RHO)),
+    "ldp-omega": (6, Integers(), 10**6, lambda s, X: ldp_scan(s, Omega(), [X], INTERVALS, RHO)),
     "ek-poly2": (12, PolyOverFq(2), 2**16, ek_report),
 }
 

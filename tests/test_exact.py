@@ -56,17 +56,6 @@ def _norms(*norms):
     return np.array(norms, dtype=np.int64)
 
 
-class NormTable:
-    """g(p) = table[N(p)], default off the table: an arbitrary g for the
-    oracles, a rule that no command builds."""
-
-    def __init__(self, table, default=0.0):
-        self.table, self.default = dict(table), default
-
-    def values(self, norms):
-        return np.array([self.table.get(n, self.default) for n in norms.tolist()], dtype=float)
-
-
 def test_expect_z_examples():
     assert expect_Z(Integers(), 10, [2, 3]) == Fraction(1, 10)
     assert expect_Z(Integers(), 100, [2, 3]) == Fraction(4, 25)
@@ -343,12 +332,36 @@ def test_gap_components_frozen_row():
     assert row.gap == pytest.approx(0.00620048856943, rel=1e-9)
 
 
-def _table_log_mgf_z(system, X, subset, g, theta):
+def _restricted_gsums(system, X, subset, g):
+    """Per element of norm <= X, g summed exactly over its primes whose
+    norms are in the subset (a union of norm classes) and rounded once: a
+    depth-first walk over the system's primes, its rows in the sorted
+    table's (norm, omega, gsum) order."""
+    norms = prime_norms(system, X).tolist()
+    kept = set(subset.tolist())
+    gvals = [Fraction(_g_at(g, n)) if n in kept else Fraction(0) for n in norms]
+    rows = [(1, 0, Fraction(0))]
+
+    def rec(i0, n, om, gs):
+        for i in range(i0, len(norms)):
+            m = n * norms[i]
+            if m > X:
+                break
+            gi = gs + gvals[i]
+            while m <= X:
+                rows.append((m, om + 1, gi))
+                rec(i + 1, m, om + 1, gi)
+                m *= norms[i]
+
+    rec(0, 1, 0, Fraction(0))
+    norm, omega, gsum = (np.array(col, dtype=float) for col in zip(*rows))
+    return gsum[np.lexsort((gsum, omega, norm))]
+
+
+def _table_log_mgf_z(gsums, theta):
     """The table oracle: log of the mean of exp(theta * gsum) over every
-    element, g being kept on the subset's norms (a union of norm classes)
-    and zero elsewhere."""
-    restricted = NormTable({n: _g_at(g, n) for n in subset.tolist()})
-    w = theta * monoid.enumerate_monoid(system, X, restricted).gsum
+    element (_restricted_gsums)."""
+    w = theta * gsums
     peak = float(w.max())
     return peak + math.log(float(np.exp(w - peak).sum())) - math.log(w.size)
 
@@ -374,8 +387,10 @@ def test_mgf_z_matches_table_oracle(system, X, bound, C):
     norms = prime_norms(system, bound)
     subset = norms[g.values(norms) <= C]
     assert len(subset) >= 2
+    gsums = _restricted_gsums(system, X, subset, g)
+    assert gsums.size == _count(system, X)
     for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
-        want = _table_log_mgf_z(system, X, subset, g, theta)
+        want = _table_log_mgf_z(gsums, theta)
         assert math.isclose(mgf_Z(system, X, subset, g, theta), math.exp(want), rel_tol=1e-14)
         got = log_mgf_Z(system, X, subset, g, theta)
         assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-16)
@@ -393,14 +408,15 @@ def test_support_counts_sum_to_count(system, X, bound):
 @pytest.mark.parametrize("X", [1, 2, 30, 97, 1000])
 def test_support_counts_match_trial_division(X):
     subset = prime_norms(Integers(), 47)
-    # g(p_i) = 2^i, so the float g_S spells the set S as a bitmask, exactly
-    g = NormTable({n: 2.0**i for i, n in enumerate(subset.tolist())})
+    g = NormResidue(4, frozenset({1}), 0.1, 0.7)
     total, support = _support_counts(element_counter(Integers(), X), X, subset, g)
+    # each S that some m <= X has exactly, by trial division, with its
+    # count and its g_S, summed exactly and rounded once
     expected = collections.Counter(
-        sum(1 << i for i, n in enumerate(subset.tolist()) if m % n == 0) for m in range(1, X + 1))
+        tuple(n for n in subset.tolist() if m % n == 0) for m in range(1, X + 1))
     assert total == X
-    assert {int(gs): c for c, gs in support} == expected
-    assert len(support) == len(expected)
+    assert sorted(support) == sorted(
+        (c, float(sum(Fraction(_g_at(g, n)) for n in S))) for S, c in expected.items())
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)

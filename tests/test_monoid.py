@@ -1,6 +1,7 @@
 """Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle."""
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -15,9 +16,9 @@ from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     _frontier_table,
     _sieve_table,
+    cell_counts,
     element_counter,
     enumerate_monoid,
-    gsum_column,
     omega_column,
 )
 from monoidldp.systems import (
@@ -49,42 +50,25 @@ def test_beurling_23_elements():
     assert np.bincount(t.omega).tolist() == [1, 5, 2]
 
 
-class NormTable:
-    """g(p) = table[N(p)], default off the table: an arbitrary g for the
-    oracles, a rule that no command builds."""
-
-    def __init__(self, table, default=0.0):
-        self.table, self.default = dict(table), default
-
-    def values(self, norms):
-        return np.array([self.table.get(n, self.default) for n in norms.tolist()], dtype=float)
-
-
 def scalar_g(g, norm):
     """g at one prime of this norm, each rule written out one prime at a
     time: the reference that the array evaluation g.values must match."""
     if isinstance(g, Omega):
         return 1.0
-    if isinstance(g, NormResidue):
-        return g.value_in if norm % g.modulus in g.residues else g.value_out
-    return g.table.get(norm, g.default)
-
-
-def _restricted_to_two_primes():
-    # a residue g kept on the norms 3 and 97 only, zero on every other prime
-    g = NormResidue(3, frozenset({2}), 0.1, 0.7)
-    return NormTable({n: scalar_g(g, n) for n in (3, 97)})
+    return g.value_in if norm % g.modulus in g.residues else g.value_out
 
 
 # every kind of g the integer sieve meets: constant and not, non-dyadic
-# values (so the summation order shows), a zero g and a restricted g
+# values (where a sum in floats would depend on its order), a zero g, and
+# a g kept on two primes (3 and 97: each other prime of either class
+# would be a multiple of 3 or of 97), zero elsewhere
 SIEVE_GS = {
     "omega": Omega(),
     "residue-3-2": NormResidue(3, frozenset({2}), 0.1, 0.7),
     "residue-int-values": NormResidue(4, frozenset({1}), 2, 1),
-    "table": NormTable({2: 0.3, 7: 1.1, 97: 0.0, 101: 2.5}, default=0.2),
+    "residue-7-squares": NormResidue(7, frozenset({1, 2, 4}), 1.1, 0.3),
     "zero": NormResidue(4, frozenset({1}), 0.0, 0.0),
-    "restricted": _restricted_to_two_primes(),
+    "restricted": NormResidue(291, frozenset({3, 97}), 0.7, 0.0),
 }
 
 
@@ -108,18 +92,19 @@ def test_sieve_matches_recursion():
 
 
 def test_sieve_matches_recursion_for_constant_g():
-    # 0.1 added six times is not 6 * 0.1; 30030 is the first n with omega = 6
+    # gsum is 6 * 0.1 correctly rounded, whatever order the paths meet the
+    # primes in: 0.1 added six times is not that; 30030 is the first n with
+    # omega = 6
     g = NormResidue(4, frozenset({1}), 0.1, 0.1)
     gsum = _assert_paths_agree(30030, g)[2]
-    assert gsum[-1] == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 != 6 * 0.1
+    assert gsum[-1] == float(6 * Fraction(0.1)) == 6 * 0.1 != 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
 def test_table_at_smaller_x_is_a_prefix(system):
-    # count's table at X is a prefix of the table at any larger X, as is the
-    # integers' gsum column for ldp_scan; g here is constant on the primes
-    # up to 40000 only
-    g = NormTable({40009: 0.7}, default=0.1)
+    # count's table at X is a prefix of the table at any larger X; g here
+    # is constant on the primes up to 40000 only (its class holds 40009)
+    g = NormResidue(40009, frozenset({0}), 0.7, 0.1)
     big = enumerate_monoid(system, 50_000, g)
     for X in (1, 30030, 40009):
         small = enumerate_monoid(system, X, g)
@@ -158,44 +143,47 @@ def test_sieve_matches_recursion_with_residue_g():
     _assert_paths_agree(5000, NormResidue(4, frozenset({1, 3}), 1.0, 2.0))
 
 
-def _whole_sieve(primes, X, vals):
-    """The whole-array sieve that the segmented one replaced, kept as its
-    oracle: entry n, over 0..X, sums vals[i] over the primes primes[i]
-    dividing n in ascending order of i, in float64; with vals None it
-    counts them in uint8."""
-    col = np.zeros(X + 1, dtype=np.uint8 if vals is None else np.float64)
+def _prime_counts(primes, X):
+    """The sieve's oracle, with no segments: per n in 0..X, how many of the
+    primes divide n, by one strided add per prime up to sqrt(X), and for
+    those above it one add per cofactor m over every prime p with m p <= X."""
+    col = np.zeros(X + 1, dtype=np.int32)
     k = int(primes.searchsorted(math.isqrt(X), "right"))
-    small = [1] * k if vals is None else vals[:k].tolist()
-    for p, v in zip(primes[:k].tolist(), small):
-        if v != 0.0:
-            col[p::p] += v
+    for p in primes[:k].tolist():
+        col[p::p] += 1
     large = primes[k:]
-    if large.size:
-        for m in range(1, X // int(large[0]) + 1):
-            j = int(large.searchsorted(X // m, "right"))
-            col[m * large[:j]] += 1 if vals is None else vals[k:k + j]
+    for m in range(1, X // int(large[0]) + 1 if large.size else 1):
+        col[m * large[:large.searchsorted(X // m, "right")]] += 1
     return col
 
 
-# the g of the segmented-sieve oracle tests: a constant g, a residue g and
-# an arbitrary one; omega (no g) is checked beside them
-SEGMENT_GS = [Omega(), NormResidue(4, frozenset({1}), 2, 0.5), SIEVE_GS["table"]]
+# the g of the segmented-sieve oracle tests: a constant g and two residue
+# g; omega (no g) is checked beside them
+SEGMENT_GS = [Omega(), NormResidue(4, frozenset({1}), 2, 0.5), SIEVE_GS["residue-7-squares"]]
 
 
 def _assert_segments_match_the_whole_sieve(X):
     primes = primes_upto(X)
-    want = _whole_sieve(primes, X, None)[1:]
+    omega = _prime_counts(primes, X)
+    want = omega[1:].astype(np.uint8)
     got = monoid._sieve(primes, X, None)
     assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), X
     assert omega_column(Integers(), X)[0].omega.tobytes() == want.tobytes(), X
     for g in SEGMENT_GS:
-        want = _whole_sieve(primes, X, g.values(primes))[1:]
-        got = monoid._sieve(primes, X, g.values(primes))
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (X, g)
-        # gsum_column holds no column: blocks sieves its segments as read
-        table = gsum_column(Integers(), X, g)
-        read = np.concatenate([v for _, v in table.blocks(table.gsum)])
-        assert read.tobytes() == want.tobytes(), (X, g)
+        inside = g.inside(primes)
+        a = 0 if inside is None else _prime_counts(primes[inside], X)
+        # the sieve packs a cell into one byte, omega + 16 a
+        want = (omega + 16 * a)[1:].astype(np.uint8)
+        got = monoid._sieve(primes, X, inside)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), (X, g)
+        # cell_counts holds no column: it counts the segments as sieved
+        grid = [X // 2 + 1, X]
+        counts = cell_counts(Integers(), grid, g)
+        for x, Y in enumerate(grid):
+            cells = np.zeros((monoid._CELLS, monoid._CELLS), dtype=np.int64)
+            times = np.bincount(want[:Y], minlength=256)
+            cells[np.arange(256) & 15, np.arange(256) >> 4] = times
+            assert np.array_equal(counts[x], cells), (X, Y, g)
 
 
 # per segment size, X at segment boundaries and one off them, and X whose
@@ -252,10 +240,11 @@ def test_table_column_dtypes():
 
 def _reference_table(system, X, g):
     """The depth-first recursion the frontier replaced, kept as its oracle:
-    lexsorted (norm, omega, gsum) columns, g evaluated one prime at a time."""
+    lexsorted (norm, omega, gsum) columns, g evaluated one prime at a time
+    and summed exactly, each gsum rounded once."""
     norms = list_primes(system, X)[0].tolist()
-    gvals = [float(scalar_g(g, n)) for n in norms]
-    rows = [(1, 0, 0.0)]
+    gvals = [Fraction(scalar_g(g, n)) for n in norms]
+    rows = [(1, 0, Fraction(0))]
 
     def rec(i0, n, om, gs):
         for i in range(i0, len(norms)):
@@ -268,7 +257,8 @@ def _reference_table(system, X, g):
                 rec(i + 1, m, om + 1, gi)
                 m *= norms[i]
 
-    rec(0, 1, 0, 0.0)
+    rec(0, 1, 0, Fraction(0))
+    rows = [(n, om, float(gs)) for n, om, gs in rows]
     norm, omega, gsum = (np.array(col, dtype=dtype)
                          for col, dtype in zip(zip(*rows), (np.uint64, np.uint8, np.float64)))
     order = np.lexsort((gsum, omega, norm))
@@ -284,7 +274,7 @@ ORACLE_SYSTEMS = [
 @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=lambda s: s.key)
 def test_frontier_matches_reference_recursion(system):
     for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
-        for name in ("omega", "residue-3-2", "table", "zero"):
+        for name in ("omega", "residue-3-2", "residue-7-squares", "zero"):
             for got, want in zip(_frontier_table(prime_norms(system, X), X, SIEVE_GS[name]),
                                  _reference_table(system, X, SIEVE_GS[name])):
                 assert got.dtype == want.dtype
@@ -331,7 +321,7 @@ def test_exact_columns_never_grow(monkeypatch, system):
     for X in (1, 2, 4, 1000, 5000):
         total = element_counter(system, X)(X)
         assert enumerate_monoid(system, X, g).count == total
-        assert omega_column(system, X)[0].count == gsum_column(system, X, g).count == total
+        assert omega_column(system, X)[0].count == cell_counts(system, [X], g).sum() == total
     # a Beurling system has no closed form, so its columns do grow
     with pytest.raises(AssertionError, match="must not run"):
         omega_column(Beurling((2, 3, 5, 7)), 10**6)
@@ -344,9 +334,10 @@ def test_exact_budget_raises_before_any_column(monkeypatch, system, X):
     # the exact count, and comes before g or any column of the frontier
     total = element_counter(system, X)(X)
     monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total - 1)
-    unread = type("G", (), {"key": "unread", "values": staticmethod(_must_not_run)})()
+    unread = type("G", (), {"key": "unread", "values": staticmethod(_must_not_run),
+                            "inside": staticmethod(_must_not_run)})()
     for build in (lambda: enumerate_monoid(system, X, unread), lambda: omega_column(system, X),
-                  lambda: gsum_column(system, X, unread)):
+                  lambda: cell_counts(system, [X], unread)):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded) as err:
@@ -371,7 +362,7 @@ def test_wrong_closed_form_count_raises(monkeypatch, system, error):
                         lambda *args: lambda y: counter(y) + error)
     monkeypatch.setattr(monoid, "_grow", _must_not_run)
     for build in (lambda: enumerate_monoid(system, X, Omega()), lambda: omega_column(system, X),
-                  lambda: gsum_column(system, X, Omega())):
+                  lambda: cell_counts(system, [X], Omega())):
         with pytest.raises(MonoidLdpError, match=f"closed-form count is {counter(X) + error}"):
             build()
 
@@ -586,13 +577,9 @@ def _brute_table(norms, X, gvals):
     X=st.integers(min_value=1, max_value=300),
 )
 def test_beurling_enumeration_against_brute_force(norms, X):
-    gvals = [float(n % 3) for n in norms]
-    sys_ = Beurling(tuple(norms))
-    g = type("G", (), {
-        "key": "test",
-        "values": staticmethod(lambda norms: (norms % 3).astype(np.float64)),
-    })()
-    t = enumerate_monoid(sys_, X, g)
+    g = NormResidue(3, frozenset({0}), 0.5, 2.0)
+    gvals = [0.5 if n % 3 == 0 else 2.0 for n in norms]
+    t = enumerate_monoid(Beurling(tuple(norms)), X, g)
     got = sorted(
         (int(n), int(o), round(float(gg), 9))
         for n, o, gg in zip(t.norm, t.omega, t.gsum)
