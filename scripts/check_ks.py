@@ -15,20 +15,22 @@ mismatch. scipy must be installed; the package itself never imports it.
 """
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
-from monoidldp.experiments import _ek_rows, _ek_t, _ks_bins, _ks_maxima
-from monoidldp.monoid import omega_column
+from monoidldp.experiments import _ek_sample, _ks_bins, _ks_maxima
+from monoidldp.monoid import block_rows, cell_blocks
 from monoidldp.systems import Integers, PolyOverFq, QuadraticField
 
 
-def _oracle(table) -> tuple[int, float, float]:
+def _oracle(blocks) -> tuple[int, float, float]:
     """(n, D+, D-): the KS maxima over the full sorted statistic of the
     rows of norm >= 3, full Phi and full step arrays."""
     parts = []
-    for norm, o in table.blocks(table.omega, lo=3):
+    for block in blocks:
+        norm, o = block_rows(block, lo=3)
         ll = np.log(np.log(norm.astype(np.float64)))
         parts.append((o - ll) / np.sqrt(ll))
     t = np.sort(np.concatenate(parts))
@@ -58,11 +60,11 @@ def main() -> int:
     runs += [(system, X) for system in (QuadraticField(-4), PolyOverFq(2))
              for X in _grid(min(N, 10**6))]
     for system, X in runs:
-        table, _ = omega_column(system, X)
-        bins, counts = _ks_bins(_ek_rows(table, 3), _ek_t, table.count)
-        got = _ks_maxima(_ek_rows(table, 3), _ek_t, bins, counts)
-        del bins
-        n, *want = _oracle(table)
+        blocks = list(cell_blocks(system, X, None)[1])
+        sample = partial(_ek_sample, min_norm=3)
+        counts, masks = _ks_bins(blocks, sample)
+        got = _ks_maxima(blocks, sample, counts, masks)
+        n, *want = _oracle(blocks)
         if [x.hex() for x in got] != [x.hex() for x in want] or int(counts.sum()) != n:
             print(f"MISMATCH {system.key}: X={X}, n={n}: bins give {got} over "
                   f"{int(counts.sum())} rows, full arrays {tuple(want)}")

@@ -48,7 +48,7 @@ from .errors import (
     PrimeNotInSystem,
 )
 from .monoid import element_counter
-from .systems import PrimeSystem, list_primes, prime_norms
+from .systems import PrimeSystem, _reciprocal_sum, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -252,8 +252,17 @@ def _mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> flo
 
 
 def _log_mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:
-    """The log of _mean_exp via a stable log-sum-exp."""
+    """The log of _mean_exp. The c_S sum to total, so the mean is 1 plus
+    the mean of c_S expm1(theta g_S), and log1p of that keeps the relative
+    accuracy of a result near 0. Only where that sum overflows a double is
+    it taken as a log-sum-exp shifted by the largest exponent."""
     w = [theta * gs for _, gs in support]
+    try:
+        excess = math.fsum(c * math.expm1(t) for (c, _), t in zip(support, w)) / total
+    except OverflowError:
+        excess = math.inf
+    if math.isfinite(excess):
+        return math.log1p(excess)
     peak = max(w)
     s = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))
     return peak + math.log(s) - math.log(total)
@@ -330,7 +339,7 @@ def tail_mass(
     norms = prime_norms(system, X)
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")
-    den = math.fsum((1.0 / norms).tolist())
+    den = _reciprocal_sum(norms)
     vals = g.values(norms)
     big = vals > C
     tail = list(zip(vals[big].tolist(), norms[big].tolist()))

@@ -25,18 +25,19 @@ statistic is near 0.099 and is the quantity the regression baseline tracks.
 Both KS maxima are exact over every element, with no float array over the
 sample and no sort of it. Phi is Cephes' ndtr on arrays, bit-equal to the
 compiled C routine. A first pass counts the statistic into fixed bins,
-keeping one uint16 bin per row (per run of equal rows, where most rows
-repeat the one before); the counts give every bin's ranks, and Phi at the
-bin edges bounds every value inside. A second pass takes the statistic
-again over the rows of the bins that can hold a maximum only, whose ranks
-are the rows below their bin plus their place inside it (see _ks_bins and
-_ks_maxima).
+block by block, keeping per block only a bit mask of the bins it touches;
+the counts give every bin's ranks, and Phi at the bin edges bounds every
+value inside. A second pass takes the statistic again only in the blocks
+that touch a bin that can hold a maximum, and keeps the rows of those
+bins, whose ranks are the rows below their bin plus their place inside it
+(see _ks_bins and _ks_maxima).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .additive import AdditiveFunction, DiscreteMeasure, check_convergence
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, _gap_row, truncation_sets
-from .monoid import MonoidTable, cell_counts, element_counter, omega_column
+from .monoid import block_rows, cell_blocks, cell_counts, element_counter
 from .rate import rate
 from .systems import (
     PrimeSystem,
@@ -75,29 +76,32 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     inner logarithm is positive); mean and variance of omega and the Mertens
     sum are reported over the full table for cross-checks.
 
-    Only the norm and omega columns are built, rows in any order
-    (omega_column), and read block by block (MonoidTable.blocks), twice for
-    the KS maxima. Mean and variance come exactly from the omega histogram
-    and the KS maxima from ranks, so no field depends on the row order.
+    The omega blocks of cell_blocks are kept (one byte per element on the
+    integers), rows in any order, and read for the omega histogram and the
+    KS bins, then again where the KS maxima can lie. Mean and variance come
+    exactly from the omega histogram and the KS maxima from ranks, so no
+    field depends on the row order.
     """
     if X < 16:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
     if min_norm < 3:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
-    table, primes = omega_column(system, X)
-    count = table.count
-    # the whole-column reductions come before the bins, so no temporary of
-    # theirs meets them; omega < 64 (norms >= 2), and no intp copy of omega
-    # is made
+    primes, blocks = cell_blocks(system, X, None)
+    # the Mertens sum before the blocks are built, so no temporary of its
+    # meets them
     mertens_mean = mertens_sum(primes, X)[0]
-    hist = sum(np.bincount(o, minlength=64) for _, o in table.blocks(table.omega))
+    blocks = list(blocks)
+    # omega < 64 (norms >= 2); bincount reads the uint8 cells, no intp copy
+    hist = sum(np.bincount(block[3], minlength=64) for block in blocks)
+    count = int(hist.sum())
     k = np.arange(hist.size)
     s1, s2 = int(hist @ k), int(hist @ (k * k))
-    bins, counts = _ks_bins(_ek_rows(table, min_norm), _ek_t, count)
+    sample = partial(_ek_sample, min_norm=min_norm)
+    counts, masks = _ks_bins(blocks, sample)
     samples = int(counts.sum())
     if not samples:
         raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
-    d_plus, d_minus = _ks_maxima(_ek_rows(table, min_norm), _ek_t, bins, counts)
+    d_plus, d_minus = _ks_maxima(blocks, sample, counts, masks)
     return EKReport(
         X=X,
         samples=count,
@@ -112,27 +116,23 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
     )
 
 
-def _ek_rows(table: MonoidTable, min_norm: int):
-    """The rows of norm >= min_norm, block by block, as (norm, omega) and
-    their runs (_ks_bins). Where most rows equal the row before them, as
-    on F_q[t], whose norms are few, each run of equal rows is one entry."""
-    for norm, o in table.blocks(table.omega, lo=min_norm):
-        new = np.concatenate(([True], (norm[1:] != norm[:-1]) | (o[1:] != o[:-1])))
-        if 2 * np.count_nonzero(new) > norm.size:
-            yield (norm, o), None
-        else:
-            heads = np.flatnonzero(new)
-            yield (norm[heads], o[heads]), np.diff(heads, append=norm.size)
-
-
-def _ek_t(norm: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """The statistic (omega - log log N) / sqrt(log log N) of rows (norm, omega)."""
+def _ek_sample(block, min_norm: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The statistic (omega - log log N) / sqrt(log log N) of a block's rows
+    of norm >= min_norm, and their runs (_ks_bins). Where most rows equal
+    the row before them, as on F_q[t], whose norms are few, each run of
+    equal rows is one entry."""
+    norm, o = block_rows(block, lo=min_norm)
+    new = np.concatenate(([True], (norm[1:] != norm[:-1]) | (o[1:] != o[:-1])))
+    runs = None
+    if 2 * np.count_nonzero(new) <= norm.size:
+        heads = np.flatnonzero(new)
+        norm, o, runs = norm[heads], o[heads], np.diff(heads, append=norm.size)
     ll = norm.astype(np.float64)
     np.log(np.log(ll, out=ll), out=ll)
     root = np.sqrt(ll)
     np.subtract(o, ll, out=ll)
     ll /= root
-    return ll
+    return ll, runs
 
 
 # Moshier's Cephes ndtr (Methods and Programs for Mathematical Functions,
@@ -224,43 +224,44 @@ _KS_SLACK = 1e-9
 
 
 def _ks_bin(t: np.ndarray) -> np.ndarray:
-    """(t - _KS_LO) / width clipped to [0, _KS_BINS - 1], in float64: cast
-    to an integer, the bin of each t. Every step is monotone, so the bin
-    never falls as t rises."""
+    """The bin of each t: (t - _KS_LO) / width clipped to [0, _KS_BINS -
+    1], in float64, cast to intp. Every step is monotone, so the bin never
+    falls as t rises."""
     b = t - _KS_LO
     b *= _KS_BINS / (_KS_HI - _KS_LO)
-    return np.clip(b, 0, _KS_BINS - 1, out=b)
+    return np.clip(b, 0, _KS_BINS - 1, out=b).astype(np.intp)
 
 
-def _ks_bins(rows, stat, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pass 1: (bins, counts), the uint16 bin of each entry of the rows and
-    the sample rows in each bin. rows yields blocks (cols, runs): cols a
-    tuple of arrays, which stat takes to the statistic of each entry, and
-    runs the sample rows that each entry stands for (None: one each);
-    size bounds the entries."""
-    bins = np.empty(size, dtype=np.uint16)
+def _ks_bins(blocks, sample) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Pass 1: (counts, masks), the sample rows in each bin, and per block
+    the bins that its entries touch, as a packed bit mask (np.packbits of
+    _KS_BINS bits). sample(block) gives (t, runs): the statistic of each
+    entry of the block, and the sample rows that each entry stands for
+    (None: one each)."""
     counts = np.zeros(_KS_BINS, dtype=np.int64)
-    n = 0
-    for cols, runs in rows:
-        b = bins[n:n + cols[0].size]
-        b[...] = _ks_bin(stat(*cols))
-        counts += np.bincount(b, runs, minlength=_KS_BINS).astype(np.int64, copy=False)
-        n += b.size
-    return bins[:n], counts
+    masks = []
+    for block in blocks:
+        t, runs = sample(block)
+        c = np.bincount(_ks_bin(t), runs, minlength=_KS_BINS)
+        counts += c.astype(np.int64, copy=False)
+        masks.append(np.packbits(c > 0))
+    return counts, masks
 
 
-def _ks_maxima(rows, stat, bins: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+def _ks_maxima(blocks, sample, counts: np.ndarray, masks: list[np.ndarray]
+               ) -> tuple[float, float]:
     """Pass 2: (max_i (i+1)/n - Phi(t_i), max_i Phi(t_i) - ((i+1)/n - 1/n))
-    over the sorted sample t of n rows, from the rows, as in _ks_bins, and
-    pass 1's bins and counts.
+    over the sorted sample t of n rows, from the blocks and sample, as in
+    _ks_bins, and pass 1's counts and masks.
 
     The bin never falls as t rises, so bin j holds the ranks before[j] to
     before[j] + counts[j] - 1, and with one bin of margin for the rounding
     of the bins its t lie between the edges of bins j - 1 and j + 2. So
     Phi at those edges bounds both maxima over the bin from above, and over
-    every bin from below. The second pass reads the entries of the bins
-    whose upper bound reaches the lower one, and collapses their ties into
-    (value, count) block by block. Each value is then evaluated at the
+    every bin from below. The second pass takes the statistic again in the
+    blocks whose mask meets a bin whose upper bound reaches the lower one,
+    keeps the entries of those bins, and collapses their ties into (value,
+    count) block by block. Each value is then evaluated at the
     rank that maximizes each expression, its last for the first and its
     first for the second, which is the same float expression as over the
     full arrays, so the maxima are the same bits.
@@ -277,21 +278,22 @@ def _ks_maxima(rows, stat, bins: np.ndarray, counts: np.ndarray) -> tuple[float,
     keep = np.zeros(_KS_BINS, dtype=bool)
     keep[j] = ((upto - phi_lo + _KS_SLACK >= np.max(upto - phi_hi) - _KS_SLACK)
                | (phi_hi - at + _KS_SLACK >= np.max(phi_lo - at) - _KS_SLACK))
+    kept = np.packbits(keep)
     values, tallies = [], []
-    a = 0
-    for cols, runs in rows:
-        sel = np.take(keep, bins[a:a + cols[0].size])
-        a += sel.size
-        if sel.any():
-            v, c = _tally(stat(*(col[sel] for col in cols)),
-                          np.ones(np.count_nonzero(sel), np.int64) if runs is None else runs[sel])
-            values.append(v)
-            tallies.append(c)
+    for block, mask in zip(blocks, masks):
+        if not np.bitwise_and(mask, kept).any():
+            continue
+        t, runs = sample(block)
+        sel = keep[_ks_bin(t)]
+        v, c = _tally(t[sel], np.ones(np.count_nonzero(sel), np.int64) if runs is None
+                      else runs[sel])
+        values.append(v)
+        tallies.append(c)
     v, c = _tally(np.concatenate(values), np.concatenate(tallies))
     # the rank of each value's first row: the rows below it that were read,
     # plus those of the bins below its own that were not
     skipped = before - (np.cumsum(counts * keep) - counts * keep)
-    first = np.cumsum(c) - c + skipped[_ks_bin(v).astype(np.intp)]
+    first = np.cumsum(c) - c + skipped[_ks_bin(v)]
     phi = _ndtr(v)
     d_plus = float(np.max((first + c) / n - phi))
     d_minus = float(np.max(phi - ((first + 1) / n - 1.0 / n)))

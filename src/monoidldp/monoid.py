@@ -50,13 +50,13 @@ and the (m, p) pairs are added in blocks of _BLOCK_PAIRS. With no class
 the byte is omega (1 byte per element, as in every table); the norms,
 1..X, are implicit.
 
-A caller that reads one column asks for it alone, a MonoidTable whose
-other columns are None (omega_column for ek_report), with norm None on the
-integers. Only MonoidTable.blocks reads that rule: it yields the rows of
-norm in [lo, hi] in blocks, by a prefix slice or a mask. Rows may come in
-any order, so no sort runs. cell_counts holds no column on the integers:
-it counts each segment's cells as the sieve yields it. Only the full table
-(count) is sorted, 17 bytes per element.
+ek_report and cell_counts read one stream of blocks (cell_blocks): a
+block's norm range, its norms (None on the integers: that range) and its
+cells, omega alone when no g is asked for. Only block_rows reads implicit
+norms, cutting a block to the rows of norm in [lo, hi] by a slice or a
+mask. Rows may come in any order, so no sort runs. cell_counts holds no
+column on the integers, and ek_report keeps the blocks, one byte per
+element. Only the full table (count) is sorted, 17 bytes per element.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -95,8 +95,8 @@ from .systems import (
     prime_norms,
 )
 
-# rows of a table's column read at once (MonoidTable.blocks); bounds the
-# temporaries of the reductions over a column
+# rows of a block (cell_blocks); bounds the temporaries of the reductions
+# over the elements
 _BLOCK_ROWS = 1 << 16
 # values of n sieved at once on the integers; 2^20 ran faster than 2^18 at
 # 1e8, for ek and ldp-scan alike, at the same peak (BENCH_segments.json)
@@ -117,37 +117,15 @@ _MAX_X_COUNT = 10**12
 
 @dataclass(frozen=True)
 class MonoidTable:
-    """Columns of the elements of norm <= X; a column not built is None,
-    and norm None means the norms are 1..count, in row order."""
+    """The (norm, omega, gsum) columns of the elements of norm <= X."""
 
-    norm: np.ndarray | None
-    omega: np.ndarray | None
-    gsum: np.ndarray | None
+    norm: np.ndarray
+    omega: np.ndarray
+    gsum: np.ndarray
 
     @property
     def count(self) -> int:
-        return int(next(c for c in (self.norm, self.omega, self.gsum) if c is not None).size)
-
-    def blocks(self, values: np.ndarray, lo: int = 1, hi: int | None = None):
-        """(norms, values) of the rows with lo <= norm <= hi (hi None: no
-        bound), values being a column of the table, in row order and blocks
-        of at most _BLOCK_ROWS rows; norms are uint64. Implicit norms are
-        read as a prefix slice, and explicit ones by a mask over every row."""
-        if self.norm is None:
-            stop = self.count if hi is None else min(hi, self.count)
-            for a in range(max(lo - 1, 0), stop, _BLOCK_ROWS):
-                b = min(a + _BLOCK_ROWS, stop)
-                yield np.arange(a + 1, b + 1, dtype=np.uint64), values[a:b]
-            return
-        for a in range(0, self.count, _BLOCK_ROWS):
-            norm, vals = self.norm[a:a + _BLOCK_ROWS], values[a:a + _BLOCK_ROWS]
-            if lo > 1 or hi is not None:
-                keep = norm >= np.uint64(max(lo, 1))
-                if hi is not None:
-                    keep &= norm <= np.uint64(max(hi, 0))
-                if not keep.all():
-                    norm, vals = norm[keep], vals[keep]
-            yield norm, vals
+        return int(self.norm.size)
 
 
 def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
@@ -161,18 +139,37 @@ def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
     return MonoidTable(*_frontier_table(primes, X, g, total))
 
 
-def omega_column(system: PrimeSystem, X: int) -> tuple[MonoidTable, np.ndarray]:
-    """(table, primes): the table at X with norm and omega alone, its rows
-    a multiset, and the prime norms <= X; no g is read.
+def cell_blocks(system: PrimeSystem, X: int, g):
+    """(primes, blocks): the prime norms <= X, and the elements of norm <=
+    X in blocks of at most _BLOCK_ROWS rows, rows in any order.
 
-    The integers sieve omega alone, their norms implicit. Every other
-    system returns the frontier's columns as they come, in level order.
+    A block is (least, most, norms, cells): its least and largest norm, its
+    uint64 norms, or None when they are least..most in row order (read
+    them through block_rows), and each row's cell: omega, uint8, as built,
+    when g is None or has no class; else omega + 16 a (uint8) on the
+    integers and omega + _CELLS a (intp) elsewhere, a counting the row's
+    primes in g's class (g.inside). The integers sieve a segment as its
+    blocks are read; elsewhere they are the frontier's columns, as built.
     """
     primes, total = _prepare(system, X)
     if isinstance(system, Integers):
-        return MonoidTable(None, _sieve(primes, X, None), None), primes
-    norm, omega, _ = _frontier(primes, X, None, total)
-    return MonoidTable(norm, omega, None), primes
+        return primes, _segments(primes, X, None if g is None else g.inside(primes))
+    return primes, _frontier_blocks(*_frontier(primes, X, g, total))
+
+
+def block_rows(block, lo: int = 1, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, cells) of a block's rows with lo <= norm <= hi (hi None: no
+    bound), in row order, norms in uint64. This is the one reader of
+    implicit norms (None: least..most), which it cuts as a slice; explicit
+    norms are masked, unless the whole block lies inside the bounds."""
+    least, most, norms, cells = block
+    lo, hi = max(lo, least), most if hi is None else min(hi, most)
+    if norms is None:
+        return np.arange(lo, hi + 1, dtype=np.uint64), cells[lo - least:max(hi - least + 1, 0)]
+    if least < lo or hi < most:
+        keep = (norms >= np.uint64(lo)) & (norms <= np.uint64(max(hi, 0)))
+        return norms[keep], cells[keep]
+    return norms, cells
 
 
 # the cells (omega, a) of cell_counts: omega < 64, as norms are >= 2 and X
@@ -186,59 +183,41 @@ def cell_counts(system: PrimeSystem, X_grid: Sequence[int], g) -> np.ndarray:
     primes, j of them in g's class (g.inside; j = 0 when g has none), for
     k, j < _CELLS.
 
-    One table is built, at the largest X, and read once, in blocks of
-    _BLOCK_ROWS rows: a block takes one bincount of its cells for the X
-    above all its norms, and one per X that cuts it, of its rows of norm
-    <= X. On the integers the blocks are the sieve's segments as they come,
-    each cell one byte, omega + 16 a, and no column is held; elsewhere they
-    are the frontier's omega and a columns as built, in level order.
+    The blocks of cell_blocks, at the largest X, are read once: a block
+    takes one bincount of its cells for the X above all its norms, and one
+    per X that cuts it, of its rows of norm <= X. On the integers the
+    blocks come as the sieve yields them, and no column is held.
     """
-    top = max(X_grid)
-    primes, total = _prepare(system, top)
-    if isinstance(system, Integers):
-        shift, blocks = 4, _sieve_blocks(primes, top, g.inside(primes))
-    else:
-        shift, blocks = _CELL_BITS, _frontier_blocks(*_frontier(primes, top, g, total))
+    _, blocks = cell_blocks(system, max(X_grid), g)
+    shift = 4 if isinstance(system, Integers) else _CELL_BITS
     size = 1 << 2 * shift
     counts = np.zeros((len(X_grid), size), dtype=np.int64)
-    for least, most, norms, cell in blocks:
+    for block in blocks:
+        least, most, _, cells = block
         whole = None
         for x, X in enumerate(X_grid):
             if X < least:
                 continue
             if most <= X:
                 if whole is None:
-                    whole = np.bincount(cell, minlength=size)
+                    whole = np.bincount(cells, minlength=size)
                 counts[x] += whole
             else:
-                below = cell[:X - least + 1] if norms is None else cell[norms <= np.uint64(X)]
-                counts[x] += np.bincount(below, minlength=size)
+                counts[x] += np.bincount(block_rows(block, hi=X)[1], minlength=size)
     cells = np.arange(size)
     out = np.zeros((len(X_grid), _CELLS, _CELLS), dtype=np.int64)
     out[:, cells & (1 << shift) - 1, cells >> shift] = counts
     return out
 
 
-def _sieve_blocks(primes: np.ndarray, X: int, inside: np.ndarray | None):
-    """(least norm, largest norm, None, cells) of n = 1..X, in blocks of at
-    most _BLOCK_ROWS cut from the sieve's segments; None: the norms are
-    the implicit least..largest."""
-    n = 0  # the values of n before the segment
-    for part in _segments(primes, X, inside):
-        for a in range(0, part.size, _BLOCK_ROWS):
-            cell = part[a:a + _BLOCK_ROWS]
-            yield n + a + 1, n + a + cell.size, None, cell
-        n += part.size
-
-
 def _frontier_blocks(norm: np.ndarray, omega: np.ndarray, a: np.ndarray | None):
-    """(least norm, largest norm, norms, cells) of the frontier's rows in
-    blocks, each cell omega + _CELLS a."""
+    """The blocks of cell_blocks over the frontier's columns, in level
+    order: cells are omega as built when a is None, else omega + _CELLS a."""
     for i in range(0, norm.size, _BLOCK_ROWS):
-        norms, cell = norm[i:i + _BLOCK_ROWS], omega[i:i + _BLOCK_ROWS].astype(np.intp)
+        norms, cells = norm[i:i + _BLOCK_ROWS], omega[i:i + _BLOCK_ROWS]
         if a is not None:
-            cell += a[i:i + _BLOCK_ROWS].astype(np.intp) << _CELL_BITS
-        yield int(norms.min()), int(norms.max()), norms, cell
+            cells = cells.astype(np.intp) + (a[i:i + _BLOCK_ROWS].astype(np.intp) << _CELL_BITS)
+        yield int(norms.min()), int(norms.max()), norms, cells
 
 
 def _prepare(system: PrimeSystem, X: int) -> tuple[np.ndarray, int | None]:
@@ -276,22 +255,20 @@ def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray,
 
 
 def _sieve(primes: np.ndarray, X: int, inside: np.ndarray | None) -> np.ndarray:
-    """The whole column over 1..X, its segments copied into one array."""
+    """The whole column over 1..X, its blocks copied into one array."""
     col = np.empty(X, dtype=np.uint8)
-    a = 0
-    for part in _segments(primes, X, inside):
-        col[a:a + part.size] = part
-        a += part.size
+    for least, most, _, cells in _segments(primes, X, inside):
+        col[least - 1:most] = cells
     return col
 
 
 def _segments(primes: np.ndarray, X: int, inside: np.ndarray | None):
-    """The column over 1..X in segments of _SEGMENT values of n, ascending:
-    entry n is the cell omega(n) + 16 a(n), in uint8, a(n) being the
-    primes primes[i] dividing n with inside[i] (none when inside is None,
-    so that entry n is omega(n)). Each prime adds 1, or 17 when inside, and
-    the nibbles cannot carry, as no n below 23# = 223,092,870 has 9
-    distinct primes."""
+    """The blocks of cell_blocks over 1..X, ascending, (least, most, None,
+    cells), cut from segments of _SEGMENT values of n: entry n is the cell
+    omega(n) + 16 a(n), in uint8, a(n) being the primes primes[i] dividing
+    n with inside[i] (none when inside is None, so that entry n is
+    omega(n)). Each prime adds 1, or 17 when inside, and the nibbles cannot
+    carry, as no n below 23# = 223,092,870 has 9 distinct primes."""
     step = np.ones(primes.size, np.uint8) if inside is None else np.where(inside, 17, 1)
     # primes up to sqrt(X): one strided add per prime and segment
     k = int(primes.searchsorted(math.isqrt(X), "right"))
@@ -314,7 +291,9 @@ def _segments(primes: np.ndarray, X: int, inside: np.ndarray | None):
             i = _ranges(first[a:b], count[a:b])
             n = np.repeat(m[a:b], count[a:b]) * large[i] - lo
             col[n] += 1 if inside is None else big[i]
-        yield col
+        for a in range(0, col.size, _BLOCK_ROWS):
+            cells = col[a:a + _BLOCK_ROWS]
+            yield lo + a, lo + a + cells.size - 1, None, cells
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -384,6 +385,12 @@ def mertens_sum(norms: np.ndarray, X: int) -> tuple[float, float]:
     """(sum of 1/N(p) over norms <= X with multiplicity, sum - log log X)."""
     if X < 3:
         raise ParameterError(f"mertens_sum needs X >= 3, got {X}")
-    # fsum is correctly rounded, so its bits do not depend on the order
-    total = math.fsum((1.0 / norms[: norms.searchsorted(X, "right")]).tolist())
+    total = _reciprocal_sum(norms[:norms.searchsorted(X, "right")])
     return total, total - math.log(math.log(X))
+
+
+def _reciprocal_sum(norms: np.ndarray) -> float:
+    """fsum of 1/N over the norms, correctly rounded whatever their order;
+    fed in lists of 2^16, so that no Python float is held per norm."""
+    return math.fsum(chain.from_iterable(
+        (1.0 / norms[i:i + (1 << 16)]).tolist() for i in range(0, norms.size, 1 << 16)))

@@ -19,7 +19,7 @@ from monoidldp import experiments, monoid
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ndtr, ek_report, ldp_scan
-from monoidldp.monoid import cell_counts, enumerate_monoid, omega_column
+from monoidldp.monoid import block_rows, cell_blocks, cell_counts, enumerate_monoid
 from monoidldp.systems import (
     Beurling,
     Integers,
@@ -142,36 +142,47 @@ def test_blocked_reductions_on_the_frontier(monkeypatch, system, X, block):
     assert [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)] == want_ldp
 
 
-def _rows(table, lo, hi) -> list[tuple[int, float]]:
-    """The (norm, gsum) rows that table.blocks yields, in order, checking
-    each block's size and dtypes on the way."""
+def _columns(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The (norm, cell) columns of every row of the blocks, in order."""
+    norm, cells = zip(*map(block_rows, blocks))
+    return np.concatenate(norm), np.concatenate(cells)
+
+
+def _cut(system, X, g, shift, lo, hi) -> list[tuple[int, int, int]]:
+    """The (norm, omega, a) rows of norm in [lo, hi] that block_rows gives
+    over cell_blocks' blocks, sorted, checking each block on the way."""
     rows = []
-    for norms, vals in table.blocks(table.gsum, lo, hi):
-        assert norms.dtype == np.uint64 and vals.dtype == np.float64
-        assert norms.size == vals.size <= monoid._BLOCK_ROWS
-        rows += zip(norms.tolist(), vals.tolist())
-    return rows
+    for block in cell_blocks(system, X, g)[1]:
+        least, most, norms, cells = block
+        assert (norms is None) == isinstance(system, Integers)
+        assert 1 <= least <= most and cells.size <= monoid._BLOCK_ROWS
+        norm, cut = block_rows(block, lo, hi)
+        assert norm.dtype == np.uint64 and norm.size == cut.size
+        if norms is None:  # the implicit norms, in row order
+            assert np.array_equal(norm, np.arange(max(lo, least), norm.size + max(lo, least)))
+        else:  # explicit norms keep their row order
+            top = most if hi is None else hi
+            assert norm.tolist() == [n for n in norms.tolist() if lo <= n <= top]
+        cut = cut.astype(np.int64)
+        rows += zip(norm.tolist(), (cut & (1 << shift) - 1).tolist(), (cut >> shift).tolist())
+    return sorted(rows)
 
 
 @pytest.mark.parametrize("block", [1, 7, 2**16])
-def test_blocks_read_implicit_and_explicit_norms_alike(monkeypatch, block):
+def test_block_rows_read_implicit_and_explicit_norms_alike(monkeypatch, block):
+    # the integers' sieve, whose norms are implicit, against a Beurling
+    # system over the same primes, whose frontier gives them explicitly in
+    # level order: the same rows under every cut
     monkeypatch.setattr(monoid, "_BLOCK_ROWS", block)
-    count = 50
-    values = np.random.default_rng(0).random(count)
-    norm = np.arange(1, count + 1, dtype=np.uint64)
-    # explicit norms may come in any order, and the rows keep it
-    order = np.random.default_rng(1).permutation(count)
-    cases = [(monoid.MonoidTable(None, None, values), norm),
-             (monoid.MonoidTable(norm, None, values), norm),
-             (monoid.MonoidTable(norm[order], None, values[order]), norm[order])]
-    for lo in (1, 2, count, count + 1):
-        for hi in (None, 0, 1, count - 1, count, count + 5):
-            top = count if hi is None else hi
-            for table, norms in cases:
-                assert table.count == count
-                want = [(n, v) for n, v in zip(norms.tolist(), table.gsum.tolist())
-                        if lo <= n <= top]
-                assert _rows(table, lo, hi) == want, (table.norm is None, lo, hi)
+    X = 60
+    beurling = Beurling(tuple(prime_norms(Integers(), X).tolist()))
+    for g in (None, RESIDUE):
+        for lo in (1, 2, 3, X - 1, X, X + 1):
+            for hi in (None, 0, 1, 2, X - 1, X, X + 5):
+                want = _cut(beurling, X, g, monoid._CELL_BITS, lo, hi)
+                assert _cut(Integers(), X, g, 4, lo, hi) == want, (g, lo, hi)
+                top = X if hi is None else min(X, hi)
+                assert [n for n, _, _ in want] == list(range(lo, top + 1))
 
 
 def _cell_histogram(omega, a) -> np.ndarray:
@@ -186,18 +197,21 @@ def _cell_histogram(omega, a) -> np.ndarray:
 def test_columns_are_the_tables_columns(system):
     X = 3000
     table = enumerate_monoid(system, X, RESIDUE)
-    o_table, primes = omega_column(system, X)
-    assert o_table.gsum is None and o_table.count == table.count
-    norm, omega = o_table.norm, o_table.omega
-    assert omega.dtype == np.uint8
+    primes, blocks = cell_blocks(system, X, None)
+    blocks = list(blocks)
+    assert all(cells.dtype == np.uint8 for *_, cells in blocks)
+    norm, omega = _columns(blocks)
+    assert omega.size == table.count
+    r_norm, cells = _columns(cell_blocks(system, X, RESIDUE)[1])
+    assert r_norm.tobytes() == norm.tobytes()
     f_norm, f_omega, a = monoid._frontier(primes, X, RESIDUE)
     assert a.dtype == np.uint8
     if isinstance(system, Integers):  # the norms are implicit, 1..X
-        assert norm is None
-        norm = np.arange(1, X + 1, dtype=np.uint64)
+        assert all(norms is None for _, _, norms, _ in blocks)
+        assert norm.tobytes() == np.arange(1, X + 1, dtype=np.uint64).tobytes()
         # the sieve's cells, omega + 16 a in one byte, against the
         # frontier's columns over the same primes, bit for bit
-        cells = monoid._sieve(primes, X, RESIDUE.inside(primes))
+        assert cells.tobytes() == monoid._sieve(primes, X, RESIDUE.inside(primes)).tobytes()
         order = np.argsort(f_norm)
         assert f_norm[order].tobytes() == norm.tobytes()
         assert (cells & 15).tobytes() == f_omega[order].tobytes() == omega.tobytes()
@@ -206,6 +220,7 @@ def test_columns_are_the_tables_columns(system):
     else:  # the frontier's rows as built, in level order
         assert norm.tobytes() == f_norm.tobytes()
         assert np.array_equal(omega, f_omega)
+        assert np.array_equal(cells, omega + (a.astype(np.intp) << monoid._CELL_BITS))
         # and, as a multiset, the sorted table's rows
         order = np.lexsort((RESIDUE.sums(omega, a), omega, norm))
         norm, omega, a = norm[order], omega[order], a[order]
@@ -259,13 +274,14 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
     system, X = system_X
     want = _hex(ek_report(system, X, min_norm))
 
-    def shuffled(system, X):
-        table, primes = omega_column(system, X)
-        order = np.random.default_rng(seed).permutation(table.count)
-        return monoid.MonoidTable(table.norm[order], table.omega[order], None), primes
+    def shuffled(system, X, g):
+        primes, blocks = cell_blocks(system, X, g)
+        norm, omega = _columns(blocks)
+        order = np.random.default_rng(seed).permutation(norm.size)
+        return primes, monoid._frontier_blocks(norm[order], omega[order], None)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "omega_column", shuffled)
+        mp.setattr(experiments, "cell_blocks", shuffled)
         mp.setattr(monoid, "_BLOCK_ROWS", block)
         assert _hex(ek_report(system, X, min_norm)) == want
 
@@ -273,15 +289,16 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
 # tracemalloc sees NumPy's buffers. At 1e6 on the integers the full table
 # took ~46 (ek) and ~21-31 (ldp_scan) bytes per element, and one whole
 # float64 column (ek's sorted statistic, ldp_scan's gsum) ~11. Without it,
-# ek holds omega and the KS bins (3 bytes per element) and ldp_scan one
-# sieve segment of one-byte (omega, a) cells (~4.5 bytes per element, ~9
-# while it sieved a float64 gsum); both also hold the primes and a block's
+# ek holds its omega blocks (1 byte per element; ~5.6 in all while it
+# also kept a uint16 KS bin per row, ~4.5 without) and ldp_scan one sieve
+# segment of one-byte (omega, a) cells (~4.5 bytes per element, ~9 while
+# it sieved a float64 gsum); both also hold the primes and a block's
 # temporaries. On
 # poly:2 most rows repeat the one before: ek took 16.5 and 22.6 bytes per
 # element when it collapsed neither these runs nor the ties of its
 # candidates into (value, count).
 PEAK_RUNS = {
-    "ek": (6, Integers(), 10**6, ek_report),
+    "ek": (5, Integers(), 10**6, ek_report),
     "ldp-residue": (6, Integers(), 10**6,
                     lambda s, X: ldp_scan(s, RESIDUE, [X // 10, X], INTERVALS, RHO)),
     "ldp-omega": (6, Integers(), 10**6, lambda s, X: ldp_scan(s, Omega(), [X], INTERVALS, RHO)),
@@ -295,9 +312,10 @@ def test_reduction_peaks_in_bytes_per_element(monkeypatch, name):
     elements = X
     if not isinstance(system, Integers):
         # the frontier's own peak is not the reduction's: build it untraced
-        built = omega_column(system, X)
-        monkeypatch.setattr(experiments, "omega_column", lambda system, X: built)
-        elements = built[0].count
+        primes, blocks = cell_blocks(system, X, None)
+        blocks = list(blocks)
+        monkeypatch.setattr(experiments, "cell_blocks", lambda *args: (primes, iter(blocks)))
+        elements = sum(cells.size for *_, cells in blocks)
     tracemalloc.start()
     try:
         run(system, X)

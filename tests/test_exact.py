@@ -1,7 +1,9 @@
 """Exact Z/Y expectations, domination, truncation, and MGF gaps vs oracles."""
 import collections
+import decimal
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -360,10 +362,10 @@ def _restricted_gsums(system, X, subset, g):
 
 def _table_log_mgf_z(gsums, theta):
     """The table oracle: log of the mean of exp(theta * gsum) over every
-    element (_restricted_gsums)."""
-    w = theta * gsums
-    peak = float(w.max())
-    return peak + math.log(float(np.exp(w - peak).sum())) - math.log(w.size)
+    element (_restricted_gsums), as log1p of the mean of expm1, which keeps
+    its relative accuracy near 0 (the log of a sum shifted by its peak
+    loses it there)."""
+    return math.log1p(math.fsum(map(math.expm1, (theta * gsums).tolist())) / gsums.size)
 
 
 # (system, X, norm bound of the subset); every subset has a product of two
@@ -394,6 +396,21 @@ def test_mgf_z_matches_table_oracle(system, X, bound, C):
         assert math.isclose(mgf_Z(system, X, subset, g, theta), math.exp(want), rel_tol=1e-14)
         got = log_mgf_Z(system, X, subset, g, theta)
         assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-16)
+
+
+def test_log_mgf_z_near_zero_matches_a_decimal_oracle():
+    # the log of a mean near 1, 0.0427 here: taken as the log of a sum
+    # shifted by its peak, it kept ~1e-15 of absolute accuracy, 2.1e-14
+    # relative
+    system, X, norms = QuadraticField(-4), 2000, _norms(9, 13, 13)
+    g, theta = NormResidue(3, frozenset({2}), 2.5, 0.3), 0.5
+    total, support = _support_counts(element_counter(system, X), X, norms, g)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        mean = sum(c * (Decimal(theta) * Decimal(gs)).exp() for c, gs in support) / total
+        want = Fraction(mean.ln())
+    got = log_mgf_Z(system, X, norms, g, theta)
+    assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want)))
 
 
 @pytest.mark.parametrize("system,X,bound", MGF_CASES)

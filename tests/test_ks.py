@@ -189,8 +189,8 @@ def _oracle(t: np.ndarray) -> tuple[float, float]:
     return float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
 
 
-def _identity(t: np.ndarray) -> np.ndarray:
-    return t
+def _identity(block):
+    return block
 
 
 def _binned(t: np.ndarray, block: int, runs: bool) -> tuple[float, float]:
@@ -204,14 +204,16 @@ def _binned(t: np.ndarray, block: int, runs: bool) -> tuple[float, float]:
         values, counts = values[order], counts[order]
     else:
         values, counts = rng.permutation(t), None
-
-    def rows():
-        for a in range(0, values.size, block):
-            yield (values[a:a + block],), None if counts is None else counts[a:a + block]
-
-    bins, hist = _ks_bins(rows(), _identity, values.size)
-    assert bins.size == values.size and int(hist.sum()) == t.size
-    return _ks_maxima(rows(), _identity, bins, hist)
+    blocks = [(values[a:a + block], None if counts is None else counts[a:a + block])
+              for a in range(0, values.size, block)]
+    hist, masks = _ks_bins(blocks, _identity)
+    assert len(masks) == len(blocks) and int(hist.sum()) == t.size
+    # each mask holds exactly the bins of its block's entries
+    for (v, _), mask in zip(blocks, masks):
+        touched = np.zeros(experiments._KS_BINS, dtype=bool)
+        touched[experiments._ks_bin(v)] = True
+        assert mask.tobytes() == np.packbits(touched).tobytes()
+    return _ks_maxima(blocks, _identity, hist, masks)
 
 
 def _ek_t(system, X: int) -> np.ndarray:

@@ -16,10 +16,10 @@ from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import (
     _frontier_table,
     _sieve_table,
+    cell_blocks,
     cell_counts,
     element_counter,
     enumerate_monoid,
-    omega_column,
 )
 from monoidldp.systems import (
     Beurling,
@@ -168,7 +168,8 @@ def _assert_segments_match_the_whole_sieve(X):
     want = omega[1:].astype(np.uint8)
     got = monoid._sieve(primes, X, None)
     assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), X
-    assert omega_column(Integers(), X)[0].omega.tobytes() == want.tobytes(), X
+    blocks = cell_blocks(Integers(), X, None)[1]
+    assert np.concatenate([cells for *_, cells in blocks]).tobytes() == want.tobytes(), X
     for g in SEGMENT_GS:
         inside = g.inside(primes)
         a = 0 if inside is None else _prime_counts(primes[inside], X)
@@ -234,7 +235,7 @@ def test_table_column_dtypes():
     # omega is one byte per element in every table, on every system
     for system in (Integers(), QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))):
         for X in (1, 1000):
-            assert omega_column(system, X)[0].omega.dtype == np.uint8
+            assert all(cells.dtype == np.uint8 for *_, cells in cell_blocks(system, X, None)[1])
             assert enumerate_monoid(system, X, Omega()).omega.dtype == np.uint8
 
 
@@ -321,10 +322,11 @@ def test_exact_columns_never_grow(monkeypatch, system):
     for X in (1, 2, 4, 1000, 5000):
         total = element_counter(system, X)(X)
         assert enumerate_monoid(system, X, g).count == total
-        assert omega_column(system, X)[0].count == cell_counts(system, [X], g).sum() == total
+        elements = sum(cells.size for *_, cells in cell_blocks(system, X, None)[1])
+        assert elements == cell_counts(system, [X], g).sum() == total
     # a Beurling system has no closed form, so its columns do grow
     with pytest.raises(AssertionError, match="must not run"):
-        omega_column(Beurling((2, 3, 5, 7)), 10**6)
+        cell_blocks(Beurling((2, 3, 5, 7)), 10**6, None)
 
 
 @pytest.mark.parametrize("system,X", [(QuadraticField(-4), 10**6), (PolyOverFq(3), 3**12)],
@@ -336,7 +338,7 @@ def test_exact_budget_raises_before_any_column(monkeypatch, system, X):
     monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total - 1)
     unread = type("G", (), {"key": "unread", "values": staticmethod(_must_not_run),
                             "inside": staticmethod(_must_not_run)})()
-    for build in (lambda: enumerate_monoid(system, X, unread), lambda: omega_column(system, X),
+    for build in (lambda: enumerate_monoid(system, X, unread), lambda: cell_blocks(system, X, None),
                   lambda: cell_counts(system, [X], unread)):
         tracemalloc.start()
         try:
@@ -361,7 +363,7 @@ def test_wrong_closed_form_count_raises(monkeypatch, system, error):
     monkeypatch.setattr(monoid, "element_counter",
                         lambda *args: lambda y: counter(y) + error)
     monkeypatch.setattr(monoid, "_grow", _must_not_run)
-    for build in (lambda: enumerate_monoid(system, X, Omega()), lambda: omega_column(system, X),
+    for build in (lambda: enumerate_monoid(system, X, Omega()), lambda: cell_blocks(system, X, None),
                   lambda: cell_counts(system, [X], Omega())):
         with pytest.raises(MonoidLdpError, match=f"closed-form count is {counter(X) + error}"):
             build()

@@ -1,5 +1,6 @@
 """Prime systems, counting axioms, and density fits against direct oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ def test_prime_norms_and_mertens_sum_match_the_prime_list(system):
         # the same from the prefix of a longer array
         assert mertens_sum(longer, X) == mertens_sum(norms, X)
         assert prime_count_check(longer, X) == prime_count_check(norms, X)
+
+
+@pytest.mark.parametrize("system,X", [(Integers(), 10**7), (QuadraticField(-4), 10**7),
+                                      (PolyOverFq(2), 2**23)], ids=lambda v: getattr(v, "key", v))
+def test_reciprocal_sum_streams_the_whole_list_fsum(system, X):
+    # the sum of 1/N(p) behind mertens_sum and tail_mass: fsum fed in
+    # blocks gives the bits of fsum over one list of every reciprocal, which
+    # would hold ~32 bytes per prime (a float object and its pointer)
+    norms = prime_norms(system, X)
+    assert norms.size > 5 * 10**5
+    want = math.fsum((1.0 / norms).tolist())
+    tracemalloc.start()
+    try:
+        got = systems._reciprocal_sum(norms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == want.hex()
+    assert peak < 8 * norms.size, f"{peak / norms.size:.2f} bytes per prime"
 
 
 def test_prime_count_check():
