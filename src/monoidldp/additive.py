@@ -257,6 +257,8 @@ def check_convergence(
     norms: prime_norms at the largest X or above."""
     if not theta_grid or not X_grid:
         raise ParameterError("theta and X grids must be nonempty")
+    if not all(map(math.isfinite, theta_grid)):
+        raise ParameterError(f"every theta must be finite, got {list(theta_grid)}")
     rows = []
     for X in X_grid:
         emp = rho_X(norms, g, X)

@@ -185,6 +185,8 @@ def truncation_sets(
     for determinism. Norms are integers, so these are the primes up to
     floor(k_X), a prefix of the primes up to X.
     """
+    if math.isnan(C):  # +-inf is a valid cap
+        raise ParameterError("the cap C must not be NaN")
     k_X = truncation_threshold(X)
     norms = prime_norms(system, math.floor(k_X))
     return TruncationSets(X, C, k_X, norms[np.abs(g.values(norms)) <= C])
@@ -310,6 +312,8 @@ def gap_components(
     space instead and the row is flagged; the contract quantity is otherwise
     the plain absolute difference.
     """
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta}")
     ts = truncation_sets(system, g, X, C)
     return _gap_row(ts, g, theta, element_counter(system, X))
 
@@ -334,8 +338,10 @@ def tail_mass(
     system: PrimeSystem, g: AdditiveFunction, X: int, C: float, theta: float
 ) -> float:
     """Integral of (e^(theta y) - 1) over y > C against rho_X."""
-    if theta < 0:
-        raise ParameterError(f"tail_mass needs theta >= 0, got {theta}")
+    if not 0 <= theta < math.inf:  # NaN fails both
+        raise ParameterError(f"tail_mass needs a finite theta >= 0, got {theta}")
+    if math.isnan(C):  # +-inf is a valid cap
+        raise ParameterError("the cap C must not be NaN")
     norms = prime_norms(system, X)
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")

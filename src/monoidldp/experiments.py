@@ -23,8 +23,8 @@ distance is dominated by the left-of-center deficit), while the one-sided
 statistic is near 0.099 and is the quantity the regression baseline tracks.
 
 Both KS maxima are exact over every element, with no float array over the
-sample and no sort of it. Phi is Cephes' ndtr on arrays, bit-equal to the
-compiled C routine. A first pass counts the statistic into fixed bins,
+sample and no sort of it. Phi is erfc(-t / sqrt 2) / 2, erfc being the C
+library's (math.erfc). A first pass counts the statistic into fixed bins,
 block by block, keeping per block only a bit mask of the bins it touches;
 the counts give every bin's ranks, and Phi at the bin edges bounds every
 value inside. A second pass takes the statistic again only in the blocks
@@ -86,6 +86,8 @@ def ek_report(system: PrimeSystem, X: int, min_norm: int = 3) -> EKReport:
         raise ParameterError(f"ek_report needs X >= 16, got {X}")
     if min_norm < 3:
         raise ParameterError("min_norm must be >= 3 so log log N(m) > 0")
+    if min_norm > X:
+        raise EmptySample(f"no element of norm >= {min_norm} at X={X}")
     primes, blocks = cell_blocks(system, X, None)
     # the Mertens sum before the blocks are built, so no temporary of its
     # meets them
@@ -135,89 +137,24 @@ def _ek_sample(block, min_norm: int) -> tuple[np.ndarray, np.ndarray | None]:
     return ll, runs
 
 
-# Moshier's Cephes ndtr (Methods and Programs for Mathematical Functions,
-# 1989): its coefficients and its float operations, restricted to the paths
-# ndtr reaches, so the result is the C routine's, bit for bit. Cephes'
-# p1evl, the Horner loop with an implied leading 1.0, is _horner over a
-# table that starts with 1.0, since 1.0 * x + c is x + c exactly.
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = 7.07106781186547524401e-1
 
 
-def _horner(x: np.ndarray, coef: tuple) -> np.ndarray:
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c  # two ufuncs round twice, as C does: no fused multiply-add
-    return ans
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """erf(x) for |x| < 1. Cephes takes erf(-x) as -erf(x); the rounding
-    is symmetric in sign, so x < 0 gets the same bits without the flip."""
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
-
-
 def _ndtr(a: np.ndarray) -> np.ndarray:
-    """Phi(a), the standard normal CDF, elementwise, bit-equal to Cephes' ndtr.
-
-    Each branch takes the elements on which ndtr's test holds and leaves
-    the rest to the next, so NaN and +-inf go where the C code sends them.
-    exp is math.exp, the C library's, taken over the erfc branch only.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = a * _SQRT1_2
-        z = np.abs(x)
-        out = np.empty_like(x)
-        near = z < _SQRT1_2
-        out[near] = 0.5 + 0.5 * _erf(x[near])
-        far = np.flatnonzero(~near)
-        zf = z[far]
-        y = np.zeros_like(zf)  # erfc(z), 0 where exp(-z*z) would underflow
-        mid = zf < 1.0
-        y[mid] = 1.0 - _erf(zf[mid])
-        i = np.flatnonzero(~mid)
-        i = i[~(-zf[i] * zf[i] < -_MAXLOG)]
-        zi = zf[i]
-        e = np.fromiter(map(math.exp, (-zi * zi).tolist()), np.float64, zi.size)
-        small = zi < 8.0
-        for sel, p, q in ((small, _ERFC_P, _ERFC_Q), (~small, _ERFC_R, _ERFC_S)):
-            y[i[sel]] = e[sel] * _horner(zi[sel], p) / _horner(zi[sel], q)
-        y *= 0.5
-        out[far] = np.where(x[far] > 0, 1.0 - y, y)
-    return out
+    """Phi(a) = erfc(-a / sqrt 2) / 2, the standard normal CDF, elementwise,
+    erfc being math.erfc, the C library's, over 2^16 values at a time."""
+    x = a * -_SQRT1_2
+    for i in range(0, x.size, 1 << 16):
+        part = x[i:i + (1 << 16)]
+        part[:] = np.fromiter(map(math.erfc, part.tolist()), np.float64, part.size)
+    x *= 0.5
+    return x
 
 
 # The KS bins: _KS_BINS uniform bins over t in [_KS_LO, _KS_HI), the end
 # bins also taking every t beyond; the range only sets how many rows the
-# second pass reads, never the result. The slack covers Cephes' ~1e-15
-# departures from a monotone Phi and the rounding of the bounds.
+# second pass reads, never the result. The slack covers erfc's departures
+# from a monotone Phi, below 1e-15, and the rounding of the bounds.
 _KS_BINS = 1 << 14
 _KS_LO, _KS_HI = -4.0, 8.0
 _KS_SLACK = 1e-9
@@ -475,6 +412,8 @@ def gap_sweep(
         raise ParameterError("X_grid must be nonempty")
     if any(b <= a for a, b in zip(X_list, X_list[1:])):
         raise ParameterError("X_grid must be strictly increasing")
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta}")
     # B for every X first: an X below 16 is refused before the count is built
     sets = [truncation_sets(system, g, X, C) for X in X_list]
     count = element_counter(system, X_list[-1])

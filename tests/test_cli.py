@@ -140,6 +140,42 @@ def test_non_finite_prime_values_exit_65(tmp_path, capsys, g):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail-mass", "--theta", "nan"],
+    ["tail-mass", "--theta", "inf"],
+    ["tail-mass", "--cap", "nan"],
+    ["mgf-gap", "--theta", "nan"],
+    ["mgf-gap", "--theta", "inf"],
+    ["mgf-gap", "--theta", "-inf"],
+    ["mgf-gap", "--cap", "nan"],
+    ["sweep", "--theta-grid", "nan"],
+    ["sweep", "--theta-grid", "0.5,inf"],
+])
+def test_non_finite_theta_and_nan_cap_exit_65(tmp_path, capsys, argv):
+    # once reported tail=0, tail=nan, gap=nan, gap=0 or a WARN
+    grid = ["--grid", "1000,10000"] if argv[0] == "mgf-gap" else []
+    assert main([*argv, *grid, "--out", str(tmp_path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("finite" in err or "NaN" in err)
+
+
+@pytest.mark.parametrize("cap", ["inf", "-inf"])
+def test_an_infinite_cap_is_valid(tmp_path, cap):
+    assert main(["tail-mass", "--cap", cap, "--out", str(tmp_path)]) == 0
+    assert main(["mgf-gap", "--cap", cap, "--grid", "1000,10000",
+                 "--out", str(tmp_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("system", ["integers", "quad:-4"])
+@pytest.mark.parametrize("min_norm", [2000, 2**64])
+def test_ek_min_norm_above_x_is_an_empty_sample(tmp_path, capsys, system, min_norm):
+    # 2^64 once failed in building the blocks, exiting 65 or 2 with NumPy's words
+    assert main(["ek", "--system", system, "--limit", "1000", "--min-norm", str(min_norm),
+                 "--out", str(tmp_path)]) == 2
+    assert (f"error: no element of norm >= {min_norm} at X=1000"
+            in capsys.readouterr().err)
+
+
 def test_non_finite_config_values_exit_65(tmp_path):
     assert main(["rate", "--format", "json", "--out", str(tmp_path / "a")]) == 0
     cfg = json.loads((tmp_path / "a" / "config-echo.json").read_text(encoding="utf-8"))

@@ -1,9 +1,10 @@
 """The array Phi and the binned KS maxima behind `ek`, and an import path
 that loads no scipy.
 
-The oracles are a scalar port of Cephes' ndtr, kept here, and scipy: the
-tests that need scipy skip without it, and the subprocess tests check that
-the package itself never imports it.
+The oracle is Phi one float at a time, 0.5 * math.erfc(-t / sqrt 2), the
+expression the package maps over arrays; the KS oracle builds the full
+sorted arrays from it. The subprocess tests check that the package never
+imports scipy.
 """
 import math
 import os
@@ -17,64 +18,22 @@ import pytest
 
 from monoidldp import experiments
 from monoidldp.additive import Omega
-from monoidldp.experiments import (
-    _ERF_T,
-    _ERF_U,
-    _ERFC_P,
-    _ERFC_Q,
-    _ERFC_R,
-    _ERFC_S,
-    _MAXLOG,
-    _SQRT1_2,
-    _ks_bins,
-    _ks_maxima,
-    ek_report,
-)
+from monoidldp.experiments import _SQRT1_2, _ks_bins, _ks_maxima, ek_report
 from monoidldp.monoid import enumerate_monoid
 from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-EDGES = (1.0, 8.0 * math.sqrt(2.0))  # |t| where ndtr and erfc switch branches
+# |t| = sqrt 2 |x| at the ends of fdlibm's erfc intervals, |x| = 0.84375,
+# 1.25, 1/0.35, 6 and 28, the erfc of glibc and of most C libraries
+EDGES = tuple(math.sqrt(2.0) * x for x in (0.84375, 1.25, 1 / 0.35, 6.0, 28.0))
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -37.5, -38.0, 5e-324, -5e-324,
            1e-300, -1e-300, 1e300, -1e300]
 
 
-# The scalar oracle: Cephes' ndtr one float at a time, in Python floats,
-# whose every operation rounds once, as the C code's does.
-def _horner(x: float, coef: tuple) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    """erf(x) for |x| < 1."""
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    """erfc(x) for x >= 1/sqrt(2); 0.0 where exp(-x*x) would underflow."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if -x * x < -_MAXLOG:
-        return 0.0
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return (math.exp(-x * x) * _horner(x, p)) / _horner(x, q)
-
-
-def _ndtr(a: float) -> float:
-    """Phi(a), the standard normal CDF, bit-equal to Cephes' ndtr."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+def _phi(t: float) -> float:
+    """Phi(t), the standard normal CDF, as a scalar."""
+    return 0.5 * math.erfc(-t * _SQRT1_2)
 
 
 def _python(code: str, cwd) -> subprocess.CompletedProcess:
@@ -104,7 +63,7 @@ def test_ek_without_scipy_matches_golden(tmp_path, fmt):
 
 
 def _bands(half_width: float, points: int) -> np.ndarray:
-    """Dense values around +-1 and +-8 sqrt 2, and the few ulps at each edge."""
+    """Dense values around each of +-EDGES, and the few ulps at each."""
     parts = []
     for edge in EDGES:
         for c in (edge, -edge):
@@ -117,74 +76,56 @@ def _bands(half_width: float, points: int) -> np.ndarray:
 
 
 def _phis(ts: np.ndarray) -> np.ndarray:
-    return np.array([_ndtr(t) for t in ts.tolist()])
+    return np.fromiter(map(_phi, ts.tolist()), np.float64, ts.size)
 
 
 def _assert_bits_equal(got: np.ndarray, want: np.ndarray, ts: np.ndarray) -> None:
+    assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), np.isnan(want))
     keep = ~np.isnan(want)
     diff = got[keep].view(np.uint64) != want[keep].view(np.uint64)
     assert not diff.any(), (ts[keep][diff][:5], got[keep][diff][:5], want[keep][diff][:5])
 
 
-def test_ndtr_bit_equal_to_scipy():
-    ndtr = pytest.importorskip("scipy.special").ndtr
-    rng = np.random.default_rng(20261018)
-    ts = np.concatenate([
-        rng.uniform(-40.0, 40.0, 200_000),
-        _bands(1e-3, 20_001),
-        np.linspace(-45.0, -38.0, 1001),  # erfc underflows to 0 (Cephes' MAXLOG guard)
-        [0.0, -0.0, math.inf, -math.inf, math.nan, -37.5, -38.0, 5e-324, -5e-324,
-         1e-300, -1e-300, 1e300, -1e300],
-    ])
-    _assert_bits_equal(_phis(ts), ndtr(ts), ts)
-
-
-def _array_inputs() -> np.ndarray:
+def test_array_ndtr_bit_equal_to_scalar_port():
+    """The array Phi, taken in chunks of 2^16, against the scalar one: on
+    wide and dense values and at the sizes around a chunk's end."""
     rng = np.random.default_rng(20261019)
-    return np.concatenate([
+    ts = np.concatenate([
         rng.uniform(-40.0, 40.0, 50_000),
         _bands(1e-3, 20_001),
-        np.linspace(-45.0, -38.0, 1001),  # erfc underflows to 0
+        np.linspace(-45.0, -38.0, 1001),  # erfc's subnormals, then 0
         SPECIAL,
     ])
-
-
-def test_array_ndtr_bit_equal_to_scalar_port():
-    """The vectorized Phi against the scalar oracle: no scipy needed."""
-    ts = _array_inputs()
     _assert_bits_equal(experiments._ndtr(ts), _phis(ts), ts)
-    assert experiments._ndtr(np.empty(0)).shape == (0,)
-
-
-def test_array_ndtr_bit_equal_to_scipy():
-    ndtr = pytest.importorskip("scipy.special").ndtr
-    ts = _array_inputs()
-    _assert_bits_equal(experiments._ndtr(ts), ndtr(ts), ts)
+    for n in (0, 1, 2**16, 2**16 + 1):
+        ts = rng.uniform(-10.0, 10.0, n)
+        _assert_bits_equal(experiments._ndtr(ts), _phis(ts), ts)
 
 
 def test_ndtr_special_values():
-    assert _ndtr(-math.inf) == 0.0
-    assert _ndtr(math.inf) == 1.0
-    assert _ndtr(0.0) == _ndtr(-0.0) == 0.5
-    assert math.isnan(_ndtr(math.nan))
-    assert all(_ndtr(t) == 0.0 for t in (-38.0, -40.0, -1e300))  # no denormals
+    phi = experiments._ndtr(np.array([-math.inf, math.inf, 0.0, -0.0, math.nan,
+                                      -38.0, -40.0, -1e300]))
+    assert phi[:4].tolist() == [0.0, 1.0, 0.5, 0.5]
+    assert math.isnan(phi[4])
+    # erfc's subnormals reach t = -38; from |x| = 28 on erfc is 0
+    assert 0.0 < phi[5] < np.finfo(np.float64).smallest_normal
+    assert phi[6] == phi[7] == 0.0
 
 
 def test_ndtr_falls_by_at_most_1e_15():
     """The fact behind _KS_SLACK: Phi is monotone up to 1e-15 on a dense grid."""
     ts = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 400_001), _bands(1e-4, 2001)]))
-    phi = _phis(ts)
+    phi = experiments._ndtr(ts)
     assert float(np.max(phi[:-1] - phi[1:])) <= 1e-15
     assert 1e-15 < experiments._KS_SLACK
 
 
 def _oracle(t: np.ndarray) -> tuple[float, float]:
     """The KS maxima over full Phi and step arrays."""
-    ndtr = pytest.importorskip("scipy.special").ndtr
     t = np.sort(t)
     n = len(t)
-    phi = ndtr(t)
+    phi = _phis(t)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     return float(np.max(steps - phi)), float(np.max(phi - (steps - 1.0 / n)))
 

@@ -36,7 +36,6 @@ def test_check_counts_agrees_at_1e4():
 
 
 def test_check_ks_agrees_at_1e4():
-    pytest.importorskip("scipy")
     done = _run("check_ks.py", "--limit", "10000")
     assert done.returncode == 0, done.stdout + done.stderr
     # X = 1e3 and 1e4 on each of integers, quad:-4 and poly:2
