@@ -43,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySystem, ParameterError
+from .systems import chunks
 
 
 @dataclass(frozen=True)
@@ -176,39 +177,33 @@ def rho_X(norms: np.ndarray, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
     ys, atom = np.unique(g.values(norms), return_inverse=True)
-    pairs = list(zip(atom.tolist(), norms.tolist()))
-    weights = _fixed_weights(pairs, ys.size) or _exact_weights(pairs, ys.size)
+    groups = [norms[atom == k] for k in range(ys.size)]
+    weights = _fixed_weights(groups) or _exact_weights(groups)
     return DiscreteMeasure(tuple(zip(ys.tolist(), weights)))
 
 
-def _fixed_weights(pairs: list[tuple[int, int]], atoms: int) -> list[float] | None:
-    """The weights from s_y = sum of floor(2^K / N(p)) over the c_y primes
-    (atom y, N(p)) of pairs, S their total over m primes: the exact weight
-    lies strictly inside (s_y / (S + m), (s_y + c_y) / S), so where both
-    ends round to one double, that double is its correctly rounded value.
-    None when they do not, for some atom."""
+def _fixed_weights(groups: list[np.ndarray]) -> list[float] | None:
+    """The weights from s_y = sum of floor(2^K / N(p)) over the c_y norms
+    of atom y's group, S their total over m primes: the exact weight lies
+    strictly inside (s_y / (S + m), (s_y + c_y) / S), so where both ends
+    round to one double, that double is its correctly rounded value. None
+    when they do not, for some atom."""
     unit = 1 << _FIXED_BITS
-    sums, counts = [0] * atoms, [0] * atoms
-    for y, n in pairs:
-        sums[y] += unit // n
-        counts[y] += 1
-    total, m = sum(sums), len(pairs)
+    sums = [sum(sum(map(unit.__floordiv__, part.tolist())) for part in chunks(ns)) for ns in groups]
+    total, m = sum(sums), sum(ns.size for ns in groups)
     weights = []
-    for s, c in zip(sums, counts):
+    for s, ns in zip(sums, groups):
         w = s / (total + m)  # int / int: correctly rounded
-        if w != (s + c) / total:
+        if w != (s + ns.size) / total:
             return None
         weights.append(w)
     return weights
 
 
-def _exact_weights(pairs: list[tuple[int, int]], atoms: int) -> list[float]:
-    """The weights as exact unreduced fractions (tree sums), each divided
-    once, correctly rounded, with no gcd on the huge denominators."""
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(atoms)]
-    for y, n in pairs:
-        groups[y].append((1, n))
-    sums = [_tree_sum(ps) for ps in groups]
+def _exact_weights(groups: list[np.ndarray]) -> list[float]:
+    """The weights as exact unreduced fractions (tree sums per atom), each
+    divided once, correctly rounded, with no gcd on the huge denominators."""
+    sums = [_tree_sum([(1, n) for n in ns.tolist()]) for ns in groups]
     tot_n, tot_d = _tree_sum(sums)
     return [(n * tot_d) / (d * tot_n) for n, d in sums]
 

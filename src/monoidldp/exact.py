@@ -48,7 +48,7 @@ from .errors import (
     PrimeNotInSystem,
 )
 from .monoid import element_counter
-from .systems import PrimeSystem, _reciprocal_sum, list_primes, prime_norms
+from .systems import PrimeSystem, _reciprocal_sum, chunks, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -348,9 +348,11 @@ def tail_mass(
     den = _reciprocal_sum(norms)
     vals = g.values(norms)
     big = vals > C
-    tail = list(zip(vals[big].tolist(), norms[big].tolist()))
+    ys, ns = vals[big], norms[big]
     try:
-        num = math.fsum(math.expm1(theta * y) / n for y, n in tail)
+        num = math.fsum(math.expm1(theta * y) / n
+                        for y_part, n_part in zip(chunks(ys), chunks(ns))
+                        for y, n in zip(y_part.tolist(), n_part.tolist()))
     except OverflowError:
-        raise moment_overflow("tail_mass", theta, (y for y, _ in tail)) from None
+        raise moment_overflow("tail_mass", theta, map(float, ys)) from None
     return num / den

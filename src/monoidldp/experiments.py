@@ -49,6 +49,7 @@ from .monoid import block_rows, cell_blocks, cell_counts, element_counter
 from .rate import rate
 from .systems import (
     PrimeSystem,
+    chunks,
     density_fit,
     mertens_sum,
     prime_count_check,
@@ -144,8 +145,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     """Phi(a) = erfc(-a / sqrt 2) / 2, the standard normal CDF, elementwise,
     erfc being math.erfc, the C library's, over 2^16 values at a time."""
     x = a * -_SQRT1_2
-    for i in range(0, x.size, 1 << 16):
-        part = x[i:i + (1 << 16)]
+    for part in chunks(x):
         part[:] = np.fromiter(map(math.erfc, part.tolist()), np.float64, part.size)
     x *= 0.5
     return x
@@ -345,6 +345,9 @@ def condition_sweep(
     X_list = [int(X) for X in X_grid]
     if min(X_list) < 3:
         raise ParameterError("condition_sweep needs every X >= 3")
+    theta_list = [float(t) for t in theta_grid]
+    if not all(map(math.isfinite, theta_list)):  # check_convergence's check, up front
+        raise ParameterError(f"every theta must be finite, got {theta_list}")
 
     fit = density_fit(system, X_list)  # checks the whole grid before it builds anything
     norms = prime_norms(system, max(X_list))
@@ -374,7 +377,6 @@ def condition_sweep(
         "last_step": dev_step,
     }
 
-    theta_list = [float(t) for t in theta_grid]
     conv_rows = []
     conv_flag = "PASS"
     conv = check_convergence(norms, g, rho, theta_list, X_list)  # X-major

@@ -8,13 +8,13 @@ CSV is written column by column, as bytes. write_csv takes one sequence per
 column and walks the rows in blocks of _BLOCK_ROWS, so the bytes it holds at
 once are one block's, whatever the row count. Within a block each column
 becomes a uint8 matrix, one row per cell, with a mask of the bytes each cell
-keeps. Integer arrays get their decimal digits in NumPy (uint32 arithmetic
-when the largest magnitude is below 2^32), with the sign from a mask. Float
-and bool arrays are reduced to their distinct values with np.unique; floats
-are keyed on their bit pattern, because np.unique merges -0.0 with 0.0 and
-fmt() does not. Only the distinct values go through fmt() and the quoting
-rule, and their bytes are gathered back by the inverse index. Lists are
-formatted cell by cell. The cells and their separators fill one
+keeps. Integer arrays with no negative value get their decimal digits in
+NumPy (uint32 arithmetic when the largest is below 2^32). Float, bool and
+other integer arrays are reduced to their distinct values with np.unique;
+floats are keyed on their bit pattern, because np.unique merges -0.0 with
+0.0 and fmt() does not. Only the distinct values go through fmt() and the
+quoting rule, and their bytes are gathered back by the inverse index. Lists
+are formatted cell by cell. The cells and their separators fill one
 (rows x width) matrix, as wide as the block's widest cells, whose kept
 bytes, row by row, are the block's lines.
 The quoting rule is csv's QUOTE_MINIMAL with "\\n" line ends: a cell
@@ -141,9 +141,9 @@ def _cells(chunk: Sequence[Any], lone: bool) -> tuple[np.ndarray, np.ndarray]:
     """The CSV cells of one column chunk: a uint8 matrix, a row per cell,
     and the mask of the bytes each row keeps. lone marks the only column
     of a file, whose empty cells are written as '""'."""
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu":
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu" and chunk.min() >= 0:
         return _int_cells(chunk)
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "bf":
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "biuf":
         values, inverse = _distinct(chunk)
         cells, keep = _text_cells(list(map(fmt, values)), lone)
         return cells[inverse], keep[inverse]
@@ -151,26 +151,19 @@ def _cells(chunk: Sequence[Any], lone: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _int_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal texts of a non-empty integer array, right-aligned."""
-    neg = values < 0
-    sign = int(neg.any())
-    mag = values.astype(np.uint64, copy=False)  # a copy when values are signed
-    if sign:
-        np.negative(mag, out=mag, where=neg)  # |v| mod 2^64, so -2^63 is 2^63
-    top = int(mag.max())
-    mag = mag.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
-    width = sign + len(str(top))
-    length = 1 + np.searchsorted(10 ** np.arange(1, width - sign, dtype=mag.dtype), mag, "right")
+    """The decimal texts of a non-empty array of non-negative integers,
+    right-aligned."""
+    top = int(values.max())
+    mag = values.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
+    width = len(str(top))
+    length = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=mag.dtype), mag, "right")
     # one row per digit place, so that each place is one contiguous store
     cells = np.empty((width, len(values)), dtype=np.uint8)
-    for k in range(width - 1, sign - 1, -1):
+    for k in range(width - 1, -1, -1):
         rest = mag // 10  # np.divmod is far slower than // by a constant
         cells[k] = mag - rest * 10
         mag = rest
     cells += ord("0")
-    if sign:
-        length += neg
-        cells[width - length[neg], neg] = ord("-")
     return cells.T, _kept(width, length, right=True)
 
 

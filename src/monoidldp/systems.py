@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -390,7 +390,10 @@ def mertens_sum(norms: np.ndarray, X: int) -> tuple[float, float]:
 
 
 def _reciprocal_sum(norms: np.ndarray) -> float:
-    """fsum of 1/N over the norms, correctly rounded whatever their order;
-    fed in lists of 2^16, so that no Python float is held per norm."""
-    return math.fsum(chain.from_iterable(
-        (1.0 / norms[i:i + (1 << 16)]).tolist() for i in range(0, norms.size, 1 << 16)))
+    """fsum of 1/N over the norms, correctly rounded whatever their order."""
+    return math.fsum(chain.from_iterable((1.0 / part).tolist() for part in chunks(norms)))
+
+
+def chunks(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive 2^16-entry views of a: no Python object per prime is held."""
+    return (a[i:i + (1 << 16)] for i in range(0, len(a), 1 << 16))

@@ -150,8 +150,8 @@ def _tree_rho(norms, g, X):
     """rho_X's atoms from the exact tree sums alone."""
     norms = norms[: norms.searchsorted(X, "right")]
     ys = sorted(set(g.values(norms).tolist()))
-    atom = [ys.index(y) for y in g.values(norms).tolist()]
-    return tuple(zip(ys, additive._exact_weights(list(zip(atom, norms.tolist())), len(ys))))
+    groups = [norms[g.values(norms) == y] for y in ys]
+    return tuple(zip(ys, additive._exact_weights(groups)))
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monoidldp import experiments
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample, EmptySystem, ParameterError
 from monoidldp.exact import gap_components
@@ -156,6 +157,17 @@ def test_condition_sweep_validation():
         condition_sweep(Integers(), Omega(), DELTA1, [100, 1000, 10_000, 100_000], [])
     with pytest.raises(ParameterError):
         condition_sweep(Integers(), Omega(), DELTA1, [2, 10, 100, 1000], [1.0])
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_condition_sweep_refuses_a_non_finite_theta_before_it_builds_anything(monkeypatch, theta):
+    def build(*args):
+        raise AssertionError("condition_sweep built something before checking theta")
+
+    monkeypatch.setattr(experiments, "density_fit", build)
+    monkeypatch.setattr(experiments, "prime_norms", build)
+    with pytest.raises(ParameterError, match="every theta must be finite"):
+        condition_sweep(Integers(), Omega(), DELTA1, [1000, 10**5, 10**6, 3 * 10**7], [1.0, theta])
 
 
 def test_gap_sweep_trend():

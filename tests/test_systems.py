@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidldp import gfpoly, systems
-from monoidldp.additive import NormResidue, rho_X
+from monoidldp.additive import NormResidue, Omega, rho_X
 from monoidldp.errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
 from monoidldp.exact import expect_Z, gap_components, tail_mass
 from monoidldp.gfpoly import SUPPORTED_Q
@@ -253,6 +253,53 @@ def test_reciprocal_sum_streams_the_whole_list_fsum(system, X):
         tracemalloc.stop()
     assert got.hex() == want.hex()
     assert peak < 8 * norms.size, f"{peak / norms.size:.2f} bytes per prime"
+
+
+@pytest.mark.parametrize("n,sizes", [(0, []), (1, [1]), (1 << 16, [1 << 16]),
+                                     ((1 << 16) + 1, [1 << 16, 1])])
+def test_chunks_are_consecutive_views_of_2_16_entries(n, sizes):
+    a = np.arange(n, dtype=np.int64)
+    parts = list(systems.chunks(a))
+    assert [part.size for part in parts] == sizes
+    assert all(np.shares_memory(part, a) for part in parts)
+    assert [v for part in parts for v in part.tolist()] == a.tolist()
+
+
+# tracemalloc sees NumPy's buffers. At 1e6 (78,498 primes on the integers)
+# rho_X held ~120 bytes per prime and tail_mass, counting the prime list it
+# builds, ~152, while each built one Python tuple per prime; reading the
+# norms through chunks, ~49 and ~93, most of it one chunk's Python objects.
+RESIDUE = NormResidue(4, frozenset({1}), 2.0, 0.5)
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+@pytest.mark.parametrize("g", [RESIDUE, Omega()], ids=lambda g: g.key)
+@pytest.mark.parametrize("name,bound", [("rho_X", 64), ("tail_mass", 110)])
+def test_prime_measures_hold_no_python_object_per_prime(system, g, name, bound):
+    X = 10**6
+    norms = prime_norms(system, X)
+    run = {"rho_X": lambda: rho_X(norms, g, X),
+           "tail_mass": lambda: tail_mass(system, g, X, 0.1, 1.0)}[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * norms.size, f"{peak / norms.size:.2f} bytes per prime"
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+@pytest.mark.parametrize("C", [0.1, 1.0])
+def test_tail_mass_gets_the_bits_of_one_fsum(system, C):
+    # the numerator's terms, fed chunk by chunk, in prime order, against
+    # one list of them all (two chunks at C = 0.1)
+    X = 10**6
+    norms = prime_norms(system, X)
+    vals = RESIDUE.values(norms)
+    terms = [math.expm1(0.5 * y) / n for y, n in zip(vals.tolist(), norms.tolist()) if y > C]
+    want = math.fsum(terms) / math.fsum((1.0 / norms).tolist())
+    assert tail_mass(system, RESIDUE, X, C, 0.5).hex() == want.hex()
 
 
 def test_prime_count_check():
