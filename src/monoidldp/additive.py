@@ -15,10 +15,11 @@ class, and takes 1). So g(n) is a function of the element's cell (omega, a):
 omega distinct primes, a of them in the class. Each rule has three array
 methods, and no Python runs per prime or per element:
 
-  values(norms)    g at each prime, float64: rho_X, tail_mass and the B-side
-                   MGFs read it
+  values(norms)    g at each prime, float64: tail_mass and the B-side MGFs
+                   read it
   inside(norms)    whether each prime is in the class (None for Omega): the
-                   enumeration counts a from it
+                   enumeration counts a from it, and rho_X groups the primes
+                   by it
   sums(omega, a)   g(n) per cell, value_in a + value_out (omega - a)
                    correctly rounded, so it does not depend on the order in
                    which an element's primes are met
@@ -176,10 +177,15 @@ def rho_X(norms: np.ndarray, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     norms = norms[: norms.searchsorted(X, "right")]
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
-    ys, atom = np.unique(g.values(norms), return_inverse=True)
-    groups = [norms[atom == k] for k in range(ys.size)]
+    inside = g.inside(norms)
+    if inside is None or g.value_in == g.value_out:  # one atom: every prime
+        atoms = [(1.0 if inside is None else float(g.value_in), norms)]
+    else:  # ascending y, each atom that some prime attains
+        atoms = sorted([(float(g.value_in), norms[inside]), (float(g.value_out), norms[~inside])])
+        atoms = [(y, ns) for y, ns in atoms if ns.size]
+    groups = [ns for _, ns in atoms]
     weights = _fixed_weights(groups) or _exact_weights(groups)
-    return DiscreteMeasure(tuple(zip(ys.tolist(), weights)))
+    return DiscreteMeasure(tuple((y, w) for (y, _), w in zip(atoms, weights)))
 
 
 def _fixed_weights(groups: list[np.ndarray]) -> list[float] | None:

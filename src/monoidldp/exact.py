@@ -346,13 +346,15 @@ def tail_mass(
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")
     den = _reciprocal_sum(norms)
-    vals = g.values(norms)
-    big = vals > C
-    ys, ns = vals[big], norms[big]
+
+    def above():  # (g(p), N(p)) for each prime with g(p) > C, in norm order
+        for part in chunks(norms):
+            ys = g.values(part)
+            big = ys > C
+            yield from zip(ys[big].tolist(), part[big].tolist())
+
     try:
-        num = math.fsum(math.expm1(theta * y) / n
-                        for y_part, n_part in zip(chunks(ys), chunks(ns))
-                        for y, n in zip(y_part.tolist(), n_part.tolist()))
+        num = math.fsum(math.expm1(theta * y) / n for y, n in above())
     except OverflowError:
-        raise moment_overflow("tail_mass", theta, map(float, ys)) from None
+        raise moment_overflow("tail_mass", theta, (y for y, _ in above())) from None
     return num / den

@@ -7,20 +7,20 @@ checkable. A monic polynomial of degree d over GF(q) is encoded by the
 integer index of its d low coefficients in base q (the leading 1 is implicit)
 and has norm q^d.
 
-Irreducibles of degree n are found by sieving: every reducible monic P of
-degree n factors as f*h with f a minimal-degree irreducible factor, so deg f
-<= n/2, and marking f*h over all irreducible f and all monic h of the
-complementary degree covers exactly the reducibles. The products are formed
-in bulk with numpy, never one pair at a time. For q != 2 the monic h of each
-degree are a uint8 digit matrix, the irreducible f are stacked beside them,
-and the low n digits of f*h come from a convolution through the field's add
-and mul tables; a Horner pass encodes them as indices. Blocks of at most
-_BLOCK_ROWS products bound the working arrays whatever the degree. For q = 2
-polynomials are bit masks and the products carryless multiplies on uint64,
-which beats the table lookups by far (degrees 1-18 on a 2-core VM: 0.012 s
-against 0.42 s for the table path), so that field keeps its own path. The
-count of monic irreducibles of degree n is (1/n) sum_{d|n} mu(d) q^(n/d),
-which serves as an independent oracle.
+Irreducibles of degree n are found by sieving. A reducible monic of degree n
+is a multiple of t (constant digit 0: every q-th index) or f*h, f irreducible
+of degree a <= n/2 with f(0) != 0, h monic of degree b = n - a. The low b
+digits of h run over all q^b residues mod t^b, and f(0) != 0 makes f a unit
+mod t^b, so the low b digits L of f*h take every value 0..q^b-1 exactly once.
+L fixes the high digits, the H of degree < a with t^b (t^a + H) = -L mod f:
+H(L) = f_low + sum_j L_j A_j, A_j = -t^(j-b) mod f, and f*h has index
+L + q^b H(L). One recurrence gives the A_j of every f: A_(b-1) = -1/t mod f
+= (f - f(0)) / (t f(0)), A_(j-1) = A_j / t mod f. H is built by doubling over
+L's digits, one field addition per product: XOR of packed digits for q = 2,
+4, 8, and for odd q a lookup per k digits in a table of x + y (q^2k <= 2^16
+entries, built per call). Blocks of at most _BLOCK_ROWS products bound the
+working arrays. The necklace count (1/n) sum_{d|n} mu(d) q^(n/d) of monic
+irreducibles of degree n is an independent oracle.
 """
 from __future__ import annotations
 
@@ -83,84 +83,84 @@ def field(q: int) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-# rows (products f*h) per bulk-sieve block; bounds the sieve's working arrays
+# products f*h per sieve block; bounds the sieve's working arrays
 _BLOCK_ROWS = 1 << 18
 
 
 @functools.cache
 def irreducible_indices(q: int, n: int) -> np.ndarray:
-    """Sorted indices of all monic irreducibles of degree exactly n: an
-    int64 array, read-only, since the cache hands the same one to every
-    caller."""
+    """Sorted indices of the monic irreducibles of degree n: a read-only int64
+    array, since the cache hands the same one to every caller."""
     if q not in SUPPORTED_Q:
         raise ParameterError(f"unsupported field order q={q}; supported: {SUPPORTED_Q}")
     if n < 1:
         raise ParameterError(f"degree must be >= 1, got {n}")
-    reducible = _reducible_gf2(n) if q == 2 else _reducible_bulk(q, n)
-    indices = np.flatnonzero(~reducible).astype(np.int64, copy=False)
+    indices = np.flatnonzero(~_reducible(q, n)).astype(np.int64, copy=False)
     indices.flags.writeable = False
     return indices
 
 
-def _monic_digits(q: int, degree: int, start: int, stop: int) -> np.ndarray:
-    """Digits of the monic polynomials with indices start..stop-1, one per column.
-
-    Row i holds the coefficients of t^i; row `degree` is the leading 1.
-    """
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.ones((degree + 1, stop - start), dtype=np.uint8)
-    for i in range(degree):
-        idx, digits[i] = np.divmod(idx, q)
-    return digits
+def _span(H: np.ndarray, steps: np.ndarray, plus) -> np.ndarray:
+    """Each step (groups, f, q) widens H (groups, f, w): H'[c w + r] = H[r] + step[c]."""
+    for step in steps:
+        H = plus(H[:, :, None, :], step[:, :, :, None]).reshape(*H.shape[:2], -1)
+    return H
 
 
-def _reducible_bulk(q: int, n: int) -> np.ndarray:
-    # digits are uint8 field elements; x*q + y indexes the flattened tables
-    add, mul = (table.ravel() for table in field(q))
+def _reducible(q: int, n: int) -> np.ndarray:
+    """True at the index of each reducible monic of degree n."""
     reducible = np.zeros(q**n, dtype=bool)
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        fi = irreducible_indices(q, a)
-        f = _monic_digits(q, a, 0, q**a)[:, fi]
-        hstep = min(q**b, _BLOCK_ROWS)
-        fstep = max(1, _BLOCK_ROWS // hstep)
-        for hstart in range(0, q**b, hstep):
-            h = _monic_digits(q, b, hstart, min(hstart + hstep, q**b))[:, None, :]
-            for fstart in range(0, len(fi), fstep):
-                fq = f[:, fstart:fstart + fstep, None] * np.uint8(q)
-                # low n digits of f*h; f_a = h_b = 1, so the product's top is 1
-                out = np.zeros((n, fq.shape[1], h.shape[2]), dtype=np.uint8)
-                out[: b + 1] = mul[fq[0] + h]
-                for i in range(1, a):
-                    win = out[i : i + b + 1]
-                    win[...] = add[win * np.uint8(q) + mul[fq[i] + h]]
-                win = out[a:]
-                win[...] = add[win * np.uint8(q) + h[:b]]
-                code = np.zeros(out.shape[1:], dtype=np.int64)
-                for i in range(n - 1, -1, -1):
-                    code *= q
-                    code += out[i]
-                reducible[code] = True
-    return reducible
-
-
-def _reducible_gf2(n: int) -> np.ndarray:
-    # bit i of the mask is the coefficient of t^i; bulk carryless multiply
-    top = np.uint64(1 << n)
-    reducible = np.zeros(1 << n, dtype=bool)
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        h = np.arange(1 << b, 1 << (b + 1), dtype=np.uint64)
-        for fi in irreducible_indices(2, a).tolist():
-            fbits = fi | (1 << a)
-            acc = np.zeros(h.shape, dtype=np.uint64)
-            shift = 0
-            while fbits:
-                if fbits & 1:
-                    acc ^= h << np.uint64(shift)
-                fbits >>= 1
-                shift += 1
-            reducible[(acc ^ top).astype(np.int64)] = True
+    if n == 1:
+        return reducible
+    reducible[::q] = True  # the multiples of t
+    add, mul = field(q)
+    half, xor = n // 2, q in (2, 4, 8)
+    if xor:  # a code holds every digit; the sum of two codes is their XOR
+        k, scale, plus = half, 1, np.bitwise_xor
+    else:  # x + y digit by digit, for codes of k digits, at table[x + q^k y]
+        k = min(half, next(d for d in range(8, 0, -1) if q ** (2 * d) <= 1 << 16))
+        table = np.zeros(1, dtype=np.uint8)
+        for s in q ** np.arange(k):  # axes (y's top digit, y, x's top digit, x)
+            table = (add.T[:, None, :, None] * np.uint8(s) + table.reshape(1, s, 1, s)).ravel()
+        scale, plus = q**k, lambda x, y: table[x + y]
+    groups = -(-half // k)
+    fis = [irreducible_indices(q, a)[int(a == 1):] for a in range(1, half + 1)]  # all but t
+    ends = np.cumsum([fi.size for fi in fis])
+    f = np.zeros((groups * k + 1, ends[-1]), dtype=np.uint8)  # digits, low first
+    for a, fi, end in zip(range(1, half + 1), fis, ends):
+        f[:a + 1, end - fi.size:end] = (fi + q**a) // q ** np.arange(a + 1)[:, None] % q
+    # S[i] = -t^-(i+1) mod f, for every f at once; A_j = S[b-1-j]
+    S = np.zeros((n - 1, *f.shape), dtype=np.uint8)
+    S[0, :-1] = mul[(mul == 1).argmax(axis=1)[f[0]], f[1:]]  # (f - f(0)) / (t f(0))
+    minus_s0 = add.argmin(axis=1)[S[0, :-1]]  # -x is where x's add row is 0
+    for i in range(1, n - 1):
+        S[i, :-1] = add[S[i - 1, 1:], mul[S[i - 1, 0], minus_s0]]
+    # codes[i, g, f, c]: digits g k .. g k + k - 1 of c S[i], in base q
+    digits = mul[S[:, :-1, :, None], np.arange(q)].reshape(n - 1, groups, k, -1, q)
+    codes = np.einsum("igknc,k->ignc", digits, q ** np.arange(k))
+    lows = np.concatenate(fis) // q ** (k * np.arange(groups))[:, None] % q**k
+    for a, end in zip(range(1, half + 1), ends):
+        b, g, start = n - a, -(-a // k), end - fis[a - 1].size
+        steps = codes[b - 1::-1, :g, start:end] * scale  # step j adds c A_j
+        low = lows[:g, start:end, None]
+        if xor:  # the index itself, L + q^b H: step j also sets L's digit j
+            steps, low = steps * q**b, low * q**b
+            steps += np.arange(q) * q ** np.arange(b)[:, None, None, None]
+        # L's low m digits span the columns of a block, its high ones the rows
+        m = next(m for m in range(b - b // 2, -1, -1) if q**m <= _BLOCK_ROWS)
+        w = q**m
+        hs = min(q ** (b - m), max(1, _BLOCK_ROWS // w))
+        fs = max(1, _BLOCK_ROWS // (w * hs))
+        for f0 in range(0, end - start, fs):
+            cols = slice(f0, f0 + fs)
+            lo = _span(low[:, cols], steps[:m, :, cols], plus)
+            hi = _span(np.zeros_like(low[:, cols]), steps[m:, :, cols], plus) * np.int64(scale)
+            for h0 in range(0, hi.shape[2], hs):
+                H = plus(lo[:, :, None, :], hi[:, :, h0:h0 + hs, None])
+                if not xor:  # L + q^b H, H's groups of k digits in base q^k
+                    H = (np.einsum("g,g...->...", q ** (b + k * np.arange(g)), H)
+                         + np.arange(h0 * w, h0 * w + H[0, 0].size).reshape(-1, w))
+                reducible[H] = True
     return reducible
 
 

@@ -1,4 +1,5 @@
 """Finite-field tables and irreducible enumeration against brute-force oracles."""
+import functools
 import math
 import tracemalloc
 
@@ -212,29 +213,101 @@ def test_irreducible_counts_match_necklace_up_to_6e5(q):
         assert len(irreducible_indices(q, n)) == necklace_count(q, n), (q, n)
 
 
+def _monic_digits(q: int, degree: int, start: int, stop: int) -> np.ndarray:
+    """Digits of the monic polynomials with indices start..stop-1, one per column.
+
+    Row i holds the coefficients of t^i; row `degree` is the leading 1.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.ones((degree + 1, stop - start), dtype=np.uint8)
+    for i in range(degree):
+        idx, digits[i] = np.divmod(idx, q)
+    return digits
+
+
+@functools.cache
+def convolution_sieve(q: int, n: int, block: int = 1 << 18) -> np.ndarray:
+    """The reducible mask by direct products: the digits of every irreducible
+    f of degree a <= n/2 (t included) convolved with those of every monic h of
+    degree n - a through field(q)'s tables, each product encoded by Horner.
+    Its irreducibles of lower degree come from itself, not from the sieve."""
+    add, mul = (table.ravel() for table in field(q))  # x*q + y indexes the tables
+    reducible = np.zeros(q**n, dtype=bool)
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        fi = np.flatnonzero(~convolution_sieve(q, a))
+        f = _monic_digits(q, a, 0, q**a)[:, fi]
+        hstep = min(q**b, block)
+        fstep = max(1, block // hstep)
+        for hstart in range(0, q**b, hstep):
+            h = _monic_digits(q, b, hstart, min(hstart + hstep, q**b))[:, None, :]
+            for fstart in range(0, len(fi), fstep):
+                fq = f[:, fstart:fstart + fstep, None] * np.uint8(q)
+                # low n digits of f*h; f_a = h_b = 1, so the product's top is 1
+                out = np.zeros((n, fq.shape[1], h.shape[2]), dtype=np.uint8)
+                out[: b + 1] = mul[fq[0] + h]
+                for i in range(1, a):
+                    win = out[i : i + b + 1]
+                    win[...] = add[win * np.uint8(q) + mul[fq[i] + h]]
+                win = out[a:]
+                win[...] = add[win * np.uint8(q) + h[:b]]
+                code = np.zeros(out.shape[1:], dtype=np.int64)
+                for i in range(n - 1, -1, -1):
+                    code *= q
+                    code += out[i]
+                reducible[code] = True
+    return reducible
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_bulk_sieve_matches_gf2_bitmask_sieve(n):
-    # the two sieves share no arithmetic: uint8 table lookups vs carryless shifts
-    assert np.array_equal(gfpoly._reducible_bulk(2, n), gfpoly._reducible_gf2(n))
+    # GF(2): the packed XOR sieve against the uint8 table convolution; the two
+    # share no arithmetic but field(2)
+    assert np.array_equal(gfpoly._reducible(2, n), convolution_sieve(2, n))
 
 
-@pytest.mark.parametrize("q,n", [(3, 7), (4, 5), (9, 4)])
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_sieve_matches_convolution_oracle(q):
+    for n in range(1, _max_degree(q, 1 << 16) + 1):
+        assert np.array_equal(gfpoly._reducible(q, n), convolution_sieve(q, n)), n
+
+
+@pytest.mark.parametrize("q,n", [(3, 12), (5, 8), (7, 6), (9, 6)])
+def test_sieve_with_several_digit_groups_matches_convolution_oracle(q, n):
+    # n/2 digits no longer fit one addition table of <= 2^16 entries
+    assert np.array_equal(gfpoly._reducible(q, n), convolution_sieve(q, n))
+
+
+@pytest.mark.parametrize("q,n", [(3, 7), (4, 5), (9, 4), (2, 12)])
 def test_bulk_sieve_is_independent_of_block_size(monkeypatch, q, n):
-    want = gfpoly._reducible_bulk(q, n)
-    # 7 rows: blocks split both the h range and the f stack, unaligned with q^b
+    want = convolution_sieve(q, n)
+    assert np.array_equal(gfpoly._reducible(q, n), want)
+    # 7 products, no multiple of any q^b with b >= 1: blocks split L's low
+    # digits from its high ones, the high rows and the stack of f
     monkeypatch.setattr(gfpoly, "_BLOCK_ROWS", 7)
-    assert np.array_equal(gfpoly._reducible_bulk(q, n), want)
+    assert np.array_equal(gfpoly._reducible(q, n), want)
 
 
-def test_bulk_sieve_memory_is_bounded():
+def _sieve_peak(q, n):
+    """tracemalloc's peak over a cold irreducible_indices(q, n), every lower
+    degree included."""
     irreducible_indices.cache_clear()
     tracemalloc.start()
     try:
-        assert len(irreducible_indices(3, 12)) == necklace_count(3, 12)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert len(irreducible_indices(q, n)) == necklace_count(q, n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+def test_bulk_sieve_memory_is_bounded():
+    assert _sieve_peak(3, 12) < 64 * 2**20
+
+
+def test_sieve_memory_is_bounded_at_3_to_the_14():
+    # the mask takes 4.6 MB and the 341,484 irreducibles 2.6 MB; one int64
+    # per monic of degree 14 would take 38 MB
+    assert _sieve_peak(3, 14) < 24 * 2**20
 
 
 def _label_from_coeffs(q, degree, index):

@@ -41,3 +41,12 @@ def test_check_ks_agrees_at_1e4():
     # X = 1e3 and 1e4 on each of integers, quad:-4 and poly:2
     lines = done.stdout.splitlines()
     assert len(lines) == 6 and all(line.endswith("agree") for line in lines)
+
+
+def test_check_irreducibles_agrees_at_1e5():
+    done = _run("check_irreducibles.py", "--limit", "100000")
+    assert done.returncode == 0, done.stdout + done.stderr
+    # one line per q, each up to the largest q^n <= 1e5: 2^16 ... 9^5
+    lines = done.stdout.splitlines()
+    assert len(lines) == 7 and all(line.endswith("agree") for line in lines)
+    assert lines[0] == "poly:2: degrees 1..16 (q^n = 65536) agree"
