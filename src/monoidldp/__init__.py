@@ -54,7 +54,7 @@ from .experiments import (
     ldp_scan,
 )
 from .gfpoly import irreducible_indices, necklace_count
-from .monoid import MonoidTable, element_counter, enumerate_monoid
+from .monoid import element_counter, table_blocks
 from .rate import (
     RatePoint,
     RateProfile,

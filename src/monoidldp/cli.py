@@ -48,7 +48,7 @@ from .errors import (
 )
 from .exact import domination_report, expect_Y, expect_Z, tail_mass
 from .experiments import LDPRow, condition_sweep, ek_report, gap_sweep, ldp_scan
-from .monoid import enumerate_monoid
+from .monoid import table_blocks
 from .rate import rate_profile
 from .reportio import Records, fmt, write_csv, write_echo, write_json
 from .systems import (
@@ -242,13 +242,14 @@ class Report(NamedTuple):
     code: int
     summary: str
     header: Sequence[str]
-    columns: Sequence[Sequence[Any]]  # the CSV body, one sequence per column
+    blocks: Iterable[Sequence[Sequence[Any]]]  # the CSV body: blocks of columns
     body: dict  # the JSON report, less its "command" key
 
 
-def _by_column(rows: Iterable[Sequence[Any]]) -> list[tuple]:
-    """A few rows turned into columns; no rows give no columns."""
-    return list(zip(*rows))
+def _by_column(rows: Iterable[Sequence[Any]]) -> list[list[tuple]]:
+    """A few rows turned into one block of columns; no rows give no
+    columns."""
+    return [list(zip(*rows))]
 
 
 def _run_primes(a: dict) -> Report:
@@ -258,7 +259,7 @@ def _run_primes(a: dict) -> Report:
     # one set of columns serves both formats
     columns = [norms, labels]
     return Report(
-        0, f"{len(labels)} primes of norm <= {X} in {system.key}", header, columns,
+        0, f"{len(labels)} primes of norm <= {X} in {system.key}", header, [columns],
         {"system": system.key, "X": X, "count": len(labels),
          "primes": Records(header, columns)},
     )
@@ -266,14 +267,16 @@ def _run_primes(a: dict) -> Report:
 
 def _run_count(a: dict) -> Report:
     system, g, X = a["system"], a["g"], int(a["limit"])
-    table = enumerate_monoid(system, X, g)
-    mean_omega = float(table.omega.sum(dtype=np.int64)) / table.count
+    # the rows are built, and sorted, only if the CSV writer reads them
+    hist, blocks = table_blocks(system, X, g)
+    count = int(hist.sum())
+    mean_omega = float(hist @ np.arange(hist.size)) / count
     return Report(
-        0, f"{table.count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
-        ["norm", "omega", "gsum"], [table.norm, table.omega, table.gsum],
+        0, f"{count} elements of norm <= {X}, mean omega {fmt(mean_omega)}",
+        ["norm", "omega", "gsum"], blocks,
         {"system": system.key, "X": X, "g": g.key,
-         "count": table.count, "mean_omega": mean_omega,
-         "omega_histogram": [int(c) for c in np.bincount(table.omega)]},
+         "count": count, "mean_omega": mean_omega,
+         "omega_histogram": [int(c) for c in hist]},
     )
 
 
@@ -542,7 +545,7 @@ def _emit(out: Path, cfg: dict, report: Report) -> None:
     name, ext = cfg["command"], cfg["format"]
     path = out / f"{name}.{ext}"
     if ext == "csv":
-        write_csv(path, report.header, report.columns)
+        write_csv(path, report.header, report.blocks)
     else:
         write_json(path, {"command": name, **report.body})
     write_echo(out / "config-echo.json", cfg)

@@ -50,13 +50,16 @@ and the (m, p) pairs are added in blocks of _BLOCK_PAIRS. With no class
 the byte is omega (1 byte per element, as in every table); the norms,
 1..X, are implicit.
 
-ek_report and cell_counts read one stream of blocks (cell_blocks): a
-block's norm range, its norms (None on the integers: that range) and its
-cells, omega alone when no g is asked for. Only block_rows reads implicit
-norms, cutting a block to the rows of norm in [lo, hi] by a slice or a
-mask. Rows may come in any order, so no sort runs. cell_counts holds no
-column on the integers, and ek_report keeps the blocks, one byte per
-element. Only the full table (count) is sorted, 17 bytes per element.
+ek_report, cell_counts and table_blocks read one stream of blocks
+(cell_blocks): a block's norm range, its norms (None on the integers: that
+range) and its cells, omega alone when no g is asked for. Only block_rows
+reads implicit norms, cutting a block to the rows of norm in [lo, hi] by a
+slice or a mask. Rows may come in any order, so no sort runs for ek_report
+or cell_counts. cell_counts holds no column on the integers; ek_report and
+table_blocks keep the blocks, one byte per element, and table_blocks
+expands a block to its (norm, omega, gsum) rows as it is read, which on
+the integers are in norm order already. Elsewhere table_blocks sorts the
+frontier's table, 17 bytes per element, and only when its rows are read.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -78,9 +81,8 @@ they are bounded by X, which the caps keep below 2^63.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,28 +117,37 @@ _MAX_X_FRONTIER = 10_000_000
 _MAX_X_COUNT = 10**12
 
 
-@dataclass(frozen=True)
-class MonoidTable:
-    """The (norm, omega, gsum) columns of the elements of norm <= X."""
-
-    norm: np.ndarray
-    omega: np.ndarray
-    gsum: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.norm.size)
-
-
-def enumerate_monoid(system: PrimeSystem, X: int, g) -> MonoidTable:
-    """Complete table of monoid elements of norm <= X with g-statistics:
-    sieved on the integers, built by the frontier on every other system;
-    every column explicit, sorted by (norm, omega, gsum), gsum being g at
-    each row's cell (g.sums)."""
-    primes, total = _prepare(system, X)
+def table_blocks(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, Iterator[tuple]]:
+    """(hist, blocks): the omega histogram of the elements of norm <= X,
+    as np.bincount gives it, and their (norm, omega, gsum) rows in blocks,
+    uint64, uint8 and float64, sorted by (norm, omega, gsum), gsum being g
+    at each row's cell (g.sums). On the integers the cells of cell_blocks
+    are kept and a block is expanded as it is read; elsewhere the frontier
+    runs once, and its table is sorted, as one block, when first read."""
     if isinstance(system, Integers):
-        return MonoidTable(*_sieve_table(primes, X, g))
-    return MonoidTable(*_frontier_table(primes, X, g, total))
+        blocks = list(cell_blocks(system, X, g)[1])
+        # cell = omega + 16 a: a row per a, a column per omega
+        hist = sum(np.bincount(b[3], minlength=256) for b in blocks).reshape(16, 16).sum(axis=0)
+        hist = np.trim_zeros(hist, "b")
+        cell = np.arange(256)
+        sums = g.sums(cell & 15, cell >> 4)  # gsum per cell
+        return hist, ((norms, cells & 15, sums[cells])
+                      for norms, cells in map(block_rows, blocks))
+    primes, total = _prepare(system, X)
+    norm, omega, a = _frontier(primes, X, g, total)
+    return np.bincount(omega), _sorted_table(norm, omega, a, g)
+
+
+def _sorted_table(norm: np.ndarray, omega: np.ndarray, a: np.ndarray | None, g):
+    """The frontier's table as one block, gsum from each row's cell, sorted
+    by (norm, omega, gsum)."""
+    columns = [norm, omega, g.sums(omega, a)]
+    del norm, omega, a
+    order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
+    for k in range(len(columns)):  # one sorted copy alive at a time
+        columns[k] = columns[k][order]
+    del order
+    yield tuple(columns)
 
 
 def cell_blocks(system: PrimeSystem, X: int, g):
@@ -243,25 +254,6 @@ def _check_x(system: PrimeSystem, X: int) -> None:
         raise BudgetExceeded(f"{path} at X={X} exceeds budget", predicted=X, cap=cap)
 
 
-def _sieve_table(primes: np.ndarray, X: int, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table of 1..X from the rational primes <= X."""
-    inside = g.inside(primes)
-    omega = _sieve(primes, X, inside)
-    a = None if inside is None else omega >> 4
-    omega &= 15
-    gsum = g.sums(omega, a)
-    del a  # before the norms are allocated
-    return np.arange(1, X + 1, dtype=np.uint64), omega, gsum
-
-
-def _sieve(primes: np.ndarray, X: int, inside: np.ndarray | None) -> np.ndarray:
-    """The whole column over 1..X, its blocks copied into one array."""
-    col = np.empty(X, dtype=np.uint8)
-    for least, most, _, cells in _segments(primes, X, inside):
-        col[least - 1:most] = cells
-    return col
-
-
 def _segments(primes: np.ndarray, X: int, inside: np.ndarray | None):
     """The blocks of cell_blocks over 1..X, ascending, (least, most, None,
     cells), cut from segments of _SEGMENT values of n: entry n is the cell
@@ -314,17 +306,6 @@ def _pair_blocks(ends: np.ndarray):
         b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
         yield a, b
         a = int(ends.searchsorted(ends[b - 1], "right"))
-
-
-def _frontier_table(P: np.ndarray, X: int, g, total: int | None = None) -> tuple[np.ndarray, ...]:
-    """The frontier's columns, gsum from each row's cell, sorted by (norm,
-    omega, gsum)."""
-    columns = list(_frontier(P, X, g, total))
-    columns[2] = g.sums(columns[1], columns[2])  # a -> gsum
-    order = np.lexsort(columns[::-1])  # by norm, then omega, then gsum
-    for k in range(len(columns)):  # one sorted copy alive at a time
-        columns[k] = columns[k][order]
-    return tuple(columns)
 
 
 def _frontier(P: np.ndarray, X: int, g, total: int | None = None

@@ -77,12 +77,15 @@ def rate(rho: DiscreteMeasure, x: float) -> RatePoint:
     """I(x) with the maximizing theta when one exists.
 
     status is "converged" when Lambda'(theta*) = x was solved, "infinite"
-    when I = +inf (x outside the closure of Lambda's slope range), and
-    "saturated-left" at x = 0 where the supremum is a theta -> -inf limit.
+    when I = +inf (x outside the closure of Lambda's slope range, or x =
+    +inf), and "saturated-left" at x = 0 where the supremum is a theta ->
+    -inf limit. A NaN x is a ParameterError.
     """
     _require_nonnegative_support(rho)
+    if math.isnan(x):
+        raise ParameterError("x must not be NaN")
     positive_mass = math.fsum(w for y, w in rho.atoms if y > 0)
-    if x < 0:
+    if x < 0 or x == math.inf:  # I(+inf) = +inf: theta x outgrows Lambda
         return RatePoint(math.inf, None, 0, "infinite")
     if positive_mass == 0.0:
         # rho = delta_0: Lambda is identically 0

@@ -4,13 +4,14 @@ All floating output goes through fmt() so files are byte-stable across runs
 and thread counts. JSON cannot carry inf/nan literals under strict parsing,
 so non-finite floats are emitted as the strings "inf", "-inf", "nan".
 
-CSV is written column by column, as bytes. write_csv takes one sequence per
-column and walks the rows in blocks of _BLOCK_ROWS, so the bytes it holds at
-once are one block's, whatever the row count. Within a block each column
-becomes a uint8 matrix, one row per cell, with a mask of the bytes each cell
-keeps. Integer arrays with no negative value get their decimal digits in
-NumPy (uint32 arithmetic when the largest is below 2^32). Float, bool and
-other integer arrays are reduced to their distinct values with np.unique;
+CSV is written column by column, as bytes. write_csv takes blocks of rows,
+each one sequence per column, reads them one at a time and walks each in
+blocks of _BLOCK_ROWS rows, so the bytes it holds at once are one block's,
+whatever the row count. Within a block each column becomes a uint8 matrix,
+one row per cell, with a mask of the bytes each cell keeps. Integer arrays
+with no negative value get their decimal digits in NumPy (uint32
+arithmetic when the largest is below 2^32). Float, bool and other integer
+arrays are reduced to their distinct values with np.unique;
 floats are keyed on their bit pattern, because np.unique merges -0.0 with
 0.0 and fmt() does not. Only the distinct values go through fmt() and the
 quoting rule, and their bytes are gathered back by the inverse index. Lists
@@ -95,21 +96,25 @@ def _texts(chunk: Any, text: Callable[[Any], str]) -> list[str]:
     return list(map(text, chunk))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write header, then the body, given in rows as one sequence per column.
+def write_csv(path: Path, header: Sequence[str],
+              rows: Iterable[Sequence[Sequence[Any]]]) -> None:
+    """Write header, then the body, given in rows as blocks of consecutive
+    rows, each block one sequence per column.
 
-    The columns (NumPy arrays or lists) must be of equal length; no columns
-    or empty columns give a header-only file. The parameter keeps the name
-    rows because perfbench's tracer binds it by that name.
+    A block's columns (NumPy arrays or lists) must be of equal length; a
+    block with no columns, or empty ones, adds no line. Blocks are read one
+    at a time, so an iterator may build each as it is asked for. The
+    parameter keeps the name rows because perfbench's tracer binds it by
+    that name.
     """
-    columns = list(rows)
-    n = len(columns[0]) if columns else 0
-    if any(len(c) != n for c in columns):
-        raise ValueError("CSV columns differ in length")
     with open(path, "wb") as fh:
         fh.write(_csv_lines([[h] for h in header]))
-        for lo in range(0, n, _BLOCK_ROWS):
-            fh.write(_csv_lines([c[lo:lo + _BLOCK_ROWS] for c in columns]))
+        for columns in rows:
+            n = len(columns[0]) if columns else 0
+            if any(len(c) != n for c in columns):
+                raise ValueError("CSV columns differ in length")
+            for lo in range(0, n, _BLOCK_ROWS):
+                fh.write(_csv_lines([c[lo:lo + _BLOCK_ROWS] for c in columns]))
 
 
 def _csv_lines(chunks: list[Sequence[Any]]) -> np.ndarray:

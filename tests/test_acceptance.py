@@ -17,7 +17,6 @@ from monoidldp.cli import main
 from monoidldp.exact import domination_report, expect_Z
 from monoidldp.experiments import ek_report, gap_sweep, ldp_scan
 from monoidldp.gfpoly import necklace_count
-from monoidldp.monoid import enumerate_monoid
 from monoidldp.rate import rate, rate_closed_form_omega
 from monoidldp.systems import (
     Beurling,
@@ -29,6 +28,7 @@ from monoidldp.systems import (
     mertens_sum,
     prime_norms,
 )
+from tables import count_table
 
 DELTA1 = DiscreteMeasure.delta(1.0)
 
@@ -127,7 +127,7 @@ def test_criterion_06_mean_omega_identity():
     ]
     shown = []
     for system, X, frozen in cases:
-        table = enumerate_monoid(system, X, Omega())
+        table = count_table(system, X, Omega())
         mean = Fraction(int(table.omega.sum(dtype=np.int64)), table.count)
         per_prime = sum(
             (expect_Z(system, X, [n]) for n in prime_norms(system, X).tolist()),

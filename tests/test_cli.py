@@ -31,6 +31,25 @@ def test_rate_example(tmp_path):
     assert [r[4] for r in rows] == ["converged"] * 3
 
 
+@pytest.mark.parametrize("grid", ["1,nan,0", "nan", "0,1,nan", "-inf,nan"])
+def test_rate_rejects_a_nan_x(tmp_path, grid):
+    # NaN compares false, so it would pass the sorted-grid check; it is a
+    # bad parameter, not a point that fails to converge
+    assert main(["rate", "--grid", grid, "--out", str(tmp_path)]) == 65
+    assert not (tmp_path / "rate.csv").exists()
+
+
+def test_rate_at_infinity_is_infinite(tmp_path):
+    assert main(["rate", "--grid", "0.5,inf", "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "rate.csv")
+    assert rows[1] == ["inf", "inf", "nan", "0", "infinite"]
+    assert main(["rate", "--rho", "delta1", "--grid", "inf", "--format", "json",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "rate.json").read_text())
+    assert report["rows"] == [{"x": "inf", "I": "inf", "theta_star": None, "iters": 0,
+                               "status": "infinite"}]
+
+
 def test_mertens_limit_example(tmp_path, capsys):
     # a single cutoff is a one-point grid
     code = main(["mertens", "--system", "integers", "--grid", "100",

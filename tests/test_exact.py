@@ -443,8 +443,7 @@ def test_gap_components_builds_no_table(system, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("gap_components built a monoid table")
 
-    monkeypatch.setattr(monoid, "enumerate_monoid", no_table)
-    monkeypatch.setattr(monoid, "_sieve_table", no_table)
+    monkeypatch.setattr(monoid, "table_blocks", no_table)
     row = gap_components(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
     assert row == expected and row.B_size >= 2
 

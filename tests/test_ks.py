@@ -19,8 +19,8 @@ import pytest
 from monoidldp import experiments
 from monoidldp.additive import Omega
 from monoidldp.experiments import _SQRT1_2, _ks_bins, _ks_maxima, ek_report
-from monoidldp.monoid import enumerate_monoid
 from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField
+from tables import count_table
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -158,7 +158,7 @@ def _binned(t: np.ndarray, block: int, runs: bool) -> tuple[float, float]:
 
 
 def _ek_t(system, X: int) -> np.ndarray:
-    table = enumerate_monoid(system, X, Omega())
+    table = count_table(system, X, Omega())
     mask = table.norm >= 3
     ll = np.log(np.log(table.norm[mask].astype(np.float64)))
     return (table.omega[mask] - ll) / np.sqrt(ll)
@@ -225,7 +225,7 @@ def test_ks_maxima_at_degenerate_block_sizes(monkeypatch, block, name):
     (PolyOverFq(3), 3**9), (Beurling((2, 3, 3, 5)), 5000),
 ], ids=lambda v: getattr(v, "key", v))
 def test_variance_omega_is_the_exact_variance_correctly_rounded(system, X):
-    omega = enumerate_monoid(system, X, Omega()).omega.astype(np.int64)
+    omega = count_table(system, X, Omega()).omega.astype(np.int64)
     n, s1, s2 = omega.size, int(omega.sum()), int((omega * omega).sum())
     exact = Fraction(n * s2 - s1 * s1, n * n)
     got = ek_report(system, X).variance_omega

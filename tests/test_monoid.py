@@ -1,4 +1,5 @@
 """Monoid enumeration: sieve vs frontier vs recursion, brute-force oracle."""
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,14 +14,8 @@ from monoidldp.additive import NormResidue, Omega
 from monoidldp.cli import main
 from monoidldp.errors import BudgetExceeded, MonoidLdpError, ParameterError
 from monoidldp.gfpoly import SUPPORTED_Q
-from monoidldp.monoid import (
-    _frontier_table,
-    _sieve_table,
-    cell_blocks,
-    cell_counts,
-    element_counter,
-    enumerate_monoid,
-)
+from monoidldp.monoid import cell_blocks, cell_counts, element_counter, table_blocks
+from monoidldp.reportio import round12
 from monoidldp.systems import (
     Beurling,
     Integers,
@@ -31,12 +26,13 @@ from monoidldp.systems import (
     prime_norms,
     primes_upto,
 )
+from tables import count_table, frontier_table
 
 ALL_FUNDAMENTAL = [D for D in range(-100, 101) if _is_fundamental_discriminant(D)]
 
 
 def test_integers_table_small():
-    t = enumerate_monoid(Integers(), 10, Omega())
+    t = count_table(Integers(), 10, Omega())
     assert t.norm.tolist() == list(range(1, 11))
     assert t.omega.tolist() == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2]
     assert t.gsum.tolist() == [0.0, 1, 1, 1, 1, 2, 1, 1, 1, 2]
@@ -44,7 +40,7 @@ def test_integers_table_small():
 
 
 def test_beurling_23_elements():
-    t = enumerate_monoid(Beurling((2, 3)), 12, Omega())
+    t = count_table(Beurling((2, 3)), 12, Omega())
     assert t.norm.tolist() == [1, 2, 3, 4, 6, 8, 9, 12]
     assert t.omega.tolist() == [0, 1, 1, 1, 2, 1, 1, 2]
     assert np.bincount(t.omega).tolist() == [1, 5, 2]
@@ -75,8 +71,8 @@ SIEVE_GS = {
 def _assert_paths_agree(X, g):
     """The sieve's columns against the frontier's on the integers, bit for
     bit; returns the sieve's."""
-    sieve = _sieve_table(primes_upto(X), X, g)
-    for a, b in zip(sieve, _frontier_table(primes_upto(X), X, g)):
+    sieve = count_table(Integers(), X, g)
+    for a, b in zip(sieve, frontier_table(Integers(), X, g)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
     return sieve
@@ -105,9 +101,9 @@ def test_table_at_smaller_x_is_a_prefix(system):
     # count's table at X is a prefix of the table at any larger X; g here
     # is constant on the primes up to 40000 only (its class holds 40009)
     g = NormResidue(40009, frozenset({0}), 0.7, 0.1)
-    big = enumerate_monoid(system, 50_000, g)
+    big = count_table(system, 50_000, g)
     for X in (1, 30030, 40009):
-        small = enumerate_monoid(system, X, g)
+        small = count_table(system, X, g)
         total = small.count
         assert np.array_equal(big.norm[:total], small.norm)
         assert np.array_equal(big.omega[:total], small.omega)
@@ -120,8 +116,8 @@ def test_beurling_over_the_rational_primes_is_the_integers(g):
     # the frontier over the rational primes, given as Beurling norms, against
     # the integer sieve, byte for byte
     X = 10**5
-    beurling = enumerate_monoid(Beurling(tuple(primes_upto(X).tolist())), X, g)
-    integers = enumerate_monoid(Integers(), X, g)
+    beurling = count_table(Beurling(tuple(primes_upto(X).tolist())), X, g)
+    integers = count_table(Integers(), X, g)
     for a, b in zip((beurling.norm, beurling.omega, beurling.gsum),
                     (integers.norm, integers.omega, integers.gsum)):
         assert a.dtype == b.dtype
@@ -166,17 +162,23 @@ def _assert_segments_match_the_whole_sieve(X):
     primes = primes_upto(X)
     omega = _prime_counts(primes, X)
     want = omega[1:].astype(np.uint8)
-    got = monoid._sieve(primes, X, None)
-    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), X
     blocks = cell_blocks(Integers(), X, None)[1]
-    assert np.concatenate([cells for *_, cells in blocks]).tobytes() == want.tobytes(), X
+    got = np.concatenate([cells for *_, cells in blocks])
+    assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), X
     for g in SEGMENT_GS:
         inside = g.inside(primes)
         a = 0 if inside is None else _prime_counts(primes[inside], X)
         # the sieve packs a cell into one byte, omega + 16 a
         want = (omega + 16 * a)[1:].astype(np.uint8)
-        got = monoid._sieve(primes, X, inside)
+        got = np.concatenate([cells for *_, cells in cell_blocks(Integers(), X, g)[1]])
         assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), (X, g)
+        # count's table: every block's cells expanded, in norm order
+        hist = table_blocks(Integers(), X, g)[0]
+        table = count_table(Integers(), X, g)
+        assert table.norm.tobytes() == np.arange(1, X + 1, dtype=np.uint64).tobytes()
+        assert table.omega.tobytes() == (want & 15).tobytes()
+        assert table.gsum.tobytes() == g.sums(want & 15, want >> 4).tobytes()
+        assert np.array_equal(hist, np.bincount(want & 15)), (X, g)
         # cell_counts holds no column: it counts the segments as sieved
         grid = [X // 2 + 1, X]
         counts = cell_counts(Integers(), grid, g)
@@ -213,12 +215,12 @@ def test_segments_match_the_whole_sieve_at_the_segment_size():
 def test_omega_total_identity():
     # sum of omega over the table equals sum over primes of floor(X/p)
     X = 10**4
-    t = enumerate_monoid(Integers(), X, Omega())
+    t = count_table(Integers(), X, Omega())
     assert int(t.omega.sum(dtype=np.int64)) == sum(X // n for n in list_primes(Integers(), X)[0].tolist())
 
 
 def test_poly_table_small():
-    t = enumerate_monoid(PolyOverFq(2), 8, Omega())
+    t = count_table(PolyOverFq(2), 8, Omega())
     # degree <= 3 monic polys: 1 unit + 2 + 4 + 8 = 15 elements
     assert t.count == 15
     assert t.norm.tolist() == [1, 2, 2, 4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 8, 8]
@@ -227,16 +229,16 @@ def test_poly_table_small():
 
 
 def test_table_column_dtypes():
-    for build in (lambda X: _sieve_table(primes_upto(X), X, Omega()),
-                  lambda X: _frontier_table(primes_upto(X), X, Omega()),
-                  lambda X: _frontier_table(prime_norms(QuadraticField(-4), X), X, Omega())):
+    for build in (lambda X: count_table(Integers(), X, Omega()),
+                  lambda X: frontier_table(Integers(), X, Omega()),
+                  lambda X: count_table(QuadraticField(-4), X, Omega())):
         for X in (1, 1000):
             assert [col.dtype for col in build(X)] == [np.uint64, np.uint8, np.float64]
     # omega is one byte per element in every table, on every system
     for system in (Integers(), QuadraticField(-4), PolyOverFq(3), Beurling((2, 3, 3, 5))):
         for X in (1, 1000):
             assert all(cells.dtype == np.uint8 for *_, cells in cell_blocks(system, X, None)[1])
-            assert enumerate_monoid(system, X, Omega()).omega.dtype == np.uint8
+            assert count_table(system, X, Omega()).omega.dtype == np.uint8
 
 
 def _reference_table(system, X, g):
@@ -276,7 +278,7 @@ ORACLE_SYSTEMS = [
 def test_frontier_matches_reference_recursion(system):
     for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
         for name in ("omega", "residue-3-2", "residue-7-squares", "zero"):
-            for got, want in zip(_frontier_table(prime_norms(system, X), X, SIEVE_GS[name]),
+            for got, want in zip(frontier_table(system, X, SIEVE_GS[name]),
                                  _reference_table(system, X, SIEVE_GS[name])):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (X, name)
@@ -302,7 +304,7 @@ def test_frontier_is_independent_of_block_size(monkeypatch, system):
                            (1, 2**16), (7, 2**16)):
         monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)
         monkeypatch.setattr(monoid, "_BLOCK_PARENTS", parents)
-        got = enumerate_monoid(system, X, g)
+        got = count_table(system, X, g)
         for a, b in zip((got.norm, got.omega, got.gsum), want):
             assert a.tobytes() == b.tobytes(), (pairs, parents)
         count = element_counter(system, X)
@@ -321,7 +323,7 @@ def test_exact_columns_never_grow(monkeypatch, system):
     g = SIEVE_GS["residue-3-2"]
     for X in (1, 2, 4, 1000, 5000):
         total = element_counter(system, X)(X)
-        assert enumerate_monoid(system, X, g).count == total
+        assert count_table(system, X, g).count == total
         elements = sum(cells.size for *_, cells in cell_blocks(system, X, None)[1])
         assert elements == cell_counts(system, [X], g).sum() == total
     # a Beurling system has no closed form, so its columns do grow
@@ -338,7 +340,7 @@ def test_exact_budget_raises_before_any_column(monkeypatch, system, X):
     monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total - 1)
     unread = type("G", (), {"key": "unread", "values": staticmethod(_must_not_run),
                             "inside": staticmethod(_must_not_run)})()
-    for build in (lambda: enumerate_monoid(system, X, unread), lambda: cell_blocks(system, X, None),
+    for build in (lambda: count_table(system, X, unread), lambda: cell_blocks(system, X, None),
                   lambda: cell_counts(system, [X], unread)):
         tracemalloc.start()
         try:
@@ -350,7 +352,7 @@ def test_exact_budget_raises_before_any_column(monkeypatch, system, X):
         assert (err.value.predicted, err.value.cap) == (total, total - 1)
         assert peak < 8 * total  # less than the norm column, int64
     monkeypatch.setattr(monoid, "_MAX_ELEMENTS", total)
-    assert enumerate_monoid(system, X, Omega()).count == total
+    assert count_table(system, X, Omega()).count == total
 
 
 @pytest.mark.parametrize("system", EXACT_SYSTEMS, ids=lambda s: s.key)
@@ -363,7 +365,7 @@ def test_wrong_closed_form_count_raises(monkeypatch, system, error):
     monkeypatch.setattr(monoid, "element_counter",
                         lambda *args: lambda y: counter(y) + error)
     monkeypatch.setattr(monoid, "_grow", _must_not_run)
-    for build in (lambda: enumerate_monoid(system, X, Omega()), lambda: cell_blocks(system, X, None),
+    for build in (lambda: count_table(system, X, Omega()), lambda: cell_blocks(system, X, None),
                   lambda: cell_counts(system, [X], Omega())):
         with pytest.raises(MonoidLdpError, match=f"closed-form count is {counter(X) + error}"):
             build()
@@ -374,15 +376,15 @@ def test_wrong_closed_form_count_raises(monkeypatch, system, error):
 def test_budget_boundary_is_exact(monkeypatch, system):
     # an error exactly when the element count exceeds the cap, at every cap
     X = 400
-    total = enumerate_monoid(system, X, Omega()).count
+    total = count_table(system, X, Omega()).count
     # only a Beurling counter enumerates; the others hold no element
-    builds = [lambda: enumerate_monoid(system, X, Omega())]
+    builds = [lambda: count_table(system, X, Omega())]
     if isinstance(system, Beurling):
         builds.append(lambda: element_counter(system, X))
     for cap in range(1, total + 2):
         monkeypatch.setattr(monoid, "_MAX_ELEMENTS", cap)
         if cap >= total:
-            assert enumerate_monoid(system, X, Omega()).count == total
+            assert count_table(system, X, Omega()).count == total
             assert element_counter(system, X)(X) == total
             continue
         for build in builds:
@@ -515,18 +517,18 @@ def test_budget_errors(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(monoid, "_MAX_ELEMENTS", 10)
         with pytest.raises(BudgetExceeded):
-            enumerate_monoid(Integers(), 10**4, Omega())
+            count_table(Integers(), 10**4, Omega())
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_monoid(Beurling((2,)), 2**20, Omega())
+            count_table(Beurling((2,)), 2**20, Omega())
         assert err.value.cap == 10
     # each X cap raises before anything is allocated, exactly above the cap
     for system, cap in ((Integers(), "_MAX_X_SIEVE"), (QuadraticField(-4), "_MAX_X_FRONTIER")):
         with monkeypatch.context() as m:
             m.setattr(monoid, cap, 10**3)
-            table = enumerate_monoid(system, 10**3, Omega())
+            table = count_table(system, 10**3, Omega())
             assert table.count == element_counter(system, 10**3)(10**3)
             with pytest.raises(BudgetExceeded) as err:
-                enumerate_monoid(system, 10**3 + 1, Omega())
+                count_table(system, 10**3 + 1, Omega())
             assert (err.value.predicted, err.value.cap) == (10**3 + 1, 10**3)
     # the frontier's cap bounds the Beurling counter alone; the closed forms
     # have their own, and the integers none
@@ -548,7 +550,45 @@ def test_budget_errors(monkeypatch):
 def test_x_validation():
     for system in (Integers(), QuadraticField(-4), Beurling((2, 3))):
         with pytest.raises(ParameterError):
-            enumerate_monoid(system, 0, Omega())
+            count_table(system, 0, Omega())
+
+
+@pytest.mark.parametrize("system", [PolyOverFq(2), QuadraticField(-4), Beurling((2, 3, 3, 5))],
+                         ids=lambda s: s.key)
+@pytest.mark.parametrize("g", [Omega(), NormResidue(4, frozenset({1}), 2, 0.5)],
+                         ids=lambda g: g.key)
+def test_count_builds_the_frontier_once_and_json_sorts_nothing(monkeypatch, tmp_path, system, g):
+    X = 5000
+    want = count_table(system, X, g)
+    argv = ["count", "--g", g.key, "--limit", str(X), "--out", str(tmp_path)]
+    if isinstance(system, Beurling):
+        (tmp_path / "norms.txt").write_text("".join(f"{n}\n" for n in system.norms))
+        argv += ["--system", f"beurling:{tmp_path / 'norms.txt'}"]
+    else:
+        argv += ["--system", system.key]
+    builds = []
+
+    def frontier(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    build = monoid._frontier
+    monkeypatch.setattr(monoid, "_frontier", frontier)
+    assert main([*argv, "--format", "csv"]) == 0
+    assert builds == [X]
+    lines = (tmp_path / "count.csv").read_text().splitlines()
+    assert len(lines) == want.count + 1
+    # the JSON report reads the histogram alone: no gsum, no sort of the
+    # table (np.sort of the prime norms on quad:D is not one)
+    for name in ("lexsort", "argsort"):
+        monkeypatch.setattr(np, name, _must_not_run)
+    monkeypatch.setattr(type(g), "sums", _must_not_run)
+    assert main([*argv, "--format", "json"]) == 0
+    assert builds == [X, X]
+    report = json.loads((tmp_path / "count.json").read_text())
+    assert report["omega_histogram"] == np.bincount(want.omega).tolist()
+    assert report["count"] == want.count
+    assert report["mean_omega"] == round12(float(want.omega.sum(dtype=np.int64)) / want.count)
 
 
 def test_table_csv(tmp_path):
@@ -581,7 +621,7 @@ def _brute_table(norms, X, gvals):
 def test_beurling_enumeration_against_brute_force(norms, X):
     g = NormResidue(3, frozenset({0}), 0.5, 2.0)
     gvals = [0.5 if n % 3 == 0 else 2.0 for n in norms]
-    t = enumerate_monoid(Beurling(tuple(norms)), X, g)
+    t = count_table(Beurling(tuple(norms)), X, g)
     got = sorted(
         (int(n), int(o), round(float(gg), 9))
         for n, o, gg in zip(t.norm, t.omega, t.gsum)

@@ -89,16 +89,22 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, block, table):
     header, columns = table
     tmp_path = tmp_path_factory.getbasetemp()
     with mock.patch.object(reportio, "_BLOCK_ROWS", block):
-        write_csv(tmp_path / "new.csv", header, columns)
+        write_csv(tmp_path / "new.csv", header, [columns])
+        # the same rows in two blocks, given by a generator
+        cut = len(columns[0]) // 2
+        halves = ([c[:cut] for c in columns], [c[cut:] for c in columns])
+        write_csv(tmp_path / "cut.csv", header, (half for half in halves))
     _oracle_csv(tmp_path / "old.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_write_csv_without_columns_writes_the_header(tmp_path):
-    write_csv(tmp_path / "h.csv", ["section", "flag"], [])
-    assert (tmp_path / "h.csv").read_bytes() == b"section,flag\n"
+    for blocks in ([], [[]], [[[], []]]):
+        write_csv(tmp_path / "h.csv", ["section", "flag"], blocks)
+        assert (tmp_path / "h.csv").read_bytes() == b"section,flag\n"
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [3]])
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [[[1, 2], [3]]])
 
 
 # multi-block reports of the main CLI paths, pinned as the row-by-row writer wrote them
@@ -139,7 +145,7 @@ def _write_peak(path, n):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        write_csv(path, ["norm", "omega", "gsum"], [norm, omega, gsum])
+        write_csv(path, ["norm", "omega", "gsum"], [[norm, omega, gsum]])
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

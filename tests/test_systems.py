@@ -11,7 +11,7 @@ from monoidldp.additive import NormResidue, Omega, rho_X
 from monoidldp.errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
 from monoidldp.exact import expect_Z, gap_components, tail_mass
 from monoidldp.gfpoly import SUPPORTED_Q
-from monoidldp.monoid import element_counter, enumerate_monoid
+from monoidldp.monoid import element_counter
 from monoidldp.systems import (
     Beurling,
     Integers,
@@ -26,6 +26,7 @@ from monoidldp.systems import (
     prime_norms,
     primes_upto,
 )
+from tables import count_table
 
 
 def _pairs(system, X):
@@ -505,7 +506,7 @@ def test_computation_builds_no_labels(system, X, monkeypatch):
     g = NormResidue(4, frozenset({1}), 2.0, 0.5)
 
     def run():
-        t = enumerate_monoid(system, X, g)
+        t = count_table(system, X, g)
         return (t.norm.tolist(), t.omega.tolist(), t.gsum.tolist(),
                 element_counter(system, X)(X // 3), rho_X(prime_norms(system, X), g, X),
                 tail_mass(system, g, X, 1.0, 1.0), mertens_sum(prime_norms(system, X), X),
