@@ -34,7 +34,6 @@ from .exact import (
     domination_report,
     expect_Y,
     expect_Z,
-    gap_components,
     log_mgf_Y,
     log_mgf_Z,
     mgf_Y,

@@ -15,8 +15,8 @@ class, and takes 1). So g(n) is a function of the element's cell (omega, a):
 omega distinct primes, a of them in the class. Each rule has three array
 methods, and no Python runs per prime or per element:
 
-  values(norms)    g at each prime, float64: tail_mass and the B-side MGFs
-                   read it
+  values(norms)    g at each prime, float64: the truncation set and the
+                   B-side MGFs read it
   inside(norms)    whether each prime is in the class (None for Omega): the
                    enumeration counts a from it, and rho_X groups the primes
                    by it
@@ -26,12 +26,15 @@ methods, and no Python runs per prime or per element:
 
 The empirical measure rho_X puts mass proportional to 1/N(p) on each value
 g(p) over norms <= X, normalized by the Mertens sum. Each weight is the
-correctly rounded quotient of two exact sums. It is taken from fixed-point
-sums of floor(2^K / N(p)) in Python ints, which bound it from both sides;
-when the two bounds round to different doubles, the sums are taken again
-as unreduced integer fractions, combined by divide-and-conquer, so the
-total mass is exactly 1 before any float rounding (a gcd normalization per
-prime would be quadratic-time at X = 10^6).
+correctly rounded quotient of two exact sums. A g of one value has one
+atom, of weight 1. Otherwise rho_X reads the norms 2^16 at a time and
+keeps two Python ints, the fixed-point sums of floor(2^K / N(p)) over the
+primes in g's class and over those off it, with the two prime counts;
+these bound each weight from both sides. Only when the two bounds round to
+different doubles does it build each class's norm array, and take the sums
+again as unreduced integer fractions, combined by divide-and-conquer, so
+the total mass is exactly 1 before any float rounding (a gcd normalization
+per prime would be quadratic-time at X = 10^6).
 """
 from __future__ import annotations
 
@@ -177,30 +180,38 @@ def rho_X(norms: np.ndarray, g: AdditiveFunction, X: int) -> DiscreteMeasure:
     norms = norms[: norms.searchsorted(X, "right")]
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}; rho_X denominator vanishes")
-    inside = g.inside(norms)
-    if inside is None or g.value_in == g.value_out:  # one atom: every prime
-        atoms = [(1.0 if inside is None else float(g.value_in), norms)]
-    else:  # ascending y, each atom that some prime attains
-        atoms = sorted([(float(g.value_in), norms[inside]), (float(g.value_out), norms[~inside])])
-        atoms = [(y, ns) for y, ns in atoms if ns.size]
-    groups = [ns for _, ns in atoms]
-    weights = _fixed_weights(groups) or _exact_weights(groups)
-    return DiscreteMeasure(tuple((y, w) for (y, _), w in zip(atoms, weights)))
-
-
-def _fixed_weights(groups: list[np.ndarray]) -> list[float] | None:
-    """The weights from s_y = sum of floor(2^K / N(p)) over the c_y norms
-    of atom y's group, S their total over m primes: the exact weight lies
-    strictly inside (s_y / (S + m), (s_y + c_y) / S), so where both ends
-    round to one double, that double is its correctly rounded value. None
-    when they do not, for some atom."""
+    if isinstance(g, Omega) or g.value_in == g.value_out:  # one atom: every prime
+        return DiscreteMeasure.delta(1.0 if isinstance(g, Omega) else g.value_in)
+    # the primes in g's class, then those off it: floor(2^K / N(p)) summed
+    # and counted, one chunk at a time
     unit = 1 << _FIXED_BITS
-    sums = [sum(sum(map(unit.__floordiv__, part.tolist())) for part in chunks(ns)) for ns in groups]
-    total, m = sum(sums), sum(ns.size for ns in groups)
+    sums, counts = [0, 0], [0, 0]
+    for part in chunks(norms):
+        inside = g.inside(part)
+        for k, ns in enumerate((part[inside], part[~inside])):
+            sums[k] += sum(map(unit.__floordiv__, ns.tolist()))
+            counts[k] += ns.size
+    kept = [k for k in (0, 1) if counts[k]]  # the classes some prime attains
+    weights = _fixed_weights([sums[k] for k in kept], [counts[k] for k in kept])
+    if weights is None:
+        inside = g.inside(norms)
+        groups = (norms[inside], norms[~inside])
+        weights = _exact_weights([groups[k] for k in kept])
+    ys = (float(g.value_in), float(g.value_out))
+    return DiscreteMeasure.from_pairs([(ys[k], w) for k, w in zip(kept, weights)])
+
+
+def _fixed_weights(sums: list[int], counts: list[int]) -> list[float] | None:
+    """The weights from s_y = sum of floor(2^K / N(p)) over the c_y primes
+    of atom y, S their total over m primes: the exact weight lies strictly
+    inside (s_y / (S + m), (s_y + c_y) / S), so where both ends round to
+    one double, that double is its correctly rounded value. None when they
+    do not, for some atom."""
+    total, m = sum(sums), sum(counts)
     weights = []
-    for s, ns in zip(sums, groups):
+    for s, c in zip(sums, counts):
         w = s / (total + m)  # int / int: correctly rounded
-        if w != (s + ns.size) / total:
+        if w != (s + c) / total:
             return None
         weights.append(w)
     return weights
@@ -208,7 +219,8 @@ def _fixed_weights(groups: list[np.ndarray]) -> list[float] | None:
 
 def _exact_weights(groups: list[np.ndarray]) -> list[float]:
     """The weights as exact unreduced fractions (tree sums per atom), each
-    divided once, correctly rounded, with no gcd on the huge denominators."""
+    divided once, correctly rounded, with no gcd on the huge denominators;
+    every group holds at least one norm."""
     sums = [_tree_sum([(1, n) for n in ns.tolist()]) for ns in groups]
     tot_n, tot_d = _tree_sum(sums)
     return [(n * tot_d) / (d * tot_n) for n, d in sums]

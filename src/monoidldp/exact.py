@@ -20,8 +20,9 @@ X^(1/(log log X)^2) and |g(p)| <= C. Only B is built, as the norm array
 of the primes up to k_X; the large primes and those with |g(p)| > C are
 never listed. Over B both moment generating functions are cheap to compute
 exactly, and their gap is the quantity that the coupling argument drives to
-zero as X grows; tail_mass is the integral over |g(p)| > C against the
-empirical measure rho_X, read from prime_norms and g.values.
+zero as X grows; tail_mass is the integral of e^(theta y) - 1 over the
+atoms y > C of the empirical measure rho_X, which it reads from
+additive.rho_X and nowhere else.
 
 The Z-side MGF needs no table of elements. For S a set of primes of B with
 N(S) = prod N(p) <= X, d_S = count(floor(X / N(S))) elements are divisible
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .additive import AdditiveFunction, moment_overflow
+from .additive import AdditiveFunction, moment_overflow, rho_X
 from .errors import (
     BudgetExceeded,
     EmptySystem,
@@ -48,7 +49,7 @@ from .errors import (
     PrimeNotInSystem,
 )
 from .monoid import element_counter
-from .systems import PrimeSystem, _reciprocal_sum, chunks, list_primes, prime_norms
+from .systems import PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
 _LOG_OVERFLOW = 300.0 * math.log(10.0)
@@ -299,39 +300,24 @@ class GapComponents:
     log_space: bool
 
 
-def gap_components(
-    system: PrimeSystem,
-    g: AdditiveFunction,
-    X: int,
-    C: float,
-    theta: float,
-) -> GapComponents:
-    """Both B-side MGFs and their absolute difference.
-
-    If the Y-side product overflows 1e300 the two sides are compared in log
-    space instead and the row is flagged; the contract quantity is otherwise
-    the plain absolute difference.
-    """
-    if not math.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta}")
-    ts = truncation_sets(system, g, X, C)
-    return _gap_row(ts, g, theta, element_counter(system, X))
-
-
 def _gap_row(ts: TruncationSets, g: AdditiveFunction, theta: float,
              count: Callable[[int], int]) -> GapComponents:
-    """gap_components over B = ts.B, count being an element_counter built at
-    ts.X or above; B holds primes of the system by construction."""
+    """Both MGFs over B = ts.B and their absolute difference, count being an
+    element_counter built at ts.X or above; B holds primes of the system by
+    construction. If mgf_Y exceeds 1e300 or mgf_Z overflows a double, the
+    two sides are compared in log space instead and the row is flagged; the
+    gap is otherwise the plain absolute difference."""
     total, support = _support_counts(count, ts.X, ts.B, g)
     head = (ts.X, ts.C, theta, ts.k_X, len(ts.B))
+    ly = log_mgf_Y(ts.B, g, theta)
     try:
-        my = mgf_Y(ts.B, g, theta)
-        mz = _mean_exp(total, support, theta)
-        return GapComponents(*head, mz, my, abs(mz - my), False)
-    except MgfOverflow:
-        ly = log_mgf_Y(ts.B, g, theta)
+        if ly <= _LOG_OVERFLOW:  # else mgf_Y would exceed 1e300
+            mz, my = _mean_exp(total, support, theta), math.exp(ly)
+            return GapComponents(*head, mz, my, abs(mz - my), False)
         lz = _log_mean_exp(total, support, theta)
-        return GapComponents(*head, lz, ly, abs(lz - ly), True)
+    except MgfOverflow as e:  # mgf_Z overflows; e carries its log
+        lz = e.log_value
+    return GapComponents(*head, lz, ly, abs(lz - ly), True)
 
 
 def tail_mass(
@@ -345,16 +331,8 @@ def tail_mass(
     norms = prime_norms(system, X)
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")
-    den = _reciprocal_sum(norms)
-
-    def above():  # (g(p), N(p)) for each prime with g(p) > C, in norm order
-        for part in chunks(norms):
-            ys = g.values(part)
-            big = ys > C
-            yield from zip(ys[big].tolist(), part[big].tolist())
-
+    atoms = [(y, w) for y, w in rho_X(norms, g, X).atoms if y > C]
     try:
-        num = math.fsum(math.expm1(theta * y) / n for y, n in above())
+        return math.fsum(w * math.expm1(theta * y) for y, w in atoms)
     except OverflowError:
-        raise moment_overflow("tail_mass", theta, (y for y, _ in above())) from None
-    return num / den
+        raise moment_overflow("tail_mass", theta, (y for y, _ in atoms)) from None

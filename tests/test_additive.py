@@ -214,3 +214,19 @@ def test_exp_moment_midpoint_convex_in_theta(pairs, t1, t2):
     m = DiscreteMeasure.from_pairs([(y, w / total) for y, w in pairs])
     mid = exp_moment(m, (t1 + t2) / 2)
     assert mid <= (exp_moment(m, t1) + exp_moment(m, t2)) / 2 + 1e-9 * (1 + mid)
+
+
+def test_rho_x_fallback_skips_a_class_no_prime_attains(monkeypatch):
+    # no prime is 0 mod 4, so only the primes off g's class carry mass;
+    # with 8 fixed-point bits the fallback sums that one class alone
+    X, g = 10**5, NormResidue(4, frozenset({0}), 2.0, 0.5)
+    norms = prime_norms(Integers(), X)
+    want = rho_X(norms, g, X).atoms
+    assert want == ((0.5, 1.0),)
+    calls = []
+    fallback = additive._exact_weights
+    monkeypatch.setattr(additive, "_FIXED_BITS", 8)
+    monkeypatch.setattr(additive, "_exact_weights",
+                        lambda groups: calls.append(len(groups)) or fallback(groups))
+    assert rho_X(norms, g, X).atoms == want
+    assert calls == [1]

@@ -552,11 +552,23 @@ def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv, statistic):
     assert "e^(theta*y) overflows at y=1.0" in err
 
 
-def test_tail_mass_sum_overflow_names_the_sum(tmp_path, capsys):
-    # every term e^(709.7) / p is finite; their sum over p <= 100 is not
-    assert main(["tail-mass", "--theta", "709.7", "--out", str(tmp_path)]) == 2
+def test_tail_mass_near_the_overflow_is_finite(tmp_path, capsys):
+    # omega puts all of rho_X's mass on y = 1, so the tail mass over p <= 100
+    # is e^709.7 - 1 ~ 1.655e308, finite, though the sum of the terms
+    # e^709.7 / p over those primes would not be
+    assert main(["tail-mass", "--theta", "709.7", "--out", str(tmp_path)]) == 0
+    assert "tail=1.65498402768e+308" in capsys.readouterr().out
+
+
+def test_infinite_tail_mass_names_the_smallest_overflowing_atom(tmp_path, capsys):
+    # both of rho_X's atoms overflow at theta = 1; the message names the
+    # smaller, y = 800, not y = 900, g's value at the first prime, 2
+    argv = ["tail-mass", "--g", "residue:4:1:800:900", "--limit", "100", "--cap", "0",
+            "--theta", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: tail_mass is infinite at theta=709.7: the sum overflows")
+    assert err.startswith("error: tail_mass is infinite at theta=1.0: "
+                          "e^(theta*y) overflows at y=800.0")
 
 
 @pytest.mark.parametrize("option,value,argv", [

@@ -24,7 +24,6 @@ from monoidldp.exact import (
     domination_report,
     expect_Y,
     expect_Z,
-    gap_components,
     log_mgf_Y,
     log_mgf_Z,
     mgf_Y,
@@ -33,6 +32,7 @@ from monoidldp.exact import (
     truncation_sets,
     truncation_threshold,
 )
+from monoidldp.experiments import gap_sweep
 from monoidldp.monoid import element_counter
 from monoidldp.systems import (
     Beurling,
@@ -42,6 +42,11 @@ from monoidldp.systems import (
     list_primes,
     prime_norms,
 )
+
+
+def _gap_at(system, g, X, C, theta):
+    """The gap row at one X: a one-point gap_sweep."""
+    return gap_sweep(system, g, [X], C, theta).rows[0]
 
 
 def _count(system, X):
@@ -271,14 +276,14 @@ def test_truncation_b_is_the_small_norms_of_the_full_list(system, X, C):
 
 def test_gap_components_lists_no_primes(monkeypatch):
     X = 10**5
-    expected = gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0)
+    expected = _gap_at(QuadraticField(-4), Omega(), X, 5.0, 1.0)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("gap_components listed labelled primes")
+        raise AssertionError("the gap row listed labelled primes")
 
     monkeypatch.setattr(exact, "list_primes", refuse)
     monkeypatch.setattr(systems, "list_primes", refuse)
-    assert gap_components(QuadraticField(-4), Omega(), X, 5.0, 1.0) == expected
+    assert _gap_at(QuadraticField(-4), Omega(), X, 5.0, 1.0) == expected
 
 
 def test_mgf_y_closed_form():
@@ -327,7 +332,7 @@ def test_mgf_z_against_subset_expansion():
 
 
 def test_gap_components_frozen_row():
-    row = gap_components(Integers(), Omega(), 1000, 5.0, 1.0)
+    row = _gap_at(Integers(), Omega(), 1000, 5.0, 1.0)
     assert row.B_size == 3
     assert row.log_space is False
     assert row.mgf_Y == pytest.approx(3.9288291738042944, rel=1e-12)
@@ -438,19 +443,19 @@ def test_support_counts_match_trial_division(X):
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
 def test_gap_components_builds_no_table(system, monkeypatch):
-    expected = gap_components(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
+    expected = _gap_at(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
 
     def no_table(*args, **kwargs):
-        raise AssertionError("gap_components built a monoid table")
+        raise AssertionError("the gap row built a monoid table")
 
     monkeypatch.setattr(monoid, "table_blocks", no_table)
-    row = gap_components(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
+    row = _gap_at(system, NormResidue(4, frozenset({1}), 1.0, 0.25), 10**4, 5.0, 1.0)
     assert row == expected and row.B_size >= 2
 
 
 def test_gap_vanishes_at_theta_zero():
-    assert gap_components(Integers(), Omega(), 100, 5.0, 0.0).gap == 0.0
-    assert gap_components(Beurling((2, 3)), Omega(), 100, 5.0, 0.0).gap == 0.0
+    assert _gap_at(Integers(), Omega(), 100, 5.0, 0.0).gap == 0.0
+    assert _gap_at(Beurling((2, 3)), Omega(), 100, 5.0, 0.0).gap == 0.0
 
 
 def test_mgf_overflow_switches_to_log_space():
@@ -458,7 +463,7 @@ def test_mgf_overflow_switches_to_log_space():
     with pytest.raises(MgfOverflow) as err:
         mgf_Y(B, Omega(), 700.0)
     assert err.value.log_value > 690.0
-    row = gap_components(Integers(), Omega(), 100, 5.0, 700.0)
+    row = _gap_at(Integers(), Omega(), 100, 5.0, 700.0)
     assert row.log_space is True
     assert math.isfinite(row.mgf_Z) and math.isfinite(row.mgf_Y)
     assert row.gap == abs(row.mgf_Z - row.mgf_Y)
@@ -467,6 +472,19 @@ def test_mgf_overflow_switches_to_log_space():
         mgf_Z(Integers(), 100, B, Omega(), 400.0)
     assert err.value.log_value == log_mgf_Z(Integers(), 100, B, Omega(), 400.0)
     assert err.value.log_value > 709.78
+
+
+def test_gap_row_in_log_space_when_only_mgf_z_overflows():
+    # one prime of norm ~1e9 at theta = 711: e^711 overflows on the Z side
+    # while mgf_Y, about e^711 / 1e9, stays below 1e300
+    X, B, theta = 10**12, _norms(999_999_937), 711.0
+    count = element_counter(Integers(), X)
+    ts = exact.TruncationSets(X, 5.0, truncation_threshold(X), B)
+    row = exact._gap_row(ts, Omega(), theta, count)
+    ly = log_mgf_Y(B, Omega(), theta)
+    assert ly <= exact._LOG_OVERFLOW
+    assert row.log_space and row.mgf_Y == ly
+    assert row.mgf_Z == exact._log_mean_exp(*_support_counts(count, X, B, Omega()), theta)
 
 
 def test_tail_mass():

@@ -8,7 +8,6 @@ import pytest
 from monoidldp import experiments
 from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
 from monoidldp.errors import EmptySample, EmptySystem, ParameterError
-from monoidldp.exact import gap_components
 from monoidldp.experiments import condition_sweep, ek_report, gap_sweep, ldp_scan
 from monoidldp.rate import rate
 from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, list_primes
@@ -187,10 +186,11 @@ def test_gap_sweep_flat_at_theta_zero():
                                     Beurling((2, 2, 3, 5, 5, 7))], ids=lambda s: s.key)
 @pytest.mark.parametrize("theta", [1.0, 3000.0])  # 3000: the log-space rows
 def test_gap_sweep_rows_are_gap_components(system, theta):
-    # the sweep reads every row off one counter built at its largest X
+    # the sweep reads every row off one counter built at its largest X; a
+    # one-point sweep builds its own at each X
     g, grid = NormResidue(4, frozenset({1}), 1.0, 0.25), [100, 729, 5000, 20000]
     rows = gap_sweep(system, g, grid, 5.0, theta).rows
-    assert rows == tuple(gap_components(system, g, X, 5.0, theta) for X in grid)
+    assert rows == tuple(gap_sweep(system, g, [X], 5.0, theta).rows[0] for X in grid)
     assert all(r.log_space == (theta > 1.0) for r in rows)
 
 

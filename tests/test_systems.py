@@ -1,4 +1,5 @@
 """Prime systems, counting axioms, and density fits against direct oracles."""
+import functools
 import math
 import tracemalloc
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidldp import gfpoly, systems
+from monoidldp import additive, gfpoly, systems
 from monoidldp.additive import NormResidue, Omega, rho_X
 from monoidldp.errors import BudgetExceeded, DegenerateGrid, ParameterError, SourceError
-from monoidldp.exact import expect_Z, gap_components, tail_mass
+from monoidldp.exact import expect_Z, tail_mass
+from monoidldp.experiments import gap_sweep
 from monoidldp.gfpoly import SUPPORTED_Q
 from monoidldp.monoid import element_counter
 from monoidldp.systems import (
@@ -266,41 +268,86 @@ def test_chunks_are_consecutive_views_of_2_16_entries(n, sizes):
     assert [v for part in parts for v in part.tolist()] == a.tolist()
 
 
-# tracemalloc sees NumPy's buffers. At 1e6 (78,498 primes on the integers)
-# rho_X held ~120 bytes per prime and tail_mass, counting the prime list it
-# builds, ~152, while each built one Python tuple per prime; reading the
-# norms through chunks, ~49 and ~93, most of it one chunk's Python objects.
+# tracemalloc sees NumPy's buffers. rho_X reads the norms through chunks and
+# keeps two Python ints, one sum per class of g, and tail_mass integrates
+# rho_X's atoms. At 1e6 (78,498 primes on the integers) what they hold is
+# mostly one chunk's Python ints, and for tail_mass the prime list it
+# builds: 24-41 and 32-49 bytes per prime. At 1e7 that one chunk is spread
+# over ten times the primes, and rho_X holds 3-5 bytes per prime.
 RESIDUE = NormResidue(4, frozenset({1}), 2.0, 0.5)
 
 
-@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
-@pytest.mark.parametrize("g", [RESIDUE, Omega()], ids=lambda g: g.key)
-@pytest.mark.parametrize("name,bound", [("rho_X", 64), ("tail_mass", 110)])
-def test_prime_measures_hold_no_python_object_per_prime(system, g, name, bound):
-    X = 10**6
-    norms = prime_norms(system, X)
-    run = {"rho_X": lambda: rho_X(norms, g, X),
-           "tail_mass": lambda: tail_mass(system, g, X, 0.1, 1.0)}[name]
+def _peak_bytes_per_prime(run, primes):
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * norms.size, f"{peak / norms.size:.2f} bytes per prime"
+    return peak / primes
 
 
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
-@pytest.mark.parametrize("C", [0.1, 1.0])
-def test_tail_mass_gets_the_bits_of_one_fsum(system, C):
-    # the numerator's terms, fed chunk by chunk, in prime order, against
-    # one list of them all (two chunks at C = 0.1)
+@pytest.mark.parametrize("g", [RESIDUE, Omega()], ids=lambda g: g.key)
+@pytest.mark.parametrize("name,bound", [("rho_X", 64), ("tail_mass", 64)])
+def test_prime_measures_hold_no_python_object_per_prime(system, g, name, bound):
     X = 10**6
     norms = prime_norms(system, X)
-    vals = RESIDUE.values(norms)
-    terms = [math.expm1(0.5 * y) / n for y, n in zip(vals.tolist(), norms.tolist()) if y > C]
-    want = math.fsum(terms) / math.fsum((1.0 / norms).tolist())
+    run = {"rho_X": lambda: rho_X(norms, g, X),
+           "tail_mass": lambda: tail_mass(system, g, X, 0.1, 1.0)}[name]
+    per_prime = _peak_bytes_per_prime(run, norms.size)
+    assert per_prime <= bound, f"{per_prime:.2f} bytes per prime"
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+def test_rho_x_keeps_two_sums_not_two_arrays(system):
+    # a copy of the norms per class would be 8 bytes per prime by itself
+    X = 10**7
+    norms = prime_norms(system, X)
+    per_prime = _peak_bytes_per_prime(lambda: rho_X(norms, RESIDUE, X), norms.size)
+    assert per_prime <= 8, f"{per_prime:.2f} bytes per prime"
+
+
+TAIL_SYSTEMS = [pytest.param(system, X, id=system.key) for system, X in [
+    (Integers(), 10**6), (QuadraticField(-4), 10**6), (PolyOverFq(2), 2**21),
+    (Beurling(tuple(range(2, 20000, 3))), 20000)]]
+
+
+@pytest.mark.parametrize("system,X", TAIL_SYSTEMS)
+@pytest.mark.parametrize("C", [0.1, 1.0])
+def test_tail_mass_is_the_fsum_over_rho_x_atoms(system, X, C):
+    # the integral reads rho_X and sums nothing over the primes itself
+    atoms = rho_X(prime_norms(system, X), RESIDUE, X).atoms
+    want = math.fsum(w * math.expm1(0.5 * y) for y, w in atoms if y > C)
     assert tail_mass(system, RESIDUE, X, C, 0.5).hex() == want.hex()
+
+
+@functools.cache
+def _exact_class_sums(system, X):
+    """Each of RESIDUE's atoms y with the sum of 1/N(p) over the primes
+    attaining it, and their total, as unreduced tree-sum fractions."""
+    norms = prime_norms(system, X)
+    inside = RESIDUE.inside(norms)
+    sums = {y: additive._tree_sum([(1, n) for n in ns.tolist()])
+            for y, ns in ((2.0, norms[inside]), (0.5, norms[~inside])) if ns.size}
+    return sums, additive._tree_sum(list(sums.values()))
+
+
+@pytest.mark.parametrize("system,X", TAIL_SYSTEMS)
+@pytest.mark.parametrize("C", [0.1, 1.0])
+def test_tail_mass_is_within_2_ulp_of_the_exact_integral(system, X, C):
+    # each atom's exact weight, an unreduced fraction of tree sums, times
+    # the exact value of its expm1, summed as one fraction and rounded once
+    sums, (tot_n, tot_d) = _exact_class_sums(system, X)
+    num, den = 0, 1
+    for y, (n, d) in sums.items():
+        if y > C:
+            e = math.expm1(0.5 * y).as_integer_ratio()
+            term_n, term_d = n * tot_d * e[0], d * tot_n * e[1]
+            num, den = num * term_d + term_n * den, den * term_d
+    want = num / den
+    got = tail_mass(system, RESIDUE, X, C, 0.5)
+    assert abs(got - want) <= 2 * math.ulp(want)
 
 
 def test_prime_count_check():
@@ -510,7 +557,7 @@ def test_computation_builds_no_labels(system, X, monkeypatch):
         return (t.norm.tolist(), t.omega.tolist(), t.gsum.tolist(),
                 element_counter(system, X)(X // 3), rho_X(prime_norms(system, X), g, X),
                 tail_mass(system, g, X, 1.0, 1.0), mertens_sum(prime_norms(system, X), X),
-                gap_components(system, g, X, 5.0, 1.0),
+                gap_sweep(system, g, [X], 5.0, 1.0).rows[0],
                 expect_Z(system, X, prime_norms(system, 5).tolist()))
 
     expected = run()
