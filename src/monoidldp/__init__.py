@@ -7,11 +7,9 @@ user-supplied Beurling norm sequences.
 """
 
 from .additive import (
-    ConvergenceRow,
     DiscreteMeasure,
     NormResidue,
     Omega,
-    check_convergence,
     exp_moment,
     rho_X,
 )
@@ -20,7 +18,6 @@ from .errors import (
     DegenerateGrid,
     EmptySample,
     EmptySystem,
-    MgfOverflow,
     MonoidLdpError,
     NoConvergence,
     ParameterError,
@@ -35,9 +32,6 @@ from .exact import (
     expect_Y,
     expect_Z,
     log_mgf_Y,
-    log_mgf_Z,
-    mgf_Y,
-    mgf_Z,
     tail_mass,
     truncation_sets,
     truncation_threshold,

@@ -249,34 +249,3 @@ def moment_overflow(statistic: str, theta: float, ys) -> OverflowError:
                 f"e^(theta*y) overflows at y={y!r}")
     return OverflowError(f"{statistic} is infinite at theta={theta!r}: the sum overflows")
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    X: int
-    theta: float
-    empirical: float
-    limit: float
-    deviation: float
-
-
-def check_convergence(
-    norms: np.ndarray,
-    g: AdditiveFunction,
-    rho: DiscreteMeasure,
-    theta_grid: Sequence[float],
-    X_grid: Sequence[int],
-) -> list[ConvergenceRow]:
-    """|exp_moment(rho_X) - exp_moment(rho)| per (X, theta) grid point;
-    norms: prime_norms at the largest X or above."""
-    if not theta_grid or not X_grid:
-        raise ParameterError("theta and X grids must be nonempty")
-    if not all(map(math.isfinite, theta_grid)):
-        raise ParameterError(f"every theta must be finite, got {list(theta_grid)}")
-    rows = []
-    for X in X_grid:
-        emp = rho_X(norms, g, X)
-        for theta in theta_grid:
-            a = exp_moment(emp, theta)
-            b = exp_moment(rho, theta)
-            rows.append(ConvergenceRow(X, theta, a, b, abs(a - b)))
-    return rows

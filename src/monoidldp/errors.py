@@ -51,10 +51,3 @@ class NoConvergence(MonoidLdpError):
         super().__init__(message)
         self.bracket = bracket
 
-
-class MgfOverflow(MonoidLdpError):
-    """An MGF product exceeds 1e300; log_value carries the log-space result."""
-
-    def __init__(self, message: str, log_value: float):
-        super().__init__(message)
-        self.log_value = log_value

@@ -40,14 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .additive import AdditiveFunction, moment_overflow, rho_X
-from .errors import (
-    BudgetExceeded,
-    EmptySystem,
-    MgfOverflow,
-    ParameterError,
-    PrimeNotInSystem,
-)
+from .additive import AdditiveFunction, Omega, moment_overflow, rho_X
+from .errors import BudgetExceeded, EmptySystem, ParameterError, PrimeNotInSystem
 from .monoid import element_counter
 from .systems import PrimeSystem, list_primes, prime_norms
 
@@ -207,19 +201,6 @@ def _log_bernoulli_mgf(t: float, N: int) -> float:
     return t + math.log1p((N - 1) * math.exp(-t)) - math.log(N)
 
 
-def mgf_Y(norms: np.ndarray, g: AdditiveFunction, theta: float) -> float:
-    """Product of (1 + (e^(theta g(p)) - 1)/N(p)) over the primes of the norms.
-
-    With g >= 0 the partial products are monotone in theta's sign, so the
-    product overflows 1e300 only if the full log does; that case raises
-    MgfOverflow carrying the log-space value.
-    """
-    lm = log_mgf_Y(norms, g, theta)
-    if lm > _LOG_OVERFLOW:
-        raise MgfOverflow(f"mgf_Y exceeds 1e300 (log value {lm:.6g})", log_value=lm)
-    return math.exp(lm)
-
-
 def _support_counts(
     count: Callable[[int], int], X: int, norms: np.ndarray, g: AdditiveFunction
 ) -> tuple[int, list[tuple[int, float]]]:
@@ -246,12 +227,8 @@ def _support_counts(
 
 
 def _mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:
-    """sum of c_S exp(theta g_S) / total; MgfOverflow if it overflows a double."""
-    try:
-        return math.fsum(c * math.exp(theta * gs) for c, gs in support) / total
-    except OverflowError:
-        lm = _log_mean_exp(total, support, theta)
-        raise MgfOverflow(f"mgf_Z overflows (log value {lm:.6g})", log_value=lm) from None
+    """sum of c_S exp(theta g_S) / total; OverflowError if it overflows a double."""
+    return math.fsum(c * math.exp(theta * gs) for c, gs in support) / total
 
 
 def _log_mean_exp(total: int, support: list[tuple[int, float]], theta: float) -> float:
@@ -269,22 +246,6 @@ def _log_mean_exp(total: int, support: list[tuple[int, float]], theta: float) ->
     peak = max(w)
     s = math.fsum(c * math.exp(t - peak) for (c, _), t in zip(support, w))
     return peak + math.log(s) - math.log(total)
-
-
-def mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
-          g: AdditiveFunction, theta: float) -> float:
-    """Exact mean of exp(theta * sum_{p in S, p | m} g(p)) over the elements
-    m of norm <= X, S being primes of the given norms; MgfOverflow if it
-    overflows a double."""
-    _check_norms(system, X, norms)
-    return _mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
-
-
-def log_mgf_Z(system: PrimeSystem, X: int, norms: np.ndarray,
-              g: AdditiveFunction, theta: float) -> float:
-    """Log-space mgf_Z via a stable log-sum-exp; for overflowing thetas."""
-    _check_norms(system, X, norms)
-    return _log_mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
 
 
 @dataclass(frozen=True)
@@ -310,13 +271,14 @@ def _gap_row(ts: TruncationSets, g: AdditiveFunction, theta: float,
     total, support = _support_counts(count, ts.X, ts.B, g)
     head = (ts.X, ts.C, theta, ts.k_X, len(ts.B))
     ly = log_mgf_Y(ts.B, g, theta)
-    try:
-        if ly <= _LOG_OVERFLOW:  # else mgf_Y would exceed 1e300
+    if ly <= _LOG_OVERFLOW:  # else mgf_Y would exceed 1e300
+        try:
             mz, my = _mean_exp(total, support, theta), math.exp(ly)
+        except OverflowError:  # mgf_Z overflows a double
+            pass
+        else:
             return GapComponents(*head, mz, my, abs(mz - my), False)
-        lz = _log_mean_exp(total, support, theta)
-    except MgfOverflow as e:  # mgf_Z overflows; e carries its log
-        lz = e.log_value
+    lz = _log_mean_exp(total, support, theta)
     return GapComponents(*head, lz, ly, abs(lz - ly), True)
 
 
@@ -331,6 +293,8 @@ def tail_mass(
     norms = prime_norms(system, X)
     if not norms.size:
         raise EmptySystem(f"no prime of norm <= {X}")
+    if (1.0 if isinstance(g, Omega) else max(g.value_in, g.value_out)) <= C:
+        return 0.0  # no atom lies above the cap, whatever its weight
     atoms = [(y, w) for y, w in rho_X(norms, g, X).atoms if y > C]
     try:
         return math.fsum(w * math.expm1(theta * y) for y, w in atoms)

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .additive import AdditiveFunction, DiscreteMeasure, check_convergence
+from .additive import AdditiveFunction, DiscreteMeasure, exp_moment, rho_X
 from .errors import EmptySample, ParameterError
 from .exact import GapComponents, _gap_row, truncation_sets
 from .monoid import block_rows, cell_blocks, cell_counts, element_counter
@@ -346,7 +346,7 @@ def condition_sweep(
     if min(X_list) < 3:
         raise ParameterError("condition_sweep needs every X >= 3")
     theta_list = [float(t) for t in theta_grid]
-    if not all(map(math.isfinite, theta_list)):  # check_convergence's check, up front
+    if not all(map(math.isfinite, theta_list)):  # before anything is built
         raise ParameterError(f"every theta must be finite, got {theta_list}")
 
     fit = density_fit(system, X_list)  # checks the whole grid before it builds anything
@@ -377,11 +377,15 @@ def condition_sweep(
         "last_step": dev_step,
     }
 
+    # |exp_moment(rho_X) - exp_moment(rho)| per (X, theta), X by X; rho_X's
+    # moment is taken before the limit's, so an overflow names rho_X's atom
+    table = []
+    for X in X_list:
+        emp = rho_X(norms, g, X)
+        table.append([abs(exp_moment(emp, t) - exp_moment(rho, t)) for t in theta_list])
     conv_rows = []
     conv_flag = "PASS"
-    conv = check_convergence(norms, g, rho, theta_list, X_list)  # X-major
-    for j, theta in enumerate(theta_list):
-        devs = [r.deviation for r in conv[j::len(theta_list)]]
+    for theta, devs in zip(theta_list, zip(*table)):
         ok = devs[-1] < devs[0] or devs[-1] < 1e-12
         if not ok:
             conv_flag = "WARN"

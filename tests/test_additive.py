@@ -11,7 +11,6 @@ from monoidldp.additive import (
     DiscreteMeasure,
     NormResidue,
     Omega,
-    check_convergence,
     exp_moment,
     rho_X,
 )
@@ -186,22 +185,6 @@ def test_rho_x_fallback_gets_the_same_bits(monkeypatch, g):
                         lambda *args: calls.append(1) or fallback(*args))
     assert rho_X(norms, g, X).atoms == want
     assert calls == [1]
-
-
-def test_check_convergence_zero_when_limit_matches():
-    rows = check_convergence(prime_norms(Integers(), 100), Omega(), DiscreteMeasure.delta(),
-                             [0.5, 1.0], [10, 100])
-    assert len(rows) == 4
-    for r in rows:
-        assert r.deviation == 0.0
-        assert r.empirical == r.limit
-
-
-def test_check_convergence_rejects_empty_grids():
-    with pytest.raises(ParameterError):
-        check_convergence(prime_norms(Integers(), 10), Omega(), DiscreteMeasure.delta(), [], [10])
-    with pytest.raises(ParameterError):
-        check_convergence(prime_norms(Integers(), 10), Omega(), DiscreteMeasure.delta(), [1.0], [])
 
 
 @given(st.lists(st.tuples(st.floats(0, 4, allow_nan=False),

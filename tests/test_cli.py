@@ -540,16 +540,21 @@ def test_mgf_gap_past_exp_overflow_uses_log_space(tmp_path):
     assert all(math.isfinite(r["gap"]) for r in rows)
 
 
-@pytest.mark.parametrize("argv,statistic", [(["tail-mass", "--theta", "800"], "tail_mass"),
-                                            (["sweep", "--theta-grid", "800"], "exp_moment")],
-                         ids=["tail-mass", "sweep"])
-def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv, statistic):
+@pytest.mark.parametrize("argv,statistic,y", [
+    (["tail-mass", "--theta", "800"], "tail_mass", 1.0),
+    (["sweep", "--theta-grid", "800"], "exp_moment", 1.0),
+    # rho_X's moment is taken before the limit's: its atom y = 2 overflows
+    # first, though the limit (delta_1) overflows at y = 1 too
+    (["sweep", "--g", "residue:4:1:2:0.5", "--grid", "1000,10000,30000,100000",
+      "--theta-grid", "0.5,800"], "exp_moment", 2.0),
+], ids=["tail-mass", "sweep", "sweep-rho_X-first"])
+def test_infinite_moment_is_a_runtime_error(tmp_path, capsys, argv, statistic, y):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     # the message names the statistic, theta and the y whose e^(theta*y) overflowed
     assert f"{statistic} is infinite at theta=800.0" in err
-    assert "e^(theta*y) overflows at y=1.0" in err
+    assert f"e^(theta*y) overflows at y={y}" in err
 
 
 def test_tail_mass_near_the_overflow_is_finite(tmp_path, capsys):

@@ -12,22 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from monoidldp import exact, monoid, systems
 from monoidldp.additive import NormResidue, Omega, rho_X
-from monoidldp.errors import (
-    BudgetExceeded,
-    EmptySystem,
-    MgfOverflow,
-    ParameterError,
-    PrimeNotInSystem,
-)
+from monoidldp.errors import BudgetExceeded, EmptySystem, ParameterError, PrimeNotInSystem
 from monoidldp.exact import (
     _support_counts,
     domination_report,
     expect_Y,
     expect_Z,
     log_mgf_Y,
-    log_mgf_Z,
-    mgf_Y,
-    mgf_Z,
     tail_mass,
     truncation_sets,
     truncation_threshold,
@@ -57,6 +48,22 @@ def _count(system, X):
 def _g_at(g, n):
     """g at a prime of norm n."""
     return float(g.values(np.array([n]))[0])
+
+
+def _mgf_y(norms, g, theta):
+    """The Y-side MGF over the primes of the norms, as a gap row takes it."""
+    return math.exp(log_mgf_Y(norms, g, theta))
+
+
+def _mgf_z(system, X, norms, g, theta):
+    """The Z-side MGF over the primes of the norms, as a gap row takes it:
+    the mean of exp(theta g_S) over the support counts."""
+    return exact._mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
+
+
+def _log_mgf_z(system, X, norms, g, theta):
+    """The log of _mgf_z, as a gap row in log space takes it."""
+    return exact._log_mean_exp(*_support_counts(element_counter(system, X), X, norms, g), theta)
 
 
 def _norms(*norms):
@@ -289,11 +296,11 @@ def test_gap_components_lists_no_primes(monkeypatch):
 def test_mgf_y_closed_form():
     B = _norms(2, 3, 5, 7)
     expected = math.prod(1 + (math.e - 1) / p for p in (2, 3, 5, 7))
-    assert mgf_Y(B, Omega(), 1.0) == pytest.approx(expected, rel=1e-14)
-    assert mgf_Y(B, Omega(), 1.0) == pytest.approx(4.8932342847282495, rel=1e-12)
-    assert mgf_Y(_norms(2, 3, 5), Omega(), 1.0) == pytest.approx(
+    assert _mgf_y(B, Omega(), 1.0) == pytest.approx(expected, rel=1e-14)
+    assert _mgf_y(B, Omega(), 1.0) == pytest.approx(4.8932342847282495, rel=1e-12)
+    assert _mgf_y(_norms(2, 3, 5), Omega(), 1.0) == pytest.approx(
         3.9288291738042944, rel=1e-12)
-    assert mgf_Y(B, Omega(), 0.0) == 1.0
+    assert _mgf_y(B, Omega(), 0.0) == 1.0
     assert log_mgf_Y(B, Omega(), 1.0) == pytest.approx(math.log(expected), rel=1e-14)
 
 
@@ -307,14 +314,14 @@ def _brute_mgf_z_integers(X, norm_vals, theta):
 
 def test_mgf_z_against_elementwise_scan():
     B = _norms(2, 3, 5, 7)
-    got = mgf_Z(Integers(), 100, B, Omega(), 1.0)
+    got = _mgf_z(Integers(), 100, B, Omega(), 1.0)
     assert got == pytest.approx(_brute_mgf_z_integers(100, [(p, 1.0) for p in (2, 3, 5, 7)], 1.0),
                                 rel=1e-12)
     assert got == pytest.approx(4.643404184909107, rel=1e-12)
 
     g = NormResidue(4, frozenset({1}), 1.0, 0.25)
     vals = [(n, _g_at(g, n)) for n in B.tolist()]
-    assert mgf_Z(Integers(), 100, B, g, 0.7) == pytest.approx(
+    assert _mgf_z(Integers(), 100, B, g, 0.7) == pytest.approx(
         _brute_mgf_z_integers(100, vals, 0.7), rel=1e-12)
 
 
@@ -328,7 +335,7 @@ def test_mgf_z_against_subset_expansion():
         for sub in itertools.combinations(B.tolist(), k):
             prod = math.prod(sub)
             total += (X // prod) * math.prod(math.expm1(theta) for _ in sub)
-    assert mgf_Z(Integers(), X, B, Omega(), theta) == pytest.approx(total / X, rel=1e-12)
+    assert _mgf_z(Integers(), X, B, Omega(), theta) == pytest.approx(total / X, rel=1e-12)
 
 
 def test_gap_components_frozen_row():
@@ -398,8 +405,8 @@ def test_mgf_z_matches_table_oracle(system, X, bound, C):
     assert gsums.size == _count(system, X)
     for theta in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
         want = _table_log_mgf_z(gsums, theta)
-        assert math.isclose(mgf_Z(system, X, subset, g, theta), math.exp(want), rel_tol=1e-14)
-        got = log_mgf_Z(system, X, subset, g, theta)
+        assert math.isclose(_mgf_z(system, X, subset, g, theta), math.exp(want), rel_tol=1e-14)
+        got = _log_mgf_z(system, X, subset, g, theta)
         assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-16)
 
 
@@ -414,7 +421,7 @@ def test_log_mgf_z_near_zero_matches_a_decimal_oracle():
         ctx.prec = 60
         mean = sum(c * (Decimal(theta) * Decimal(gs)).exp() for c, gs in support) / total
         want = Fraction(mean.ln())
-    got = log_mgf_Z(system, X, norms, g, theta)
+    got = exact._log_mean_exp(total, support, theta)
     assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want)))
 
 
@@ -459,19 +466,25 @@ def test_gap_vanishes_at_theta_zero():
 
 
 def test_mgf_overflow_switches_to_log_space():
+    # B at X = 100 is the primes up to k_X ~ 7.2
     B = _norms(2, 3, 5, 7)
-    with pytest.raises(MgfOverflow) as err:
-        mgf_Y(B, Omega(), 700.0)
-    assert err.value.log_value > 690.0
+    # mgf_Y exceeds 1e300, so the row holds both logs
+    ly = log_mgf_Y(B, Omega(), 700.0)
+    assert ly > exact._LOG_OVERFLOW > 690.0
     row = _gap_at(Integers(), Omega(), 100, 5.0, 700.0)
+    assert row.B_size == 4
     assert row.log_space is True
+    assert row.mgf_Y == ly
+    assert row.mgf_Z == _log_mgf_z(Integers(), 100, B, Omega(), 700.0)
     assert math.isfinite(row.mgf_Z) and math.isfinite(row.mgf_Y)
     assert row.gap == abs(row.mgf_Z - row.mgf_Y)
     # e^(theta g_S) itself overflows on the Z side once g_S = 2
-    with pytest.raises(MgfOverflow) as err:
-        mgf_Z(Integers(), 100, B, Omega(), 400.0)
-    assert err.value.log_value == log_mgf_Z(Integers(), 100, B, Omega(), 400.0)
-    assert err.value.log_value > 709.78
+    with pytest.raises(OverflowError):
+        _mgf_z(Integers(), 100, B, Omega(), 400.0)
+    row = _gap_at(Integers(), Omega(), 100, 5.0, 400.0)
+    assert row.log_space is True
+    assert row.mgf_Z == _log_mgf_z(Integers(), 100, B, Omega(), 400.0)
+    assert row.mgf_Z > 709.78
 
 
 def test_gap_row_in_log_space_when_only_mgf_z_overflows():
@@ -483,6 +496,8 @@ def test_gap_row_in_log_space_when_only_mgf_z_overflows():
     row = exact._gap_row(ts, Omega(), theta, count)
     ly = log_mgf_Y(B, Omega(), theta)
     assert ly <= exact._LOG_OVERFLOW
+    with pytest.raises(OverflowError):
+        exact._mean_exp(*_support_counts(count, X, B, Omega()), theta)
     assert row.log_space and row.mgf_Y == ly
     assert row.mgf_Z == exact._log_mean_exp(*_support_counts(count, X, B, Omega()), theta)
 
@@ -502,6 +517,31 @@ def test_tail_mass():
         tail_mass(Integers(), Omega(), 1, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+@pytest.mark.parametrize("g,top", [(Omega(), 1.0),
+                                   (NormResidue(4, frozenset({1}), 2.0, 0.5), 2.0),
+                                   (NormResidue(4, frozenset({1}), 0.5, 2.0), 2.0)],
+                         ids=lambda v: getattr(v, "key", None))
+def test_tail_mass_above_every_value_reads_no_weight(system, g, top, monkeypatch):
+    # a cap at or above every value g takes leaves no atom above it, so
+    # rho_X's weights are never taken; below the largest value they are
+    def refuse(*args):
+        raise AssertionError("tail_mass took rho_X")
+
+    monkeypatch.setattr(exact, "rho_X", refuse)
+    for C in (top, top + 0.5, math.inf):
+        assert tail_mass(system, g, 1000, C, 1.0) == 0.0
+    with pytest.raises(AssertionError, match="took rho_X"):
+        tail_mass(system, g, 1000, top - 0.25, 1.0)
+    # the checks before it still run first
+    with pytest.raises(ParameterError):
+        tail_mass(system, g, 1000, top, -1.0)
+    with pytest.raises(EmptySystem):
+        tail_mass(system, g, 1, top, 1.0)
+    with pytest.raises(BudgetExceeded):
+        tail_mass(system, g, 10**12, top, 1.0)
+
+
 @pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), PolyOverFq(3),
                                     Beurling((2, 3))], ids=lambda s: s.key)
 def test_rho_x_and_tail_mass_below_one_and_at_one(system):
@@ -519,6 +559,6 @@ def test_rho_x_and_tail_mass_below_one_and_at_one(system):
 def test_mgf_z_dominated_by_mgf_y_for_integers(X, theta):
     # floor(X/prod)/X <= 1/prod termwise in the subset expansion when g >= 0
     ts = truncation_sets(Integers(), Omega(), max(X, 16), 10.0)
-    my = mgf_Y(ts.B, Omega(), theta)
-    mz = mgf_Z(Integers(), max(X, 16), ts.B, Omega(), theta)
+    my = _mgf_y(ts.B, Omega(), theta)
+    mz = _mgf_z(Integers(), max(X, 16), ts.B, Omega(), theta)
     assert mz <= my * (1 + 1e-12)

@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from monoidldp import experiments
-from monoidldp.additive import DiscreteMeasure, NormResidue, Omega
+from monoidldp.additive import DiscreteMeasure, NormResidue, Omega, exp_moment, rho_X
 from monoidldp.errors import EmptySample, EmptySystem, ParameterError
 from monoidldp.experiments import condition_sweep, ek_report, gap_sweep, ldp_scan
 from monoidldp.rate import rate
-from monoidldp.systems import Beurling, Integers, PolyOverFq, QuadraticField, list_primes
+from monoidldp.systems import (
+    Beurling,
+    Integers,
+    PolyOverFq,
+    QuadraticField,
+    list_primes,
+    prime_norms,
+)
 
 DELTA1 = DiscreteMeasure.delta(1.0)
 
@@ -135,6 +142,32 @@ def test_condition_sweep_integers_passes():
         assert all(d == 0.0 for _, d in row["deviations"])
     keys = set(dataclasses.asdict(rep))
     assert keys == {"overall", "density", "prime_count", "mertens", "convergence"}
+
+
+def test_condition_sweep_convergence_is_zero_when_the_limit_matches():
+    # rho_X for omega is delta_1 at every X: one deviation per (theta, X), each 0
+    grid = [10, 100, 1000, 10_000]
+    rows = condition_sweep(Integers(), Omega(), DELTA1, grid, [0.5, 1.0]).convergence["rows"]
+    assert [r["theta"] for r in rows] == [0.5, 1.0]
+    for r in rows:
+        assert r["deviations"] == [[X, 0.0] for X in grid]
+        assert r["ok"] is True
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4)], ids=lambda s: s.key)
+def test_condition_sweep_deviations_are_the_moment_gaps(system):
+    g = NormResidue(4, frozenset({1}), 2.0, 0.5)
+    grid, thetas = [1000, 10_000, 30_000, 100_000], [-1.0, 0.5, 1.0]
+    rep = condition_sweep(system, g, DELTA1, grid, thetas)
+    norms = prime_norms(system, grid[-1])
+    rows = rep.convergence["rows"]
+    assert [r["theta"] for r in rows] == thetas
+    for theta, row in zip(thetas, rows):
+        want = [abs(exp_moment(rho_X(norms, g, X), theta) - exp_moment(DELTA1, theta))
+                for X in grid]
+        assert row["deviations"] == [[X, d] for X, d in zip(grid, want)]
+        assert row["ok"] == (want[-1] < want[0] or want[-1] < 1e-12)
+    assert rep.convergence["flag"] == ("PASS" if all(r["ok"] for r in rows) else "WARN")
 
 
 def test_condition_sweep_flags_sublinear_counting():
