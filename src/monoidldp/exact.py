@@ -42,7 +42,7 @@ import numpy as np
 
 from .additive import AdditiveFunction, Omega, moment_overflow, rho_X
 from .errors import BudgetExceeded, EmptySystem, ParameterError, PrimeNotInSystem
-from .monoid import element_counter
+from .monoid import _pair_blocks, _pieces, _quotients, _ranges, element_counter
 from .systems import PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
@@ -113,46 +113,96 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     in depth-first (index-lexicographic) order. Every ratio
     count(X // N) * N / count(X) shares the denominator count(X), so the
     search compares the integer numerators and builds one Fraction.
+
+    The search runs one tuple length at a time. A level's tuples are the
+    children of the previous level's: a parent (N, last index j) takes
+    each prime i > j with N * p_i <= X. Of a level, only the tuples that
+    can take a further prime (N <= X // p_(j+1)) and are shorter than
+    k_max are kept, as (N, j, parent row); children are built and scored
+    in blocks of _BLOCK_PAIRS and dropped. A level's rows are in
+    index-lexicographic order, so the first maximal row of a block is the
+    first of its ties, and a tie between levels goes to the smaller index
+    tuple, a prefix first, as in depth-first order.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    primes = prime_norms(system, X)
-    norms = primes.tolist()
+    P = prime_norms(system, X)
+    XP = _quotients(P, X)
     count = element_counter(system, X)
     best = 0  # the numerator of the largest ratio
-    witness: tuple[int, ...] = ()  # indices into norms
+    witness: tuple[int, ...] = ()  # indices into P
     examined = 0
+    # the level being extended, (N, last index, parent row), first the
+    # empty tuple; chain holds (last index, parent row) of every level above
+    prod, last, up = np.ones(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.int64)
+    chain: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def rec(i0: int, prod: int, picked: tuple[int, ...]) -> None:
-        nonlocal best, witness, examined
-        for i in range(i0, len(norms)):
-            p = prod * norms[i]
-            if p > X:
-                break  # norms ascend
-            examined += 1
-            if examined > _MAX_TUPLES:
+    def path(i: int, r: int) -> tuple[int, ...]:
+        """The index tuple of the child i of the level's row r."""
+        tup = [i]
+        for lasts, ups in reversed(chain):
+            tup.append(int(lasts[r]))
+            r = int(ups[r])
+        return tuple(tup[::-1])
+
+    for k in range(1, k_max + 1):
+        if k > 1:
+            chain.append((last, up))
+        nxt = last + 1
+        # per parent, the primes p_i with i >= nxt and N * p_i <= X: one at
+        # least, as a kept tuple passed that test, and none for the empty
+        # tuple only when there is no prime
+        row, skip, counts = _pieces(P.searchsorted(X // prod, "right") - nxt)
+        prod, nxt = prod[row], nxt[row] + skip
+        ends = np.cumsum(counts)
+        kept = []
+        for a, b in _pair_blocks(ends):
+            at_least = examined + int(ends[-1]) - (int(ends[a - 1]) if a else 0)
+            if at_least > _MAX_TUPLES:
                 raise BudgetExceeded(
                     f"domination search exceeds {_MAX_TUPLES} tuples",
-                    predicted=examined, cap=_MAX_TUPLES,
+                    predicted=at_least, cap=_MAX_TUPLES,
                 )
-            tup = picked + (i,)
-            # expect_Z / expect_Y = count(X // p) * p / count(X)
-            num = count(X // p) * p
-            if num > best:
-                best, witness = num, tup
-            if len(tup) < k_max:
-                rec(i + 1, p, tup)
-
-    rec(0, 1, ())
+            c = counts[a:b]
+            i = _ranges(nxt[a:b], c)
+            N = np.repeat(prod[a:b], c)
+            N *= P[i]
+            examined += N.size
+            # expect_Z / expect_Y = count(X // N) * N / count(X), one count
+            # per distinct X // N. count(y) is at most y (1 + log y) on every
+            # system but Beurling, whose counts stay under the element cap,
+            # 2e8; N <= X <= 1e8, the prime list's cap, so the numerator
+            # stays far below 2^63
+            at = X // N
+            ys = np.unique(at)
+            at = ys.searchsorted(at)
+            score = np.array([count(y) for y in ys.tolist()], np.int64)[at]
+            del at
+            score *= N
+            # each child's parent row, from the block's running pair count
+            ends_c = np.cumsum(c)
+            j = int(score.argmax())
+            top = int(score[j])
+            del score
+            if top >= best:
+                tup = path(int(i[j]), int(row[a + ends_c.searchsorted(j, "right")]))
+                if top > best or tup < witness:
+                    best, witness = top, tup
+            if k < k_max:
+                grow = np.flatnonzero(N <= XP[i + 1])
+                kept.append((N[grow], i[grow], row[a + ends_c.searchsorted(grow, "right")]))
+        if not kept:
+            break
+        prod, last, up = (np.concatenate(col) for col in zip(*kept))
     # labels only for the witness: by prefix stability and the shared
     # (norm, label) order, index i is the same prime in both lists
     labels = []
     if witness:
-        lim = norms[witness[-1]]
-        labels = list_primes(system, lim, primes[: primes.searchsorted(lim, "right")])[1]
+        lim = int(P[witness[-1]])
+        labels = list_primes(system, lim, P[: P.searchsorted(lim, "right")])[1]
     M = Fraction(best, count(X))
     return DominationReport(X, k_max, float(M), M, tuple(labels[i] for i in witness),
-                            tuple(norms[i] for i in witness), examined)
+                            tuple(int(P[i]) for i in witness), examined)
 
 
 @dataclass(frozen=True)

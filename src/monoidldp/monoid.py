@@ -17,12 +17,19 @@ histogram at every X of a grid, which is all that ldp_scan reads.
 A frontier enumerates the elements one omega-level at a time, over the
 primes sorted by norm. Every element other than 1 is a parent times
 p_i^e, e >= 1, with i at or after the parent's next prime index nxt, so
-level k + 1 is the children of level k. A level's parents are taken in
-blocks of _BLOCK_PARENTS; a block's (parent, prime) pairs come from one
-searchsorted of X // n and are expanded in blocks of at most _BLOCK_PAIRS
-pairs, so the temporaries are bounded, not a whole level; a short loop
-over exponents runs while n * p^e <= X. A child's a is the parent's a,
-plus one when p_i is in the class.
+level k + 1 is the children of level k. One table, XP = X // P with a 0
+after the last prime (_quotients), says which parents can grow: n has a
+child exactly when n <= XP[nxt], and the 0 stops the parents whose
+largest prime is the last one. Most elements are leaves. A level's
+parents are taken in blocks of _BLOCK_PARENTS, that one test picks out a
+block's live parents, and a block with none is skipped. The live
+parents' (parent, prime) pairs come from one searchsorted of X // n and
+are expanded in blocks of at most _BLOCK_PAIRS pairs, so the temporaries
+are bounded, not a whole level; a short loop over exponents takes e + 1
+while n * p^e <= XP[i], that is n * p^(e+1) <= X, with no division per
+child. A child's a is the parent's a, plus one when p_i is in the class.
+exact.domination_report runs the same test and the same pair blocks over
+tuples of distinct primes.
 
 The levels fill three columns: norm (int64), a (uint8, only when g has a
 class) and nxt (int32, dropped at the end); omega is the level index,
@@ -308,6 +315,17 @@ def _pair_blocks(ends: np.ndarray):
         a = int(ends.searchsorted(ends[b - 1], "right"))
 
 
+def _pieces(count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, skip, count): every row's count[j] pairs cut into pieces of at
+    most _BLOCK_PAIRS, in row order; a piece holds the pairs skip, skip + 1,
+    ..., skip + count - 1 of its row, so that _pair_blocks over the pieces
+    never yields more than _BLOCK_PAIRS pairs."""
+    pieces = -(-count // _BLOCK_PAIRS)
+    row = np.repeat(np.arange(count.size), pieces)
+    skip = _ranges(np.zeros_like(pieces), pieces) * _BLOCK_PAIRS
+    return row, skip, np.minimum(count[row] - skip, _BLOCK_PAIRS)
+
+
 def _frontier(P: np.ndarray, X: int, g, total: int | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Unsorted (norm, omega, a) columns of every element of norm <= X,
@@ -335,21 +353,24 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
         col[0] = 0
     cols[0][0] = 1
     sizes = [1]
+    XP = _quotients(P, X)
     start, stop = 0, 1  # the level: cols[k][start:stop]
     while start < stop:
         used = stop
         for first in range(start, stop, _BLOCK_PARENTS):
             last = min(first + _BLOCK_PARENTS, stop)
+            # the live parents, those with a child: n * p_nxt <= X
+            live = np.flatnonzero(cols[0][first:last] <= XP[cols[-1][first:last]])
+            if not live.size:
+                continue
+            parents = [col[first:last][live] for col in cols]
             # per parent, the primes p_i with i >= nxt and n * p_i <= X
-            count = P.searchsorted(X // cols[0][first:last], "right")
-            count -= cols[-1][first:last]
-            np.maximum(count, 0, out=count)
+            count = P.searchsorted(X // parents[0], "right") - parents[-1]
             ends = np.cumsum(count)
             # pairs; each gives one child at least
             _check_budget(used + int(ends[-1]))
             for a, b in _pair_blocks(ends):
-                children = _expand(P, In, X, [col[first + a:first + b] for col in cols],
-                                   count[a:b])
+                children = _expand(P, XP, In, [col[a:b] for col in parents], count[a:b])
                 n = children[0].size
                 if used + n > cols[0].size:
                     if total is not None:
@@ -368,12 +389,12 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
     return norm, omega, cols[1][:stop] if In is not None else None
 
 
-def _expand(P, In, X, parents, count) -> list[np.ndarray]:
+def _expand(P, XP, In, parents, count) -> list[np.ndarray]:
     """The children [norm, a, nxt] of a block of parents [norm, a, nxt]
     (no a when In is None): n * p_i^e <= X, e >= 1, for the count[j]
-    primes i = nxt[j], nxt[j] + 1, ... of parent j."""
+    primes i = nxt[j], nxt[j] + 1, ... of parent j; XP is _quotients(P, X)."""
     i = _ranges(parents[-1], count)
-    p = P[i]
+    p, xp = P[i], XP[i]
     cols = [np.repeat(parents[0], count) * p]
     if In is not None:
         cols.append(In[i] + np.repeat(parents[1], count))
@@ -381,11 +402,20 @@ def _expand(P, In, X, parents, count) -> list[np.ndarray]:
     parts = []
     while cols[0].size:  # every exponent shares omega, a and nxt
         parts.append(cols)
-        more = cols[0] <= X // p
-        p = p[more]
+        more = cols[0] <= xp  # n p^e <= X // p: one more power fits
+        p, xp = p[more], xp[more]
         cols = [col[more] for col in cols]
         cols[0] *= p
     return [np.concatenate(part) for part in zip(*parts)]
+
+
+def _quotients(P: np.ndarray, X: int) -> np.ndarray:
+    """X // P[i] per prime, then a 0: n * P[i] <= X exactly when n <=
+    XP[i], and index P.size, past the last prime, takes no n >= 1. int32,
+    as every caller has X <= 1e8, the prime list's cap, below 2^31."""
+    XP = np.zeros(P.size + 1, np.int32)
+    XP[:-1] = X // P
+    return XP
 
 
 def _grow(col: np.ndarray, used: int, need: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import collections
 import decimal
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -248,6 +249,98 @@ def test_domination_validation_and_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as err:
         domination_report(Integers(), 100, 3)
     assert err.value.cap == 10
+    # a lower bound on the tuples, known before a block is scored
+    assert err.value.predicted > err.value.cap
+
+
+def _dfs_domination(system, X, k_max):
+    """The depth-first recursion the level search replaced, kept as its
+    oracle: (M_exact, witness labels, witness norms, tuples examined)."""
+    primes = prime_norms(system, X)
+    norms = primes.tolist()
+    count = element_counter(system, X)
+    best, witness, examined = 0, (), 0
+
+    def rec(i0, prod, picked):
+        nonlocal best, witness, examined
+        for i in range(i0, len(norms)):
+            p = prod * norms[i]
+            if p > X:
+                break  # norms ascend
+            examined += 1
+            tup = picked + (i,)
+            num = count(X // p) * p
+            if num > best:
+                best, witness = num, tup
+            if len(tup) < k_max:
+                rec(i + 1, p, tup)
+
+    rec(0, 1, ())
+    labels = list_primes(system, X)[1]
+    return (Fraction(best, count(X)), tuple(labels[i] for i in witness),
+            tuple(norms[i] for i in witness), examined)
+
+
+def _near_products(system, k):
+    """X at and next to the products of the first 1..k prime norms."""
+    norms = prime_norms(system, 10**4).tolist()
+    return sorted({math.prod(norms[:j]) + d for j in range(1, k + 1) for d in (-1, 0, 1)} - {0})
+
+
+def _report_row(rep):
+    return rep.M_exact, rep.witness, rep.witness_norms, rep.tuples_examined
+
+
+@pytest.mark.parametrize("system", [Integers(), QuadraticField(-4), QuadraticField(5),
+                                    PolyOverFq(3)], ids=lambda s: s.key)
+def test_domination_matches_the_depth_first_oracle(system):
+    for X in _near_products(system, 5):
+        for k_max in (1, 2, 3, 4):
+            rep = domination_report(system, X, k_max)
+            assert _report_row(rep) == _dfs_domination(system, X, k_max), (X, k_max)
+            assert rep.M_observed == float(rep.M_exact)
+
+
+def test_domination_ties_keep_the_depth_first_witness():
+    # repeated norms give distinct primes equal ratios, so most maxima tie;
+    # at X = 80, 105 or 112 a longer tuple ties a later, shorter one and
+    # comes first in depth-first order, so the tie crosses levels
+    system = Beurling((2, 3, 3, 5, 7, 7))
+    for X in (*range(1, 130), *_near_products(system, 6), 500, 1000):
+        for k_max in (1, 2, 3, 4, 6):
+            assert _report_row(domination_report(system, X, k_max)) == \
+                _dfs_domination(system, X, k_max), (X, k_max)
+
+
+@pytest.mark.parametrize("system,X,k_max", [
+    (Integers(), 3000, 3),
+    (QuadraticField(-4), 2000, 4),
+    (Beurling((2, 3, 3, 5, 7, 7)), 1000, 4),
+], ids=lambda v: getattr(v, "key", str(v)))
+def test_domination_is_independent_of_block_size(monkeypatch, system, X, k_max):
+    # one pair per block puts every tie in a block of its own; 7 cuts a
+    # parent's primes into pieces and splits levels unevenly
+    want = _dfs_domination(system, X, k_max)
+    for pairs in (1, 7, 2**16):
+        monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)
+        assert _report_row(domination_report(system, X, k_max)) == want, pairs
+
+
+def test_domination_memory_is_a_block_not_every_tuple():
+    # 495,329 tuples at 1e6 with k_max 3: a search that kept every tuple as
+    # (product, index tuple) held 24 bytes or more each, ~12 MB. The level
+    # search keeps the tuples that can grow and one block of children; its
+    # traced peak was 3.3 MB with the prime list, against 3.6 MB for the
+    # depth-first recursion, which holds one path and the norms as ints
+    domination_report(Integers(), 1000, 3)
+    tracemalloc.start()
+    try:
+        rep = domination_report(Integers(), 10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.tuples_examined == 495_329
+    assert peak <= 6 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_truncation_threshold():

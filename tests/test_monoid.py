@@ -276,7 +276,11 @@ ORACLE_SYSTEMS = [
 
 @pytest.mark.parametrize("system", ORACLE_SYSTEMS, ids=lambda s: s.key)
 def test_frontier_matches_reference_recursion(system):
-    for X in (1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7):
+    norms = prime_norms(system, 10**4).tolist()
+    # X a prime norm, so that prime is the last (nxt == P.size), and X =
+    # n * P[nxt] exactly, for n the product of the first j norms
+    edges = {norms[k] for k in (0, 3, -1)} | {math.prod(norms[:j]) for j in (2, 3, 4)}
+    for X in sorted({1, 2, 3, 4, 8, 9, 25, 26, 121, 122, 10**4 + 7} | edges):
         for name in ("omega", "residue-3-2", "residue-7-squares", "zero"):
             for got, want in zip(frontier_table(system, X, SIEVE_GS[name]),
                                  _reference_table(system, X, SIEVE_GS[name])):
@@ -300,13 +304,29 @@ def test_frontier_is_independent_of_block_size(monkeypatch, system):
     # (pairs, parents) per block: 1 parent or pair per block; 7 pairs split
     # parents' pair ranges unevenly; 97 parents split some level unevenly
     assert any(size > 97 and size % 97 for size in levels)
+    calls = {"_expand": 0, "_pair_blocks": 0}
+
+    def counted(name, run):
+        def run_and_count(*args):
+            calls[name] += 1
+            return run(*args)
+        return run_and_count
+
+    for name in calls:
+        monkeypatch.setattr(monoid, name, counted(name, getattr(monoid, name)))
     for pairs, parents in ((2**16, 1), (2**16, 7), (2**16, 97), (1, 7), (7, 97),
                            (1, 2**16), (7, 2**16)):
         monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)
         monkeypatch.setattr(monoid, "_BLOCK_PARENTS", parents)
+        calls.update(dict.fromkeys(calls, 0))
         got = count_table(system, X, g)
         for a, b in zip((got.norm, got.omega, got.gsum), want):
             assert a.tobytes() == b.tobytes(), (pairs, parents)
+        if parents == 1:
+            # one parent per block: a leaf's block is skipped before its
+            # pairs are counted, and a live parent's pairs (fewer than 2^16)
+            # are expanded at once
+            assert 0 < calls["_pair_blocks"] == calls["_expand"] < got.count, calls
         count = element_counter(system, X)
         assert [count(y) for y in range(1, X + 1)] == want_counts
 
