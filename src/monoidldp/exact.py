@@ -42,7 +42,7 @@ import numpy as np
 
 from .additive import AdditiveFunction, Omega, moment_overflow, rho_X
 from .errors import BudgetExceeded, EmptySystem, ParameterError, PrimeNotInSystem
-from .monoid import _pair_blocks, _pieces, _quotients, _ranges, element_counter
+from .monoid import _pairs, _quotients, element_counter
 from .systems import PrimeSystem, list_primes, prime_norms
 
 # product flagged as overflowing once it exceeds 1e300
@@ -119,10 +119,13 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     each prime i > j with N * p_i <= X. Of a level, only the tuples that
     can take a further prime (N <= X // p_(j+1)) and are shorter than
     k_max are kept, as (N, j, parent row); children are built and scored
-    in blocks of _BLOCK_PAIRS and dropped. A level's rows are in
-    index-lexicographic order, so the first maximal row of a block is the
-    first of its ties, and a tie between levels goes to the smaller index
-    tuple, a prefix first, as in depth-first order.
+    in the blocks of monoid._pairs, of at most _BLOCK_PAIRS, and dropped.
+    The tuple cap is checked once per level, against the tuples examined
+    so far plus the whole level, the lower bound that held before each of
+    its blocks; a budget error reports it as predicted. A level's rows are
+    in index-lexicographic order, so the first maximal row of a block is
+    the first of its ties, and a tie between levels goes to the smaller
+    index tuple, a prefix first, as in depth-first order.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
@@ -148,25 +151,22 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
     for k in range(1, k_max + 1):
         if k > 1:
             chain.append((last, up))
-        nxt = last + 1
-        # per parent, the primes p_i with i >= nxt and N * p_i <= X: one at
+        # per parent, the primes p_i with i > last and N * p_i <= X: one at
         # least, as a kept tuple passed that test, and none for the empty
         # tuple only when there is no prime
-        row, skip, counts = _pieces(P.searchsorted(X // prod, "right") - nxt)
-        prod, nxt = prod[row], nxt[row] + skip
-        ends = np.cumsum(counts)
+        counts = P.searchsorted(X // prod, "right") - (last + 1)
+        # the tuples examined plus the rest of the level is the same lower
+        # bound before every block of the level, so the cap is checked here
+        at_least = examined + int(counts.sum())
+        if at_least > _MAX_TUPLES:
+            raise BudgetExceeded(
+                f"domination search exceeds {_MAX_TUPLES} tuples",
+                predicted=at_least, cap=_MAX_TUPLES,
+            )
         kept = []
-        for a, b in _pair_blocks(ends):
-            at_least = examined + int(ends[-1]) - (int(ends[a - 1]) if a else 0)
-            if at_least > _MAX_TUPLES:
-                raise BudgetExceeded(
-                    f"domination search exceeds {_MAX_TUPLES} tuples",
-                    predicted=at_least, cap=_MAX_TUPLES,
-                )
-            c = counts[a:b]
-            i = _ranges(nxt[a:b], c)
-            N = np.repeat(prod[a:b], c)
-            N *= P[i]
+        for rows, take, i in _pairs(last + 1, counts):
+            row = np.repeat(np.arange(rows.start, rows.stop), take)
+            N = prod[row] * P[i]
             examined += N.size
             # expect_Z / expect_Y = count(X // N) * N / count(X), one count
             # per distinct X // N. count(y) is at most y (1 + log y) on every
@@ -179,18 +179,16 @@ def domination_report(system: PrimeSystem, X: int, k_max: int) -> DominationRepo
             score = np.array([count(y) for y in ys.tolist()], np.int64)[at]
             del at
             score *= N
-            # each child's parent row, from the block's running pair count
-            ends_c = np.cumsum(c)
             j = int(score.argmax())
             top = int(score[j])
             del score
             if top >= best:
-                tup = path(int(i[j]), int(row[a + ends_c.searchsorted(j, "right")]))
+                tup = path(int(i[j]), int(row[j]))
                 if top > best or tup < witness:
                     best, witness = top, tup
             if k < k_max:
                 grow = np.flatnonzero(N <= XP[i + 1])
-                kept.append((N[grow], i[grow], row[a + ends_c.searchsorted(grow, "right")]))
+                kept.append((N[grow], i[grow], row[grow]))
         if not kept:
             break
         prod, last, up = (np.concatenate(col) for col in zip(*kept))

@@ -22,14 +22,18 @@ after the last prime (_quotients), says which parents can grow: n has a
 child exactly when n <= XP[nxt], and the 0 stops the parents whose
 largest prime is the last one. Most elements are leaves. A level's
 parents are taken in blocks of _BLOCK_PARENTS, that one test picks out a
-block's live parents, and a block with none is skipped. The live
-parents' (parent, prime) pairs come from one searchsorted of X // n and
-are expanded in blocks of at most _BLOCK_PAIRS pairs, so the temporaries
-are bounded, not a whole level; a short loop over exponents takes e + 1
-while n * p^e <= XP[i], that is n * p^(e+1) <= X, with no division per
-child. A child's a is the parent's a, plus one when p_i is in the class.
-exact.domination_report runs the same test and the same pair blocks over
-tuples of distinct primes.
+block's live parents, and a block with none is skipped. One
+searchsorted of X // n gives each live parent a range of prime indices,
+and _pairs cuts the (parent, prime) pairs into blocks of _BLOCK_PAIRS,
+only the last shorter, a long row spanning several; so the temporaries
+are bounded by a block, not a level or a row. A short loop over
+exponents takes e + 1 while n * p^e <= XP[i], that is n * p^(e+1) <= X,
+with no division per child. A child's a is the parent's a, plus one when
+p_i is in the class. Within a level, the children's order follows the
+blocks; no reader depends on it. _pairs is the one cutter of the three
+walks over the free monoid: the frontier, the sieve's large primes below,
+and exact.domination_report, which runs the same test over tuples of
+distinct primes.
 
 The levels fill three columns: norm (int64), a (uint8, only when g has a
 class) and nxt (int32, dropped at the end); omega is the level index,
@@ -53,7 +57,7 @@ n <= X has at most one prime factor above sqrt(X). So a segment [lo, hi)
 gets one strided add per prime p <= sqrt(X), from the first multiple of p
 at or above lo, and then the large primes: for every cofactor m <=
 sqrt(X) at once, two searchsorted give the primes p with lo <= m p < hi,
-and the (m, p) pairs are added in blocks of _BLOCK_PAIRS. With no class
+and the (m, p) pairs are added in the blocks of _pairs. With no class
 the byte is omega (1 byte per element, as in every table); the norms,
 1..X, are implicit.
 
@@ -110,8 +114,9 @@ _BLOCK_ROWS = 1 << 16
 # values of n sieved at once on the integers; 2^20 ran faster than 2^18 at
 # 1e8, for ek and ldp-scan alike, at the same peak (BENCH_segments.json)
 _SEGMENT = 1 << 20
-# parents whose pairs are counted at once, and (parent, prime) pairs
-# expanded at once; together they bound the frontier's temporaries
+# parents whose pairs are counted at once, and (row, prime) pairs per
+# block of _pairs (the frontier, the sieve's large primes and dominate);
+# together they bound the frontier's temporaries
 _BLOCK_PARENTS = 1 << 16
 _BLOCK_PAIRS = 1 << 16
 # desk-scale caps: elements in memory, and X on the frontier; the sieve's
@@ -285,45 +290,34 @@ def _segments(primes: np.ndarray, X: int, inside: np.ndarray | None):
         # per cofactor m, the large primes p with lo <= m p < hi
         first = large.searchsorted(-(-lo // m))
         count = large.searchsorted(-(-hi // m)) - first
-        ends = np.cumsum(count)
-        for a, b in _pair_blocks(ends):
-            i = _ranges(first[a:b], count[a:b])
-            n = np.repeat(m[a:b], count[a:b]) * large[i] - lo
+        for rows, take, i in _pairs(first, count):
+            n = np.repeat(m[rows], take) * large[i] - lo
             col[n] += 1 if inside is None else big[i]
         for a in range(0, col.size, _BLOCK_ROWS):
             cells = col[a:a + _BLOCK_ROWS]
             yield lo + a, lo + a + cells.size - 1, None, cells
 
 
-def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """first[j], first[j] + 1, ..., first[j] + count[j] - 1 for every j, in
-    one int64 array."""
-    i = np.repeat(first - (np.cumsum(count) - count), count)
-    i += np.arange(i.size)
-    return i
-
-
-def _pair_blocks(ends: np.ndarray):
-    """(a, b): consecutive slices of the rows with pairs, ends being the
-    running pair count over the rows, each of at most _BLOCK_PAIRS pairs or
-    else of one row."""
-    a = int(ends.searchsorted(0, "right"))
-    while a < ends.size:
-        base = int(ends[a - 1]) if a else 0
-        b = max(int(ends.searchsorted(base + _BLOCK_PAIRS, "right")), a + 1)
-        yield a, b
-        a = int(ends.searchsorted(ends[b - 1], "right"))
-
-
-def _pieces(count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, skip, count): every row's count[j] pairs cut into pieces of at
-    most _BLOCK_PAIRS, in row order; a piece holds the pairs skip, skip + 1,
-    ..., skip + count - 1 of its row, so that _pair_blocks over the pieces
-    never yields more than _BLOCK_PAIRS pairs."""
-    pieces = -(-count // _BLOCK_PAIRS)
-    row = np.repeat(np.arange(count.size), pieces)
-    skip = _ranges(np.zeros_like(pieces), pieces) * _BLOCK_PAIRS
-    return row, skip, np.minimum(count[row] - skip, _BLOCK_PAIRS)
+def _pairs(first: np.ndarray, count: np.ndarray):
+    """(rows, take, i): the pairs (j, first[j] + t), t < count[j], of every
+    row j, in row order, cut into consecutive blocks of _BLOCK_PAIRS pairs,
+    only the last shorter. rows is the slice of rows a block touches, take[k]
+    its pairs of row rows.start + k (the first and last rows cut to the
+    block) and i their prime indices, int64."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _BLOCK_PAIRS):
+        hi = min(lo + _BLOCK_PAIRS, total)
+        # the rows holding pairs lo and hi - 1
+        a, b = int(ends.searchsorted(lo, "right")), int(ends.searchsorted(hi)) + 1
+        skip = lo - int(ends[a] - count[a])
+        take, start = count[a:b].copy(), first[a:b].astype(np.int64)
+        take[0] -= skip
+        take[-1] -= int(ends[b - 1]) - hi
+        start[0] += skip
+        i = np.repeat(start - (np.cumsum(take) - take), take)
+        i += np.arange(i.size)
+        yield slice(a, b), take, i
 
 
 def _frontier(P: np.ndarray, X: int, g, total: int | None = None
@@ -366,11 +360,11 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
             parents = [col[first:last][live] for col in cols]
             # per parent, the primes p_i with i >= nxt and n * p_i <= X
             count = P.searchsorted(X // parents[0], "right") - parents[-1]
-            ends = np.cumsum(count)
-            # pairs; each gives one child at least
-            _check_budget(used + int(ends[-1]))
-            for a, b in _pair_blocks(ends):
-                children = _expand(P, XP, In, [col[a:b] for col in parents], count[a:b])
+            # pairs left; each gives one child at least
+            left = int(count.sum())
+            _check_budget(used + left)
+            for rows, take, i in _pairs(parents[-1], count):
+                children = _expand(P, XP, In, [col[rows] for col in parents], take, i)
                 n = children[0].size
                 if used + n > cols[0].size:
                     if total is not None:
@@ -379,7 +373,8 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
                 for col, child in zip(cols, children):
                     col[used:used + n] = child
                 used += n
-                _check_budget(used + int(ends[-1] - ends[b - 1]))
+                left -= i.size
+                _check_budget(used + left)
         sizes.append(used - stop)
         start, stop = stop, used
     if total is not None and stop != total:
@@ -389,15 +384,15 @@ def _frontier(P: np.ndarray, X: int, g, total: int | None = None
     return norm, omega, cols[1][:stop] if In is not None else None
 
 
-def _expand(P, XP, In, parents, count) -> list[np.ndarray]:
+def _expand(P, XP, In, parents, take, i) -> list[np.ndarray]:
     """The children [norm, a, nxt] of a block of parents [norm, a, nxt]
-    (no a when In is None): n * p_i^e <= X, e >= 1, for the count[j]
-    primes i = nxt[j], nxt[j] + 1, ... of parent j; XP is _quotients(P, X)."""
-    i = _ranges(parents[-1], count)
+    (no a when In is None): n * p_i^e <= X, e >= 1, for the take[j] primes
+    i of parent j, in the block of _pairs (rows, take, i); XP is
+    _quotients(P, X)."""
     p, xp = P[i], XP[i]
-    cols = [np.repeat(parents[0], count) * p]
+    cols = [np.repeat(parents[0], take) * p]
     if In is not None:
-        cols.append(In[i] + np.repeat(parents[1], count))
+        cols.append(In[i] + np.repeat(parents[1], take))
     cols.append(i + 1)
     parts = []
     while cols[0].size:  # every exponent shares omega, a and nxt

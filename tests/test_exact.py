@@ -319,7 +319,7 @@ def test_domination_ties_keep_the_depth_first_witness():
 ], ids=lambda v: getattr(v, "key", str(v)))
 def test_domination_is_independent_of_block_size(monkeypatch, system, X, k_max):
     # one pair per block puts every tie in a block of its own; 7 cuts a
-    # parent's primes into pieces and splits levels unevenly
+    # parent's primes across blocks and splits levels unevenly
     want = _dfs_domination(system, X, k_max)
     for pairs in (1, 7, 2**16):
         monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)

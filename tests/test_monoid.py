@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -206,6 +207,64 @@ def test_segments_match_the_whole_sieve(monkeypatch, segment):
         _assert_segments_match_the_whole_sieve(X)
 
 
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_segments_match_the_whole_sieve_in_blocks_of_few_pairs(monkeypatch, pairs):
+    # the sieve's pair ranges are two-sided (first = ceil(lo / m)), so the
+    # blocks of _pairs start and end inside a cofactor's range
+    monkeypatch.setattr(monoid, "_SEGMENT", 7)
+    monkeypatch.setattr(monoid, "_BLOCK_PAIRS", pairs)
+    for X in SEGMENT_CASES[7]:
+        _assert_segments_match_the_whole_sieve(X)
+
+
+def _cut_pairs(first, count, pairs):
+    """The pairs (row, prime index) of monoid._pairs at _BLOCK_PAIRS =
+    pairs, in block order, after checking every block's shape."""
+    got, sizes = [], []
+    with patch.object(monoid, "_BLOCK_PAIRS", pairs):
+        for rows, take, i in monoid._pairs(np.array(first, np.int32), np.array(count, np.int64)):
+            assert i.dtype == np.int64 and take.size == len(range(rows.start, rows.stop))
+            assert int(take.sum()) == i.size <= pairs
+            assert take[0] > 0 and take[-1] > 0  # the block's first and last rows
+            sizes.append(i.size)
+            got += zip(np.repeat(np.arange(rows.start, rows.stop), take).tolist(), i.tolist())
+    # blocks of exactly _BLOCK_PAIRS, only the last shorter
+    assert sizes[:-1] == [pairs] * (len(sizes) - 1)
+    return got
+
+
+def _pairs_oracle(first, count):
+    return [(j, f + t) for j, (f, c) in enumerate(zip(first, count)) for t in range(c)]
+
+
+PAIRS_CASES = [
+    ([], []),
+    ([3], [0]),
+    ([0, 5, 2, 9], [0, 0, 3, 1]),  # zero counts first
+    ([1, 4, 0, 7, 2], [2, 0, 0, 5, 1]),  # zero counts in the middle
+    ([6, 1, 3, 8], [4, 1, 0, 0]),  # zero counts last
+    ([11, 0, 2], [1, 40, 2]),  # one row spans several blocks
+    ([0], [2**16 + 3]),
+    ([5, 7, 1], [2**16 - 1, 2, 2**17]),
+]
+
+
+# the rows of more than 2^16 pairs only at 2^16 pairs per block: at 1 or 7
+# they would take 10^4 blocks and more, and the short rows cover those sizes
+@pytest.mark.parametrize("first,count,pairs", [
+    (first, count, pairs) for pairs in (1, 7, 2**16) for first, count in PAIRS_CASES
+    if pairs == 2**16 or sum(count) < 100])
+def test_pairs_match_the_oracle(first, count, pairs):
+    assert _cut_pairs(first, count, pairs) == _pairs_oracle(first, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.lists(st.tuples(st.integers(0, 50), st.integers(0, 20)), max_size=30))
+def test_pairs_match_the_oracle_on_any_rows(pairs, rows):
+    first, count = [f for f, _ in rows], [c for _, c in rows]
+    assert _cut_pairs(first, count, pairs) == _pairs_oracle(first, count)
+
+
 def test_segments_match_the_whole_sieve_at_the_segment_size():
     segment = monoid._SEGMENT
     for X in (segment - 1, segment, segment + 1, 2 * segment + 1):
@@ -304,7 +363,7 @@ def test_frontier_is_independent_of_block_size(monkeypatch, system):
     # (pairs, parents) per block: 1 parent or pair per block; 7 pairs split
     # parents' pair ranges unevenly; 97 parents split some level unevenly
     assert any(size > 97 and size % 97 for size in levels)
-    calls = {"_expand": 0, "_pair_blocks": 0}
+    calls = {"_expand": 0, "_pairs": 0}
 
     def counted(name, run):
         def run_and_count(*args):
@@ -326,9 +385,34 @@ def test_frontier_is_independent_of_block_size(monkeypatch, system):
             # one parent per block: a leaf's block is skipped before its
             # pairs are counted, and a live parent's pairs (fewer than 2^16)
             # are expanded at once
-            assert 0 < calls["_pair_blocks"] == calls["_expand"] < got.count, calls
+            assert 0 < calls["_pairs"] == calls["_expand"] < got.count, calls
         count = element_counter(system, X)
         assert [count(y) for y in range(1, X + 1)] == want_counts
+
+
+@pytest.mark.parametrize("system", [QuadraticField(-4), Beurling((2, 3, 3, 5, 7, 7)),
+                                    Beurling((2, 3, 3, 5, 7, 7, 11, 13, 13))],
+                         ids=["quad:-4", "beurling-6", "beurling-9"])
+def test_frontier_blocks_hold_at_most_the_pair_bound(monkeypatch, system):
+    # on quad:-4 and the nine-norm Beurling system the empty element alone
+    # has more than 7 pairs, so a cutter that kept a parent's pairs whole
+    # would hand _expand a longer block; the six-norm system's rows are
+    # shorter, and its doubling columns take blocks cut across rows
+    X, g = 5000, SIEVE_GS["residue-3-2"]
+    want = _reference_table(system, X, g)
+    sizes = []
+    expand = monoid._expand
+
+    def recorded(P, XP, In, parents, take, *rest):
+        sizes.append(int(take.sum()))
+        return expand(P, XP, In, parents, take, *rest)
+
+    monkeypatch.setattr(monoid, "_expand", recorded)
+    monkeypatch.setattr(monoid, "_BLOCK_PAIRS", 7)
+    got = count_table(system, X, g)
+    for a, b in zip((got.norm, got.omega, got.gsum), want):
+        assert a.tobytes() == b.tobytes()
+    assert sizes and max(sizes) <= 7, max(sizes)
 
 
 def _must_not_run(*args):
