@@ -64,13 +64,13 @@ the byte is omega (1 byte per element, as in every table); the norms,
 ek_report, cell_counts and table_blocks read one stream of blocks
 (cell_blocks): a block's norm range, its norms (None on the integers: that
 range) and its cells, omega alone when no g is asked for. Only block_rows
-reads implicit norms, cutting a block to the rows of norm in [lo, hi] by a
-slice or a mask. Rows may come in any order, so no sort runs for ek_report
-or cell_counts. cell_counts holds no column on the integers; ek_report and
-table_blocks keep the blocks, one byte per element, and table_blocks
-expands a block to its (norm, omega, gsum) rows as it is read, which on
-the integers are in norm order already. Elsewhere table_blocks sorts the
-frontier's table, 17 bytes per element, and only when its rows are read.
+reads implicit norms and only _decode a packed cell. Rows come in any
+order, so no sort runs for ek_report, which keeps its omega blocks, or
+cell_counts, which holds no column on the integers. table_blocks takes
+its histogram from cell_counts; on the integers its rows sieve 1..X again
+as the writer reads them, in norm order already, so that no report keeps
+a cell per element; elsewhere it sorts the frontier's table, 17 bytes per
+element, when they are read.
 
 The table at X' <= X is the prefix of the table at X, so one table serves
 every threshold up to X.
@@ -133,21 +133,23 @@ def table_blocks(system: PrimeSystem, X: int, g) -> tuple[np.ndarray, Iterator[t
     """(hist, blocks): the omega histogram of the elements of norm <= X,
     as np.bincount gives it, and their (norm, omega, gsum) rows in blocks,
     uint64, uint8 and float64, sorted by (norm, omega, gsum), gsum being g
-    at each row's cell (g.sums). On the integers the cells of cell_blocks
-    are kept and a block is expanded as it is read; elsewhere the frontier
-    runs once, and its table is sorted, as one block, when first read."""
+    at each row's cell (g.sums). On the integers the histogram is cell_counts'
+    and the rows sieve 1..X again when read; elsewhere the frontier runs
+    once, and its table is sorted, as one block, when first read."""
     if isinstance(system, Integers):
-        blocks = list(cell_blocks(system, X, g)[1])
-        # cell = omega + 16 a: a row per a, a column per omega
-        hist = sum(np.bincount(b[3], minlength=256) for b in blocks).reshape(16, 16).sum(axis=0)
-        hist = np.trim_zeros(hist, "b")
-        cell = np.arange(256)
-        sums = g.sums(cell & 15, cell >> 4)  # gsum per cell
-        return hist, ((norms, cells & 15, sums[cells])
-                      for norms, cells in map(block_rows, blocks))
+        hist = cell_counts(system, [X], g)[0].sum(axis=1)
+        return np.trim_zeros(hist, "b"), _sieved_rows(system, X, g)
     primes, total = _prepare(system, X)
     norm, omega, a = _frontier(primes, X, g, total)
     return np.bincount(omega), _sorted_table(norm, omega, a, g)
+
+
+def _sieved_rows(system: Integers, X: int, g):
+    """The integers' (norm, omega, gsum) blocks, sieved when first read."""
+    omega, a = _decode(system)
+    sums = g.sums(omega, a)  # gsum per cell
+    for norms, cells in map(block_rows, cell_blocks(system, X, g)[1]):
+        yield norms, omega[cells], sums[cells]
 
 
 def _sorted_table(norm: np.ndarray, omega: np.ndarray, a: np.ndarray | None, g):
@@ -167,12 +169,11 @@ def cell_blocks(system: PrimeSystem, X: int, g):
     X in blocks of at most _BLOCK_ROWS rows, rows in any order.
 
     A block is (least, most, norms, cells): its least and largest norm, its
-    uint64 norms, or None when they are least..most in row order (read
-    them through block_rows), and each row's cell: omega, uint8, as built,
-    when g is None or has no class; else omega + 16 a (uint8) on the
-    integers and omega + _CELLS a (intp) elsewhere, a counting the row's
-    primes in g's class (g.inside). The integers sieve a segment as its
-    blocks are read; elsewhere they are the frontier's columns, as built.
+    uint64 norms, or None when they are least..most (block_rows), and each
+    row's cell: omega, uint8, as built, when g is None or has no class; else
+    omega + 16 a (uint8) on the integers and omega + _CELLS a (intp) on the
+    frontier (_decode), a counting the row's primes in g's class. Each call
+    sieves the integers anew, as its blocks are read.
     """
     primes, total = _prepare(system, X)
     if isinstance(system, Integers):
@@ -212,9 +213,8 @@ def cell_counts(system: PrimeSystem, X_grid: Sequence[int], g) -> np.ndarray:
     blocks come as the sieve yields them, and no column is held.
     """
     _, blocks = cell_blocks(system, max(X_grid), g)
-    shift = 4 if isinstance(system, Integers) else _CELL_BITS
-    size = 1 << 2 * shift
-    counts = np.zeros((len(X_grid), size), dtype=np.int64)
+    omega, a = _decode(system)
+    counts = np.zeros((len(X_grid), omega.size), dtype=np.int64)
     for block in blocks:
         least, most, _, cells = block
         whole = None
@@ -223,14 +223,20 @@ def cell_counts(system: PrimeSystem, X_grid: Sequence[int], g) -> np.ndarray:
                 continue
             if most <= X:
                 if whole is None:
-                    whole = np.bincount(cells, minlength=size)
+                    whole = np.bincount(cells, minlength=omega.size)
                 counts[x] += whole
             else:
-                counts[x] += np.bincount(block_rows(block, hi=X)[1], minlength=size)
-    cells = np.arange(size)
+                counts[x] += np.bincount(block_rows(block, hi=X)[1], minlength=omega.size)
     out = np.zeros((len(X_grid), _CELLS, _CELLS), dtype=np.int64)
-    out[:, cells & (1 << shift) - 1, cells >> shift] = counts
+    out[:, omega, a] = counts
     return out
+
+
+def _decode(system: PrimeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, a), uint8, by cell value: omega + 16 a on the sieve, omega + _CELLS a elsewhere."""
+    bits = 4 if isinstance(system, Integers) else _CELL_BITS
+    a, omega = np.divmod(np.arange(1 << 2 * bits), 1 << bits)
+    return omega.astype(np.uint8), a.astype(np.uint8)
 
 
 def _frontier_blocks(norm: np.ndarray, omega: np.ndarray, a: np.ndarray | None):

@@ -695,6 +695,35 @@ def test_count_builds_the_frontier_once_and_json_sorts_nothing(monkeypatch, tmp_
     assert report["mean_omega"] == round12(float(want.omega.sum(dtype=np.int64)) / want.count)
 
 
+@pytest.mark.parametrize("g", [Omega(), NormResidue(4, frozenset({1}), 2, 0.5)],
+                         ids=lambda g: g.key)
+def test_count_on_the_integers_sieves_once_for_json_and_expands_nothing(monkeypatch, tmp_path, g):
+    X = 5000
+    want = count_table(Integers(), X, g)
+    argv = ["count", "--g", g.key, "--limit", str(X), "--out", str(tmp_path)]
+    sieves = []
+
+    def segments(*args):
+        sieves.append(args[1])
+        return build(*args)
+
+    build = monoid._segments
+    monkeypatch.setattr(monoid, "_segments", segments)
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = (tmp_path / "count.csv").read_text().splitlines()
+    assert len(lines) == X + 1
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, X + 1))
+    # the JSON report reads cell_counts' histogram alone: one sieve, and no
+    # row is expanded, so no cell's gsum is taken
+    sieves.clear()
+    monkeypatch.setattr(type(g), "sums", _must_not_run)
+    assert main([*argv, "--format", "json"]) == 0
+    assert sieves == [X]
+    report = json.loads((tmp_path / "count.json").read_text())
+    assert report["omega_histogram"] == np.bincount(want.omega).tolist()
+    assert report["count"] == want.count == X
+
+
 def test_table_csv(tmp_path):
     assert main(["count", "--limit", "6", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "count.csv").read_text().splitlines()

@@ -36,3 +36,12 @@ def test_check_irreducibles_agrees_at_1e5():
     lines = done.stdout.splitlines()
     assert len(lines) == 7 and all(line.endswith("agree") for line in lines)
     assert lines[0] == "poly:2: degrees 1..16 (q^n = 65536) agree"
+
+
+def test_check_cells_agrees_at_1e5():
+    done = _run("check_cells.py", "--limit", "100000")
+    assert done.returncode == 0, done.stdout + done.stderr
+    # X = 1, 10, ..., 1e5 for each of omega and residue:4:1:2:0.5
+    lines = done.stdout.splitlines()
+    assert len(lines) == 12 and all(line.endswith("agree") for line in lines)
+    assert lines[-1] == "residue:4:1:2:0.5: X=100000, 100000 elements in 23 cells agree"
